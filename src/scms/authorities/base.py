@@ -3,19 +3,28 @@
 Each component is a single-threaded state machine with a private store
 namespace, its own deterministic random stream and a signing identity.
 Envelopes dispatch to ``on_<message_type>`` methods (dots become
-underscores).
+underscores). Authorities that answer the misbehavior authority's signed
+queries share one guard, ``_check_ma_request``.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 from ..bus import Envelope, MessageBus
-from ..certmodel import Certificate
+from ..certmodel import Certificate, SignedMessage, verify_message
 from ..crypto import DeterministicRandom, KeyPair
+from ..encoding import decode
 from ..errors import InvariantViolation
 from ..persistence import StoreRegistry
 
 
 class Component:
+    # set by configure() on the authorities that answer MA queries; a
+    # component without a limit serves them without a per-period quota
+    ma_cert: Certificate | None = None
+    ma_query_limit: int | None = None
+
     def __init__(
         self,
         component_id: str,
@@ -31,6 +40,7 @@ class Component:
         self.keypair: KeyPair | None = None
         self.enc_keypair: KeyPair | None = None
         self.cert: Certificate | None = None
+        self._ma_queries: dict[int, int] = {}
         bus.register(component_id, self)
 
     def install_identity(
@@ -65,3 +75,23 @@ class Component:
                 "object": obj.hex() if isinstance(obj, bytes) else obj,
             },
         )
+
+    def _check_ma_request(self, env):
+        """Verify the MA signature and, where a limit is set, the
+        per-period quota; returns the decoded request plus its digest (the
+        audit-log object), or None after logging and sending a refusal."""
+        msg = SignedMessage.decode(env.payload["q"])
+        period = self.clock.period
+        if self.ma_cert is None or not verify_message(msg, self.ma_cert):
+            logged, reason = b"bad-signature", "bad signature"
+        elif (self.ma_query_limit is not None
+              and self._ma_queries.get(period, 0) >= self.ma_query_limit):
+            logged, reason = b"over-quota", "rate limited"
+        else:
+            self._ma_queries[period] = self._ma_queries.get(period, 0) + 1
+            digest = hashlib.sha256(msg.payload).hexdigest()
+            self.audit_log(env.src, env.mtype, digest)
+            return decode(msg.payload), digest
+        self.audit_log(env.src, env.mtype + ".refused", logged)
+        self.send(env.src, "ma.refused", {"op": env.mtype, "reason": reason})
+        return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 
-from ..certmodel import Certificate, SignedMessage, verify_message
+from ..certmodel import Certificate
 from ..crypto import channel_encrypt, channel_key, hybrid_decrypt, hybrid_encrypt
 from ..crypto.hybrid import HybridCiphertext
 from ..encoding import decode, encode
@@ -34,7 +34,6 @@ class LinkageAuthority(Component):
         )
         self.ma_cert = ma_cert
         self.ma_query_limit = ma_query_limit
-        self._ma_queries: dict[int, int] = {}
 
     # --- chain management (RA-facing) ---
 
@@ -107,30 +106,6 @@ class LinkageAuthority(Component):
         })
 
     # --- misbehavior-authority queries ---
-
-    def _check_ma_request(self, env):
-        """Verify the MA signature and the per-period quota; returns the
-        decoded payload plus its digest (the audit-log object), or None
-        after sending a refusal."""
-        msg = SignedMessage.decode(env.payload["q"])
-        if not verify_message(msg, self.ma_cert):
-            self.audit_log(env.src, env.mtype + ".refused", b"bad-signature")
-            self.send(env.src, "ma.refused", {
-                "op": env.mtype, "reason": "bad signature",
-            })
-            return None
-        period = self.clock.period
-        count = self._ma_queries.get(period, 0)
-        if count >= self.ma_query_limit:
-            self.audit_log(env.src, env.mtype + ".refused", b"over-quota")
-            self.send(env.src, "ma.refused", {
-                "op": env.mtype, "reason": "rate limited",
-            })
-            return None
-        self._ma_queries[period] = count + 1
-        digest = hashlib.sha256(msg.payload).hexdigest()
-        self.audit_log(env.src, env.mtype, digest)
-        return decode(msg.payload), digest
 
     def on_ma_samedev(self, env) -> None:
         checked = self._check_ma_request(env)

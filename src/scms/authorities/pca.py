@@ -19,10 +19,8 @@ from ..certmodel import (
     CertType,
     Certificate,
     SeriesConfig,
-    SignedMessage,
     issue_certificate,
     sign_message,
-    verify_message,
 )
 from ..crypto import GroupElement, channel_decrypt, channel_key, hybrid_encrypt
 from ..encoding import decode, encode
@@ -49,7 +47,6 @@ class Pca(Component):
         }
         self.ma_cert = ma_cert
         self.ma_query_limit = ma_query_limit
-        self._ma_queries: dict[int, int] = {}
 
     # --- pseudonym issuance (steps 4 and 5) ---
 
@@ -161,27 +158,6 @@ class Pca(Component):
         })
 
     # --- misbehavior-authority queries ---
-
-    def _check_ma_request(self, env):
-        msg = SignedMessage.decode(env.payload["q"])
-        if not verify_message(msg, self.ma_cert):
-            self.audit_log(env.src, env.mtype + ".refused", b"bad-signature")
-            self.send(env.src, "ma.refused", {
-                "op": env.mtype, "reason": "bad signature",
-            })
-            return None
-        period = self.clock.period
-        count = self._ma_queries.get(period, 0)
-        if count >= self.ma_query_limit:
-            self.audit_log(env.src, env.mtype + ".refused", b"over-quota")
-            self.send(env.src, "ma.refused", {
-                "op": env.mtype, "reason": "rate limited",
-            })
-            return None
-        self._ma_queries[period] = count + 1
-        digest = hashlib.sha256(msg.payload).hexdigest()
-        self.audit_log(env.src, env.mtype, digest)
-        return decode(msg.payload), digest
 
     def on_ma_lv2plv(self, env) -> None:
         checked = self._check_ma_request(env)

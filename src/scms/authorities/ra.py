@@ -417,18 +417,6 @@ class Ra(Component):
 
     # --- revocation step 4: blacklist without revealing the certificate ---
 
-    def _check_ma_request(self, env):
-        msg = SignedMessage.decode(env.payload["q"])
-        if self.ma_cert is None or not verify_message(msg, self.ma_cert):
-            self.audit_log(env.src, env.mtype + ".refused", b"bad-signature")
-            self.send(env.src, "ma.refused", {
-                "op": env.mtype, "reason": "bad signature",
-            })
-            return None
-        digest = hashlib.sha256(msg.payload).hexdigest()
-        self.audit_log(env.src, env.mtype, digest)
-        return decode(msg.payload), digest
-
     def on_ma_blacklist(self, env) -> None:
         checked = self._check_ma_request(env)
         if checked is None:

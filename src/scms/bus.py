@@ -1,10 +1,8 @@
 """In-process message bus, simulated clock and event trace.
 
 Components register under string ids and exchange envelopes: {source,
-destination, message type, payload}. In deterministic mode a single FIFO
-queue is drained in order, so a fixed seed replays the exact same delivery
-sequence; stress mode delivers through per-component worker threads with
-the same correctness assertions but no ordering guarantee.
+destination, message type, payload}. A single FIFO queue is drained in
+order, so a fixed seed replays the exact same delivery sequence.
 
 The bus enforces the proxy rule: end entities may not address the
 registration or misbehavior authority directly, those paths must go
@@ -15,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -142,75 +139,3 @@ class MessageBus:
             )
         self._components[env.dst].handle(env)
         self.delivered += 1
-
-    def run_threaded(self) -> int:
-        """Stress mode: per-component serialization, nondeterministic order.
-
-        Correctness assertions must hold exactly as in run(); traces are
-        not comparable across modes.
-        """
-        locks = {cid: threading.Lock() for cid in self._components}
-        pending = threading.Semaphore(0)
-        outstanding = [0]
-        count_lock = threading.Lock()
-        queue: deque[Envelope] = deque()
-        queue_lock = threading.Lock()
-        stop = threading.Event()
-        delivered = [0]
-
-        with count_lock:
-            while self._queue:
-                queue.append(self._queue.popleft())
-                outstanding[0] += 1
-                pending.release()
-
-        original_send = self.send
-
-        def threaded_send(env: Envelope) -> None:
-            if env.dst in _PROXIED and _is_end_entity(env.src):
-                raise InvariantViolation(
-                    f"{env.src} must reach {env.dst} through the LOP"
-                )
-            if env.dst not in self._components:
-                raise InvariantViolation(f"no component {env.dst!r} registered")
-            with queue_lock:
-                queue.append(env)
-            with count_lock:
-                outstanding[0] += 1
-            pending.release()
-
-        self.send = threaded_send  # type: ignore[method-assign]
-        errors: list[BaseException] = []
-
-        def worker():
-            while not stop.is_set():
-                if not pending.acquire(timeout=0.05):
-                    continue
-                with queue_lock:
-                    env = queue.popleft() if queue else None
-                if env is None:
-                    continue
-                try:
-                    with locks[env.dst]:
-                        self._components[env.dst].handle(env)
-                    with count_lock:
-                        delivered[0] += 1
-                        outstanding[0] -= 1
-                        if outstanding[0] == 0:
-                            stop.set()
-                except BaseException as exc:  # propagate to the caller
-                    errors.append(exc)
-                    stop.set()
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            self.send = original_send  # type: ignore[method-assign]
-        if errors:
-            raise errors[0]
-        self.delivered += delivered[0]
-        return delivered[0]

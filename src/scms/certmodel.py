@@ -548,6 +548,9 @@ class CrlSet:
     def get(self, craca_id: bytes, series: int) -> Crl | None:
         return self._crls.get((craca_id, series))
 
+    def has_crl(self, craca_id: bytes, series: int) -> bool:
+        return (craca_id, series) in self._crls
+
     def all_crls(self) -> list[Crl]:
         return [self._crls[k] for k in sorted(self._crls, key=str)]
 
@@ -590,9 +593,12 @@ class CrlStatus:
 
 
 def crl_check(cert: Certificate, crl_set: CrlSet) -> CrlStatus:
-    """Check one certificate against the relevant CRL sequence only."""
-    crl = crl_set.get(cert.craca_id, cert.crl_series)
-    if crl is None:
+    """Check one certificate against the relevant CRL sequence only.
+
+    ``crl_set`` is a ``CrlSet`` or anything with the same ``has_crl``,
+    ``revoked_lvs`` and ``revoked_cert_ids`` (a device's capped store).
+    """
+    if not crl_set.has_crl(cert.craca_id, cert.crl_series):
         return CrlStatus("valid-no-crl", "no CRL for this series")
     if cert.ctype == CertType.OBE_PSEUDONYM:
         revoked = crl_set.revoked_lvs(
@@ -610,7 +616,12 @@ def crl_check(cert: Certificate, crl_set: CrlSet) -> CrlStatus:
 
 
 class TrustStore:
-    """Known certificates, elector-endorsed roots and current CRLs."""
+    """Known certificates, elector-endorsed roots and current CRLs.
+
+    ``crls`` starts as an uncapped ``CrlSet``; a device replaces it with
+    its capacity-capped ``DeviceCrlStore``, so chain validation reads the
+    same entries as its BSM check.
+    """
 
     def __init__(self):
         self.certs: dict[bytes, Certificate] = {}

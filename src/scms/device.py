@@ -35,6 +35,7 @@ from .certmodel import (
     LinkageRevocation,
     SignedMessage,
     check_crl_signature,
+    crl_check,
     decode_composite,
     sign_message,
     verify_chain,
@@ -51,7 +52,7 @@ from .crypto import (
 from .crypto.hybrid import HybridCiphertext
 from .encoding import decode, encode
 from .errors import DecryptionError, ParseError, ScmsError
-from .linkage import RevocationEntry, expand_revocation_entry
+from .linkage import expand_revocation_entry
 from .rootmgmt import Ballot, TrustState, check_policy_artifact
 
 
@@ -73,6 +74,10 @@ class DeviceCrlStore:
     dropped first (oldest first within a priority class). A CRL is
     accepted only if its generator is pinned for that series and the
     signature verifies.
+
+    This is the device's only CRL memory: the device binds it as its trust
+    store's ``crls``, so chain validation and BSM validation both read it
+    through ``crl_check``, and an evicted entry no longer revokes.
     """
 
     def __init__(self, capacity: int = 10_000):
@@ -121,8 +126,10 @@ class DeviceCrlStore:
                 "entry": entry,
             })
         if len(self._entries) > self.capacity:
-            self._entries.sort(key=lambda e: (-e["priority"], e["arrival"]))
-            self._entries = self._entries[: self.capacity]
+            kept = sorted(
+                self._entries, key=lambda e: (-e["priority"], -e["arrival"])
+            )[: self.capacity]
+            self._entries = sorted(kept, key=lambda e: e["arrival"])
         self.version += 1
         return True
 
@@ -145,14 +152,7 @@ class DeviceCrlStore:
                     continue
                 entry: LinkageRevocation = e["entry"]
                 if entry.i <= period:
-                    for lv in expand_revocation_entry(
-                        RevocationEntry(
-                            i=entry.i, ls1=entry.ls1, ls2=entry.ls2,
-                            la_id1=entry.la_id1, la_id2=entry.la_id2,
-                            j_max=entry.j_max,
-                        ),
-                        period,
-                    ):
+                    for lv in expand_revocation_entry(entry.to_entry(), period):
                         values.add(lv.value)
             cached = frozenset(values)
             self._lv_cache[key] = cached
@@ -255,6 +255,7 @@ class Device:
         self.handle_id = hashlib.sha256(self.enrollment_cert_bytes).digest()[:8].hex()
         electors = [Certificate.decode(raw) for raw in bundle["electors"]]
         self.trust = TrustState(electors)
+        self.trust.store.crls = self.crl_store
         for raw in bundle["roots"]:
             cert = Certificate.decode(raw)
             self.trust.store.add_cert(cert)
@@ -516,7 +517,7 @@ class Device:
             return False, "bad-signature"
         if not cert.valid_at(self.clock.period):
             return False, "expired-period"
-        if self._revoked(cert):
+        if crl_check(cert, self.crl_store).is_revoked:
             return False, "revoked"
         cache_key = cert.cert_id()
         if cache_key not in self._verified_certs:
@@ -525,18 +526,6 @@ class Device:
                 return False, "untrusted-chain"
             self._verified_certs.add(cache_key)
         return True, "ok"
-
-    def _revoked(self, cert: Certificate) -> bool:
-        if not self.crl_store.has_crl(cert.craca_id, cert.crl_series):
-            return False
-        if cert.ctype == CertType.OBE_PSEUDONYM:
-            revoked = self.crl_store.revoked_lvs(
-                cert.craca_id, cert.crl_series, cert.valid_from
-            )
-            return cert.linkage_value in revoked
-        return cert.cert_id() in self.crl_store.revoked_cert_ids(
-            cert.craca_id, cert.crl_series
-        )
 
     # --- misbehavior reporting ---
 
@@ -568,7 +557,6 @@ class Device:
         for crl in decode_composite(env.payload["data"]):
             if self.crl_store.add_crl(crl):
                 self._bump_trust()
-                self.trust.store.crls.add(crl)
 
     # --- root management and policy updates ---
 

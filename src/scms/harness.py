@@ -192,6 +192,7 @@ class World:
 
     def _build_components(self) -> None:
         args = (self.bus, self.registry, self.rng)
+        ma_query_limit = max(64, self.config.devices * 4)
         self.lop = Lop("lop", *args)
         self.crl_store = CrlStore("crlstore", *args)
 
@@ -206,17 +207,17 @@ class World:
             self.root_cert.cert_id(),
             {LA1_ID: self.la1_enc.public, LA2_ID: self.la2_enc.public},
             ma_cert=self.ma_cert,
-            ma_query_limit=max(64, self.config.devices * 4),
+            ma_query_limit=ma_query_limit,
         )
 
         self.la1 = LinkageAuthority("la1", *args)
         self.la1.install_identity(self.la1_key, self.la1_cert, self.la1_enc)
         self.la1.configure(LA1_ID, self.pca_enc.public, self.ma_cert,
-                           ma_query_limit=max(64, self.config.devices * 4))
+                           ma_query_limit=ma_query_limit)
         self.la2 = LinkageAuthority("la2", *args)
         self.la2.install_identity(self.la2_key, self.la2_cert, self.la2_enc)
         self.la2.configure(LA2_ID, self.pca_enc.public, self.ma_cert,
-                           ma_query_limit=max(64, self.config.devices * 4))
+                           ma_query_limit=ma_query_limit)
 
         self.ra = Ra("ra", *args)
         self.ra.install_identity(self.ra_key, self.ra_cert, self.ra_enc)
@@ -491,7 +492,7 @@ def collect_metrics(world: World, report_periods: dict) -> dict:
 
 # --- post-run audits (organizational separation and bookkeeping) ---
 
-def _walk_leaves(value, size_limit=None):
+def _walk_leaves(value):
     """Yield every bytes/str leaf in a nested store record."""
     if isinstance(value, dict):
         for item in value.values():
@@ -651,11 +652,14 @@ def run_audits(world: World) -> list[str]:
                 )
 
     # CRL propagation: all devices hold the latest CRL per series
+    blacklisted = {
+        r["handle"] for r in ra_ns.scan("enrollment") if r["blacklisted"]
+    }
     for crl in world.crl_store._crls.all_crls():
         for device in world.devices:
             meta = device.crl_store._meta.get((crl.craca_id, crl.series))
             if meta is None or meta[0] < crl.sequence:
-                if not _device_revoked(world, device):
+                if device.handle_id not in blacklisted:
                     violations.append(
                         f"distribution: {device.id} missing CRL series "
                         f"{crl.series}"
@@ -672,15 +676,6 @@ def run_audits(world: World) -> list[str]:
                             f"{device.id}: quarantined certificate in use"
                         )
     return violations
-
-
-def _device_revoked(world: World, device: Device) -> bool:
-    record = None
-    for r in world.registry.audit_view("ra").scan("enrollment"):
-        if r["handle"] == device.handle_id:
-            record = r
-            break
-    return bool(record and record["blacklisted"])
 
 
 def shuffle_dispersion(world: World) -> float:

@@ -286,6 +286,25 @@ def test_criterion_9_end_to_end_determinism(scenario_runs):
             ], name
 
 
+# first 16 hex of each committed scenario's trace digest (the reference
+# table in ROADMAP.md); a change that alters one on purpose updates both
+REFERENCE_DIGESTS = {
+    "baseline": "4cb7f50085280fb7",
+    "smoke": "84e0708ce4590201",
+    "revocation_demo": "fd6dbf1d1ff0a145",
+    "mitm_drill": "fdba63c8420edca1",
+    "elector_drill": "6d1598cf90c2aa9f",
+}
+
+
+def test_scenario_digests_match_reference_table(scenario_runs):
+    digests = {
+        name: first.trace_digest[:16]
+        for name, (first, _) in scenario_runs.items()
+    }
+    assert digests == REFERENCE_DIGESTS
+
+
 def test_criterion_10_mitm_detection(scenario_runs):
     with criterion(10, "100% of response-key substitutions detected"):
         result = scenario_runs["mitm_drill"][0]

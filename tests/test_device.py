@@ -1,6 +1,9 @@
 """Device-side tests: installation checks, rotation, BSM validation,
 reporting privacy, CRL storage caps and unlinkability of issued certs."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from scms.certmodel import (
@@ -9,6 +12,7 @@ from scms.certmodel import (
     LinkageRevocation,
     Priority,
     SignedMessage,
+    crl_check,
     sign_crl,
 )
 from scms.crypto import DeterministicRandom, hybrid_decrypt
@@ -16,7 +20,10 @@ from scms.crypto.hybrid import HybridCiphertext
 from scms.device import DeviceCrlStore
 from scms.encoding import decode
 from scms.errors import DecryptionError, ScmsError
+from scms.harness import ScenarioConfig, run_scenario
 from tests.conftest import make_world, provision_all
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_unbootstrapped_request_is_local_error():
@@ -129,7 +136,7 @@ def test_backward_privacy_of_replayed_pre_revocation_bsm():
     from scms.certmodel import Certificate
 
     early_cert = Certificate.decode(SignedMessage.decode(early_bsm).cert_bytes)
-    assert listener._revoked(early_cert) is False
+    assert not crl_check(early_cert, listener.crl_store).is_revoked
     # replayed now it fails only because its week is over
     ok, reason = listener.validate_bsm(early_bsm)
     assert not ok and reason == "expired-period"
@@ -204,13 +211,27 @@ def test_capacity_evicts_lowest_priority(pki):
 def test_key_compromise_entries_survive_eviction(pki):
     store = DeviceCrlStore(capacity=100)
     store.pin_generator(pki.crlg_cert, [1, 2, 3, 4, 256])
-    store.add_crl(_crl_with_entries(pki, 90, Priority.NORMAL, series=1))
+    normal = _crl_with_entries(pki, 90, Priority.NORMAL, series=1)
+    store.add_crl(normal)
     store.add_crl(_crl_with_entries(pki, 20, Priority.KEY_COMPROMISE,
                                     series=2, kind="certid"))
     assert store.entry_count() == 100
     kept = store.entries()
     assert sum(1 for e in kept if e["priority"] == Priority.KEY_COMPROMISE) == 20
-    assert sum(1 for e in kept if e["priority"] == Priority.NORMAL) == 80
+    # within the normal class the ten oldest entries go
+    kept_normal = [e["entry"] for e in kept if e["priority"] == Priority.NORMAL]
+    assert kept_normal == normal.linkage_entries[10:]
+
+
+def test_crl_capacity_binds_bsm_validation():
+    # the capped store is the device's only CRL memory: with no room for
+    # an entry, nothing revokes on that device
+    config = ScenarioConfig.from_json(
+        (SCENARIO_DIR / "revocation_demo.json").read_text()
+    )
+    assert run_scenario(config).metrics["bsms_rejected"] == {"revoked": 12}
+    unstored = run_scenario(replace(config, crl_capacity=0))
+    assert unstored.metrics["bsms_rejected"] == {}
 
 
 def test_bad_signature_discards_whole_crl(pki):
