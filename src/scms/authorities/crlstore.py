@@ -17,19 +17,19 @@ from .base import Component
 class CrlStore(Component):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._crls = CrlSet()
+        self.crls = CrlSet()
         self._policy: dict[str, bytes] = {}
 
     def on_crl_publish(self, env) -> None:
         crl = Crl.decode(env.payload["crl"])
-        if self._crls.add(crl):
+        if self.crls.add(crl):
             self.store.put("crl", {
                 "series": crl.series, "craca": crl.craca_id,
                 "sequence": crl.sequence, "size": len(env.payload["crl"]),
             })
 
     def composite(self) -> bytes:
-        return encode_composite(self._crls.all_crls())
+        return encode_composite(self.crls.all_crls())
 
     def on_crl_fetch(self, env) -> None:
         self.send(env.src, "crl.composite", {

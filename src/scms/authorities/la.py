@@ -16,6 +16,7 @@ from ..certmodel import Certificate
 from ..crypto import channel_encrypt, channel_key, hybrid_decrypt, hybrid_encrypt
 from ..crypto.hybrid import HybridCiphertext
 from ..encoding import decode, encode
+from ..errors import InvariantViolation
 from ..linkage import LinkageSeed, check_la_id, pre_linkage_values, seed_at
 from .base import Component
 
@@ -143,7 +144,9 @@ class LinkageAuthority(Component):
                 self.enc_keypair.private, HybridCiphertext.decode(lci)
             )
         )
-        assert opened["seed"] == record["seed0"]
+        if opened["seed"] != record["seed0"]:
+            raise InvariantViolation("linkage chain identifier does not "
+                                     "open to the stored seed")
         seed = self._seed_for(record, request["period"])
         self.send(env.src, "ma.lci2seed.resp", {
             "found": True, "ls": seed.value, "la_id": self.la_id,

@@ -25,6 +25,7 @@ from ..certmodel import (
 from ..crypto import GroupElement, channel_decrypt, channel_key, hybrid_encrypt
 from ..encoding import decode, encode
 from ..errors import DecryptionError
+from ..linkage import xor_lv
 from .base import Component
 
 
@@ -70,7 +71,7 @@ class Pca(Component):
                 "rh": rh, "reason": "pre-linkage index mismatch",
             })
             return
-        lv = bytes(a ^ b for a, b in zip(plv1["plv"], plv2["plv"]))
+        lv = xor_lv(plv1["plv"], plv2["plv"])
 
         cocoon = GroupElement.decode(p["cocoon"])
         butterfly_pub, recon = butterfly_finalize(cocoon, self.rng)

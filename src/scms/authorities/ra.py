@@ -30,7 +30,7 @@ from ..certmodel import (
 from ..crypto import GroupElement, KeyPair, hybrid_decrypt
 from ..crypto.hybrid import HybridCiphertext
 from ..encoding import decode, encode
-from ..errors import DecryptionError, ParseError
+from ..errors import DecryptionError, InvariantViolation, ParseError
 from ..rootmgmt import Ballot, TrustState
 from .base import Component
 from .enrollment import device_handle
@@ -218,7 +218,10 @@ class Ra(Component):
         plv2 = state["plvs"][self.la_hosts[1]]["plvs"]
         mitm = handle in self.mitm_handles
         for (i1, j1, ct1), (i2, j2, ct2) in zip(plv1, plv2):
-            assert (i1, j1) == (i2, j2), "LA grids must align"
+            if (i1, j1) != (i2, j2):
+                raise InvariantViolation(
+                    f"LA grids must align: ({i1},{j1}) vs ({i2},{j2})"
+                )
             cocoon = cocoon_expand(caterpillar, TimeIndex(i1, j1))
             resp_key = cocoon.encryption
             attack_key: KeyPair | None = None

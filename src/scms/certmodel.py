@@ -403,11 +403,17 @@ class Crl:
     def entry_count(self) -> int:
         return len(self.linkage_entries) + len(self.certid_entries)
 
-    def tbs_bytes(self) -> bytes:
+    def linkage_groups(self) -> dict[tuple, list[LinkageRevocation]]:
+        """Linkage entries grouped by (la_id1, la_id2, i, j_max), in first
+        appearance order, as the wire layout carries them."""
         groups: dict[tuple, list[LinkageRevocation]] = {}
         for entry in self.linkage_entries:
             key = (entry.la_id1, entry.la_id2, entry.i, entry.j_max)
             groups.setdefault(key, []).append(entry)
+        return groups
+
+    def tbs_bytes(self) -> bytes:
+        groups = self.linkage_groups()
         out = bytearray()
         out += CRL_MAGIC
         out.append(1)
@@ -528,12 +534,19 @@ def check_crl_signature(crl: Crl, crlg_cert: Certificate) -> bool:
 
 
 class CrlSet:
-    """Latest CRL per (craca_id, series), with cached linkage expansion."""
+    """Latest CRL per (craca_id, series), with one cache of expanded
+    revocations.
+
+    CRLs are kept in arrival order: a newer CRL for a key replaces the old
+    one and moves to the end. The cache holds the revoked linkage values
+    per (craca_id, series, period) and the revoked certificate ids per
+    (craca_id, series, None); any change to the set empties it, so no
+    cached value outlives the CRL it came from.
+    """
 
     def __init__(self):
         self._crls: dict[tuple[bytes, int], Crl] = {}
-        self._lv_cache: dict[tuple, frozenset[bytes]] = {}
-        self._certid_cache: dict[tuple, frozenset[bytes]] = {}
+        self._cache: dict[tuple, frozenset[bytes]] = {}
 
     def add(self, crl: Crl) -> bool:
         """Keep only the highest sequence number per series; returns True
@@ -542,7 +555,9 @@ class CrlSet:
         current = self._crls.get(key)
         if current is not None and current.sequence >= crl.sequence:
             return False
+        self._crls.pop(key, None)  # re-insert last: dict order is arrival order
         self._crls[key] = crl
+        self._cache.clear()
         return True
 
     def get(self, craca_id: bytes, series: int) -> Crl | None:
@@ -558,27 +573,27 @@ class CrlSet:
         crl = self.get(craca_id, series)
         if crl is None:
             return frozenset()
-        key = (craca_id, series, crl.sequence, period)
-        cached = self._lv_cache.get(key)
+        key = (craca_id, series, period)
+        cached = self._cache.get(key)
         if cached is None:
             values = set()
             for entry in crl.linkage_entries:
                 if entry.i <= period:
                     for lv in expand_revocation_entry(entry.to_entry(), period):
                         values.add(lv.value)
-            cached = frozenset(values)
-            self._lv_cache[key] = cached
+            cached = self._cache[key] = frozenset(values)
         return cached
 
     def revoked_cert_ids(self, craca_id: bytes, series: int) -> frozenset[bytes]:
         crl = self.get(craca_id, series)
         if crl is None:
             return frozenset()
-        key = (craca_id, series, crl.sequence)
-        cached = self._certid_cache.get(key)
+        key = (craca_id, series, None)
+        cached = self._cache.get(key)
         if cached is None:
-            cached = frozenset(c.cert_id for c in crl.certid_entries)
-            self._certid_cache[key] = cached
+            cached = self._cache[key] = frozenset(
+                c.cert_id for c in crl.certid_entries
+            )
         return cached
 
 
@@ -593,11 +608,7 @@ class CrlStatus:
 
 
 def crl_check(cert: Certificate, crl_set: CrlSet) -> CrlStatus:
-    """Check one certificate against the relevant CRL sequence only.
-
-    ``crl_set`` is a ``CrlSet`` or anything with the same ``has_crl``,
-    ``revoked_lvs`` and ``revoked_cert_ids`` (a device's capped store).
-    """
+    """Check one certificate against the relevant CRL sequence only."""
     if not crl_set.has_crl(cert.craca_id, cert.crl_series):
         return CrlStatus("valid-no-crl", "no CRL for this series")
     if cert.ctype == CertType.OBE_PSEUDONYM:
@@ -619,7 +630,7 @@ class TrustStore:
     """Known certificates, elector-endorsed roots and current CRLs.
 
     ``crls`` starts as an uncapped ``CrlSet``; a device replaces it with
-    its capacity-capped ``DeviceCrlStore``, so chain validation reads the
+    its capped ``DeviceCrlStore`` subclass, so chain validation reads the
     same entries as its BSM check.
     """
 

@@ -81,12 +81,7 @@ def cmd_revoke(args) -> int:
 def _print_crl(crl: Crl) -> None:
     print(f"CRL series={crl.series} craca={crl.craca_id.hex()} "
           f"period={crl.issue_period} sequence={crl.sequence}")
-    groups: dict[tuple, list] = {}
-    for entry in crl.linkage_entries:
-        groups.setdefault(
-            (entry.la_id1, entry.la_id2, entry.i, entry.j_max), []
-        ).append(entry)
-    for (la1, la2, i, j_max), members in groups.items():
+    for (la1, la2, i, j_max), members in crl.linkage_groups().items():
         print(f"  linkage group la_ids=({la1.hex()},{la2.hex()}) "
               f"i={i} j_max={j_max} devices={len(members)}")
         for m in members:

@@ -18,8 +18,9 @@ on which generator may revoke which series.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .authorities.enrollment import device_handle
 from .bus import Envelope, MessageBus
 from .butterfly import (
     ENCRYPTION,
@@ -29,9 +30,11 @@ from .butterfly import (
     reconstruct_private,
 )
 from .certmodel import (
+    CertIdRevocation,
     CertType,
     Certificate,
     Crl,
+    CrlSet,
     LinkageRevocation,
     SignedMessage,
     check_crl_signature,
@@ -52,7 +55,6 @@ from .crypto import (
 from .crypto.hybrid import HybridCiphertext
 from .encoding import decode, encode
 from .errors import DecryptionError, ParseError, ScmsError
-from .linkage import expand_revocation_entry
 from .rootmgmt import Ballot, TrustState, check_policy_artifact
 
 
@@ -66,130 +68,75 @@ class FixedIntervalRotation:
         return (minute // self.minutes) % available
 
 
-class DeviceCrlStore:
-    """Capacity-capped CRL storage with priority eviction.
+class DeviceCrlStore(CrlSet):
+    """A device's CRL memory: a ``CrlSet`` with generator pinning and a
+    capacity cap.
 
-    Keeps the latest accepted CRL per (CRACA, series), subject to the
-    entry capacity: when over capacity the lowest-priority entries are
-    dropped first (oldest first within a priority class). A CRL is
-    accepted only if its generator is pinned for that series and the
-    signature verifies.
+    A CRL is accepted only if its generator is pinned for that series and
+    the signature verifies. When the retained entries exceed the capacity
+    the lowest-priority entries are dropped first (oldest first within a
+    priority class), and each stored CRL is replaced by an unsigned copy
+    holding only its retained entries.
 
-    This is the device's only CRL memory: the device binds it as its trust
-    store's ``crls``, so chain validation and BSM validation both read it
-    through ``crl_check``, and an evicted entry no longer revokes.
+    The device binds this store as its trust store's ``crls``, so chain
+    validation and BSM validation both read it through ``crl_check``, and
+    an evicted entry no longer revokes.
     """
 
     def __init__(self, capacity: int = 10_000):
+        super().__init__()
         self.capacity = capacity
         self._jurisdiction: dict[bytes, set[int]] = {}
         self._crlg_certs: dict[bytes, Certificate] = {}
-        self._meta: dict[tuple[bytes, int], tuple[int, int]] = {}
-        self._entries: list[dict] = []
-        self._arrivals = 0
-        self.version = 0
-        self._lv_cache: dict[tuple, frozenset[bytes]] = {}
 
     def pin_generator(self, crlg_cert: Certificate, series: list[int]) -> None:
         self._crlg_certs[crlg_cert.cert_id()] = crlg_cert
         self._jurisdiction[crlg_cert.cert_id()] = set(series)
 
-    def add_crl(self, crl: Crl) -> bool:
+    def add(self, crl: Crl) -> bool:
         crlg_cert = self._crlg_certs.get(crl.crlg_cert_id)
         if crlg_cert is None:
             return False
-        if crl.series not in self._jurisdiction.get(crl.crlg_cert_id, set()):
+        if crl.series not in self._jurisdiction[crl.crlg_cert_id]:
             return False  # generator outside its jurisdiction
-        if not check_crl_signature(crl, crlg_cert):
+        if not check_crl_signature(crl, crlg_cert) or not super().add(crl):
             return False
-        key = (crl.craca_id, crl.series)
-        current = self._meta.get(key)
-        if current is not None and current[0] >= crl.sequence:
-            return False
-        self._meta[key] = (crl.sequence, crl.issue_period)
-        self._entries = [
-            e for e in self._entries
-            if not (e["craca"] == crl.craca_id and e["series"] == crl.series)
-        ]
-        for entry in crl.linkage_entries:
-            self._arrivals += 1
-            self._entries.append({
-                "craca": crl.craca_id, "series": crl.series, "kind": "linkage",
-                "priority": entry.priority, "arrival": self._arrivals,
-                "entry": entry,
-            })
-        for entry in crl.certid_entries:
-            self._arrivals += 1
-            self._entries.append({
-                "craca": crl.craca_id, "series": crl.series, "kind": "certid",
-                "priority": entry.priority, "arrival": self._arrivals,
-                "entry": entry,
-            })
-        if len(self._entries) > self.capacity:
-            kept = sorted(
-                self._entries, key=lambda e: (-e["priority"], -e["arrival"])
-            )[: self.capacity]
-            self._entries = sorted(kept, key=lambda e: e["arrival"])
-        self.version += 1
+        if self.entry_count() > self.capacity:
+            entries = self.entries()
+            ranked = sorted(range(len(entries)),
+                            key=lambda n: (-entries[n].priority, -n))
+            keep = set(ranked[: self.capacity])
+            # consumed in entries() order: per CRL, linkage then certid
+            kept = (n in keep for n in range(len(entries)))
+            for key, held in self._crls.items():
+                self._crls[key] = replace(
+                    held, signature=None,
+                    linkage_entries=[e for e in held.linkage_entries if next(kept)],
+                    certid_entries=[e for e in held.certid_entries if next(kept)],
+                )
         return True
 
+    def revoked_lvs(self, craca_id: bytes, series: int, period: int) -> frozenset[bytes]:
+        # defined here so the traced benchmark can wrap it on this class
+        return super().revoked_lvs(craca_id, series, period)
+
+    def entries(self) -> list[LinkageRevocation | CertIdRevocation]:
+        """Retained entries in arrival order."""
+        return [e for crl in self._crls.values()
+                for e in crl.linkage_entries + crl.certid_entries]
+
     def entry_count(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> list[dict]:
-        return list(self._entries)
-
-    def has_crl(self, craca: bytes, series: int) -> bool:
-        return (craca, series) in self._meta
-
-    def revoked_lvs(self, craca: bytes, series: int, period: int) -> frozenset[bytes]:
-        key = (craca, series, self.version, period)
-        cached = self._lv_cache.get(key)
-        if cached is None:
-            values = set()
-            for e in self._entries:
-                if e["kind"] != "linkage" or e["craca"] != craca or e["series"] != series:
-                    continue
-                entry: LinkageRevocation = e["entry"]
-                if entry.i <= period:
-                    for lv in expand_revocation_entry(entry.to_entry(), period):
-                        values.add(lv.value)
-            cached = frozenset(values)
-            self._lv_cache[key] = cached
-        return cached
-
-    def revoked_cert_ids(self, craca: bytes, series: int) -> set[bytes]:
-        return {
-            e["entry"].cert_id
-            for e in self._entries
-            if e["kind"] == "certid" and e["craca"] == craca
-            and e["series"] == series
-        }
+        return sum(crl.entry_count() for crl in self._crls.values())
 
     def snapshot_bytes(self) -> bytes:
         """Retained entries re-serialized in the grouped CRL wire layout,
-        one unsigned list per (CRACA, series)."""
-        buckets: dict[tuple[bytes, int], Crl] = {}
-        for e in sorted(self._entries, key=lambda e: e["arrival"]):
-            key = (e["craca"], e["series"])
-            crl = buckets.get(key)
-            if crl is None:
-                sequence, issue_period = self._meta[key]
-                crl = Crl(
-                    series=e["series"], craca_id=e["craca"],
-                    issue_period=issue_period, sequence=sequence,
-                    crlg_cert_id=b"\x00" * 8,
-                )
-                buckets[key] = crl
-            if e["kind"] == "linkage":
-                crl.linkage_entries.append(e["entry"])
-            else:
-                crl.certid_entries.append(e["entry"])
+        one unsigned list per (CRACA, series) that still holds entries."""
         out = bytearray()
-        for key in sorted(buckets, key=str):
-            raw = buckets[key].tbs_bytes()
-            out += len(raw).to_bytes(4, "big")
-            out += raw
+        for crl in self.all_crls():
+            if crl.entry_count():
+                raw = replace(crl, crlg_cert_id=b"\x00" * 8).tbs_bytes()
+                out += len(raw).to_bytes(4, "big")
+                out += raw
         return bytes(out)
 
 
@@ -236,7 +183,6 @@ class Device:
         self.reject_counts: dict[str, int] = {}
         self.mitm_detected = 0
         self._verified_certs: set[bytes] = set()
-        self._trust_version = 0
         self._pending_reenroll: dict | None = None
 
     # --- bootstrap (out-of-band, via DCM) ---
@@ -252,7 +198,7 @@ class Device:
 
     def install_bundle(self, bundle: dict) -> None:
         self.enrollment_cert_bytes = bundle["enrollment_cert"]
-        self.handle_id = hashlib.sha256(self.enrollment_cert_bytes).digest()[:8].hex()
+        self.handle_id = device_handle(self.enrollment_cert_bytes)
         electors = [Certificate.decode(raw) for raw in bundle["electors"]]
         self.trust = TrustState(electors)
         self.trust.store.crls = self.crl_store
@@ -274,22 +220,28 @@ class Device:
         self.crl_store.pin_generator(crlg_cert, bundle["crlg_series"])
         for name in ("gpf", "gccf"):
             if name in bundle:
-                artifact = check_policy_artifact(
-                    bundle[name], self.pg_cert,
-                    self.policy_versions.get(name, 0),
-                )
-                if artifact is not None:
-                    self.policy_versions[name] = artifact.version
-                    if name == "gpf":
-                        self.policy = artifact.body
-                    else:
-                        for chain in artifact.body["chains"]:
-                            for raw in chain:
-                                self.trust.store.add_cert(Certificate.decode(raw))
+                self._apply_policy_file(name, bundle[name])
         self._bump_trust()
 
+    def _apply_policy_file(self, name: str, data: bytes) -> bool:
+        """Verify a signed policy ("gpf") or certificate chain ("gccf")
+        file against the pinned policy generator and apply it if it is
+        newer than the held version; returns True if it was applied."""
+        artifact = check_policy_artifact(
+            data, self.pg_cert, self.policy_versions.get(name, 0)
+        )
+        if artifact is None:
+            return False
+        self.policy_versions[name] = artifact.version
+        if name == "gpf":
+            self.policy = artifact.body
+        else:
+            for chain in artifact.body["chains"]:
+                for raw in chain:
+                    self.trust.store.add_cert(Certificate.decode(raw))
+        return True
+
     def _bump_trust(self) -> None:
-        self._trust_version += 1
         self._verified_certs.clear()
 
     @property
@@ -555,7 +507,7 @@ class Device:
 
     def on_crl_composite(self, env) -> None:
         for crl in decode_composite(env.payload["data"]):
-            if self.crl_store.add_crl(crl):
+            if self.crl_store.add(crl):
                 self._bump_trust()
 
     # --- root management and policy updates ---
@@ -573,21 +525,9 @@ class Device:
     def on_policy_files(self, env) -> None:
         for name in ("gpf", "gccf"):
             data = env.payload["files"].get(name)
-            if data is None:
-                continue
-            artifact = check_policy_artifact(
-                data, self.pg_cert, self.policy_versions.get(name, 0)
-            )
-            if artifact is None:
-                continue
-            self.policy_versions[name] = artifact.version
-            if name == "gpf":
-                self.policy = artifact.body
-            else:
-                for chain in artifact.body["chains"]:
-                    for raw in chain:
-                        self.trust.store.add_cert(Certificate.decode(raw))
-                self._bump_trust()
+            if data is not None and self._apply_policy_file(name, data):
+                if name == "gccf":
+                    self._bump_trust()
 
     # --- re-enrollment ---
 
@@ -610,7 +550,7 @@ class Device:
             return
         self.enrollment_key = self._pending_reenroll["key"]
         self.enrollment_cert_bytes = env.payload["cert"]
-        self.handle_id = hashlib.sha256(self.enrollment_cert_bytes).digest()[:8].hex()
+        self.handle_id = device_handle(self.enrollment_cert_bytes)
         self._pending_reenroll = None
         self.provision_status = "re-enrolled"
 

@@ -655,10 +655,10 @@ def run_audits(world: World) -> list[str]:
     blacklisted = {
         r["handle"] for r in ra_ns.scan("enrollment") if r["blacklisted"]
     }
-    for crl in world.crl_store._crls.all_crls():
+    for crl in world.crl_store.crls.all_crls():
         for device in world.devices:
-            meta = device.crl_store._meta.get((crl.craca_id, crl.series))
-            if meta is None or meta[0] < crl.sequence:
+            held = device.crl_store.get(crl.craca_id, crl.series)
+            if held is None or held.sequence < crl.sequence:
                 if device.handle_id not in blacklisted:
                     violations.append(
                         f"distribution: {device.id} missing CRL series "

@@ -120,9 +120,7 @@ def linkage_value(p1: PreLinkageValue, p2: PreLinkageValue) -> LinkageValue:
         )
     if p1.la_id == p2.la_id:
         raise ValueError("pre-linkage values must come from distinct authorities")
-    return LinkageValue(
-        bytes(a ^ b for a, b in zip(p1.value, p2.value)), p1.i, p1.j
-    )
+    return LinkageValue(xor_lv(p1.value, p2.value), p1.i, p1.j)
 
 
 def xor_lv(v1: bytes, v2: bytes) -> bytes:

@@ -77,27 +77,31 @@ class Crlg:
         self.key = key
         self.cert = cert
         self.craca_id = craca_id
-        self._entries: dict[int, list] = {}
+        self._entries: dict[int, tuple[list, list]] = {}
         self._sequence: dict[int, int] = {}
 
-    def add_linkage_entry(self, series: int, entry: LinkageRevocation) -> None:
-        self._entries.setdefault(series, []).append(entry)
-
-    def add_certid_entry(self, series: int, entry: CertIdRevocation) -> None:
-        self._entries.setdefault(series, []).append(entry)
+    def add_entries(
+        self,
+        series: int,
+        linkage: list[LinkageRevocation] = (),
+        certid: list[CertIdRevocation] = (),
+    ) -> None:
+        held_linkage, held_certid = self._entries.setdefault(series, ([], []))
+        held_linkage.extend(linkage)
+        held_certid.extend(certid)
 
     def build(self, series: int, issue_period: int) -> Crl:
         seq = self._sequence.get(series, 0) + 1
         self._sequence[series] = seq
-        entries = self._entries.get(series, [])
+        linkage, certid = self._entries.get(series, ([], []))
         crl = Crl(
             series=series,
             craca_id=self.craca_id,
             issue_period=issue_period,
             sequence=seq,
             crlg_cert_id=self.cert.cert_id(),
-            linkage_entries=[e for e in entries if isinstance(e, LinkageRevocation)],
-            certid_entries=[e for e in entries if isinstance(e, CertIdRevocation)],
+            linkage_entries=list(linkage),
+            certid_entries=list(certid),
         )
         return sign_crl(crl, self.key.private, self.cert)
 
@@ -360,7 +364,7 @@ class Ma(Component):
                 j_max=case["j_max"],
                 priority=Priority.NORMAL,
             )
-            self.crlg.add_linkage_entry(self.series.pseudonym, entry)
+            self.crlg.add_entries(self.series.pseudonym, linkage=[entry])
             self.store.put("revocation", {
                 "lv": case["lv"],
                 "rh": case["rh"],
@@ -440,11 +444,10 @@ class Ma(Component):
         for raw in env.payload["certs"]:
             cert = Certificate.decode(raw)
             if cert.valid_to >= self.clock.period:
-                cid = cert.cert_id()
-                cert_ids.append(cid)
-                self.crlg.add_certid_entry(
-                    case["series"], CertIdRevocation(cid, Priority.NORMAL)
-                )
+                cert_ids.append(cert.cert_id())
+        self.crlg.add_entries(case["series"], certid=[
+            CertIdRevocation(cid, Priority.NORMAL) for cid in cert_ids
+        ])
         self.store.put("revocation_nonpseudo", {
             "cert_id": case["cert_id"], "cert_ids": cert_ids,
         })

@@ -110,7 +110,7 @@ def test_criterion_3_revocation_completeness_and_backward_privacy(baseline):
         world = baseline.world
         offender = world.devices[0].handle_id
         crl_set = CrlSet()
-        for crl in world.crl_store._crls.all_crls():
+        for crl in world.crl_store.crls.all_crls():
             crl_set.add(crl)
         issued = world.issued_certificates()
         assert len(issued) == 100 * 20 * 10

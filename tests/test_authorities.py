@@ -7,10 +7,17 @@ import pytest
 
 from scms.authorities import UncertifiedModel, device_handle
 from scms.bus import Envelope
-from scms.certmodel import Certificate, CertType, verify_chain
-from scms.crypto import channel_decrypt, channel_key
+from scms.certmodel import Certificate, CertType, sign_message, verify_chain
+from scms.crypto import (
+    DeterministicRandom,
+    channel_decrypt,
+    channel_key,
+    hybrid_encrypt,
+    mul_g,
+)
 from scms.device import Device
-from scms.encoding import decode
+from scms.encoding import decode, encode
+from scms.errors import InvariantViolation
 from scms.harness import shuffle_dispersion
 from scms.linkage import LinkageSeed, pre_linkage_value, seed_at
 from tests.conftest import make_world, provision_all
@@ -195,6 +202,41 @@ def test_la_unavailable_defers_requests():
     world.ra.on_chain_error(Envelope("la1", "ra", "chain.error",
                                      {"ref": ref, "reason": "unavailable"}))
     assert ref not in world.ra._pending
+
+
+def test_misaligned_la_grids_raise_invariant_violation():
+    # a raised error, not an assert, so the check survives python -O
+    world = make_world(devices=1)
+    rng = DeterministicRandom(7)
+    la1, la2 = world.ra.la_hosts
+    state = {
+        "handle": "00" * 8,
+        "request": {"A": mul_g(rng.scalar()).encode(), "k_sign": b"\x00" * 16,
+                    "H": mul_g(rng.scalar()).encode(), "k_enc": b"\x00" * 16},
+        "plvs": {la1: {"plvs": [[0, 0, b"ct1"]]},
+                 la2: {"plvs": [[0, 1, b"ct2"]]}},
+    }
+    with pytest.raises(InvariantViolation):
+        world.ra._expand(state)
+
+
+def test_lci_not_opening_to_stored_seed_raises_invariant_violation():
+    world = make_world(devices=1)
+    la = world.la1
+    lci = hybrid_encrypt(
+        la.enc_keypair.public, encode({"seed": b"\x01" * 16, "period": 0}),
+        DeterministicRandom(7),
+    ).encode()
+    la.store.put("chain", {
+        "lci_digest": hashlib.sha256(lci).hexdigest(), "seed0": b"\x02" * 16,
+        "period0": 0, "la_id": la.la_id,
+    })
+    query = sign_message(world.ma.keypair.private, world.ma_cert,
+                         encode({"lci": lci, "period": 0}))
+    with pytest.raises(InvariantViolation):
+        la.on_ma_lci2seed(
+            Envelope("ma", "la1", "ma.lci2seed", {"q": query.encode()})
+        )
 
 
 # --- PCA issuance ---

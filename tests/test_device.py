@@ -204,7 +204,7 @@ def _crl_with_entries(pki, n, priority=Priority.NORMAL, series=1, seq=1,
 def test_capacity_evicts_lowest_priority(pki):
     store = DeviceCrlStore(capacity=10_000)
     store.pin_generator(pki.crlg_cert, [1, 2, 3, 4, 256])
-    assert store.add_crl(_crl_with_entries(pki, 10_001))
+    assert store.add(_crl_with_entries(pki, 10_001))
     assert store.entry_count() == 10_000
 
 
@@ -212,14 +212,14 @@ def test_key_compromise_entries_survive_eviction(pki):
     store = DeviceCrlStore(capacity=100)
     store.pin_generator(pki.crlg_cert, [1, 2, 3, 4, 256])
     normal = _crl_with_entries(pki, 90, Priority.NORMAL, series=1)
-    store.add_crl(normal)
-    store.add_crl(_crl_with_entries(pki, 20, Priority.KEY_COMPROMISE,
+    store.add(normal)
+    store.add(_crl_with_entries(pki, 20, Priority.KEY_COMPROMISE,
                                     series=2, kind="certid"))
     assert store.entry_count() == 100
     kept = store.entries()
-    assert sum(1 for e in kept if e["priority"] == Priority.KEY_COMPROMISE) == 20
+    assert sum(1 for e in kept if e.priority == Priority.KEY_COMPROMISE) == 20
     # within the normal class the ten oldest entries go
-    kept_normal = [e["entry"] for e in kept if e["priority"] == Priority.NORMAL]
+    kept_normal = [e for e in kept if e.priority == Priority.NORMAL]
     assert kept_normal == normal.linkage_entries[10:]
 
 
@@ -239,7 +239,7 @@ def test_bad_signature_discards_whole_crl(pki):
     store.pin_generator(pki.crlg_cert, [1])
     crl = _crl_with_entries(pki, 5)
     crl.signature = b"\x11" * 64
-    assert not store.add_crl(crl)
+    assert not store.add(crl)
     assert store.entry_count() == 0
 
 
@@ -248,23 +248,23 @@ def test_jurisdiction_pinning_blocks_foreign_series(pki):
     store = DeviceCrlStore(capacity=100)
     store.pin_generator(pki.crlg_cert, [99])
     crl = _crl_with_entries(pki, 5, series=1)
-    assert not store.add_crl(crl)
+    assert not store.add(crl)
     assert store.entry_count() == 0
 
 
 def test_stored_file_within_budget_at_cap(pki):
     store = DeviceCrlStore(capacity=10_000)
     store.pin_generator(pki.crlg_cert, [1])
-    store.add_crl(_crl_with_entries(pki, 10_000))
+    store.add(_crl_with_entries(pki, 10_000))
     assert len(store.snapshot_bytes()) <= 400 * 1024
 
 
 def test_newer_sequence_replaces_older(pki):
     store = DeviceCrlStore(capacity=1000)
     store.pin_generator(pki.crlg_cert, [1])
-    assert store.add_crl(_crl_with_entries(pki, 5, seq=2))
-    assert not store.add_crl(_crl_with_entries(pki, 9, seq=1))  # stale
-    assert store.add_crl(_crl_with_entries(pki, 7, seq=3))
+    assert store.add(_crl_with_entries(pki, 5, seq=2))
+    assert not store.add(_crl_with_entries(pki, 9, seq=1))  # stale
+    assert store.add(_crl_with_entries(pki, 7, seq=3))
     assert store.entry_count() == 7
 
 

@@ -151,7 +151,7 @@ def test_full_revocation_flags_forward_periods_only():
 
     offender = world.devices[0]
     crl_set = CrlSet()
-    for crl in world.crl_store._crls.all_crls():
+    for crl in world.crl_store.crls.all_crls():
         crl_set.add(crl)
     flagged = {
         (r["i"], r["j"])
@@ -293,7 +293,7 @@ def test_rse_application_issuance_and_revocation():
 
     world.ma.start_certificate_revocation(rse.app_certs[0]["cert_bytes"])
     world.bus.run()
-    crl = world.crl_store._crls.get(world.root_cert.cert_id(), 3)
+    crl = world.crl_store.crls.get(world.root_cert.cert_id(), 3)
     assert crl is not None
     assert len(crl.certid_entries) == 3
     assert all(len(e.cert_id) == 8 for e in crl.certid_entries)
@@ -313,7 +313,7 @@ def test_expired_only_device_blacklist_without_crl_delta():
     world.clock.set(2, 0)  # the only cert is now expired
     world.ma.start_certificate_revocation(rse.app_certs[0]["cert_bytes"])
     world.bus.run()
-    assert world.crl_store._crls.get(world.root_cert.cert_id(), 3) is None
+    assert world.crl_store.crls.get(world.root_cert.cert_id(), 3) is None
     record = world.registry.audit_view("ma").scan("revocation_nonpseudo")[0]
     assert record["cert_ids"] == []
     rse.request_app_certs(CertType.RSE_APPLICATION, [[5, 6]], psid=130)
@@ -336,7 +336,7 @@ def test_crlg_groups_and_sequence():
     world.clock.set(1, 0)
     _file_reports(world, 0, [2, 3, 4], period=1)
     _file_reports(world, 1, [2, 3, 4], period=1)
-    crl = world.crl_store._crls.get(world.root_cert.cert_id(), 1)
+    crl = world.crl_store.crls.get(world.root_cert.cert_id(), 1)
     assert crl.sequence == 2  # one publication per completed revocation
     assert len(crl.linkage_entries) == 2
     raw = crl.tbs_bytes()
