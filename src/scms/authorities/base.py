@@ -3,12 +3,14 @@
 Each component is a single-threaded state machine with a private store
 namespace, its own deterministic random stream and a signing identity.
 Envelopes dispatch to ``on_<message_type>`` methods (dots become
-underscores). Authorities that answer the misbehavior authority's signed
-queries share one guard, ``_check_ma_request``.
+underscores). ``ma_query`` is the one server side of the misbehavior
+authority's signed-query protocol: signature check, quota, audit log and
+reply, for every PCA, RA and LA query handler.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 from ..bus import Envelope, MessageBus
@@ -76,11 +78,17 @@ class Component:
             },
         )
 
-    def _check_ma_request(self, env):
-        """Verify the MA signature and, where a limit is set, the
-        per-period quota; returns the decoded request plus its digest (the
-        audit-log object), or None after logging and sending a refusal."""
+
+def ma_query(answer):
+    """Serve one signed MA query type with ``answer(self, request)``, whose
+    returned body goes back as ``<op>.resp``. A query with a bad signature
+    or over the quota is logged as ``<op>.refused`` and gets ``ma.refused``;
+    both replies echo the digest of the signed payload."""
+
+    @functools.wraps(answer)
+    def serve(self, env) -> None:
         msg = SignedMessage.decode(env.payload["q"])
+        digest = hashlib.sha256(msg.payload).hexdigest()
         period = self.clock.period
         if self.ma_cert is None or not verify_message(msg, self.ma_cert):
             logged, reason = b"bad-signature", "bad signature"
@@ -89,9 +97,13 @@ class Component:
             logged, reason = b"over-quota", "rate limited"
         else:
             self._ma_queries[period] = self._ma_queries.get(period, 0) + 1
-            digest = hashlib.sha256(msg.payload).hexdigest()
             self.audit_log(env.src, env.mtype, digest)
-            return decode(msg.payload), digest
+            reply = answer(self, decode(msg.payload))
+            self.send(env.src, env.mtype + ".resp", {**reply, "echo": digest})
+            return
         self.audit_log(env.src, env.mtype + ".refused", logged)
-        self.send(env.src, "ma.refused", {"op": env.mtype, "reason": reason})
-        return None
+        self.send(env.src, "ma.refused", {
+            "op": env.mtype, "reason": reason, "echo": digest,
+        })
+
+    return serve

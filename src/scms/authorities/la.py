@@ -18,7 +18,7 @@ from ..crypto.hybrid import HybridCiphertext
 from ..encoding import decode, encode
 from ..errors import InvariantViolation
 from ..linkage import LinkageSeed, check_la_id, pre_linkage_values, seed_at
-from .base import Component
+from .base import Component, ma_query
 
 
 class LinkageAuthority(Component):
@@ -108,11 +108,8 @@ class LinkageAuthority(Component):
 
     # --- misbehavior-authority queries ---
 
-    def on_ma_samedev(self, env) -> None:
-        checked = self._check_ma_request(env)
-        if checked is None:
-            return
-        request, digest = checked
+    @ma_query
+    def on_ma_samedev(self, request) -> dict:
         rec_a = self.store.first(
             "plv_index", ct_digest=hashlib.sha256(request["ct_a"]).hexdigest()
         )
@@ -124,20 +121,14 @@ class LinkageAuthority(Component):
             and rec_b is not None
             and rec_a["lci_digest"] == rec_b["lci_digest"]
         )
-        self.send(env.src, "ma.samedev.resp", {"same": same, "echo": digest})
+        return {"same": same}
 
-    def on_ma_lci2seed(self, env) -> None:
-        checked = self._check_ma_request(env)
-        if checked is None:
-            return
-        request, digest = checked
+    @ma_query
+    def on_ma_lci2seed(self, request) -> dict:
         lci = request["lci"]
         record = self._chain_record(hashlib.sha256(lci).hexdigest())
         if record is None:
-            self.send(env.src, "ma.lci2seed.resp", {
-                "found": False, "echo": digest,
-            })
-            return
+            return {"found": False}
         # self-decryption sanity: the LCI must open to the stored seed
         opened = decode(
             hybrid_decrypt(
@@ -148,7 +139,4 @@ class LinkageAuthority(Component):
             raise InvariantViolation("linkage chain identifier does not "
                                      "open to the stored seed")
         seed = self._seed_for(record, request["period"])
-        self.send(env.src, "ma.lci2seed.resp", {
-            "found": True, "ls": seed.value, "la_id": self.la_id,
-            "echo": digest,
-        })
+        return {"found": True, "ls": seed.value, "la_id": self.la_id}

@@ -26,7 +26,7 @@ from ..crypto import GroupElement, channel_decrypt, channel_key, hybrid_encrypt
 from ..encoding import decode, encode
 from ..errors import DecryptionError
 from ..linkage import xor_lv
-from .base import Component
+from .base import Component, ma_query
 
 
 class Pca(Component):
@@ -160,63 +160,41 @@ class Pca(Component):
 
     # --- misbehavior-authority queries ---
 
-    def on_ma_lv2plv(self, env) -> None:
-        checked = self._check_ma_request(env)
-        if checked is None:
-            return
-        request, digest = checked
+    @ma_query
+    def on_ma_lv2plv(self, request) -> dict:
         record = self.store.first("issued", lv=request["lv"])
         if record is None:
-            self.send(env.src, "ma.lv2plv.resp", {"found": False, "echo": digest})
-            return
-        self.send(env.src, "ma.lv2plv.resp", {
+            return {"found": False}
+        return {
             "found": True,
             "eplv1": record["eplv1"],
             "eplv2": record["eplv2"],
             "i": record["i"],
             "j": record["j"],
-            "echo": digest,
-        })
+        }
 
-    def on_ma_lv2rh(self, env) -> None:
-        checked = self._check_ma_request(env)
-        if checked is None:
-            return
-        request, digest = checked
+    @ma_query
+    def on_ma_lv2rh(self, request) -> dict:
         record = self.store.first("issued", lv=request["lv"])
         if record is None:
-            self.send(env.src, "ma.lv2rh.resp", {"found": False, "echo": digest})
-            return
-        self.send(env.src, "ma.lv2rh.resp", {
-            "found": True, "rh": record["rh"], "ra_host": record["ra_host"],
-            "echo": digest,
-        })
+            return {"found": False}
+        return {"found": True, "rh": record["rh"], "ra_host": record["ra_host"]}
 
-    def on_ma_cert2rh(self, env) -> None:
-        checked = self._check_ma_request(env)
-        if checked is None:
-            return
-        request, digest = checked
+    @ma_query
+    def on_ma_cert2rh(self, request) -> dict:
         record = self.store.first("issued_plain", cert_id=request["cert_id"])
         if record is None:
-            self.send(env.src, "ma.cert2rh.resp", {"found": False, "echo": digest})
-            return
-        self.send(env.src, "ma.cert2rh.resp", {
-            "found": True, "rh": record["rh"], "ra_host": record["ra_host"],
-            "echo": digest,
-        })
+            return {"found": False}
+        return {"found": True, "rh": record["rh"], "ra_host": record["ra_host"]}
 
-    def on_ma_certsbyrh(self, env) -> None:
-        checked = self._check_ma_request(env)
-        if checked is None:
-            return
-        request, digest = checked
+    @ma_query
+    def on_ma_certsbyrh(self, request) -> dict:
         certs = []
         for rh in request["rhs"]:
             record = self.store.first("issued_plain", rh=rh)
             if record is not None:
                 certs.append(record["cert"])
-        self.send(env.src, "ma.certsbyrh.resp", {"certs": certs, "echo": digest})
+        return {"certs": certs}
 
 
 def request_hash(single: dict) -> bytes:

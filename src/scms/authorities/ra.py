@@ -32,7 +32,7 @@ from ..crypto.hybrid import HybridCiphertext
 from ..encoding import decode, encode
 from ..errors import DecryptionError, InvariantViolation, ParseError
 from ..rootmgmt import Ballot, TrustState
-from .base import Component
+from .base import Component, ma_query
 from .enrollment import device_handle
 from .pca import request_hash
 
@@ -420,41 +420,28 @@ class Ra(Component):
 
     # --- revocation step 4: blacklist without revealing the certificate ---
 
-    def on_ma_blacklist(self, env) -> None:
-        checked = self._check_ma_request(env)
-        if checked is None:
-            return
-        request, digest = checked
+    @ma_query
+    def on_ma_blacklist(self, request) -> dict:
         index = self.store.first("request_index", rh=request["rh"])
         if index is None:
-            self.send(env.src, "ma.blacklist.resp", {
-                "found": False, "echo": digest,
-            })
-            return
+            return {"found": False}
         record = self._enrollment_record(index["handle"])
         record["blacklisted"] = True
         spans = self.store.where("span", handle=index["handle"])
         j_max = max((s["j_max"] for s in spans), default=20)
-        self.send(env.src, "ma.blacklist.resp", {
+        return {
             "found": True,
             "la_hosts": list(self.la_hosts),
             "lci1": record["lci1"],
             "lci2": record["lci2"],
             "j_max": j_max,
-            "echo": digest,
-        })
+        }
 
-    def on_ma_blacklist_nonpseudo(self, env) -> None:
-        checked = self._check_ma_request(env)
-        if checked is None:
-            return
-        request, digest = checked
+    @ma_query
+    def on_ma_blacklist_nonpseudo(self, request) -> dict:
         index = self.store.first("app_index", rh=request["rh"])
         if index is None:
-            self.send(env.src, "ma.blacklist_nonpseudo.resp", {
-                "found": False, "echo": digest,
-            })
-            return
+            return {"found": False}
         record = self._enrollment_record(index["handle"])
         if record is not None:
             record["blacklisted"] = True
@@ -469,9 +456,7 @@ class Ra(Component):
             for r in self.store.where("app_index", handle=index["handle"])
             if r["valid_to"] >= self.clock.period
         ]
-        self.send(env.src, "ma.blacklist_nonpseudo.resp", {
-            "found": True, "rhs": non_expired, "echo": digest,
-        })
+        return {"found": True, "rhs": non_expired}
 
     # --- re-enrollment (roll-over via the current enrollment key) ---
 

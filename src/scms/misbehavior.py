@@ -19,11 +19,14 @@ automatic pipeline over signed queries:
 
 Every query the MA sends is signed and logged, matching the audit records
 kept by the PCA, LAs and RA; the MA ends up holding current-period seeds
-only (backward privacy) and one boolean per same-device question.
+only (backward privacy) and one boolean per same-device question. Every
+case ends in a revocation, a verdict or a ``failed_case`` record naming
+the stage that failed (a refused query fails its case as ``refused``).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -106,6 +109,25 @@ class Crlg:
         return sign_crl(crl, self.key.private, self.cert)
 
 
+# the field a failed_case record names its case by
+_CASE_SUBJECT = {
+    "revocation": "lv", "cert_revocation": "cert_id", "investigation": "lv_a",
+}
+
+
+def _reply(handler):
+    """Route an ``<op>.resp`` to ``handler(self, key, case, step, reply)``
+    for the open case its echo names; a reply for no open case is dropped."""
+
+    @functools.wraps(handler)
+    def route(self, env) -> None:
+        routed = self._case_for(env)
+        if routed is not None:
+            handler(self, *routed, env.payload)
+
+    return route
+
+
 class Ma(Component):
     def configure(
         self,
@@ -141,15 +163,16 @@ class Ma(Component):
         self._await[digest] = (case_key, step)
         self.send(dst, op, {"q": msg.encode()})
 
-    def _case_for(self, env) -> tuple[dict, str] | None:
-        routed = self._await.pop(env.payload["echo"], None)
-        if routed is None:
-            return None
-        case_key, step = routed
-        case = self._cases.get(case_key)
-        if case is None:
-            return None
-        return case, step
+    def _case_for(self, env) -> tuple[str, dict, str] | None:
+        """(key, case, step) of the open case whose query a reply echoes."""
+        key, step = self._await.pop(env.payload["echo"], (None, None))
+        case = self._cases.get(key)
+        return None if case is None else (key, case, step)
+
+    def _fail(self, key: str, stage: str) -> None:
+        case = self._cases.pop(key)
+        subject = _CASE_SUBJECT[case["kind"]]
+        self.store.put("failed_case", {subject: case[subject], "stage": stage})
 
     # --- report intake and detection ---
 
@@ -224,21 +247,20 @@ class Ma(Component):
         self._query(self.pca_host, "ma.lv2plv", {"lv": lv_a}, key, "plv_a")
         self._query(self.pca_host, "ma.lv2plv", {"lv": lv_b}, key, "plv_b")
 
-    def _investigation_plv(self, case: dict, step: str, env) -> None:
-        if not env.payload["found"]:
+    def _investigation_plv(self, key, case, step, reply) -> None:
+        if not reply["found"]:
             case["plvs"][step] = None
         else:
-            case["plvs"][step] = env.payload["eplv1"]
+            case["plvs"][step] = reply["eplv1"]
             self.store.put("investigation", {
                 "lv": case["lv_a" if step == "plv_a" else "lv_b"],
-                "eplv1": env.payload["eplv1"],
-                "eplv2": env.payload["eplv2"],
-                "i": env.payload["i"],
-                "j": env.payload["j"],
+                "eplv1": reply["eplv1"],
+                "eplv2": reply["eplv2"],
+                "i": reply["i"],
+                "j": reply["j"],
             })
         if len(case["plvs"]) < 2:
             return
-        key = f"inv:{case['lv_a'].hex()}:{case['lv_b'].hex()}"
         if case["plvs"]["plv_a"] is None or case["plvs"]["plv_b"] is None:
             self.store.put("verdict", {
                 "lv_a": case["lv_a"], "lv_b": case["lv_b"], "same": False,
@@ -254,16 +276,13 @@ class Ma(Component):
             "samedev",
         )
 
-    def on_ma_samedev_resp(self, env) -> None:
-        routed = self._case_for(env)
-        if routed is None:
-            return
-        case, _ = routed
+    @_reply
+    def on_ma_samedev_resp(self, key, case, step, reply) -> None:
         self.store.put("verdict", {
             "lv_a": case["lv_a"], "lv_b": case["lv_b"],
-            "same": env.payload["same"], "reason": "la query",
+            "same": reply["same"], "reason": "la query",
         })
-        del self._cases[f"inv:{case['lv_a'].hex()}:{case['lv_b'].hex()}"]
+        del self._cases[key]
 
     # --- pseudonym revocation pipeline ---
 
@@ -274,80 +293,58 @@ class Ma(Component):
         self._cases[key] = {"kind": "revocation", "lv": lv, "seeds": {}}
         self._query(self.pca_host, "ma.lv2plv", {"lv": lv}, key, "plv")
 
-    def on_ma_lv2plv_resp(self, env) -> None:
-        routed = self._case_for(env)
-        if routed is None:
-            return
-        case, step = routed
+    @_reply
+    def on_ma_lv2plv_resp(self, key, case, step, reply) -> None:
         if case["kind"] == "investigation":
-            self._investigation_plv(case, step, env)
+            self._investigation_plv(key, case, step, reply)
             return
-        key = f"rev:{case['lv'].hex()}"
-        if not env.payload["found"]:
-            del self._cases[key]
-            self.store.put("failed_case", {"lv": case["lv"], "stage": "plv"})
+        if not reply["found"]:
+            self._fail(key, "plv")
             return
         self.store.put("investigation", {
             "lv": case["lv"],
-            "eplv1": env.payload["eplv1"],
-            "eplv2": env.payload["eplv2"],
-            "i": env.payload["i"],
-            "j": env.payload["j"],
+            "eplv1": reply["eplv1"],
+            "eplv2": reply["eplv2"],
+            "i": reply["i"],
+            "j": reply["j"],
         })
         self._query(self.pca_host, "ma.lv2rh", {"lv": case["lv"]}, key, "rh")
 
-    def on_ma_lv2rh_resp(self, env) -> None:
-        routed = self._case_for(env)
-        if routed is None:
+    @_reply
+    def on_ma_lv2rh_resp(self, key, case, step, reply) -> None:
+        if not reply["found"]:
+            self._fail(key, "rh")
             return
-        case, _ = routed
-        key = f"rev:{case['lv'].hex()}"
-        if not env.payload["found"]:
-            del self._cases[key]
-            self.store.put("failed_case", {"lv": case["lv"], "stage": "rh"})
-            return
-        case["rh"] = env.payload["rh"]
+        case["rh"] = reply["rh"]
         self._query(
-            env.payload["ra_host"], "ma.blacklist", {"rh": case["rh"]}, key, "bl"
+            reply["ra_host"], "ma.blacklist", {"rh": case["rh"]}, key, "bl"
         )
 
-    def on_ma_blacklist_resp(self, env) -> None:
-        routed = self._case_for(env)
-        if routed is None:
+    @_reply
+    def on_ma_blacklist_resp(self, key, case, step, reply) -> None:
+        if not reply["found"]:
+            self._fail(key, "blacklist")
             return
-        case, _ = routed
-        key = f"rev:{case['lv'].hex()}"
-        if not env.payload["found"]:
-            del self._cases[key]
-            self.store.put("failed_case", {"lv": case["lv"], "stage": "blacklist"})
-            return
-        case["j_max"] = env.payload["j_max"]
-        case["n_chains"] = len(env.payload["lci1"])
+        case["j_max"] = reply["j_max"]
+        case["n_chains"] = len(reply["lci1"])
         period = self.clock.period
-        for n, lci in enumerate(env.payload["lci1"]):
+        for n, lci in enumerate(reply["lci1"]):
             self._query(
-                env.payload["la_hosts"][0], "ma.lci2seed",
+                reply["la_hosts"][0], "ma.lci2seed",
                 {"lci": lci, "period": period}, key, f"seed1:{n}",
             )
-        for n, lci in enumerate(env.payload["lci2"]):
+        for n, lci in enumerate(reply["lci2"]):
             self._query(
-                env.payload["la_hosts"][1], "ma.lci2seed",
+                reply["la_hosts"][1], "ma.lci2seed",
                 {"lci": lci, "period": period}, key, f"seed2:{n}",
             )
 
-    def on_ma_lci2seed_resp(self, env) -> None:
-        routed = self._case_for(env)
-        if routed is None:
+    @_reply
+    def on_ma_lci2seed_resp(self, key, case, step, reply) -> None:
+        if not reply["found"]:
+            self._fail(key, "seeds")
             return
-        case, step = routed
-        key = f"rev:{case['lv'].hex()}"
-        if not env.payload["found"]:
-            del self._cases[key]
-            self.store.put("failed_case", {"lv": case["lv"], "stage": "seeds"})
-            return
-        case["seeds"][step] = {
-            "ls": env.payload["ls"], "la_id": env.payload["la_id"],
-        }
+        case["seeds"][step] = {"ls": reply["ls"], "la_id": reply["la_id"]}
         if len(case["seeds"]) < 2 * case["n_chains"]:
             return
         del self._cases[key]
@@ -396,52 +393,34 @@ class Ma(Component):
             self.pca_host, "ma.cert2rh", {"cert_id": cert.cert_id()}, key, "rh"
         )
 
-    def on_ma_cert2rh_resp(self, env) -> None:
-        routed = self._case_for(env)
-        if routed is None:
+    @_reply
+    def on_ma_cert2rh_resp(self, key, case, step, reply) -> None:
+        if not reply["found"]:
+            self._fail(key, "rh")
             return
-        case, _ = routed
-        key = f"crev:{case['cert_id'].hex()}"
-        if not env.payload["found"]:
-            del self._cases[key]
-            self.store.put("failed_case", {
-                "cert_id": case["cert_id"], "stage": "rh",
-            })
-            return
-        self._query(
-            env.payload["ra_host"], "ma.blacklist_nonpseudo",
-            {"rh": env.payload["rh"]}, key, "bl",
-        )
+        self._query(reply["ra_host"], "ma.blacklist_nonpseudo",
+                    {"rh": reply["rh"]}, key, "bl")
 
-    def on_ma_blacklist_nonpseudo_resp(self, env) -> None:
-        routed = self._case_for(env)
-        if routed is None:
+    @_reply
+    def on_ma_blacklist_nonpseudo_resp(self, key, case, step, reply) -> None:
+        if not reply["found"]:
+            self._fail(key, "blacklist")
             return
-        case, _ = routed
-        key = f"crev:{case['cert_id'].hex()}"
-        if not env.payload["found"]:
-            del self._cases[key]
-            return
-        if not env.payload["rhs"]:
+        if not reply["rhs"]:
             # nothing non-expired: blacklist only, no CRL delta
             del self._cases[key]
             self.store.put("revocation_nonpseudo", {
                 "cert_id": case["cert_id"], "cert_ids": [],
             })
             return
-        self._query(
-            self.pca_host, "ma.certsbyrh", {"rhs": env.payload["rhs"]}, key,
-            "certs",
-        )
+        self._query(self.pca_host, "ma.certsbyrh", {"rhs": reply["rhs"]},
+                    key, "certs")
 
-    def on_ma_certsbyrh_resp(self, env) -> None:
-        routed = self._case_for(env)
-        if routed is None:
-            return
-        case, _ = routed
-        del self._cases[f"crev:{case['cert_id'].hex()}"]
+    @_reply
+    def on_ma_certsbyrh_resp(self, key, case, step, reply) -> None:
+        del self._cases[key]
         cert_ids = []
-        for raw in env.payload["certs"]:
+        for raw in reply["certs"]:
             cert = Certificate.decode(raw)
             if cert.valid_to >= self.clock.period:
                 cert_ids.append(cert.cert_id())
@@ -459,6 +438,9 @@ class Ma(Component):
         self.store.put("refusal", {
             "op": env.payload["op"], "reason": env.payload["reason"],
         })
+        routed = self._case_for(env)
+        if routed is not None:
+            self._fail(routed[0], "refused")
 
     # --- CRLG publication ---
 

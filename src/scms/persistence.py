@@ -13,7 +13,7 @@ bit-exactly.
 from __future__ import annotations
 
 from .encoding import decode, encode
-from .errors import ParseError, StoreAccessError
+from .errors import ParseError, ScmsError, StoreAccessError
 
 _SNAPSHOT_MAGIC = b"SNAP"
 _SNAPSHOT_VERSION = 1
@@ -140,8 +140,12 @@ class StoreRegistry:
         if data[4] != _SNAPSHOT_VERSION:
             raise ParseError(f"unsupported snapshot version {data[4]}", 4)
         value = decode(data[5:])
-        self._namespaces = {}
+        # load into the live namespaces, which components hold references to
+        if self._namespaces and set(value) != set(self._namespaces):
+            raise ScmsError(
+                f"snapshot owners {sorted(value)} differ from the registry's "
+                f"{self.owners()}"
+            )
         for owner, records in value.items():
-            ns = Namespace(owner)
+            ns = self._namespaces.get(owner) or self.create(owner)
             ns.load_value(records)
-            self._namespaces[owner] = ns

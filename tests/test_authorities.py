@@ -5,7 +5,14 @@ import hashlib
 
 import pytest
 
-from scms.authorities import UncertifiedModel, device_handle
+from scms.authorities import (
+    LinkageAuthority,
+    Pca,
+    Ra,
+    UncertifiedModel,
+    device_handle,
+)
+from scms.authorities.base import ma_query
 from scms.bus import Envelope
 from scms.certmodel import Certificate, CertType, sign_message, verify_chain
 from scms.crypto import (
@@ -237,6 +244,62 @@ def test_lci_not_opening_to_stored_seed_raises_invariant_violation():
         la.on_ma_lci2seed(
             Envelope("ma", "la1", "ma.lci2seed", {"q": query.encode()})
         )
+
+
+# --- misbehavior-authority queries ---
+
+# op -> (server, query for an object the server does not hold, reply body)
+UNKNOWN_OBJECT_QUERIES = {
+    "ma.lv2plv": ("pca", {"lv": b"\x01" * 9}, {"found": False}),
+    "ma.lv2rh": ("pca", {"lv": b"\x01" * 9}, {"found": False}),
+    "ma.cert2rh": ("pca", {"cert_id": b"\x02" * 8}, {"found": False}),
+    "ma.certsbyrh": ("pca", {"rhs": [b"\x03" * 32]}, {"certs": []}),
+    "ma.blacklist": ("ra", {"rh": b"\x03" * 32}, {"found": False}),
+    "ma.blacklist_nonpseudo": ("ra", {"rh": b"\x03" * 32}, {"found": False}),
+    "ma.samedev": ("la1", {"ct_a": b"\x04" * 40, "ct_b": b"\x05" * 40},
+                   {"same": False}),
+    "ma.lci2seed": ("la1", {"lci": b"\x06" * 90, "period": 0},
+                    {"found": False}),
+}
+
+
+@pytest.mark.parametrize("op", sorted(UNKNOWN_OBJECT_QUERIES))
+def test_ma_query_for_unknown_object_answers_not_found(op):
+    world = make_world(devices=1)
+    server, request, body = UNKNOWN_OBJECT_QUERIES[op]
+    seen = []
+
+    class Sink:
+        def handle(self, env):
+            seen.append(env)
+
+    world.bus.register("sink", Sink())
+    raw = encode(request)
+    query = sign_message(world.ma.keypair.private, world.ma_cert, raw)
+    world.bus.send(Envelope("sink", server, op, {"q": query.encode()}))
+    world.bus.run()
+    digest = hashlib.sha256(raw).hexdigest()
+    assert [(env.src, env.mtype) for env in seen] == [(server, op + ".resp")]
+    assert seen[0].payload == {**body, "echo": digest}
+    audit = world.registry.audit_view(server).scan("audit")
+    assert [(r["requester"], r["op"], r["object"]) for r in audit] == [
+        ("sink", op, digest)
+    ]
+
+
+def test_every_ma_query_handler_goes_through_ma_query():
+    # a new handler cannot skip the signature, quota and audit steps
+    serve = ma_query(lambda self, request: {}).__code__
+    handlers = [
+        value
+        for cls in (Pca, Ra, LinkageAuthority)
+        for name, value in vars(cls).items()
+        if name.startswith("on_ma_")
+    ]
+    assert len(handlers) == len(UNKNOWN_OBJECT_QUERIES)
+    for handler in handlers:
+        assert hasattr(handler, "__wrapped__"), handler.__name__
+        assert handler.__code__ is serve, handler.__name__
 
 
 # --- PCA issuance ---

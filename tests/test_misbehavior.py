@@ -251,6 +251,18 @@ def test_rate_limited_queries_refused():
     assert len(over_quota) == 1
 
 
+def test_refused_query_fails_its_case():
+    world = _revocation_world()
+    world.la1.ma_query_limit = 1
+    _file_reports(world, 0, [1, 2, 3], period=1)
+    _file_reports(world, 1, [2, 3, 4], period=1)
+    failed = world.registry.audit_view("ma").scan("failed_case")
+    assert [r["stage"] for r in failed] == ["refused"]
+    assert failed[0]["lv"] in world.ma._flagged
+    assert world.ma._cases == {}
+    assert world.ma._await == {}
+
+
 def test_audit_reconciliation_finds_no_orphans():
     world = _revocation_world()
     _file_reports(world, 0, [1, 2, 3], period=1)
@@ -319,6 +331,21 @@ def test_expired_only_device_blacklist_without_crl_delta():
     rse.request_app_certs(CertType.RSE_APPLICATION, [[5, 6]], psid=130)
     world.bus.run()
     assert rse.provision_status == "denied"
+
+
+def test_unknown_nonpseudonym_request_hash_fails_case_at_blacklist():
+    world = _rse_world()
+    cert_id = b"\x07" * 8
+    key = f"crev:{cert_id.hex()}"
+    world.ma._cases[key] = {
+        "kind": "cert_revocation", "cert_id": cert_id, "series": 3,
+    }
+    world.ma._query("ra", "ma.blacklist_nonpseudo", {"rh": b"\x00" * 32},
+                    key, "bl")
+    world.bus.run()
+    failed = world.registry.audit_view("ma").scan("failed_case")
+    assert failed == [{"cert_id": cert_id, "stage": "blacklist"}]
+    assert world.ma._cases == {}
 
 
 def test_pseudonym_cert_rejected_by_nonpseudonym_pipeline():

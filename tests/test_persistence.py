@@ -2,7 +2,7 @@
 
 import pytest
 
-from scms.errors import StoreAccessError
+from scms.errors import ScmsError, StoreAccessError
 from scms.persistence import StoreRegistry
 
 
@@ -51,6 +51,40 @@ def test_snapshot_restore_identical(tmp_path):
     assert restored.audit_view("pca").scan("issued") == pca.scan("issued")
     # byte-exact: snapshotting the restored registry reproduces the file
     assert restored.snapshot_bytes() == reg.snapshot_bytes()
+
+
+def test_restore_loads_into_live_namespaces(tmp_path):
+    reg = StoreRegistry()
+    ra = reg.create("ra")
+    ra.put("enrollment", {"handle": b"\xaa"})
+    path = tmp_path / "state.snap"
+    reg.snapshot(path)
+    ra.put("enrollment", {"handle": b"\xbb"})
+
+    reg.restore(path)
+    # a component's own namespace object shows the restored records
+    assert ra.scan("enrollment") == [{"handle": b"\xaa"}]
+    assert ra.first("enrollment", handle=b"\xbb") is None
+    ra.put("enrollment", {"handle": b"\xcc"})
+    after = StoreRegistry()
+    after.create("ra").put("enrollment", {"handle": b"\xaa"})
+    after.audit_view("ra").put("enrollment", {"handle": b"\xcc"})
+    assert reg.snapshot_bytes() == after.snapshot_bytes()
+
+
+def test_restore_refuses_a_different_owner_set(tmp_path):
+    reg = StoreRegistry()
+    reg.create("ra").put("enrollment", {"handle": b"\xaa"})
+    path = tmp_path / "state.snap"
+    reg.snapshot(path)
+
+    live = StoreRegistry()
+    pca = live.create("pca")
+    pca.put("issued", {"lv": b"\x01"})
+    with pytest.raises(ScmsError):
+        live.restore(path)
+    assert live.owners() == ["pca"]
+    assert pca.scan("issued") == [{"lv": b"\x01"}]
 
 
 def test_duplicate_namespace_rejected():
