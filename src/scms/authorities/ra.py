@@ -100,7 +100,7 @@ class Ra(Component):
                 Certificate.decode(msg.cert_bytes)
                 if msg.cert_bytes is not None else None
             )
-        except (DecryptionError, ParseError, ValueError, KeyError, TypeError):
+        except (DecryptionError, ParseError, KeyError, TypeError):
             self._deny(env, "undecryptable or malformed request")
             return None
         if cert is None:
@@ -145,6 +145,16 @@ class Ra(Component):
             if span["start"] <= end and start <= span["end"]:
                 self._deny(env, "duplicate request for covered time span")
                 return
+        try:
+            caterpillar = CaterpillarRequest(
+                signing_seed=GroupElement.decode(request["A"]),
+                signing_key=request["k_sign"],
+                encryption_seed=GroupElement.decode(request["H"]),
+                encryption_key=request["k_enc"],
+            )
+        except (ParseError, ValueError, KeyError, TypeError):
+            self._deny(env, "malformed caterpillar keys")
+            return
         record = self._enrollment_record(handle)
         if record is None:
             record = self.store.put("enrollment", {
@@ -165,6 +175,7 @@ class Ra(Component):
         self._pending[ref] = {
             "handle": handle,
             "request": request,
+            "caterpillar": caterpillar,
             "plvs": {},
             "new_chain": not record["lci1"],
         }
@@ -208,12 +219,7 @@ class Ra(Component):
     def _expand(self, state: dict) -> None:
         request = state["request"]
         handle = state["handle"]
-        caterpillar = CaterpillarRequest(
-            signing_seed=GroupElement.decode(request["A"]),
-            signing_key=request["k_sign"],
-            encryption_seed=GroupElement.decode(request["H"]),
-            encryption_key=request["k_enc"],
-        )
+        caterpillar = state["caterpillar"]
         plv1 = state["plvs"][self.la_hosts[0]]["plvs"]
         plv2 = state["plvs"][self.la_hosts[1]]["plvs"]
         mitm = handle in self.mitm_handles

@@ -10,20 +10,25 @@ the certificate into the signed digest, which defeats certificate
 misbinding: a signature produced under one certificate never verifies
 under another, even for the same key.
 
-Wire formats are canonical fixed binary layouts (documented field by field
-below); CertId is the 8-byte truncated hash of the full encoding. CRLs
-carry linkage-seed entries grouped by LA-id pair plus flat CertId entries,
-are signed by the CRL generator, and are distributed per (CRACA, series)
-so a receiver checks exactly one sequence per certificate.
+Wire formats are canonical binary layouts. Each fixed part is one
+``struct.Struct`` below, which both the encoder packs and the decoder
+unpacks; variable parts are read through ``encoding.Reader``, which does
+every length check. Every decoder raises only ``ParseError``, with an
+offset inside its input. CertId is the 8-byte truncated hash of the full
+encoding. CRLs carry linkage-seed entries grouped by LA-id pair plus flat
+CertId entries, are signed by the CRL generator, and are distributed per
+(CRACA, series) so a receiver checks exactly one sequence per certificate.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
-from .crypto import GroupElement, Scalar, sign, verify
+from .crypto import POINT_BYTES, GroupElement, Scalar, sign, verify
+from .encoding import Reader
 from .errors import ParseError
 from .linkage import LV_BYTES, RevocationEntry, expand_revocation_entry
 
@@ -31,6 +36,20 @@ CERT_MAGIC = b"SC"
 CRL_MAGIC = b"CR"
 CERT_ID_BYTES = 8
 SIG_BYTES = 64
+NO_REGION = 0xFF  # region byte of a CRL entry without a region hint
+
+# magic "SC" | version | ctype | alg | flags | subject_key | valid_from |
+# valid_to | psid | craca_id | crl_series | issuer_id
+_CERT_HEADER = struct.Struct(">2sBBBB33sIII8sH8s")
+# magic "CR" | version | series | craca_id | issue_period | sequence |
+# crlg_cert_id | n_groups
+_CRL_HEADER = struct.Struct(">2sBH8sII8sH")
+# la_id1 | la_id2 | i | j_max | n_devices
+_CRL_GROUP = struct.Struct(">4s4sIHH")
+# ls1 | ls2 | priority | region
+_CRL_LINKAGE = struct.Struct(">16s16sBB")
+# cert_id | priority | region
+_CRL_CERTID = struct.Struct(">8sBB")
 
 
 class CertType(IntEnum):
@@ -94,12 +113,9 @@ def digest_for_alg(alg: int, data: bytes) -> bytes:
 class Certificate:
     """Explicit certificate with per-type feature flags.
 
-    Binary layout (version 1):
-        magic "SC" (2) | version (1) | ctype (1) | alg (1) | flags (1) |
-        subject_key (33) | valid_from (4) | valid_to (4) | psid (4) |
-        craca_id (8) | crl_series (2) | issuer_id (8) |
-        [enc_key (33)] [linkage_value (9)] [subject_info: len (2) + bytes] |
-        signature (64)
+    Binary layout (version 1): the 69-byte ``_CERT_HEADER``, then
+    [enc_key (33)] [linkage_value (9)] [subject_info: len (2) + UTF-8],
+    then signature (64).
     flags: bit0 enc_key, bit1 linkage, bit2 subject_info, bit3 self-signed.
     """
 
@@ -150,27 +166,18 @@ class Certificate:
             | (4 if self.subject_info is not None else 0)
             | (8 if self.self_signed else 0)
         )
-        out = bytearray()
-        out += CERT_MAGIC
-        out.append(1)
-        out.append(int(self.ctype))
-        out.append(self.alg)
-        out.append(flags)
-        out += self.subject_key.encode()
-        out += self.valid_from.to_bytes(4, "big")
-        out += self.valid_to.to_bytes(4, "big")
-        out += self.psid.to_bytes(4, "big")
-        out += self.craca_id
-        out += self.crl_series.to_bytes(2, "big")
-        out += self.issuer_id
+        out = bytearray(_CERT_HEADER.pack(
+            CERT_MAGIC, 1, self.ctype, self.alg, flags,
+            self.subject_key.encode(), self.valid_from, self.valid_to,
+            self.psid, self.craca_id, self.crl_series, self.issuer_id,
+        ))
         if self.enc_key is not None:
             out += self.enc_key.encode()
         if self.linkage_value is not None:
             out += self.linkage_value
         if self.subject_info is not None:
             raw = self.subject_info.encode()
-            out += len(raw).to_bytes(2, "big")
-            out += raw
+            out += len(raw).to_bytes(2, "big") + raw
         return bytes(out)
 
     def encode(self) -> bytes:
@@ -180,64 +187,36 @@ class Certificate:
 
     @classmethod
     def decode(cls, data: bytes) -> "Certificate":
-        if len(data) < 69 + SIG_BYTES:
-            raise ParseError("certificate too short", len(data))
-        if data[:2] != CERT_MAGIC:
+        r = Reader(data)
+        (magic, version, ctype, alg, flags, subject_key, valid_from, valid_to,
+         psid, craca_id, crl_series, issuer_id) = r.unpack(
+            _CERT_HEADER, "certificate header")
+        if magic != CERT_MAGIC:
             raise ParseError("bad certificate magic", 0)
-        if data[2] != 1:
-            raise ParseError(f"unsupported certificate version {data[2]}", 2)
+        if version != 1:
+            raise ParseError(f"unsupported certificate version {version}", 2)
         try:
-            ctype = CertType(data[3])
+            ctype = CertType(ctype)
         except ValueError:
-            raise ParseError(f"unknown certificate type {data[3]}", 3) from None
-        alg = data[4]
-        flags = data[5]
-        subject_key = GroupElement.decode(data[6:39])
-        valid_from = int.from_bytes(data[39:43], "big")
-        valid_to = int.from_bytes(data[43:47], "big")
-        psid = int.from_bytes(data[47:51], "big")
-        craca_id = data[51:59]
-        crl_series = int.from_bytes(data[59:61], "big")
-        issuer_id = data[61:69]
-        pos = 69
+            raise ParseError(f"unknown certificate type {ctype}", 3) from None
+        subject_key = GroupElement.decode(subject_key)
         enc_key = linkage_value = subject_info = None
         if flags & 1:
-            if pos + 33 > len(data):
-                raise ParseError("truncated encryption key", pos)
-            enc_key = GroupElement.decode(data[pos : pos + 33])
-            pos += 33
+            enc_key = GroupElement.decode(r.take(POINT_BYTES, "encryption key"))
         if flags & 2:
-            if pos + LV_BYTES > len(data):
-                raise ParseError("truncated linkage value", pos)
-            linkage_value = data[pos : pos + LV_BYTES]
-            pos += LV_BYTES
+            linkage_value = r.take(LV_BYTES, "linkage value")
         if flags & 4:
-            if pos + 2 > len(data):
-                raise ParseError("truncated subject info length", pos)
-            slen = int.from_bytes(data[pos : pos + 2], "big")
-            pos += 2
-            if pos + slen > len(data):
-                raise ParseError("truncated subject info", pos)
-            subject_info = data[pos : pos + slen].decode()
-            pos += slen
-        if pos + SIG_BYTES != len(data):
-            raise ParseError("certificate length mismatch", pos)
-        return cls(
-            ctype=ctype,
-            subject_key=subject_key,
-            valid_from=valid_from,
-            valid_to=valid_to,
-            psid=psid,
-            craca_id=craca_id,
-            crl_series=crl_series,
-            issuer_id=issuer_id,
-            enc_key=enc_key,
-            linkage_value=linkage_value,
-            subject_info=subject_info,
-            self_signed=bool(flags & 8),
-            alg=alg,
-            signature=data[pos:],
-        )
+            subject_info = r.text(r.u16("subject info length"), "subject info")
+        signature = r.take(SIG_BYTES, "certificate signature")
+        r.done("certificate")
+        try:
+            return cls(
+                ctype, subject_key, valid_from, valid_to, psid, craca_id,
+                crl_series, issuer_id, enc_key, linkage_value, subject_info,
+                bool(flags & 8), alg, signature,
+            )
+        except ValueError as exc:  # feature-flag rules of __post_init__
+            raise ParseError(f"nonconforming certificate: {exc}", 0) from None
 
     def cert_id(self) -> bytes:
         return hashlib.sha256(self.encode()).digest()[:CERT_ID_BYTES]
@@ -277,40 +256,22 @@ class SignedMessage:
     cert_bytes: bytes | None = None
 
     def encode(self) -> bytes:
-        out = bytearray()
-        out += len(self.payload).to_bytes(4, "big")
-        out += self.payload
-        out += self.cert_id
-        if self.cert_bytes is None:
-            out += (0).to_bytes(4, "big")
-        else:
-            out += len(self.cert_bytes).to_bytes(4, "big")
-            out += self.cert_bytes
-        out += self.signature
-        return bytes(out)
+        cert = self.cert_bytes or b""
+        return b"".join((
+            len(self.payload).to_bytes(4, "big"), self.payload, self.cert_id,
+            len(cert).to_bytes(4, "big"), cert, self.signature,
+        ))
 
     @classmethod
     def decode(cls, data: bytes) -> "SignedMessage":
-        if len(data) < 4:
-            raise ParseError("signed message too short", 0)
-        plen = int.from_bytes(data[:4], "big")
-        pos = 4 + plen
-        if pos + CERT_ID_BYTES + 4 > len(data):
-            raise ParseError("truncated signed message", pos)
-        payload = data[4:pos]
-        cert_id = data[pos : pos + CERT_ID_BYTES]
-        pos += CERT_ID_BYTES
-        clen = int.from_bytes(data[pos : pos + 4], "big")
-        pos += 4
-        cert_bytes = None
-        if clen:
-            if pos + clen > len(data):
-                raise ParseError("truncated certificate", pos)
-            cert_bytes = data[pos : pos + clen]
-            pos += clen
-        if pos + SIG_BYTES != len(data):
-            raise ParseError("signed message length mismatch", pos)
-        return cls(payload, cert_id, data[pos:], cert_bytes)
+        r = Reader(data)
+        payload = r.take(r.u32("payload length"), "payload")
+        cert_id = r.take(CERT_ID_BYTES, "certificate id")
+        clen = r.u32("certificate length")
+        cert_bytes = r.take(clen, "certificate") if clen else None
+        signature = r.take(SIG_BYTES, "message signature")
+        r.done("signed message")
+        return cls(payload, cert_id, signature, cert_bytes)
 
 
 def message_digest(payload: bytes, cert_bytes: bytes, alg: int = ALG_DEFAULT) -> bytes:
@@ -380,15 +341,10 @@ class CertIdRevocation:
 class Crl:
     """Signed revocation list for one (CRACA, series) sequence.
 
-    Binary layout (version 1):
-        magic "CR" (2) | version (1) | series (2) | craca_id (8) |
-        issue_period (4) | sequence (4) | crlg_cert_id (8) |
-        n_groups (2) | groups | n_certids (4) | certid entries |
-        signature (64)
-    group: la_id1 (4) | la_id2 (4) | i (4) | j_max (2) | n_devices (2) |
-           per device: ls1 (16) | ls2 (16) | priority (1) | region (1)
-    certid entry: cert_id (8) | priority (1) | region (1)
-    region byte 0xff means no hint.
+    Binary layout (version 1): ``_CRL_HEADER``, then n_groups groups of
+    one ``_CRL_GROUP`` followed by n_devices ``_CRL_LINKAGE`` entries, then
+    n_certids (4) and that many ``_CRL_CERTID`` entries, then
+    signature (64). Region byte ``NO_REGION`` means no hint.
     """
 
     series: int
@@ -414,31 +370,19 @@ class Crl:
 
     def tbs_bytes(self) -> bytes:
         groups = self.linkage_groups()
-        out = bytearray()
-        out += CRL_MAGIC
-        out.append(1)
-        out += self.series.to_bytes(2, "big")
-        out += self.craca_id
-        out += self.issue_period.to_bytes(4, "big")
-        out += self.sequence.to_bytes(4, "big")
-        out += self.crlg_cert_id
-        out += len(groups).to_bytes(2, "big")
+        out = bytearray(_CRL_HEADER.pack(
+            CRL_MAGIC, 1, self.series, self.craca_id, self.issue_period,
+            self.sequence, self.crlg_cert_id, len(groups),
+        ))
         for (la1, la2, i, j_max), members in groups.items():
-            out += la1
-            out += la2
-            out += i.to_bytes(4, "big")
-            out += j_max.to_bytes(2, "big")
-            out += len(members).to_bytes(2, "big")
+            out += _CRL_GROUP.pack(la1, la2, i, j_max, len(members))
             for m in members:
-                out += m.ls1
-                out += m.ls2
-                out.append(m.priority)
-                out.append(0xFF if m.region is None else m.region)
+                region = NO_REGION if m.region is None else m.region
+                out += _CRL_LINKAGE.pack(m.ls1, m.ls2, m.priority, region)
         out += len(self.certid_entries).to_bytes(4, "big")
         for c in self.certid_entries:
-            out += c.cert_id
-            out.append(c.priority)
-            out.append(0xFF if c.region is None else c.region)
+            region = NO_REGION if c.region is None else c.region
+            out += _CRL_CERTID.pack(c.cert_id, c.priority, region)
         return bytes(out)
 
     def encode(self) -> bytes:
@@ -448,75 +392,33 @@ class Crl:
 
     @classmethod
     def decode(cls, data: bytes) -> "Crl":
-        if len(data) < 35 + SIG_BYTES:
-            raise ParseError("CRL too short", len(data))
-        if data[:2] != CRL_MAGIC:
+        r = Reader(data)
+        (magic, version, series, craca_id, issue_period, sequence,
+         crlg_cert_id, n_groups) = r.unpack(_CRL_HEADER, "CRL header")
+        if magic != CRL_MAGIC:
             raise ParseError("bad CRL magic", 0)
-        if data[2] != 1:
-            raise ParseError(f"unsupported CRL version {data[2]}", 2)
-        series = int.from_bytes(data[3:5], "big")
-        craca_id = data[5:13]
-        issue_period = int.from_bytes(data[13:17], "big")
-        sequence = int.from_bytes(data[17:21], "big")
-        crlg_cert_id = data[21:29]
-        n_groups = int.from_bytes(data[29:31], "big")
-        pos = 31
+        if version != 1:
+            raise ParseError(f"unsupported CRL version {version}", 2)
         linkage_entries = []
         for _ in range(n_groups):
-            if pos + 16 > len(data):
-                raise ParseError("truncated CRL group header", pos)
-            la1 = data[pos : pos + 4]
-            la2 = data[pos + 4 : pos + 8]
-            i = int.from_bytes(data[pos + 8 : pos + 12], "big")
-            j_max = int.from_bytes(data[pos + 12 : pos + 14], "big")
-            n_dev = int.from_bytes(data[pos + 14 : pos + 16], "big")
-            pos += 16
-            for _ in range(n_dev):
-                if pos + 34 > len(data):
-                    raise ParseError("truncated CRL linkage entry", pos)
-                region = data[pos + 33]
-                linkage_entries.append(
-                    LinkageRevocation(
-                        i=i,
-                        ls1=data[pos : pos + 16],
-                        ls2=data[pos + 16 : pos + 32],
-                        la_id1=la1,
-                        la_id2=la2,
-                        j_max=j_max,
-                        priority=data[pos + 32],
-                        region=None if region == 0xFF else region,
-                    )
-                )
-                pos += 34
-        if pos + 4 > len(data):
-            raise ParseError("truncated CRL certid count", pos)
-        n_certids = int.from_bytes(data[pos : pos + 4], "big")
-        pos += 4
-        certid_entries = []
-        for _ in range(n_certids):
-            if pos + 10 > len(data):
-                raise ParseError("truncated CRL certid entry", pos)
-            region = data[pos + 9]
-            certid_entries.append(
-                CertIdRevocation(
-                    cert_id=data[pos : pos + 8],
-                    priority=data[pos + 8],
-                    region=None if region == 0xFF else region,
-                )
-            )
-            pos += 10
-        if pos + SIG_BYTES != len(data):
-            raise ParseError("CRL length mismatch", pos)
-        return cls(
-            series=series,
-            craca_id=craca_id,
-            issue_period=issue_period,
-            sequence=sequence,
-            crlg_cert_id=crlg_cert_id,
-            linkage_entries=linkage_entries,
-            certid_entries=certid_entries,
-            signature=data[pos:],
-        )
+            la1, la2, i, j_max, n_dev = r.unpack(_CRL_GROUP, "CRL group header")
+            block = r.take(n_dev * _CRL_LINKAGE.size, "CRL linkage entries")
+            linkage_entries += [
+                LinkageRevocation(i, ls1, ls2, la1, la2, j_max, priority,
+                                  None if region == NO_REGION else region)
+                for ls1, ls2, priority, region in _CRL_LINKAGE.iter_unpack(block)
+            ]
+        n_certids = r.u32("CRL certid count")
+        block = r.take(n_certids * _CRL_CERTID.size, "CRL certid entries")
+        certid_entries = [
+            CertIdRevocation(cert_id, priority,
+                             None if region == NO_REGION else region)
+            for cert_id, priority, region in _CRL_CERTID.iter_unpack(block)
+        ]
+        signature = r.take(SIG_BYTES, "CRL signature")
+        r.done("CRL")
+        return cls(series, craca_id, issue_period, sequence, crlg_cert_id,
+                   linkage_entries, certid_entries, signature)
 
 
 def sign_crl(crl: Crl, crlg_priv: Scalar, crlg_cert: Certificate) -> Crl:
@@ -716,20 +618,12 @@ def encode_composite(crls: list[Crl]) -> bytes:
 
 
 def decode_composite(data: bytes) -> list[Crl]:
-    if data[:4] != COMPOSITE_MAGIC:
+    r = Reader(data)
+    if r.take(len(COMPOSITE_MAGIC), "composite magic") != COMPOSITE_MAGIC:
         raise ParseError("bad composite magic", 0)
-    count = int.from_bytes(data[4:6], "big")
-    pos = 6
-    crls = []
-    for _ in range(count):
-        if pos + 4 > len(data):
-            raise ParseError("truncated composite entry", pos)
-        length = int.from_bytes(data[pos : pos + 4], "big")
-        pos += 4
-        if pos + length > len(data):
-            raise ParseError("truncated composite CRL", pos)
-        crls.append(Crl.decode(data[pos : pos + length]))
-        pos += length
-    if pos != len(data):
-        raise ParseError("trailing bytes in composite file", pos)
+    crls = [
+        Crl.decode(r.take(r.u32("composite entry length"), "composite CRL"))
+        for _ in range(r.u16("composite CRL count"))
+    ]
+    r.done("composite file")
     return crls

@@ -8,12 +8,15 @@ implementation in the test suite. Any discrete-log group with ~256-bit
 order could be substituted behind these types.
 
 Normative encodings: Scalar = 32 bytes big-endian; GroupElement = 33 bytes
-SEC1 compressed, identity = 33 zero bytes.
+SEC1 compressed, identity = 33 zero bytes. Both point decoders raise
+``ParseError`` on a wrong length, a bad tag, x >= p or an off-curve point.
 """
 
 from __future__ import annotations
 
 from cryptography.hazmat.primitives.asymmetric import ec
+
+from ..errors import ParseError
 
 CURVE_P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
 CURVE_A = CURVE_P - 3
@@ -134,31 +137,27 @@ class GroupElement:
 
     @classmethod
     def decode(cls, data: bytes) -> "GroupElement":
-        if len(data) != POINT_BYTES:
-            raise ValueError(f"point must be {POINT_BYTES} bytes, got {len(data)}")
-        if data == b"\x00" * POINT_BYTES:
+        _check_point_frame(data)
+        if data == _IDENTITY_BYTES:
             return IDENTITY
         x, y = _decompress(bytes(data))
         return cls(x, y, _skip_check=True)
 
     @classmethod
     def decode_pure(cls, data: bytes) -> "GroupElement":
-        """Reference decoder (pure modular square root); cross-checks the
-        backend path in tests."""
-        if len(data) != POINT_BYTES:
-            raise ValueError(f"point must be {POINT_BYTES} bytes, got {len(data)}")
-        if data == b"\x00" * POINT_BYTES:
+        """Reference decoder (pure modular square root); the differential
+        oracle for the backend path in tests."""
+        _check_point_frame(data)
+        if data == _IDENTITY_BYTES:
             return IDENTITY
         tag = data[0]
-        if tag not in (2, 3):
-            raise ValueError(f"bad point compression tag {tag:#x}")
         x = int.from_bytes(data[1:], "big")
         if x >= CURVE_P:
-            raise ValueError("point x coordinate out of range")
+            raise ParseError("point x coordinate out of range", 1)
         rhs = (pow(x, 3, CURVE_P) + CURVE_A * x + CURVE_B) % CURVE_P
         y = pow(rhs, (CURVE_P + 1) // 4, CURVE_P)
         if y * y % CURVE_P != rhs:
-            raise ValueError("point is not on the curve")
+            raise ParseError("point is not on the curve", 1)
         if (y & 1) != (tag & 1):
             y = CURVE_P - y
         return cls(x, y, _skip_check=True)
@@ -179,6 +178,16 @@ class GroupElement:
         return f"GroupElement(x=0x{self.x:x})"
 
 
+_IDENTITY_BYTES = b"\x00" * POINT_BYTES
+
+
+def _check_point_frame(data: bytes) -> None:
+    if len(data) != POINT_BYTES:
+        raise ParseError(f"point must be {POINT_BYTES} bytes, got {len(data)}", 0)
+    if data[0] not in (2, 3) and data != _IDENTITY_BYTES:
+        raise ParseError(f"bad point compression tag {data[0]:#x}", 0)
+
+
 def _on_curve(x: int, y: int) -> bool:
     return (y * y - (pow(x, 3, CURVE_P) + CURVE_A * x + CURVE_B)) % CURVE_P == 0
 
@@ -188,14 +197,12 @@ from functools import lru_cache  # noqa: E402  (backend helper below the types)
 
 @lru_cache(maxsize=16384)
 def _decompress(data: bytes) -> tuple[int, int]:
-    if data[0] not in (2, 3):
-        raise ValueError(f"bad point compression tag {data[0]:#x}")
     try:
         nums = ec.EllipticCurvePublicKey.from_encoded_point(
             _CURVE, data
         ).public_numbers()
-    except ValueError as exc:
-        raise ValueError("point is not on the curve") from exc
+    except ValueError:
+        raise ParseError("point is not on the curve", 1) from None
     return nums.x, nums.y
 
 

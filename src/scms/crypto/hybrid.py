@@ -20,6 +20,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from ..encoding import Reader
 from ..errors import DecryptionError
 from .group import POINT_BYTES, GroupElement, Scalar
 
@@ -39,11 +40,10 @@ class HybridCiphertext:
 
     @classmethod
     def decode(cls, data: bytes) -> "HybridCiphertext":
-        if len(data) < POINT_BYTES + TAG_BYTES:
-            raise DecryptionError("ciphertext too short")
-        eph = GroupElement.decode(data[:POINT_BYTES])
-        tag = data[POINT_BYTES : POINT_BYTES + TAG_BYTES]
-        return cls(eph, data[POINT_BYTES + TAG_BYTES :], tag)
+        r = Reader(data)
+        eph = GroupElement.decode(r.take(POINT_BYTES, "ephemeral key"))
+        tag = r.take(TAG_BYTES, "authentication tag")
+        return cls(eph, r.rest(), tag)
 
 
 @lru_cache(maxsize=4096)

@@ -346,7 +346,7 @@ class Device:
             plain = hybrid_decrypt(
                 enc_priv, HybridCiphertext.decode(envelope["ct"])
             )
-        except DecryptionError:
+        except (DecryptionError, ParseError):
             self._quarantine(package_bytes, "response decryption failed")
             return
         content = decode(plain)
@@ -463,7 +463,7 @@ class Device:
             return False, "missing-certificate"
         try:
             cert = Certificate.decode(msg.cert_bytes)
-        except (ParseError, ValueError):
+        except ParseError:
             return False, "malformed-certificate"
         if not verify_message(msg, cert):
             return False, "bad-signature"

@@ -5,10 +5,12 @@ with string keys) such that equal values always produce identical bytes:
 integers use minimal-width two's complement and dict entries are sorted by
 their UTF-8 key bytes. Used for message payloads, bus envelopes and store
 snapshots. Certificate and CRL wire formats have their own fixed layouts
-in certmodel.
+in certmodel, read through ``Reader``.
 """
 
 from __future__ import annotations
+
+import struct
 
 from .errors import ParseError
 
@@ -72,7 +74,10 @@ def _encode_into(value, out: bytearray) -> None:
 
 
 def decode(data: bytes):
-    value, offset = _decode_at(data, 0)
+    try:
+        value, offset = _decode_at(data, 0)
+    except RecursionError:
+        raise ParseError("value nested too deeply", 0) from None
     if offset != len(data):
         raise ParseError("trailing bytes after value", offset)
     return value
@@ -83,6 +88,13 @@ def _need(data: bytes, offset: int, n: int) -> int:
     if end > len(data):
         raise ParseError("truncated input", offset)
     return end
+
+
+def _text(raw: bytes, offset: int) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise ParseError("invalid UTF-8 text", offset) from None
 
 
 def _decode_at(data: bytes, offset: int):
@@ -105,7 +117,7 @@ def _decode_at(data: bytes, offset: int):
         length = int.from_bytes(data[offset:end], "big")
         end2 = _need(data, end, length)
         raw = data[end:end2]
-        return (raw if tag == _BYTES else raw.decode()), end2
+        return (raw if tag == _BYTES else _text(raw, end)), end2
     if tag == _LIST:
         end = _need(data, offset, 4)
         count = int.from_bytes(data[offset:end], "big")
@@ -124,8 +136,46 @@ def _decode_at(data: bytes, offset: int):
             end = _need(data, offset, 4)
             klen = int.from_bytes(data[offset:end], "big")
             end2 = _need(data, end, klen)
-            key = data[end:end2].decode()
+            key = _text(data[end:end2], end)
             value, offset = _decode_at(data, end2)
             result[key] = value
         return result, offset
     raise ParseError(f"unknown type tag {tag:#x}", offset - 1)
+
+
+class Reader:
+    """Bounds-checked cursor over one input, and the one length check of
+    the fixed binary layouts: a read past the end raises ``ParseError`` at
+    the offset where that read began."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        start, end = self.pos, self.pos + n
+        if end > len(self.data):
+            raise ParseError(f"truncated {what}", start)
+        self.pos = end
+        return self.data[start:end]
+
+    def unpack(self, layout: struct.Struct, what: str) -> tuple:
+        return layout.unpack(self.take(layout.size, what))
+
+    def u16(self, what: str) -> int:
+        return int.from_bytes(self.take(2, what), "big")
+
+    def u32(self, what: str) -> int:
+        return int.from_bytes(self.take(4, what), "big")
+
+    def text(self, n: int, what: str) -> str:
+        return _text(self.take(n, what), self.pos - n)
+
+    def rest(self) -> bytes:
+        return self.take(len(self.data) - self.pos, "remainder")
+
+    def done(self, what: str) -> None:
+        if self.pos != len(self.data):
+            raise ParseError(f"trailing bytes after {what}", self.pos)

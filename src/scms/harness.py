@@ -43,7 +43,7 @@ from .certmodel import (
 from .crypto import DeterministicRandom, KeyPair
 from .device import Device, FixedIntervalRotation
 from .encoding import decode
-from .errors import ScmsError
+from .errors import ParseError, ScmsError
 from .linkage import LinkageSeed, pre_linkage_values, seed_at
 from .misbehavior import Crlg, Ma, ThresholdDetector
 from .persistence import StoreRegistry
@@ -518,7 +518,7 @@ def _parses_as_cert_type(leaf: bytes, ctypes: set[CertType]) -> bool:
         return False
     try:
         cert = Certificate.decode(leaf)
-    except Exception:
+    except ParseError:
         return False
     return cert.ctype in ctypes
 

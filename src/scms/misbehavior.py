@@ -187,22 +187,26 @@ class Ma(Component):
                 self.enc_keypair.private, HybridCiphertext.decode(blob)
             )
             report = decode(plain)
-            if report.get("kind") == "install-failure":
+            if isinstance(report, dict) and report.get("kind") == "install-failure":
                 self.store.put("install_failure", {
                     "evidence": report["evidence"],
                     "reason": report["reason"],
                     "period": self.clock.period,
                 })
                 return
+            evidence = report["evidence"]
             reported = Certificate.decode(report["reported_cert"])
             reporter_msg = SignedMessage.decode(report["reporter"])
-        except (DecryptionError, ParseError, ValueError, KeyError, TypeError):
+            reporter_cert = (
+                None if reporter_msg.cert_bytes is None
+                else Certificate.decode(reporter_msg.cert_bytes)
+            )
+        except (DecryptionError, ParseError, KeyError, TypeError):
             self.store.put("bad_report", {"reason": "undecryptable or malformed"})
             return
-        if reporter_msg.cert_bytes is None:
+        if reporter_cert is None:
             self.store.put("bad_report", {"reason": "no reporter certificate"})
             return
-        reporter_cert = Certificate.decode(reporter_msg.cert_bytes)
         if not verify_message(reporter_msg, reporter_cert):
             self.store.put("bad_report", {"reason": "bad reporter signature"})
             return
@@ -212,7 +216,7 @@ class Ma(Component):
             "reported_cert_id": reported.cert_id(),
             "ctype": int(reported.ctype),
             "reporter_cert_id": reporter_cert.cert_id(),
-            "evidence": report["evidence"],
+            "evidence": evidence,
             "period": self.clock.period,
         })
 

@@ -12,11 +12,15 @@ bit-exactly.
 
 from __future__ import annotations
 
-from .encoding import decode, encode
+import struct
+
+from .encoding import Reader, decode, encode
 from .errors import ParseError, ScmsError, StoreAccessError
 
 _SNAPSHOT_MAGIC = b"SNAP"
 _SNAPSHOT_VERSION = 1
+# magic | version, then the canonical encoding of {owner: {kind: [record]}}
+_SNAPSHOT_HEADER = struct.Struct(">4sB")
 
 
 class Namespace:
@@ -126,7 +130,7 @@ class StoreRegistry:
         body = encode(
             {owner: ns.to_value() for owner, ns in sorted(self._namespaces.items())}
         )
-        return _SNAPSHOT_MAGIC + bytes([_SNAPSHOT_VERSION]) + body
+        return _SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION) + body
 
     def snapshot(self, path) -> None:
         with open(path, "wb") as fh:
@@ -135,11 +139,16 @@ class StoreRegistry:
     def restore(self, path) -> None:
         with open(path, "rb") as fh:
             data = fh.read()
-        if data[:4] != _SNAPSHOT_MAGIC:
+        r = Reader(data)
+        magic, version = r.unpack(_SNAPSHOT_HEADER, "snapshot header")
+        if magic != _SNAPSHOT_MAGIC:
             raise ParseError("bad snapshot magic", 0)
-        if data[4] != _SNAPSHOT_VERSION:
-            raise ParseError(f"unsupported snapshot version {data[4]}", 4)
-        value = decode(data[5:])
+        if version != _SNAPSHOT_VERSION:
+            raise ParseError(f"unsupported snapshot version {version}", 4)
+        value = decode(r.rest())
+        if not _is_snapshot_body(value):
+            raise ParseError("snapshot body is not owner -> kind -> records",
+                             _SNAPSHOT_HEADER.size)
         # load into the live namespaces, which components hold references to
         if self._namespaces and set(value) != set(self._namespaces):
             raise ScmsError(
@@ -149,3 +158,12 @@ class StoreRegistry:
         for owner, records in value.items():
             ns = self._namespaces.get(owner) or self.create(owner)
             ns.load_value(records)
+
+
+def _is_snapshot_body(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(kinds, dict) and all(
+            isinstance(recs, list) and all(isinstance(r, dict) for r in recs)
+            for recs in kinds.values()
+        ) for kinds in value.values()
+    )

@@ -104,20 +104,31 @@ class Ballot:
     @classmethod
     def decode(cls, data: bytes) -> "Ballot":
         value = decode(data)
-        actions = []
-        for item in value:
-            if item["kind"] not in _ACTIONS:
-                raise ParseError(f"unknown ballot action {item['kind']!r}")
-            actions.append(
-                Action(
-                    kind=item["kind"],
-                    object_cert=item["object"],
-                    votes=[
-                        Vote(v["elector"], v["sig"]) for v in item["votes"]
-                    ],
-                )
-            )
-        return cls(actions)
+        if not isinstance(value, list):
+            raise ParseError("ballot is not a list of actions", 0)
+        return cls([_decode_action(item) for item in value])
+
+
+def _decode_action(item) -> Action:
+    """One ballot action; ParseError unless the value has the shape that
+    ``Ballot.encode`` gives it."""
+    if not (
+        isinstance(item, dict)
+        and isinstance(item.get("kind"), str)
+        and isinstance(item.get("object"), bytes)
+        and isinstance(item.get("votes"), list)
+        and all(
+            isinstance(v, dict)
+            and isinstance(v.get("elector"), bytes)
+            and isinstance(v.get("sig"), bytes)
+            for v in item["votes"]
+        )
+    ):
+        raise ParseError("malformed ballot action", 0)
+    if item["kind"] not in _ACTIONS:
+        raise ParseError(f"unknown ballot action {item['kind']!r}", 0)
+    votes = [Vote(v["elector"], v["sig"]) for v in item["votes"]]
+    return Action(item["kind"], item["object"], votes)
 
 
 def cast_vote(elector_key: KeyPair, elector_cert: Certificate, action: Action) -> Vote:

@@ -13,6 +13,7 @@ from scms.authorities import (
     device_handle,
 )
 from scms.authorities.base import ma_query
+from scms.butterfly import CaterpillarRequest
 from scms.bus import Envelope
 from scms.certmodel import Certificate, CertType, sign_message, verify_chain
 from scms.crypto import (
@@ -159,6 +160,33 @@ def test_garbage_request_denied_not_crash():
     assert "malformed" in device.last_deny_reason
 
 
+def test_off_curve_caterpillar_denied_before_any_state():
+    world = make_world()
+    device = world.devices[0]
+    request = {
+        "A": b"\x02" + b"\x11" * 32,  # not on the curve
+        "H": mul_g(DeterministicRandom(9).scalar()).encode(),
+        "k_sign": b"\x00" * 16, "k_enc": b"\x00" * 16,
+        "start": 0, "n_periods": 1, "j_max": 2, "psid": 32,
+    }
+    msg = sign_message(
+        device.enrollment_key.private,
+        Certificate.decode(device.enrollment_cert_bytes), encode(request),
+    )
+    device._via_lop("ra", "provision.request", {
+        "blob": device._encrypt_to_ra({"req": msg.encode()}),
+        "reply_ref": b"\x07",
+    })
+    world.bus.run()
+    assert device.provision_status == "denied"
+    assert "caterpillar" in device.last_deny_reason
+    ra = world.registry.audit_view("ra")
+    assert ra.count("enrollment") == 0 and ra.count("span") == 0
+    assert not world.ra._pending
+    for la in ("la1", "la2"):
+        assert world.registry.audit_view(la).count("chain") == 0
+
+
 # --- expansion + shuffle ---
 
 def test_emitted_requests_carry_no_enrollment_certificate():
@@ -218,8 +246,10 @@ def test_misaligned_la_grids_raise_invariant_violation():
     la1, la2 = world.ra.la_hosts
     state = {
         "handle": "00" * 8,
-        "request": {"A": mul_g(rng.scalar()).encode(), "k_sign": b"\x00" * 16,
-                    "H": mul_g(rng.scalar()).encode(), "k_enc": b"\x00" * 16},
+        "request": {},
+        "caterpillar": CaterpillarRequest(
+            mul_g(rng.scalar()), b"\x00" * 16, mul_g(rng.scalar()), b"\x00" * 16,
+        ),
         "plvs": {la1: {"plvs": [[0, 0, b"ct1"]]},
                  la2: {"plvs": [[0, 1, b"ct2"]]}},
     }

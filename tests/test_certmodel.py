@@ -192,6 +192,26 @@ def test_certificate_parse_errors():
         Certificate.decode(b"")
 
 
+def test_nonconforming_certificate_is_a_parse_error(pki):
+    # well framed, but an enrollment certificate may not carry a linkage
+    # value: the feature-flag rule surfaces as ParseError, not ValueError
+    lv = _lv_for(DeterministicRandom(62))
+    raw = bytearray(_pseudonym(pki, KeyPair.generate(pki.rng), lv).encode())
+    raw[3] = CertType.OBE_ENROLLMENT
+    with pytest.raises(ParseError):
+        Certificate.decode(bytes(raw))
+
+
+def test_invalid_utf8_subject_info_is_a_parse_error(pki):
+    raw = bytearray(pki.pca_cert.encode())
+    assert raw[5] & 4  # carries subject info
+    info_at = 69 + 2 + (33 if raw[5] & 1 else 0)
+    raw[info_at] = 0xFF
+    with pytest.raises(ParseError) as err:
+        Certificate.decode(bytes(raw))
+    assert err.value.offset == info_at
+
+
 def test_truncated_certificate_rejected(pki):
     lv = _lv_for(DeterministicRandom(61))
     cert = _pseudonym(pki, KeyPair.generate(pki.rng), lv)

@@ -30,7 +30,8 @@ from scms.crypto import (
     verify,
     verify_pure,
 )
-from scms.errors import DecryptionError
+from scms.crypto.group import CURVE_P
+from scms.errors import DecryptionError, ParseError
 
 
 # --- group ---
@@ -65,12 +66,47 @@ def test_point_encode_roundtrip():
 
 def test_point_decode_rejects_off_curve():
     bad = b"\x02" + b"\x11" * 32
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         GroupElement.decode(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         GroupElement.decode(b"\x05" + b"\x00" * 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         GroupElement.decode(b"\x02" + b"\x00" * 10)
+
+
+def test_point_decode_matches_pure_oracle():
+    # differential check: OpenSSL decompression vs pure modular sqrt
+    rng = DeterministicRandom(7)
+    for _ in range(50):
+        raw = mul_g(rng.scalar()).encode()
+        assert GroupElement.decode(raw) == GroupElement.decode_pure(raw)
+    assert GroupElement.decode_pure(IDENTITY.encode()).is_identity
+    malformed = [
+        b"\x04" + G.encode()[1:],                       # bad tag
+        b"\x00" + G.encode()[1:],                       # tag of the identity
+        b"\x02" + CURVE_P.to_bytes(32, "big"),          # x = p
+        b"\x03" + (2**256 - 1).to_bytes(32, "big"),     # x > p
+        b"\x02" + b"\x11" * 32,                         # off the curve
+        G.encode()[:-1],                                # short
+        G.encode() + b"\x00",                           # long
+        b"",
+    ]
+    for raw in malformed:
+        with pytest.raises(ParseError):
+            GroupElement.decode(raw)
+        with pytest.raises(ParseError):
+            GroupElement.decode_pure(raw)
+    # on random x, both accept exactly the points on the curve
+    rnd = random.Random(8)
+    for _ in range(200):
+        raw = bytes([rnd.choice((2, 3))]) + rnd.randbytes(32)
+        try:
+            expected = GroupElement.decode_pure(raw)
+        except ParseError:
+            with pytest.raises(ParseError):
+                GroupElement.decode(raw)
+        else:
+            assert GroupElement.decode(raw) == expected
 
 
 def test_mul_g_matches_pure_scalar_mult():
@@ -254,6 +290,12 @@ def test_hybrid_bit_flip_fails():
     bad = HybridCiphertext(ct.ephemeral, bytes(flipped), ct.tag)
     with pytest.raises(DecryptionError):
         hybrid_decrypt(kp.private, bad)
+
+
+def test_hybrid_decode_short_input_is_a_parse_error():
+    for n in (0, 32, 48):
+        with pytest.raises(ParseError):
+            HybridCiphertext.decode(b"\x02" * n)
 
 
 def test_hybrid_encoding_roundtrip():

@@ -90,3 +90,19 @@ def test_non_string_dict_keys_rejected():
 def test_unsupported_type_rejected():
     with pytest.raises(TypeError):
         encode(1.5)
+
+
+def test_invalid_utf8_is_a_parse_error():
+    raw = encode("text")
+    with pytest.raises(ParseError) as err:
+        decode(raw[:-1] + b"\xff")
+    assert err.value.offset == 5
+    raw = encode({"key": 1})
+    with pytest.raises(ParseError):
+        decode(raw.replace(b"key", b"k\xffy"))
+
+
+def test_deep_nesting_is_a_parse_error():
+    data = b"\x06\x00\x00\x00\x01" * 100_000 + b"\x00"
+    with pytest.raises(ParseError):
+        decode(data)

@@ -7,6 +7,7 @@ from scms.bus import Envelope
 from scms.certmodel import (
     CertType,
     Certificate,
+    SignedMessage,
     check_crl_signature,
     crl_check,
     CrlSet,
@@ -107,6 +108,30 @@ def test_malformed_reports_quarantined_not_crash():
     bad = world.registry.audit_view("ma").scan("bad_report")
     assert len(bad) == 2
     assert world.ma.revocations_completed == 0
+
+
+def test_malformed_reporter_certificate_recorded_not_crash():
+    from scms.crypto import hybrid_encrypt
+
+    world = make_world()
+    reporter = SignedMessage(
+        payload=b"evidence", cert_id=b"\x00" * 8, signature=b"\x00" * 64,
+        cert_bytes=b"SC\x01",  # truncated certificate
+    )
+    good = {
+        "kind": "bsm", "reported_cert": world.ma_cert.encode(),
+        "evidence": b"\x01" * 32, "reporter": reporter.encode(),
+    }
+    no_evidence = {k: v for k, v in good.items() if k != "evidence"}
+    reports = [
+        hybrid_encrypt(world.ma_enc.public, encode(value), world.rng).encode()
+        for value in (good, no_evidence, ["not", "a", "report"])
+    ]
+    world.bus.send(Envelope("ra", "ma", "mb.batch", {"reports": reports}))
+    world.bus.run()
+    bad = world.registry.audit_view("ma").scan("bad_report")
+    assert bad == [{"reason": "undecryptable or malformed"}] * 3
+    assert world.registry.audit_view("ma").count("report") == 0
 
 
 def test_report_batch_order_decorrelated_from_filing_order():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from scms.errors import ScmsError, StoreAccessError
+from scms.encoding import encode
+from scms.errors import ParseError, ScmsError, StoreAccessError
 from scms.persistence import StoreRegistry
 
 
@@ -92,3 +93,24 @@ def test_duplicate_namespace_rejected():
     reg.create("ma")
     with pytest.raises(ValueError):
         reg.create("ma")
+
+
+@pytest.mark.parametrize("data", [
+    b"SNAP",
+    b"SNAP\x01" + encode(["ra"]),
+    b"SNAP\x01" + encode({"ra": 5}),
+    b"SNAP\x01" + encode({"ra": {"k": [5]}}),
+], ids=["header-cut", "body-list", "namespace-int", "record-int"])
+@pytest.mark.parametrize("populated", [False, True])
+def test_malformed_snapshot_rejected_before_any_change(tmp_path, data, populated):
+    reg = StoreRegistry()
+    if populated:
+        reg.create("ra").put("enrollment", {"handle": b"\xaa"})
+    before = reg.snapshot_bytes()
+    path = tmp_path / "bad.snap"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        reg.restore(path)
+    assert err.value.offset <= len(data)
+    assert reg.owners() == (["ra"] if populated else [])
+    assert reg.snapshot_bytes() == before

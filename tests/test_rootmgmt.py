@@ -1,8 +1,12 @@
 """Elector, ballot, quorum and policy-file tests, covering every row of
 the root-management impact table."""
 
+import pytest
+
 from scms.certmodel import ALG_DEFAULT, ALG_DOMAIN_SEP, ChainResult, verify_chain
 from scms.crypto import DeterministicRandom, KeyPair
+from scms.encoding import encode
+from scms.errors import ParseError
 from scms.rootmgmt import (
     ENDORSE_ELECTOR,
     ENDORSE_ROOT,
@@ -211,3 +215,19 @@ def test_gccf_carries_chains(pki):
     accepted = check_policy_artifact(artifact.encode(), pg.cert, last_version=0)
     assert accepted is not None
     assert accepted.body["chains"] == chains
+
+
+@pytest.mark.parametrize("value", [
+    {"kind": ENDORSE_ROOT},                                  # not a list
+    [5],                                                     # action not a dict
+    [{"kind": ENDORSE_ROOT, "object": b"c"}],                # no votes
+    [{"kind": 7, "object": b"c", "votes": []}],              # kind not a str
+    [{"kind": ENDORSE_ROOT, "object": "c", "votes": []}],    # object not bytes
+    [{"kind": ENDORSE_ROOT, "object": b"c", "votes": [b"v"]}],
+    [{"kind": ENDORSE_ROOT, "object": b"c",
+      "votes": [{"elector": b"e"}]}],                        # vote without sig
+    [{"kind": "grant-all", "object": b"c", "votes": []}],    # unknown action
+])
+def test_ballot_decode_rejects_wrong_shape_with_parse_error(value):
+    with pytest.raises(ParseError):
+        Ballot.decode(encode(value))
