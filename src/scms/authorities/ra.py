@@ -138,14 +138,11 @@ class Ra(Component):
         if opened is None:
             return
         msg, cert, handle = opened
-        request = decode(msg.payload)
-        start, n_periods = request["start"], request["n_periods"]
-        end = start + n_periods - 1
-        for span in self.store.where("span", handle=handle):
-            if span["start"] <= end and start <= span["end"]:
-                self._deny(env, "duplicate request for covered time span")
-                return
         try:
+            request = decode(msg.payload)
+            start, n_periods, j_max = (request[k] for k in ("start", "n_periods", "j_max"))
+            if not all(type(v) is int for v in (start, n_periods, j_max)):
+                raise TypeError("request window must be integers")
             caterpillar = CaterpillarRequest(
                 signing_seed=GroupElement.decode(request["A"]),
                 signing_key=request["k_sign"],
@@ -153,8 +150,13 @@ class Ra(Component):
                 encryption_key=request["k_enc"],
             )
         except (ParseError, ValueError, KeyError, TypeError):
-            self._deny(env, "malformed caterpillar keys")
+            self._deny(env, "malformed caterpillar request")
             return
+        end = start + n_periods - 1
+        for span in self.store.where("span", handle=handle):
+            if span["start"] <= end and start <= span["end"]:
+                self._deny(env, "duplicate request for covered time span")
+                return
         record = self._enrollment_record(handle)
         if record is None:
             record = self.store.put("enrollment", {
@@ -167,8 +169,7 @@ class Ra(Component):
                 "lci2": [],
             })
         self.store.put("span", {
-            "handle": handle, "start": start, "end": end,
-            "j_max": request["j_max"],
+            "handle": handle, "start": start, "end": end, "j_max": j_max,
         })
 
         ref = self.rng.randbytes(8).hex()
@@ -180,8 +181,7 @@ class Ra(Component):
             "new_chain": not record["lci1"],
         }
         chain_msg = {
-            "ref": ref, "start": start, "n_periods": n_periods,
-            "j_max": request["j_max"],
+            "ref": ref, "start": start, "n_periods": n_periods, "j_max": j_max,
         }
         for host in self.la_hosts:
             if record["lci1"]:

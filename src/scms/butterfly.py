@@ -56,7 +56,8 @@ class CaterpillarRequest:
     def __post_init__(self):
         if self.signing_seed.is_identity or self.encryption_seed.is_identity:
             raise ValueError("caterpillar seeds must not be the identity")
-        if len(self.signing_key) != 16 or len(self.encryption_key) != 16:
+        if any(type(k) is not bytes or len(k) != 16
+               for k in (self.signing_key, self.encryption_key)):
             raise ValueError("expansion keys must be 16 bytes")
 
 

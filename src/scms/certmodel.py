@@ -13,8 +13,9 @@ under another, even for the same key.
 Wire formats are canonical binary layouts. Each fixed part is one
 ``struct.Struct`` below, which both the encoder packs and the decoder
 unpacks; variable parts are read through ``encoding.Reader``, which does
-every length check. Every decoder raises only ``ParseError``, with an
-offset inside its input. CertId is the 8-byte truncated hash of the full
+every length check. Every decoder raises only ``ParseError``, at the
+offset in its own input where the failed read began (``encoding.within``
+shifts a nested part's error). CertId is the 8-byte truncated hash of the full
 encoding. CRLs carry linkage-seed entries grouped by LA-id pair plus flat
 CertId entries, are signed by the CRL generator, and are distributed per
 (CRACA, series) so a receiver checks exactly one sequence per certificate.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 from .crypto import POINT_BYTES, GroupElement, Scalar, sign, verify
-from .encoding import Reader
+from .encoding import Reader, within
 from .errors import ParseError
 from .linkage import LV_BYTES, RevocationEntry, expand_revocation_entry
 
@@ -199,10 +200,11 @@ class Certificate:
             ctype = CertType(ctype)
         except ValueError:
             raise ParseError(f"unknown certificate type {ctype}", 3) from None
-        subject_key = GroupElement.decode(subject_key)
+        subject_key = within(GroupElement.decode, subject_key, 6)  # after flags
         enc_key = linkage_value = subject_info = None
         if flags & 1:
-            enc_key = GroupElement.decode(r.take(POINT_BYTES, "encryption key"))
+            enc_key = within(GroupElement.decode, r.take(POINT_BYTES, "encryption key"),
+                             _CERT_HEADER.size)
         if flags & 2:
             linkage_value = r.take(LV_BYTES, "linkage value")
         if flags & 4:
@@ -621,9 +623,9 @@ def decode_composite(data: bytes) -> list[Crl]:
     r = Reader(data)
     if r.take(len(COMPOSITE_MAGIC), "composite magic") != COMPOSITE_MAGIC:
         raise ParseError("bad composite magic", 0)
-    crls = [
-        Crl.decode(r.take(r.u32("composite entry length"), "composite CRL"))
-        for _ in range(r.u16("composite CRL count"))
-    ]
+    crls = []
+    for _ in range(r.u16("composite CRL count")):
+        raw = r.take(r.u32("composite entry length"), "composite CRL")
+        crls.append(within(Crl.decode, raw, r.pos - len(raw)))
     r.done("composite file")
     return crls

@@ -137,7 +137,6 @@ class GroupElement:
 
     @classmethod
     def decode(cls, data: bytes) -> "GroupElement":
-        _check_point_frame(data)
         if data == _IDENTITY_BYTES:
             return IDENTITY
         x, y = _decompress(bytes(data))
@@ -197,6 +196,7 @@ from functools import lru_cache  # noqa: E402  (backend helper below the types)
 
 @lru_cache(maxsize=16384)
 def _decompress(data: bytes) -> tuple[int, int]:
+    _check_point_frame(data)  # runs on a cache miss only; a hit passed it
     try:
         nums = ec.EllipticCurvePublicKey.from_encoded_point(
             _CURVE, data

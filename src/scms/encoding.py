@@ -90,13 +90,6 @@ def _need(data: bytes, offset: int, n: int) -> int:
     return end
 
 
-def _text(raw: bytes, offset: int) -> str:
-    try:
-        return raw.decode()
-    except UnicodeDecodeError:
-        raise ParseError("invalid UTF-8 text", offset) from None
-
-
 def _decode_at(data: bytes, offset: int):
     _need(data, offset, 1)
     tag = data[offset]
@@ -116,8 +109,12 @@ def _decode_at(data: bytes, offset: int):
         end = _need(data, offset, 4)
         length = int.from_bytes(data[offset:end], "big")
         end2 = _need(data, end, length)
-        raw = data[end:end2]
-        return (raw if tag == _BYTES else _text(raw, end)), end2
+        if tag == _BYTES:
+            return data[end:end2], end2
+        try:
+            return data[end:end2].decode(), end2
+        except UnicodeDecodeError:
+            raise ParseError("invalid UTF-8 text", end) from None
     if tag == _LIST:
         end = _need(data, offset, 4)
         count = int.from_bytes(data[offset:end], "big")
@@ -136,7 +133,10 @@ def _decode_at(data: bytes, offset: int):
             end = _need(data, offset, 4)
             klen = int.from_bytes(data[offset:end], "big")
             end2 = _need(data, end, klen)
-            key = _text(data[end:end2], end)
+            try:
+                key = data[end:end2].decode()
+            except UnicodeDecodeError:
+                raise ParseError("invalid UTF-8 key", end) from None
             value, offset = _decode_at(data, end2)
             result[key] = value
         return result, offset
@@ -171,7 +171,11 @@ class Reader:
         return int.from_bytes(self.take(4, what), "big")
 
     def text(self, n: int, what: str) -> str:
-        return _text(self.take(n, what), self.pos - n)
+        start = self.pos
+        try:
+            return self.take(n, what).decode()
+        except UnicodeDecodeError:
+            raise ParseError(f"invalid UTF-8 in {what}", start) from None
 
     def rest(self) -> bytes:
         return self.take(len(self.data) - self.pos, "remainder")
@@ -179,3 +183,12 @@ class Reader:
     def done(self, what: str) -> None:
         if self.pos != len(self.data):
             raise ParseError(f"trailing bytes after {what}", self.pos)
+
+
+def within(decoder, raw: bytes, start: int):
+    """``decoder(raw)`` for bytes found at ``start`` of a larger input; a
+    ParseError is re-raised at its offset in that input."""
+    try:
+        return decoder(raw)
+    except ParseError as exc:
+        raise ParseError(exc.reason, start + exc.offset) from None

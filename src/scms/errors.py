@@ -10,7 +10,7 @@ class ParseError(ScmsError):
 
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
+        self.reason, self.offset = message, offset
 
 
 class DecryptionError(ScmsError):

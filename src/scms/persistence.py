@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 
-from .encoding import Reader, decode, encode
+from .encoding import Reader, decode, encode, within
 from .errors import ParseError, ScmsError, StoreAccessError
 
 _SNAPSHOT_MAGIC = b"SNAP"
@@ -145,7 +145,7 @@ class StoreRegistry:
             raise ParseError("bad snapshot magic", 0)
         if version != _SNAPSHOT_VERSION:
             raise ParseError(f"unsupported snapshot version {version}", 4)
-        value = decode(r.rest())
+        value = within(decode, r.rest(), _SNAPSHOT_HEADER.size)
         if not _is_snapshot_body(value):
             raise ParseError("snapshot body is not owner -> kind -> records",
                              _SNAPSHOT_HEADER.size)

@@ -110,25 +110,17 @@ class Ballot:
 
 
 def _decode_action(item) -> Action:
-    """One ballot action; ParseError unless the value has the shape that
-    ``Ballot.encode`` gives it."""
-    if not (
-        isinstance(item, dict)
-        and isinstance(item.get("kind"), str)
-        and isinstance(item.get("object"), bytes)
-        and isinstance(item.get("votes"), list)
-        and all(
-            isinstance(v, dict)
-            and isinstance(v.get("elector"), bytes)
-            and isinstance(v.get("sig"), bytes)
-            for v in item["votes"]
-        )
-    ):
-        raise ParseError("malformed ballot action", 0)
-    if item["kind"] not in _ACTIONS:
-        raise ParseError(f"unknown ballot action {item['kind']!r}", 0)
-    votes = [Vote(v["elector"], v["sig"]) for v in item["votes"]]
-    return Action(item["kind"], item["object"], votes)
+    """One ballot action; ParseError unless it has a known kind, a bytes
+    object and votes whose elector and signature are bytes."""
+    try:
+        votes = [Vote(v["elector"], v["sig"]) for v in item["votes"]]
+        action = Action(item["kind"], item["object"], votes)
+        raw = [action.object_cert] + [x for v in votes for x in (v.elector_id, v.signature)]
+        if action.kind in _ACTIONS and all(isinstance(x, bytes) for x in raw):
+            return action
+    except (TypeError, KeyError):
+        pass
+    raise ParseError("malformed ballot action", 0)
 
 
 def cast_vote(elector_key: KeyPair, elector_cert: Certificate, action: Action) -> Vote:

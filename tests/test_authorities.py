@@ -160,18 +160,33 @@ def test_garbage_request_denied_not_crash():
     assert "malformed" in device.last_deny_reason
 
 
-def test_off_curve_caterpillar_denied_before_any_state():
-    world = make_world()
-    device = world.devices[0]
+def _provision_request(**changes) -> dict:
     request = {
-        "A": b"\x02" + b"\x11" * 32,  # not on the curve
+        "A": mul_g(DeterministicRandom(8).scalar()).encode(),
         "H": mul_g(DeterministicRandom(9).scalar()).encode(),
         "k_sign": b"\x00" * 16, "k_enc": b"\x00" * 16,
         "start": 0, "n_periods": 1, "j_max": 2, "psid": 32,
     }
+    request.update(changes)
+    return {k: v for k, v in request.items() if v is not None}
+
+
+@pytest.mark.parametrize("payload", [
+    encode(_provision_request(A=b"\x02" + b"\x11" * 32)),
+    encode(_provision_request(start=None)),
+    encode(_provision_request(start="0")),
+    encode(_provision_request(j_max=b"\x02")),
+    encode(_provision_request(k_sign="0" * 16)),
+    encode([_provision_request()]),
+    b"\xff",
+], ids=["A-off-curve", "no-start", "start-str", "j_max-bytes", "k_sign-str",
+        "not-a-dict", "not-canonical"])
+def test_malformed_provision_request_denied_before_any_state(payload):
+    world = make_world()
+    device = world.devices[0]
     msg = sign_message(
         device.enrollment_key.private,
-        Certificate.decode(device.enrollment_cert_bytes), encode(request),
+        Certificate.decode(device.enrollment_cert_bytes), payload,
     )
     device._via_lop("ra", "provision.request", {
         "blob": device._encrypt_to_ra({"req": msg.encode()}),
@@ -179,12 +194,28 @@ def test_off_curve_caterpillar_denied_before_any_state():
     })
     world.bus.run()
     assert device.provision_status == "denied"
-    assert "caterpillar" in device.last_deny_reason
+    assert device.last_deny_reason == "malformed caterpillar request"
     ra = world.registry.audit_view("ra")
     assert ra.count("enrollment") == 0 and ra.count("span") == 0
     assert not world.ra._pending
     for la in ("la1", "la2"):
         assert world.registry.audit_view(la).count("chain") == 0
+
+
+def test_well_formed_provision_request_is_accepted():
+    world = make_world()
+    device = world.devices[0]
+    msg = sign_message(
+        device.enrollment_key.private,
+        Certificate.decode(device.enrollment_cert_bytes),
+        encode(_provision_request()),
+    )
+    device._via_lop("ra", "provision.request", {
+        "blob": device._encrypt_to_ra({"req": msg.encode()}),
+        "reply_ref": b"\x07",
+    })
+    world.bus.run()
+    assert world.registry.audit_view("ra").count("span") == 1
 
 
 # --- expansion + shuffle ---

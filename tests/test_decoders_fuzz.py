@@ -164,3 +164,23 @@ def test_samples_decode(restore):
 def test_mutated_input_raises_only_scms_error(name, restore, data):
     raw = data.draw(mutated(SAMPLES[name]), label="input")
     _decode_or_scms_error(_decoders(restore)[name], raw)
+
+
+def test_nested_parse_error_offset_is_in_the_outer_input(restore):
+    off_curve = b"\x02" + b"\x11" * 32
+    cert = SAMPLES["Certificate.decode"][1]  # a component type may encrypt
+    bad_subject_key = cert[:6] + off_curve + cert[39:]
+    bad_enc_key = cert[:5] + bytes([cert[5] | 1]) + cert[6:69] + off_curve + cert[69:]
+    for bad, key_at in ((bad_subject_key, 6), (bad_enc_key, 69)):
+        with pytest.raises(ParseError) as err:
+            Certificate.decode(bad)
+        assert err.value.offset == key_at + 1
+    composite = SAMPLES["decode_composite"][0]
+    second = 4 + 2 + 4 + len(SAMPLES["Crl.decode"][0]) + 4
+    assert composite[second:second + 2] == b"CR"
+    with pytest.raises(ParseError) as err:
+        decode_composite(composite[:second] + b"XX" + composite[second + 2:])
+    assert err.value.offset == second
+    with pytest.raises(ParseError) as err:
+        restore(b"SNAP\x01\x09")
+    assert err.value.offset == 5
