@@ -2,10 +2,16 @@
 
 Each component is a single-threaded state machine with a private store
 namespace, its own deterministic random stream and a signing identity.
-Envelopes dispatch to ``on_<message_type>`` methods (dots become
-underscores). ``ma_query`` is the one server side of the misbehavior
-authority's signed-query protocol: signature check, quota, audit log and
-reply, for every PCA, RA and LA query handler.
+``Component.handle`` is the one message dispatcher: an envelope goes to
+the ``on_<message_type>`` method (dots become underscores), and an unknown
+type is refused with ``ScmsError``, which the bus turns into a dead letter.
+Devices bind the same function; the proxy routes by its own rule. Each
+handler reads its payload through ``encoding.fields`` before it writes or
+sends anything, so a malformed envelope is refused whole.
+
+``ma_query`` is the one server side of the misbehavior authority's
+signed-query protocol: signature check, quota, audit log and reply, for
+every PCA, RA and LA query handler.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import hashlib
 from ..bus import Envelope, MessageBus
 from ..certmodel import Certificate, SignedMessage, verify_message
 from ..crypto import DeterministicRandom, KeyPair
-from ..encoding import decode
-from ..errors import InvariantViolation
+from ..encoding import decode, fields
+from ..errors import ScmsError
 from ..persistence import StoreRegistry
 
 
@@ -61,7 +67,7 @@ class Component:
     def handle(self, env: Envelope) -> None:
         handler = getattr(self, "on_" + env.mtype.replace(".", "_"), None)
         if handler is None:
-            raise InvariantViolation(
+            raise ScmsError(
                 f"component {self.id} cannot handle message type {env.mtype!r}"
             )
         handler(env)
@@ -87,7 +93,8 @@ def ma_query(answer):
 
     @functools.wraps(answer)
     def serve(self, env) -> None:
-        msg = SignedMessage.decode(env.payload["q"])
+        (q,) = fields(env.payload, q=bytes)
+        msg = SignedMessage.decode(q)
         digest = hashlib.sha256(msg.payload).hexdigest()
         period = self.clock.period
         if self.ma_cert is None or not verify_message(msg, self.ma_cert):

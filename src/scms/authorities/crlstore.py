@@ -10,6 +10,7 @@ chain files into the same public store.
 from __future__ import annotations
 
 from ..certmodel import Crl, CrlSet, encode_composite
+from ..encoding import fields
 from ..rootmgmt import PolicyGenerator
 from .base import Component
 
@@ -21,26 +22,30 @@ class CrlStore(Component):
         self._policy: dict[str, bytes] = {}
 
     def on_crl_publish(self, env) -> None:
-        crl = Crl.decode(env.payload["crl"])
+        (raw,) = fields(env.payload, crl=bytes)
+        crl = Crl.decode(raw)
         if self.crls.add(crl):
             self.store.put("crl", {
                 "series": crl.series, "craca": crl.craca_id,
-                "sequence": crl.sequence, "size": len(env.payload["crl"]),
+                "sequence": crl.sequence, "size": len(raw),
             })
 
     def composite(self) -> bytes:
         return encode_composite(self.crls.all_crls())
 
     def on_crl_fetch(self, env) -> None:
+        fields(env.payload)
         self.send(env.src, "crl.composite", {
             "data": self.composite(),
             "reply_ref": env.payload.get("reply_ref"),
         })
 
     def on_policy_publish(self, env) -> None:
-        self._policy[env.payload["name"]] = env.payload["data"]
+        name, data = fields(env.payload, name=str, data=bytes)
+        self._policy[name] = data
 
     def on_policy_fetch(self, env) -> None:
+        fields(env.payload)
         self.send(env.src, "policy.files", {
             "files": dict(self._policy),
             "reply_ref": env.payload.get("reply_ref"),
@@ -53,16 +58,16 @@ class Pg(Component):
     def init_generator(self) -> None:
         self.generator = PolicyGenerator(self.keypair, self.cert)
 
-    def publish_gpf(self, params: dict, store_host: str = "crlstore"):
+    def publish_gpf(self, params: dict):
         artifact = self.generator.publish_gpf(params)
-        self.send(store_host, "policy.publish", {
+        self.send("crlstore", "policy.publish", {
             "name": "gpf", "data": artifact.encode(),
         })
         return artifact
 
-    def publish_gccf(self, chains: list[list[bytes]], store_host: str = "crlstore"):
+    def publish_gccf(self, chains: list[list[bytes]]):
         artifact = self.generator.publish_gccf(chains)
-        self.send(store_host, "policy.publish", {
+        self.send("crlstore", "policy.publish", {
             "name": "gccf", "data": artifact.encode(),
         })
         return artifact

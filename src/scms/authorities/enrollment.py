@@ -15,6 +15,7 @@ import hashlib
 
 from ..certmodel import CertType, Certificate, SeriesConfig, issue_certificate
 from ..crypto import GroupElement
+from ..encoding import fields
 from ..errors import ScmsError
 from .base import Component
 
@@ -70,8 +71,11 @@ class Eca(Component):
 
     def on_reenroll_forward(self, env):
         """Roll-over request already vetted by the RA."""
-        old = Certificate.decode(env.payload["old_cert"])
-        new_pub = GroupElement.decode(env.payload["new_pub"])
+        old_cert, new_pub, reply_ref = fields(
+            env.payload, old_cert=bytes, new_pub=bytes, reply_ref=bytes
+        )
+        old = Certificate.decode(old_cert)
+        new_pub = GroupElement.decode(new_pub)
         fresh = self.issue_enrollment(
             new_pub,
             ctype=old.ctype,
@@ -81,7 +85,7 @@ class Eca(Component):
         self.send(
             env.src,
             "reenroll.issued",
-            {"reply_ref": env.payload["reply_ref"], "cert": fresh.encode()},
+            {"reply_ref": reply_ref, "cert": fresh.encode()},
         )
 
 

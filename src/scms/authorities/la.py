@@ -15,7 +15,7 @@ import hashlib
 from ..certmodel import Certificate
 from ..crypto import channel_encrypt, channel_key, hybrid_decrypt, hybrid_encrypt
 from ..crypto.hybrid import HybridCiphertext
-from ..encoding import decode, encode
+from ..encoding import decode, encode, fields
 from ..errors import InvariantViolation
 from ..linkage import LinkageSeed, check_la_id, pre_linkage_values, seed_at
 from .base import Component, ma_query
@@ -67,7 +67,9 @@ class LinkageAuthority(Component):
     def on_chain_open(self, env) -> None:
         """Open a fresh chain for an anonymous device and return the LCI
         plus the requested grid of encrypted pre-linkage values."""
-        start = env.payload["start"]
+        ref, start, n_periods, j_max = fields(
+            env.payload, ref=str, start=int, n_periods=int, j_max=int
+        )
         seed0 = self.rng.randbytes(16)
         lci = hybrid_encrypt(
             self.enc_keypair.public,
@@ -80,31 +82,23 @@ class LinkageAuthority(Component):
             {"lci_digest": lci_digest, "seed0": seed0, "period0": start,
              "la_id": self.la_id},
         )
-        plvs = self._encrypted_plvs(
-            record, start, env.payload["n_periods"], env.payload["j_max"],
-            lci_digest,
-        )
-        self.send(env.src, "chain.plvs", {
-            "ref": env.payload["ref"], "lci": lci, "plvs": plvs,
-        })
+        plvs = self._encrypted_plvs(record, start, n_periods, j_max, lci_digest)
+        self.send(env.src, "chain.plvs", {"ref": ref, "lci": lci, "plvs": plvs})
 
     def on_plv_request(self, env) -> None:
         """Further pre-linkage values for an existing chain (top-off)."""
-        lci = env.payload["lci"]
+        ref, lci, start, n_periods, j_max = fields(
+            env.payload, ref=str, lci=bytes, start=int, n_periods=int, j_max=int
+        )
         lci_digest = hashlib.sha256(lci).hexdigest()
         record = self._chain_record(lci_digest)
         if record is None:
             self.send(env.src, "chain.error", {
-                "ref": env.payload["ref"], "reason": "unknown chain",
+                "ref": ref, "reason": "unknown chain",
             })
             return
-        plvs = self._encrypted_plvs(
-            record, env.payload["start"], env.payload["n_periods"],
-            env.payload["j_max"], lci_digest,
-        )
-        self.send(env.src, "chain.plvs", {
-            "ref": env.payload["ref"], "lci": lci, "plvs": plvs,
-        })
+        plvs = self._encrypted_plvs(record, start, n_periods, j_max, lci_digest)
+        self.send(env.src, "chain.plvs", {"ref": ref, "lci": lci, "plvs": plvs})
 
     # --- misbehavior-authority queries ---
 

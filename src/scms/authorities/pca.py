@@ -23,8 +23,8 @@ from ..certmodel import (
     sign_message,
 )
 from ..crypto import GroupElement, channel_decrypt, channel_key, hybrid_encrypt
-from ..encoding import decode, encode
-from ..errors import DecryptionError
+from ..encoding import decode, encode, fields
+from ..errors import DecryptionError, ParseError
 from ..linkage import xor_lv
 from .base import Component, ma_query
 
@@ -51,36 +51,40 @@ class Pca(Component):
 
     # --- pseudonym issuance (steps 4 and 5) ---
 
+    def _reject(self, env, rh: bytes, reason: str) -> None:
+        self.audit_log(env.src, "cert.request.rejected", rh)
+        self.send(env.src, "cert.reject", {"rh": rh, "reason": reason})
+
     def on_cert_request(self, env) -> None:
-        p = env.payload
-        rh = p["rh"]
-        try:
-            plv1 = decode(channel_decrypt(self._la_channels[p["la1"]], p["eplv1"]))
-            plv2 = decode(channel_decrypt(self._la_channels[p["la2"]], p["eplv2"]))
-        except DecryptionError:
-            self.audit_log(env.src, "cert.request.rejected", rh)
-            self.send(env.src, "cert.reject", {
-                "rh": rh, "reason": "pre-linkage value decryption failed",
-            })
+        rh, la1, la2, eplv1, eplv2, i, j, cocoon, resp_key, psid = fields(
+            env.payload, rh=bytes, la1=bytes, la2=bytes, eplv1=bytes,
+            eplv2=bytes, i=int, j=int, cocoon=bytes, resp_key=bytes, psid=int,
+        )
+        cocoon = GroupElement.decode(cocoon)
+        response_key = GroupElement.decode(resp_key)
+        channel1 = self._la_channels.get(la1)
+        channel2 = self._la_channels.get(la2)
+        if channel1 is None or channel2 is None:
+            self._reject(env, rh, "unknown linkage authority")
             return
-        if (plv1["i"], plv1["j"]) != (p["i"], p["j"]) or (
-            (plv2["i"], plv2["j"]) != (p["i"], p["j"])
-        ):
-            self.audit_log(env.src, "cert.request.rejected", rh)
-            self.send(env.src, "cert.reject", {
-                "rh": rh, "reason": "pre-linkage index mismatch",
-            })
+        try:
+            plv1 = decode(channel_decrypt(channel1, eplv1))
+            plv2 = decode(channel_decrypt(channel2, eplv2))
+        except DecryptionError:
+            self._reject(env, rh, "pre-linkage value decryption failed")
+            return
+        if (plv1["i"], plv1["j"]) != (i, j) or (plv2["i"], plv2["j"]) != (i, j):
+            self._reject(env, rh, "pre-linkage index mismatch")
             return
         lv = xor_lv(plv1["plv"], plv2["plv"])
 
-        cocoon = GroupElement.decode(p["cocoon"])
         butterfly_pub, recon = butterfly_finalize(cocoon, self.rng)
         cert = Certificate(
             ctype=CertType.OBE_PSEUDONYM,
             subject_key=butterfly_pub,
-            valid_from=p["i"],
-            valid_to=p["i"],
-            psid=p["psid"],
+            valid_from=i,
+            valid_to=i,
+            psid=psid,
             craca_id=self.craca_id,
             crl_series=self.series.pseudonym,
             issuer_id=self.cert.cert_id(),
@@ -89,7 +93,6 @@ class Pca(Component):
         cert = issue_certificate(cert, self.keypair.private)
         cert_bytes = cert.encode()
 
-        response_key = GroupElement.decode(p["resp_key"])
         sealed = hybrid_encrypt(
             response_key,
             encode({"cert": cert_bytes, "c": recon.c.to_bytes()}),
@@ -101,17 +104,17 @@ class Pca(Component):
         package = sign_message(
             self.keypair.private,
             self.cert,
-            encode({"i": p["i"], "j": p["j"], "ct": sealed}),
+            encode({"i": i, "j": j, "ct": sealed}),
         )
 
         self.store.put(
             "issued",
             {
                 "rh": rh,
-                "eplv1": p["eplv1"],
-                "eplv2": p["eplv2"],
-                "i": p["i"],
-                "j": p["j"],
+                "eplv1": eplv1,
+                "eplv2": eplv2,
+                "i": i,
+                "j": j,
                 "lv": lv,
                 "cert": cert_bytes,
                 "ra_host": env.src,
@@ -124,30 +127,33 @@ class Pca(Component):
     # --- plain issuance (identification / RSE application) ---
 
     def on_cert_request_plain(self, env) -> None:
-        p = env.payload
-        tbs = p["tbs"]
-        ctype = CertType(tbs["ctype"])
+        rh, tbs = fields(env.payload, rh=bytes, tbs=dict)
+        ctype, pubkey, enc_pubkey, valid_from, valid_to, psid, subject_info = fields(
+            tbs, ctype=int, pubkey=bytes, enc_pubkey=(bytes, type(None)),
+            valid_from=int, valid_to=int, psid=int,
+            subject_info=(str, type(None)),
+        )
+        try:
+            ctype = CertType(ctype)
+        except ValueError:
+            raise ParseError(f"unknown certificate type {ctype}", 0) from None
         cert = Certificate(
             ctype=ctype,
-            subject_key=GroupElement.decode(tbs["pubkey"]),
-            valid_from=tbs["valid_from"],
-            valid_to=tbs["valid_to"],
-            psid=tbs["psid"],
+            subject_key=GroupElement.decode(pubkey),
+            valid_from=valid_from,
+            valid_to=valid_to,
+            psid=psid,
             craca_id=self.craca_id,
             crl_series=self.series.for_type(ctype),
             issuer_id=self.cert.cert_id(),
-            enc_key=(
-                GroupElement.decode(tbs["enc_pubkey"])
-                if tbs.get("enc_pubkey") is not None
-                else None
-            ),
-            subject_info=tbs.get("subject_info"),
+            enc_key=None if enc_pubkey is None else GroupElement.decode(enc_pubkey),
+            subject_info=subject_info,
         )
         cert = issue_certificate(cert, self.keypair.private)
         self.store.put(
             "issued_plain",
             {
-                "rh": p["rh"],
+                "rh": rh,
                 "cert": cert.encode(),
                 "cert_id": cert.cert_id(),
                 "valid_to": cert.valid_to,
@@ -155,7 +161,7 @@ class Pca(Component):
             },
         )
         self.send(env.src, "cert.response.plain", {
-            "rh": p["rh"], "cert": cert.encode(),
+            "rh": rh, "cert": cert.encode(),
         })
 
     # --- misbehavior-authority queries ---

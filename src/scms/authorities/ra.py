@@ -29,8 +29,9 @@ from ..certmodel import (
 )
 from ..crypto import GroupElement, KeyPair, hybrid_decrypt
 from ..crypto.hybrid import HybridCiphertext
-from ..encoding import decode, encode
-from ..errors import DecryptionError, InvariantViolation, ParseError
+from ..encoding import decode, encode, fields
+from ..errors import DecryptionError, InvariantViolation, ParseError, ScmsError
+from ..linkage import LA1_ID, LA2_ID
 from ..rootmgmt import Ballot, TrustState
 from .base import Component, ma_query
 from .enrollment import device_handle
@@ -40,21 +41,19 @@ _ENROLLMENT_TYPES = {CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT}
 
 
 class Ra(Component):
+    pca_host = "pca"
+    la_hosts = ("la1", "la2")
+    la_ids = (LA1_ID, LA2_ID)
+
     def configure(
         self,
         trust: TrustState,
-        pca_host: str = "pca",
-        la_hosts: tuple[str, str] = ("la1", "la2"),
-        la_ids: tuple[bytes, bytes] = (b"\x00\x00\x00\x01", b"\x00\x00\x00\x02"),
         ma_cert: Certificate | None = None,
         shuffle_max_count: int = 10_000,
         shuffle_max_days: int = 1,
         default_psid: int = 32,
     ) -> None:
         self.trust = trust
-        self.pca_host = pca_host
-        self.la_hosts = la_hosts
-        self.la_ids = la_ids
         self.ma_cert = ma_cert
         self.shuffle_max_count = shuffle_max_count
         self.shuffle_max_days = shuffle_max_days
@@ -80,9 +79,8 @@ class Ra(Component):
         return self.store.first("enrollment", handle=handle)
 
     def _deny(self, env, reason: str) -> None:
-        self.send(env.src, "provision.deny", {
-            "reply_ref": env.payload["reply_ref"], "reason": reason,
-        })
+        (ref,) = fields(env.payload, reply_ref=bytes)
+        self.send(env.src, "provision.deny", {"reply_ref": ref, "reason": reason})
 
     def _open_request(self, env, allow_recertified: bool = False):
         """Decrypt and authenticate a proxied device request; returns
@@ -92,15 +90,18 @@ class Ra(Component):
         with a revoked root still passes if its issuing ECA has been
         re-certified with the same key under the new hierarchy.
         """
+        blob, _ = fields(env.payload, blob=bytes, reply_ref=bytes)
         try:
-            blob = HybridCiphertext.decode(env.payload["blob"])
-            plain = hybrid_decrypt(self.enc_keypair.private, blob)
-            msg = SignedMessage.decode(decode(plain)["req"])
+            plain = hybrid_decrypt(
+                self.enc_keypair.private, HybridCiphertext.decode(blob)
+            )
+            (req,) = fields(decode(plain), req=bytes)
+            msg = SignedMessage.decode(req)
             cert = (
                 Certificate.decode(msg.cert_bytes)
                 if msg.cert_bytes is not None else None
             )
-        except (DecryptionError, ParseError, KeyError, TypeError):
+        except (DecryptionError, ParseError):
             self._deny(env, "undecryptable or malformed request")
             return None
         if cert is None:
@@ -140,16 +141,17 @@ class Ra(Component):
         msg, cert, handle = opened
         try:
             request = decode(msg.payload)
-            start, n_periods, j_max = (request[k] for k in ("start", "n_periods", "j_max"))
-            if not all(type(v) is int for v in (start, n_periods, j_max)):
-                raise TypeError("request window must be integers")
-            caterpillar = CaterpillarRequest(
-                signing_seed=GroupElement.decode(request["A"]),
-                signing_key=request["k_sign"],
-                encryption_seed=GroupElement.decode(request["H"]),
-                encryption_key=request["k_enc"],
+            a, k_sign, h, k_enc, start, n_periods, j_max = fields(
+                request, A=bytes, k_sign=bytes, H=bytes, k_enc=bytes,
+                start=int, n_periods=int, j_max=int,
             )
-        except (ParseError, ValueError, KeyError, TypeError):
+            caterpillar = CaterpillarRequest(
+                signing_seed=GroupElement.decode(a),
+                signing_key=k_sign,
+                encryption_seed=GroupElement.decode(h),
+                encryption_key=k_enc,
+            )
+        except (ParseError, ValueError):
             self._deny(env, "malformed caterpillar request")
             return
         end = start + n_periods - 1
@@ -189,12 +191,15 @@ class Ra(Component):
                 self.send(host, "plv.request", {**chain_msg, "lci": lci})
             else:
                 self.send(host, "chain.open", chain_msg)
+        (reply_ref,) = fields(env.payload, reply_ref=bytes)
         self.send(env.src, "provision.ack", {
-            "reply_ref": env.payload["reply_ref"], "request_id": ref,
+            "reply_ref": reply_ref, "request_id": ref,
         })
 
     def on_chain_plvs(self, env) -> None:
-        ref = env.payload["ref"]
+        ref, _, _ = fields(env.payload, ref=str, lci=bytes, plvs=list)
+        if env.src not in self.la_hosts:
+            raise ScmsError(f"linkage values from {env.src!r}, not an LA")
         state = self._pending.get(ref)
         if state is None:
             return
@@ -214,7 +219,8 @@ class Ra(Component):
     def on_chain_error(self, env) -> None:
         # LA unavailable for this request: drop pending state, the device
         # retries later; nothing is emitted to the PCA
-        self._pending.pop(env.payload["ref"], None)
+        (ref,) = fields(env.payload, ref=str)
+        self._pending.pop(ref, None)
 
     def _expand(self, state: dict) -> None:
         request = state["request"]
@@ -284,14 +290,13 @@ class Ra(Component):
     # --- step 6: collate responses into weekly batches ---
 
     def on_cert_response(self, env) -> None:
-        rh = env.payload["rh"]
+        rh, package = fields(env.payload, rh=bytes, package=bytes)
         index = self.store.first("request_index", rh=rh)
         if index is None:
             return
         record = self._enrollment_record(index["handle"])
         if record is None or record["blacklisted"]:
             return  # halted
-        package = env.payload["package"]
         attack = self._mitm_state.pop(rh, None)
         if attack is not None:
             package = self._mitm_rewrap(package, attack)
@@ -331,14 +336,13 @@ class Ra(Component):
         return forged.encode()
 
     def on_cert_reject(self, env) -> None:
-        self.store.put("deferred", {
-            "rh": env.payload["rh"], "reason": env.payload["reason"],
-        })
+        rh, reason = fields(env.payload, rh=bytes, reason=str)
+        self.store.put("deferred", {"rh": rh, "reason": reason})
 
     def on_batch_request(self, env) -> None:
-        handle = env.payload["handle"]
-        period = env.payload["period"]
-        ref = env.payload["reply_ref"]
+        handle, period, ref = fields(
+            env.payload, handle=str, period=int, reply_ref=bytes
+        )
         record = self._enrollment_record(handle)
         if record is None:
             self.send(env.src, "batch.response", {
@@ -368,20 +372,27 @@ class Ra(Component):
             return
         msg, cert, handle = opened
         request = decode(msg.payload)
+        ctype, pubkey, psid, validities = fields(
+            request, ctype=int, pubkey=bytes, psid=int, validities=list
+        )
+        if not all(type(w) is list and len(w) == 2
+                   and type(w[0]) is type(w[1]) is int for w in validities):
+            raise ParseError("validities are not [from, to] period pairs", 0)
+        (reply_ref,) = fields(env.payload, reply_ref=bytes)
         state = {
-            "reply_ref": env.payload["reply_ref"],
+            "reply_ref": reply_ref,
             "src": env.src,
-            "expected": len(request["validities"]),
+            "expected": len(validities),
             "certs": [],
         }
-        for valid_from, valid_to in request["validities"]:
+        for valid_from, valid_to in validities:
             tbs = {
-                "ctype": request["ctype"],
-                "pubkey": request["pubkey"],
+                "ctype": ctype,
+                "pubkey": pubkey,
                 "enc_pubkey": request.get("enc_pubkey"),
                 "valid_from": valid_from,
                 "valid_to": valid_to,
-                "psid": request["psid"],
+                "psid": psid,
                 "subject_info": request.get("subject_info"),
             }
             rh = request_hash(tbs)
@@ -393,16 +404,17 @@ class Ra(Component):
             self.send(self.pca_host, "cert.request.plain", {"rh": rh, "tbs": tbs})
 
     def on_cert_response_plain(self, env) -> None:
-        rh = env.payload["rh"]
+        rh, raw = fields(env.payload, rh=bytes, cert=bytes)
+        cert_id = Certificate.decode(raw).cert_id()
         state = self._pending_app.pop(rh, None)
         index = self.store.first("app_index", rh=rh)
         if index is not None:
             # plain certificates are readable by the RA; remember the id so
             # non-pseudonym revocation can skip a PCA round trip if needed
-            index["cert_id"] = Certificate.decode(env.payload["cert"]).cert_id()
+            index["cert_id"] = cert_id
         if state is None:
             return
-        state["certs"].append(env.payload["cert"])
+        state["certs"].append(raw)
         if len(state["certs"]) == state["expected"]:
             self.send(state["src"], "app.issued", {
                 "reply_ref": state["reply_ref"], "certs": state["certs"],
@@ -411,9 +423,10 @@ class Ra(Component):
     # --- misbehavior report forwarding (shuffled, unread) ---
 
     def on_mb_report(self, env) -> None:
-        self._report_buffer.append(env.payload["blob"])
+        (blob,) = fields(env.payload, blob=bytes)
+        self._report_buffer.append(blob)
         self.store.put("report_ciphertext", {
-            "digest": hashlib.sha256(env.payload["blob"]).hexdigest(),
+            "digest": hashlib.sha256(blob).hexdigest(),
         })
 
     def flush_reports(self) -> int:
@@ -474,19 +487,18 @@ class Ra(Component):
         if self.require_recertified_eca and cert.issuer_id not in self.recertified_ecas:
             self._deny(env, "issuing ECA not re-certified")
             return
-        request = decode(msg.payload)
+        (new_pub,) = fields(decode(msg.payload), new_pub=bytes)
+        (reply_ref,) = fields(env.payload, reply_ref=bytes)
         self.send("eca", "reenroll.forward", {
-            "old_cert": msg.cert_bytes,
-            "new_pub": request["new_pub"],
-            "reply_ref": env.payload["reply_ref"],
+            "old_cert": msg.cert_bytes, "new_pub": new_pub, "reply_ref": reply_ref,
         })
 
     def on_reenroll_issued(self, env) -> None:
-        self.send("lop", "reenroll.issued", {
-            "reply_ref": env.payload["reply_ref"], "cert": env.payload["cert"],
-        })
+        reply_ref, cert = fields(env.payload, reply_ref=bytes, cert=bytes)
+        self.send("lop", "reenroll.issued", {"reply_ref": reply_ref, "cert": cert})
 
     # --- trust updates ---
 
     def on_ballot_publish(self, env) -> None:
-        self.trust.process_ballot(Ballot.decode(env.payload["ballot"]))
+        (ballot,) = fields(env.payload, ballot=bytes)
+        self.trust.process_ballot(Ballot.decode(ballot))

@@ -7,6 +7,12 @@ order, so a fixed seed replays the exact same delivery sequence.
 The bus enforces the proxy rule: end entities may not address the
 registration or misbehavior authority directly, those paths must go
 through the location obscurer proxy.
+
+Delivery is the one fault boundary. A handler that refuses its envelope
+with a ``ScmsError`` (a malformed payload, an unknown message type) turns
+it into a dead letter: a ``dead_letter`` trace event naming the error
+class, never the payload, and one more ``dead_letters``; the run goes on.
+An ``InvariantViolation`` or any other exception is a bug and aborts it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .encoding import encode
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ScmsError
 
 MINUTES_PER_DAY = 24 * 60
 MINUTES_PER_PERIOD = 7 * MINUTES_PER_DAY  # one period = one week
@@ -103,6 +109,7 @@ class MessageBus:
         self._components: dict[str, object] = {}
         self._queue: deque[Envelope] = deque()
         self.delivered = 0
+        self.dead_letters = 0
 
     def register(self, component_id: str, component) -> None:
         if component_id in self._components:
@@ -137,5 +144,18 @@ class MessageBus:
                 t=env.mtype,
                 h=hashlib.sha256(env.encode()).hexdigest()[:16],
             )
-        self._components[env.dst].handle(env)
         self.delivered += 1
+        try:
+            self._components[env.dst].handle(env)
+        except InvariantViolation:
+            raise
+        except ScmsError as exc:
+            self.dead_letters += 1
+            if self.trace is not None:
+                self.trace.record(
+                    "dead_letter",
+                    p=self.clock.period,
+                    dst=env.dst,
+                    t=env.mtype,
+                    err=type(exc).__name__,
+                )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
+from ..encoding import require_bytes
 from ..errors import ParseError
 
 CURVE_P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
@@ -137,9 +138,10 @@ class GroupElement:
 
     @classmethod
     def decode(cls, data: bytes) -> "GroupElement":
+        require_bytes(data)
         if data == _IDENTITY_BYTES:
             return IDENTITY
-        x, y = _decompress(bytes(data))
+        x, y = _decompress(data)
         return cls(x, y, _skip_check=True)
 
     @classmethod

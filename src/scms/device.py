@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
+from .authorities.base import Component
 from .authorities.enrollment import device_handle
 from .bus import Envelope, MessageBus
 from .butterfly import (
@@ -53,7 +54,7 @@ from .crypto import (
     mul_g,
 )
 from .crypto.hybrid import HybridCiphertext
-from .encoding import decode, encode
+from .encoding import decode, encode, fields
 from .errors import DecryptionError, ParseError, ScmsError
 from .rootmgmt import Ballot, TrustState, check_policy_artifact
 
@@ -142,6 +143,10 @@ class DeviceCrlStore(CrlSet):
 
 class Device:
     """One OBE or RSE end entity."""
+
+    # the one dispatcher, bound here so that the traced benchmark finds a
+    # ``handle`` in this class's own namespace
+    handle = Component.handle
 
     def __init__(
         self,
@@ -258,12 +263,6 @@ class Device:
     def _encrypt_to_ra(self, value: dict) -> bytes:
         return hybrid_encrypt(self.ra_enc_key, encode(value), self.rng).encode()
 
-    def handle(self, env: Envelope) -> None:
-        handler = getattr(self, "on_" + env.mtype.replace(".", "_"), None)
-        if handler is None:
-            raise ScmsError(f"device cannot handle message {env.mtype!r}")
-        handler(env)
-
     # --- certificate request (step 1) ---
 
     def request_certs(self, start: int, n_periods: int, j_max: int = 20,
@@ -305,8 +304,9 @@ class Device:
         self.provision_status = "acknowledged"
 
     def on_provision_deny(self, env) -> None:
+        (reason,) = fields(env.payload, reason=str)
         self.provision_status = "denied"
-        self.last_deny_reason = env.payload["reason"]
+        self.last_deny_reason = reason
 
     # --- batch download and key reconstruction (steps 4-6, device side) ---
 
@@ -318,10 +318,13 @@ class Device:
         })
 
     def on_batch_response(self, env) -> None:
+        fields(env.payload)
         if "error" in env.payload:
-            self.provision_status = f"batch-{env.payload['error']}"
+            (error,) = fields(env.payload, error=str)
+            self.provision_status = f"batch-{error}"
             return
-        for item in env.payload["items"]:
+        (items,) = fields(env.payload, items=list)
+        for item in items:
             self._install_package(item)
 
     def _install_package(self, package_bytes: bytes) -> None:
@@ -407,9 +410,11 @@ class Device:
         })
 
     def on_app_issued(self, env) -> None:
-        for raw in env.payload["certs"]:
+        (certs,) = fields(env.payload, certs=list)
+        decoded = [Certificate.decode(raw) for raw in certs]
+        for cert, raw in zip(decoded, certs):
             self.app_certs.append({
-                "cert": Certificate.decode(raw), "cert_bytes": raw,
+                "cert": cert, "cert_bytes": raw,
                 "priv": self.app_signing_key.private,
             })
 
@@ -449,7 +454,8 @@ class Device:
     # --- received-message validation ---
 
     def on_bsm(self, env) -> None:
-        ok, reason = self.validate_bsm(env.payload["bsm"])
+        (bsm,) = fields(env.payload, bsm=bytes)
+        ok, reason = self.validate_bsm(bsm)
         self.received.append((ok, reason))
         if not ok:
             self.reject_counts[reason] = self.reject_counts.get(reason, 0) + 1
@@ -469,12 +475,13 @@ class Device:
             return False, "bad-signature"
         if not cert.valid_at(self.clock.period):
             return False, "expired-period"
-        if crl_check(cert, self.crl_store).is_revoked:
-            return False, "revoked"
+        # every CRL change empties the cache, so a cached certificate was
+        # walked, its own CRL state included, against the current CRLs
         cache_key = cert.cert_id()
         if cache_key not in self._verified_certs:
-            chain = verify_chain(cert, self.trust.store)
-            if not chain.ok:
+            if not verify_chain(cert, self.trust.store).ok:
+                if crl_check(cert, self.crl_store).is_revoked:
+                    return False, "revoked"
                 return False, "untrusted-chain"
             self._verified_certs.add(cache_key)
         return True, "ok"
@@ -506,25 +513,27 @@ class Device:
         self.bus.send(Envelope(self.id, "crlstore", "crl.fetch", {}))
 
     def on_crl_composite(self, env) -> None:
-        for crl in decode_composite(env.payload["data"]):
+        (data,) = fields(env.payload, data=bytes)
+        for crl in decode_composite(data):
             if self.crl_store.add(crl):
                 self._bump_trust()
 
     # --- root management and policy updates ---
 
     def on_ballot_publish(self, env) -> None:
-        if self.trust is not None:
-            accepted = self.trust.process_ballot(Ballot.decode(env.payload["ballot"]))
-            if accepted:
-                self._bump_trust()
+        (raw,) = fields(env.payload, ballot=bytes)
+        ballot = Ballot.decode(raw)
+        if self.trust is not None and self.trust.process_ballot(ballot):
+            self._bump_trust()
 
     def fetch_policy(self) -> None:
         """Pull the latest signed policy and chain files (over the air)."""
         self.bus.send(Envelope(self.id, "crlstore", "policy.fetch", {}))
 
     def on_policy_files(self, env) -> None:
+        (files,) = fields(env.payload, files=dict)
         for name in ("gpf", "gccf"):
-            data = env.payload["files"].get(name)
+            data = files.get(name)
             if data is not None and self._apply_policy_file(name, data):
                 if name == "gccf":
                     self._bump_trust()
@@ -546,10 +555,11 @@ class Device:
         })
 
     def on_reenroll_issued(self, env) -> None:
+        (cert_bytes,) = fields(env.payload, cert=bytes)
         if self._pending_reenroll is None:
             return
         self.enrollment_key = self._pending_reenroll["key"]
-        self.enrollment_cert_bytes = env.payload["cert"]
+        self.enrollment_cert_bytes = cert_bytes
         self.handle_id = device_handle(self.enrollment_cert_bytes)
         self._pending_reenroll = None
         self.provision_status = "re-enrolled"

@@ -5,7 +5,8 @@ with string keys) such that equal values always produce identical bytes:
 integers use minimal-width two's complement and dict entries are sorted by
 their UTF-8 key bytes. Used for message payloads, bus envelopes and store
 snapshots. Certificate and CRL wire formats have their own fixed layouts
-in certmodel, read through ``Reader``.
+in certmodel, read through ``Reader``. A decoded payload is read through
+``fields``, which checks each field's presence and exact type.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def _encode_into(value, out: bytearray) -> None:
 
 
 def decode(data: bytes):
+    require_bytes(data)
     try:
         value, offset = _decode_at(data, 0)
     except RecursionError:
@@ -81,6 +83,37 @@ def decode(data: bytes):
     if offset != len(data):
         raise ParseError("trailing bytes after value", offset)
     return value
+
+
+def require_bytes(data) -> None:
+    """The first check of every decoder of outside input."""
+    if not isinstance(data, bytes):
+        raise ParseError(f"expected bytes, got {type(data).__name__}", 0)
+
+
+def fields(mapping, **kinds) -> tuple:
+    """The values of ``mapping`` under each keyword, in keyword order.
+
+    Each kind is a type or a tuple of types, and a value must have exactly
+    that type (``True`` is not an ``int``). A non-dict mapping, a missing key
+    or a wrong type raises ``ParseError``: the one check a handler applies
+    to a payload before it writes or sends anything.
+    """
+    if type(mapping) is not dict:
+        raise ParseError(f"expected a mapping, got {type(mapping).__name__}", 0)
+    values = []
+    for key, kind in kinds.items():
+        if key not in mapping:
+            raise ParseError(f"missing field {key!r}", 0)
+        value = mapping[key]
+        if type(value) is not kind and (
+            type(kind) is not tuple or type(value) not in kind
+        ):
+            raise ParseError(
+                f"field {key!r} has the wrong type {type(value).__name__}", 0
+            )
+        values.append(value)
+    return tuple(values)
 
 
 def _need(data: bytes, offset: int, n: int) -> int:
@@ -151,6 +184,7 @@ class Reader:
     __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes):
+        require_bytes(data)
         self.data = data
         self.pos = 0
 

@@ -4,8 +4,9 @@ A scenario builds a complete SCMS instance (electors, root, intermediate
 and enrollment CAs, RA, PCA, two LAs, MA with CRL generator, LOP, policy
 generator, CRL store) plus a fleet of devices, then drives the lifecycle
 period by period: bootstrap, provisioning, batch pickup, CRL pulls, BSM
-traffic, scripted misbehavior and root-management events. Runs are fully
-deterministic under a seed; the trace digest is the replay fingerprint.
+traffic, scripted misbehavior, root-management and injected-envelope
+events. Runs are fully deterministic under a seed; the trace digest is the
+replay fingerprint.
 
 Post-run audits enforce the separation-of-duties content rules on every
 authority store, reconcile the MA's signed-query log against the
@@ -42,9 +43,9 @@ from .certmodel import (
 )
 from .crypto import DeterministicRandom, KeyPair
 from .device import Device, FixedIntervalRotation
-from .encoding import decode
+from .encoding import decode, fields
 from .errors import ParseError, ScmsError
-from .linkage import LinkageSeed, pre_linkage_values, seed_at
+from .linkage import LA1_ID, LA2_ID, LinkageSeed, pre_linkage_values, seed_at
 from .misbehavior import Crlg, Ma, ThresholdDetector
 from .persistence import StoreRegistry
 from .rootmgmt import (
@@ -57,8 +58,6 @@ from .rootmgmt import (
     make_elector,
 )
 
-LA1_ID = b"\x00\x00\x00\x01"
-LA2_ID = b"\x00\x00\x00\x02"
 CRLG_SERIES = [1, 2, 3, 4, 256]
 
 
@@ -223,7 +222,6 @@ class World:
         self.ra.install_identity(self.ra_key, self.ra_cert, self.ra_enc)
         self.ra.configure(
             self._authority_trust(),
-            la_ids=(LA1_ID, LA2_ID),
             ma_cert=self.ma_cert,
             shuffle_max_count=self.config.shuffle_max_count,
             shuffle_max_days=self.config.shuffle_max_days,
@@ -433,8 +431,24 @@ def _apply_event(world: World, event: dict, report_periods: dict) -> None:
         )
         world.bus.run()
         world.ra.flush()
+    elif action == "inject":
+        src, dst, mtype = fields(event, src=str, dst=str, type=str)
+        payload = _from_json(event.get("payload"))
+        world.bus.send(Envelope(src, dst, mtype, payload))
     else:
         raise ScmsError(f"unknown scenario action {action!r}")
+
+
+def _from_json(value):
+    """An inject payload as sent: JSON has no bytes, so ``{"$bytes": hex}``
+    stands for them, at any depth."""
+    if isinstance(value, dict):
+        if list(value) == ["$bytes"]:
+            return bytes.fromhex(value["$bytes"])
+        return {key: _from_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_from_json(item) for item in value]
+    return value
 
 
 def _apply_ballot_event(world: World, event: dict) -> None:
@@ -487,6 +501,7 @@ def collect_metrics(world: World, report_periods: dict) -> dict:
         "mitm_injected": world.ra.mitm_injected,
         "mitm_detected": sum(d.mitm_detected for d in world.devices),
         "bus_messages": world.bus.delivered,
+        "dead_letters": world.bus.dead_letters,
     }
 
 

@@ -24,6 +24,11 @@ SEED_BYTES = 16    # u
 LV_BYTES = 9       # v
 LA_ID_BYTES = 4
 
+# the two linkage authorities' ids, carried in CRL entries and certificate
+# requests
+LA1_ID = b"\x00\x00\x00\x01"
+LA2_ID = b"\x00\x00\x00\x02"
+
 
 @dataclass(frozen=True)
 class LinkageSeed:

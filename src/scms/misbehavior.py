@@ -46,7 +46,7 @@ from .certmodel import (
 )
 from .crypto import KeyPair, hybrid_decrypt
 from .crypto.hybrid import HybridCiphertext
-from .encoding import decode, encode
+from .encoding import decode, encode, fields
 from .errors import DecryptionError, ParseError
 
 
@@ -115,34 +115,35 @@ _CASE_SUBJECT = {
 }
 
 
-def _reply(handler):
+def _reply(**kinds):
     """Route an ``<op>.resp`` to ``handler(self, key, case, step, reply)``
-    for the open case its echo names; a reply for no open case is dropped."""
+    for the open case its echo names; a reply for no open case is dropped.
+    The reply must carry ``kinds``, except that one whose ``found`` is false
+    carries nothing more."""
 
-    @functools.wraps(handler)
-    def route(self, env) -> None:
-        routed = self._case_for(env)
-        if routed is not None:
-            handler(self, *routed, env.payload)
+    def wrap(handler):
+        @functools.wraps(handler)
+        def route(self, env) -> None:
+            (echo,) = fields(env.payload, echo=str)
+            if env.payload.get("found", True):
+                fields(env.payload, **kinds)
+            routed = self._case_for(echo)
+            if routed is not None:
+                handler(self, *routed, env.payload)
 
-    return route
+        return route
+
+    return wrap
 
 
 class Ma(Component):
-    def configure(
-        self,
-        crlg: Crlg,
-        series: SeriesConfig,
-        pca_host: str = "pca",
-        la_hosts: tuple[str, str] = ("la1", "la2"),
-        crl_store_host: str = "crlstore",
-        detector=None,
-    ) -> None:
+    pca_host = "pca"
+    la_hosts = ("la1", "la2")
+    crl_store_host = "crlstore"
+
+    def configure(self, crlg: Crlg, series: SeriesConfig, detector=None) -> None:
         self.crlg = crlg
         self.series = series
-        self.pca_host = pca_host
-        self.la_hosts = la_hosts
-        self.crl_store_host = crl_store_host
         self.detector = detector or ThresholdDetector()
         self._cases: dict[str, dict] = {}
         self._await: dict[str, tuple[str, str]] = {}
@@ -163,9 +164,9 @@ class Ma(Component):
         self._await[digest] = (case_key, step)
         self.send(dst, op, {"q": msg.encode()})
 
-    def _case_for(self, env) -> tuple[str, dict, str] | None:
+    def _case_for(self, echo: str) -> tuple[str, dict, str] | None:
         """(key, case, step) of the open case whose query a reply echoes."""
-        key, step = self._await.pop(env.payload["echo"], (None, None))
+        key, step = self._await.pop(echo, (None, None))
         case = self._cases.get(key)
         return None if case is None else (key, case, step)
 
@@ -177,7 +178,8 @@ class Ma(Component):
     # --- report intake and detection ---
 
     def on_mb_batch(self, env) -> None:
-        for blob in env.payload["reports"]:
+        (reports,) = fields(env.payload, reports=list)
+        for blob in reports:
             self._ingest_report(blob)
         self._run_detection()
 
@@ -280,7 +282,7 @@ class Ma(Component):
             "samedev",
         )
 
-    @_reply
+    @_reply(same=bool)
     def on_ma_samedev_resp(self, key, case, step, reply) -> None:
         self.store.put("verdict", {
             "lv_a": case["lv_a"], "lv_b": case["lv_b"],
@@ -297,7 +299,7 @@ class Ma(Component):
         self._cases[key] = {"kind": "revocation", "lv": lv, "seeds": {}}
         self._query(self.pca_host, "ma.lv2plv", {"lv": lv}, key, "plv")
 
-    @_reply
+    @_reply(found=bool, eplv1=bytes, eplv2=bytes, i=int, j=int)
     def on_ma_lv2plv_resp(self, key, case, step, reply) -> None:
         if case["kind"] == "investigation":
             self._investigation_plv(key, case, step, reply)
@@ -314,7 +316,7 @@ class Ma(Component):
         })
         self._query(self.pca_host, "ma.lv2rh", {"lv": case["lv"]}, key, "rh")
 
-    @_reply
+    @_reply(found=bool, rh=bytes, ra_host=str)
     def on_ma_lv2rh_resp(self, key, case, step, reply) -> None:
         if not reply["found"]:
             self._fail(key, "rh")
@@ -324,7 +326,7 @@ class Ma(Component):
             reply["ra_host"], "ma.blacklist", {"rh": case["rh"]}, key, "bl"
         )
 
-    @_reply
+    @_reply(found=bool, la_hosts=list, lci1=list, lci2=list, j_max=int)
     def on_ma_blacklist_resp(self, key, case, step, reply) -> None:
         if not reply["found"]:
             self._fail(key, "blacklist")
@@ -343,7 +345,7 @@ class Ma(Component):
                 {"lci": lci, "period": period}, key, f"seed2:{n}",
             )
 
-    @_reply
+    @_reply(found=bool, ls=bytes, la_id=bytes)
     def on_ma_lci2seed_resp(self, key, case, step, reply) -> None:
         if not reply["found"]:
             self._fail(key, "seeds")
@@ -397,7 +399,7 @@ class Ma(Component):
             self.pca_host, "ma.cert2rh", {"cert_id": cert.cert_id()}, key, "rh"
         )
 
-    @_reply
+    @_reply(found=bool, rh=bytes, ra_host=str)
     def on_ma_cert2rh_resp(self, key, case, step, reply) -> None:
         if not reply["found"]:
             self._fail(key, "rh")
@@ -405,7 +407,7 @@ class Ma(Component):
         self._query(reply["ra_host"], "ma.blacklist_nonpseudo",
                     {"rh": reply["rh"]}, key, "bl")
 
-    @_reply
+    @_reply(found=bool, rhs=list)
     def on_ma_blacklist_nonpseudo_resp(self, key, case, step, reply) -> None:
         if not reply["found"]:
             self._fail(key, "blacklist")
@@ -420,14 +422,12 @@ class Ma(Component):
         self._query(self.pca_host, "ma.certsbyrh", {"rhs": reply["rhs"]},
                     key, "certs")
 
-    @_reply
+    @_reply(certs=list)
     def on_ma_certsbyrh_resp(self, key, case, step, reply) -> None:
+        certs = [Certificate.decode(raw) for raw in reply["certs"]]
         del self._cases[key]
-        cert_ids = []
-        for raw in reply["certs"]:
-            cert = Certificate.decode(raw)
-            if cert.valid_to >= self.clock.period:
-                cert_ids.append(cert.cert_id())
+        cert_ids = [cert.cert_id() for cert in certs
+                    if cert.valid_to >= self.clock.period]
         self.crlg.add_entries(case["series"], certid=[
             CertIdRevocation(cid, Priority.NORMAL) for cid in cert_ids
         ])
@@ -439,10 +439,9 @@ class Ma(Component):
             self.publish_crl(case["series"])
 
     def on_ma_refused(self, env) -> None:
-        self.store.put("refusal", {
-            "op": env.payload["op"], "reason": env.payload["reason"],
-        })
-        routed = self._case_for(env)
+        op, reason, echo = fields(env.payload, op=str, reason=str, echo=str)
+        self.store.put("refusal", {"op": op, "reason": reason})
+        routed = self._case_for(echo)
         if routed is not None:
             self._fail(routed[0], "refused")
 

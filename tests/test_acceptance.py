@@ -294,6 +294,7 @@ REFERENCE_DIGESTS = {
     "revocation_demo": "fd6dbf1d1ff0a145",
     "mitm_drill": "fdba63c8420edca1",
     "elector_drill": "6d1598cf90c2aa9f",
+    "garbage_drill": "5915f328b040aadb",
 }
 
 
@@ -303,6 +304,17 @@ def test_scenario_digests_match_reference_table(scenario_runs):
         for name, (first, _) in scenario_runs.items()
     }
     assert digests == REFERENCE_DIGESTS
+
+
+def test_garbage_drill_dead_letters_without_violations(scenario_runs):
+    # malformed envelopes are refused one by one; the run and its audits
+    # stay whole
+    result = scenario_runs["garbage_drill"][0]
+    assert result.violations == []
+    assert result.metrics["dead_letters"] == 9
+    assert all(r.metrics["dead_letters"] == 0
+               for name, (r, _) in scenario_runs.items()
+               if name != "garbage_drill")
 
 
 def test_criterion_10_mitm_detection(scenario_runs):

@@ -7,6 +7,7 @@ import pytest
 
 from scms.authorities import (
     LinkageAuthority,
+    Lop,
     Pca,
     Ra,
     UncertifiedModel,
@@ -14,7 +15,7 @@ from scms.authorities import (
 )
 from scms.authorities.base import ma_query
 from scms.butterfly import CaterpillarRequest
-from scms.bus import Envelope
+from scms.bus import Envelope, MessageBus
 from scms.certmodel import Certificate, CertType, sign_message, verify_chain
 from scms.crypto import (
     DeterministicRandom,
@@ -28,6 +29,7 @@ from scms.encoding import decode, encode
 from scms.errors import InvariantViolation
 from scms.harness import shuffle_dispersion
 from scms.linkage import LinkageSeed, pre_linkage_value, seed_at
+from scms.persistence import StoreRegistry
 from tests.conftest import make_world, provision_all
 
 
@@ -74,22 +76,38 @@ def test_rebootstrap_after_revocation_gets_fresh_cert():
 # --- LOP ---
 
 def test_lop_replaces_source_keeps_payload():
-    world = make_world()
+    # the proxy forwards only to the RA and the MA: a sink stands as the RA
+    bus = MessageBus()
+    Lop("lop", bus, StoreRegistry(), DeterministicRandom(1))
     seen = []
 
     class Sink:
         def handle(self, env):
             seen.append(env)
 
-    world.bus.register("sink", Sink())
+    bus.register("ra", Sink())
     body = {"reply_ref": b"\x01\x02", "blob": b"opaque"}
-    world.bus.send(Envelope("obe0", "lop", "lop.fwd", {
-        "dst": "sink", "mtype": "anything", "body": body,
+    bus.send(Envelope("obe0", "lop", "lop.fwd", {
+        "dst": "ra", "mtype": "anything", "body": body,
     }))
-    world.bus.run()
+    bus.run()
     assert len(seen) == 1
     assert seen[0].src == "lop"
     assert seen[0].payload == body  # byte-identical payload
+
+
+def test_lop_refuses_other_destinations_and_unknown_sessions():
+    world = make_world(devices=1, keep_trace_events=True)
+    world.bus.send(Envelope("obe0", "lop", "lop.fwd", {
+        "dst": "pca", "mtype": "cert.request", "body": {},
+    }))
+    world.bus.send(Envelope("ra", "lop", "provision.ack", {
+        "reply_ref": b"\x00" * 8, "request_id": "x",
+    }))
+    world.bus.run()
+    dead = [(e["t"], e["err"]) for e in world.trace.events
+            if e["kind"] == "dead_letter"]
+    assert dead == [("lop.fwd", "ScmsError"), ("provision.ack", "ScmsError")]
 
 
 def test_ra_sees_only_lop_sources():
@@ -400,6 +418,22 @@ def test_devices_reconstruct_all_keys():
                 assert entry["cert"].valid_from == period
 
 
+def test_pca_rejects_a_request_naming_an_unknown_la():
+    world = make_world(devices=1)
+    device = world.devices[0]
+    device.request_certs(0, 1, j_max=2, psid=world.config.psid)
+    world.bus.run()
+    single = {**world.ra._buffer[0], "la2": b"\x00\x00\x00\x09"}
+    world.bus.send(Envelope("ra", "pca", "cert.request", single))
+    world.bus.run()
+    assert world.bus.dead_letters == 0
+    deferred = world.registry.audit_view("ra").scan("deferred")
+    assert deferred == [{"rh": single["rh"], "reason": "unknown linkage authority"}]
+    audit = world.registry.audit_view("pca").scan("audit")
+    assert [r["op"] for r in audit] == ["cert.request.rejected"]
+    assert world.registry.audit_view("pca").count("issued") == 0
+
+
 def test_pca_store_has_no_enrollment_material():
     world = make_world(devices=2)
     provision_all(world)
@@ -608,7 +642,7 @@ def test_ra_observes_lop_as_source_for_all_device_traffic():
 def test_root_rotation_with_eca_recertification():
     """Root revoked, replacement endorsed by electors, ECA re-certified:
     devices re-enroll over the air, no secure environment needed."""
-    from scms.bus import Envelope
+    from scms.bus import Envelope, MessageBus
     from scms.crypto import KeyPair
     from scms.rootmgmt import (
         ENDORSE_ROOT,

@@ -1,9 +1,10 @@
-"""Bus, clock and trace tests: FIFO determinism, proxy enforcement."""
+"""Bus, clock and trace tests: FIFO determinism, proxy enforcement, the
+fault boundary."""
 
 import pytest
 
 from scms.bus import Clock, Envelope, MessageBus, Trace
-from scms.errors import InvariantViolation
+from scms.errors import InvariantViolation, ParseError, ScmsError
 
 
 class Echo:
@@ -88,3 +89,51 @@ def test_clock_period_monotone():
     clock.advance_minutes(7 * 24 * 60)
     assert clock.period == 4
     assert clock.day == 4 * 7
+
+
+class Raiser:
+    """Toy component whose handler raises the error it was built with."""
+
+    def __init__(self, bus, own_id, error):
+        self.id = own_id
+        self.error = error
+        bus.register(own_id, self)
+
+    def handle(self, env):
+        raise self.error
+
+
+def test_scms_error_becomes_a_dead_letter_and_the_run_goes_on():
+    trace = Trace()
+    bus = MessageBus(trace=trace)
+    Raiser(bus, "bad", ParseError("missing field 'secret-looking'", 0))
+    echo = Echo(bus, "a")
+    bus.send(Envelope("a", "bad", "m", {"secret": b"\x01"}))
+    bus.send(Envelope("x", "a", "after", {}))
+    assert bus.run() == 2
+    assert echo.seen == ["after"]
+    assert bus.dead_letters == 1 and bus.delivered == 2
+    dead = [e for e in trace.events if e["kind"] == "dead_letter"]
+    # the error class only: nothing from the payload or the message
+    assert dead == [{"n": 1, "kind": "dead_letter", "p": 0, "dst": "bad",
+                     "t": "m", "err": "ParseError"}]
+
+
+@pytest.mark.parametrize("error", [
+    InvariantViolation("broken invariant"), KeyError("x"), ValueError("x"),
+])
+def test_invariant_violations_and_bugs_abort_the_run(error):
+    bus = MessageBus(trace=Trace())
+    Raiser(bus, "bad", error)
+    bus.send(Envelope("a", "bad", "m", {}))
+    with pytest.raises(type(error)):
+        bus.run()
+    assert bus.dead_letters == 0
+
+
+def test_plain_scms_error_is_contained_too():
+    bus = MessageBus()
+    Raiser(bus, "bad", ScmsError("unknown message type"))
+    bus.send(Envelope("a", "bad", "m", {}))
+    assert bus.run() == 1
+    assert bus.dead_letters == 1

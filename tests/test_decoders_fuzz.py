@@ -2,7 +2,8 @@
 
 Each decoder gets valid encodings with bit flips, truncations, insertions
 and overwritten length fields applied. It must either decode or raise an
-``ScmsError``; a ``ParseError`` must point inside the input. The runs are
+``ScmsError``; a ``ParseError`` must point inside the input. An argument
+that is not bytes at all is a ``ParseError`` at offset 0. The runs are
 derandomized, so a failure reproduces on every run.
 """
 
@@ -164,6 +165,14 @@ def test_samples_decode(restore):
 def test_mutated_input_raises_only_scms_error(name, restore, data):
     raw = data.draw(mutated(SAMPLES[name]), label="input")
     _decode_or_scms_error(_decoders(restore)[name], raw)
+
+
+@pytest.mark.parametrize("value", [5, None, "text"], ids=["int", "None", "str"])
+@pytest.mark.parametrize("name", sorted(set(SAMPLES) - {"StoreRegistry.restore"}))
+def test_non_bytes_input_is_a_parse_error_at_offset_0(name, value, restore):
+    with pytest.raises(ParseError) as err:
+        _decoders(restore)[name](value)
+    assert err.value.offset == 0
 
 
 def test_nested_parse_error_offset_is_in_the_outer_input(restore):

@@ -148,6 +148,43 @@ def test_backward_privacy_of_replayed_pre_revocation_bsm():
     assert not ok and reason == "revoked"
 
 
+def test_one_crl_check_path_in_bsm_validation(monkeypatch):
+    world = make_world(devices=5, periods=4, batch_size=4)
+    provision_all(world)
+    offender, honest, listener = world.devices[0], world.devices[1], world.devices[4]
+    world.clock.set(2, 0)
+    bsm = offender.broadcast_bsm([d.id for d in world.devices[1:4]],
+                                 position=[-3, 0], speed=50)
+    for reporter in world.devices[1:4]:
+        reporter.report_misbehavior(bsm)
+    world.bus.run()
+    world.ra.flush_reports()
+    world.bus.run()
+    listener.fetch_crl()
+    world.bus.run()
+
+    import scms.certmodel as certmodel
+
+    calls = []
+    real = certmodel.crl_check
+    monkeypatch.setattr(certmodel, "crl_check",
+                        lambda *a: calls.append(1) or real(*a))
+    honest_bsm = honest.sign_bsm([0, 0], 30)
+    assert listener.validate_bsm(honest_bsm) == (True, "ok")
+    walked = len(calls)
+    assert walked >= 2  # the chain walk checks the leaf and its issuers
+    assert listener.validate_bsm(honest_bsm) == (True, "ok")
+    assert len(calls) == walked  # a cached chain needs no CRL check
+
+    # a failed walk is "revoked" when the leaf itself is revoked, whatever
+    # else is wrong with the chain, and "untrusted-chain" otherwise
+    assert listener.validate_bsm(offender.sign_bsm([0, 0], 30)) == (False, "revoked")
+    listener.trust.store.revoke_root(world.root_cert.cert_id())
+    listener._bump_trust()
+    assert listener.validate_bsm(offender.sign_bsm([0, 0], 30)) == (False, "revoked")
+    assert listener.validate_bsm(honest_bsm) == (False, "untrusted-chain")
+
+
 def test_report_encrypted_to_ma_only():
     world = make_world(devices=3, periods=1, batch_size=3)
     provision_all(world)

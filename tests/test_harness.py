@@ -121,3 +121,26 @@ def test_mitm_devices_all_detected():
 def test_bad_event_action_raises():
     with pytest.raises(ScmsError):
         run_scenario(_small_config(events=[{"period": 0, "action": "warp"}]))
+
+
+def test_inject_event_sends_json_payloads_with_bytes():
+    result = run_scenario(_small_config(keep_trace_events=True, events=[
+        {"period": 1, "action": "inject", "src": "pg", "dst": "obe0",
+         "type": "ballot.publish", "payload": {"ballot": {"$bytes": "0600"}}},
+    ]))
+    assert result.violations == []
+    dead = [e for e in result.world.trace.events if e["kind"] == "dead_letter"]
+    assert [(e["dst"], e["t"], e["err"]) for e in dead] == [
+        ("obe0", "ballot.publish", "ParseError")]
+    assert result.metrics["dead_letters"] == 1
+
+
+@pytest.mark.parametrize("event", [
+    {"src": "pg", "dst": "obe0"},
+    {"src": "pg", "dst": "obe0", "type": 5, "payload": {}},
+])
+def test_malformed_inject_event_raises(event):
+    with pytest.raises(ScmsError):
+        run_scenario(_small_config(events=[
+            {"period": 0, "action": "inject", **event},
+        ]))
