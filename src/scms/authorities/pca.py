@@ -55,6 +55,18 @@ class Pca(Component):
         self.audit_log(env.src, "cert.request.rejected", rh)
         self.send(env.src, "cert.reject", {"rh": rh, "reason": reason})
 
+    def _issue(self, env, rh: bytes, content: dict) -> Certificate | None:
+        """Sign a certificate with this PCA as issuer, or reject the request
+        if the requested content does not make a conforming certificate."""
+        try:
+            cert = Certificate(
+                craca_id=self.craca_id, issuer_id=self.cert.cert_id(), **content
+            )
+        except ValueError as exc:
+            self._reject(env, rh, f"non-conforming certificate: {exc}")
+            return None
+        return issue_certificate(cert, self.keypair.private)
+
     def on_cert_request(self, env) -> None:
         rh, la1, la2, eplv1, eplv2, i, j, cocoon, resp_key, psid = fields(
             env.payload, rh=bytes, la1=bytes, la2=bytes, eplv1=bytes,
@@ -79,18 +91,17 @@ class Pca(Component):
         lv = xor_lv(plv1["plv"], plv2["plv"])
 
         butterfly_pub, recon = butterfly_finalize(cocoon, self.rng)
-        cert = Certificate(
+        cert = self._issue(env, rh, dict(
             ctype=CertType.OBE_PSEUDONYM,
             subject_key=butterfly_pub,
             valid_from=i,
             valid_to=i,
             psid=psid,
-            craca_id=self.craca_id,
             crl_series=self.series.pseudonym,
-            issuer_id=self.cert.cert_id(),
             linkage_value=lv,
-        )
-        cert = issue_certificate(cert, self.keypair.private)
+        ))
+        if cert is None:
+            return
         cert_bytes = cert.encode()
 
         sealed = hybrid_encrypt(
@@ -137,19 +148,18 @@ class Pca(Component):
             ctype = CertType(ctype)
         except ValueError:
             raise ParseError(f"unknown certificate type {ctype}", 0) from None
-        cert = Certificate(
+        cert = self._issue(env, rh, dict(
             ctype=ctype,
             subject_key=GroupElement.decode(pubkey),
             valid_from=valid_from,
             valid_to=valid_to,
             psid=psid,
-            craca_id=self.craca_id,
             crl_series=self.series.for_type(ctype),
-            issuer_id=self.cert.cert_id(),
             enc_key=None if enc_pubkey is None else GroupElement.decode(enc_pubkey),
             subject_info=subject_info,
-        )
-        cert = issue_certificate(cert, self.keypair.private)
+        ))
+        if cert is None:
+            return
         self.store.put(
             "issued_plain",
             {

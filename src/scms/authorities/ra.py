@@ -20,6 +20,7 @@ import hashlib
 
 from ..butterfly import CaterpillarRequest, TimeIndex, cocoon_expand
 from ..certmodel import (
+    U32_MAX,
     CertType,
     Certificate,
     SignedMessage,
@@ -29,15 +30,17 @@ from ..certmodel import (
 )
 from ..crypto import GroupElement, KeyPair, hybrid_decrypt
 from ..crypto.hybrid import HybridCiphertext
-from ..encoding import decode, encode, fields
+from ..encoding import decode, encode, fields, rows
 from ..errors import DecryptionError, InvariantViolation, ParseError, ScmsError
-from ..linkage import LA1_ID, LA2_ID
+from ..linkage import J_MAX, LA1_ID, LA2_ID
 from ..rootmgmt import Ballot, TrustState
 from .base import Component, ma_query
 from .enrollment import device_handle
 from .pca import request_hash
 
 _ENROLLMENT_TYPES = {CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT}
+# the certificates an end entity may request outside the pseudonym flow
+_APP_TYPES = {CertType.OBE_IDENTIFICATION, CertType.RSE_APPLICATION}
 
 
 class Ra(Component):
@@ -78,19 +81,21 @@ class Ra(Component):
     def _enrollment_record(self, handle: str) -> dict | None:
         return self.store.first("enrollment", handle=handle)
 
-    def _deny(self, env, reason: str) -> None:
-        (ref,) = fields(env.payload, reply_ref=bytes)
-        self.send(env.src, "provision.deny", {"reply_ref": ref, "reason": reason})
+    def _deny(self, dst: str, reply_ref: bytes, reason: str) -> None:
+        self.send(dst, "provision.deny", {
+            "reply_ref": reply_ref, "reason": reason,
+        })
 
     def _open_request(self, env, allow_recertified: bool = False):
         """Decrypt and authenticate a proxied device request; returns
-        (signed message, enrollment certificate, handle) or None.
+        (signed message, enrollment certificate, handle, reply ref) or
+        None after a denial.
 
         With allow_recertified, an enrollment certificate whose chain died
         with a revoked root still passes if its issuing ECA has been
         re-certified with the same key under the new hierarchy.
         """
-        blob, _ = fields(env.payload, blob=bytes, reply_ref=bytes)
+        blob, ref = fields(env.payload, blob=bytes, reply_ref=bytes)
         try:
             plain = hybrid_decrypt(
                 self.enc_keypair.private, HybridCiphertext.decode(blob)
@@ -102,27 +107,27 @@ class Ra(Component):
                 if msg.cert_bytes is not None else None
             )
         except (DecryptionError, ParseError):
-            self._deny(env, "undecryptable or malformed request")
+            self._deny(env.src, ref, "undecryptable or malformed request")
             return None
         if cert is None:
-            self._deny(env, "missing enrollment certificate")
+            self._deny(env.src, ref, "missing enrollment certificate")
             return None
         if cert.ctype not in _ENROLLMENT_TYPES:
-            self._deny(env, "not an enrollment certificate")
+            self._deny(env.src, ref, "not an enrollment certificate")
             return None
         if not verify_message(msg, cert):
-            self._deny(env, "bad signature")
+            self._deny(env.src, ref, "bad signature")
             return None
         if not verify_chain(cert, self.trust.store, at_period=self.clock.period).ok:
             if not (allow_recertified and self._recertified_ok(cert)):
-                self._deny(env, "enrollment certificate does not verify")
+                self._deny(env.src, ref, "enrollment certificate does not verify")
                 return None
         handle = device_handle(msg.cert_bytes)
         record = self._enrollment_record(handle)
         if record is not None and record["blacklisted"]:
-            self._deny(env, "enrollment certificate blacklisted")
+            self._deny(env.src, ref, "enrollment certificate blacklisted")
             return None
-        return msg, cert, handle
+        return msg, cert, handle, ref
 
     def _recertified_ok(self, cert: Certificate) -> bool:
         new_eca = self.recertified_ecas.get(cert.issuer_id)
@@ -138,13 +143,14 @@ class Ra(Component):
         opened = self._open_request(env)
         if opened is None:
             return
-        msg, cert, handle = opened
+        msg, cert, handle, reply_ref = opened
         try:
             request = decode(msg.payload)
             a, k_sign, h, k_enc, start, n_periods, j_max = fields(
                 request, A=bytes, k_sign=bytes, H=bytes, k_enc=bytes,
                 start=int, n_periods=int, j_max=int,
             )
+            (psid,) = fields({"psid": self.default_psid, **request}, psid=int)
             caterpillar = CaterpillarRequest(
                 signing_seed=GroupElement.decode(a),
                 signing_key=k_sign,
@@ -152,12 +158,17 @@ class Ra(Component):
                 encryption_key=k_enc,
             )
         except (ParseError, ValueError):
-            self._deny(env, "malformed caterpillar request")
+            self._deny(env.src, reply_ref, "malformed caterpillar request")
             return
         end = start + n_periods - 1
+        if not (0 <= start <= end <= U32_MAX and 1 <= j_max <= J_MAX
+                and 0 <= psid <= U32_MAX):
+            self._deny(env.src, reply_ref, "malformed caterpillar request")
+            return
         for span in self.store.where("span", handle=handle):
             if span["start"] <= end and start <= span["end"]:
-                self._deny(env, "duplicate request for covered time span")
+                self._deny(env.src, reply_ref,
+                           "duplicate request for covered time span")
                 return
         record = self._enrollment_record(handle)
         if record is None:
@@ -177,7 +188,8 @@ class Ra(Component):
         ref = self.rng.randbytes(8).hex()
         self._pending[ref] = {
             "handle": handle,
-            "request": request,
+            "psid": psid,
+            "grid": (start, n_periods, j_max),
             "caterpillar": caterpillar,
             "plvs": {},
             "new_chain": not record["lci1"],
@@ -191,18 +203,22 @@ class Ra(Component):
                 self.send(host, "plv.request", {**chain_msg, "lci": lci})
             else:
                 self.send(host, "chain.open", chain_msg)
-        (reply_ref,) = fields(env.payload, reply_ref=bytes)
         self.send(env.src, "provision.ack", {
             "reply_ref": reply_ref, "request_id": ref,
         })
 
     def on_chain_plvs(self, env) -> None:
-        ref, _, _ = fields(env.payload, ref=str, lci=bytes, plvs=list)
+        ref, _, plvs = fields(env.payload, ref=str, lci=bytes, plvs=list)
         if env.src not in self.la_hosts:
             raise ScmsError(f"linkage values from {env.src!r}, not an LA")
         state = self._pending.get(ref)
         if state is None:
             return
+        start, n_periods, j_max = state["grid"]
+        if [[i, j] for i, j, _ in rows(plvs, int, int, bytes)] != [
+            [i, j] for i in range(start, start + n_periods) for j in range(j_max)
+        ]:
+            raise ParseError("linkage values do not cover the requested grid", 0)
         state["plvs"][env.src] = env.payload
         if len(state["plvs"]) < 2:
             return
@@ -223,7 +239,6 @@ class Ra(Component):
         self._pending.pop(ref, None)
 
     def _expand(self, state: dict) -> None:
-        request = state["request"]
         handle = state["handle"]
         caterpillar = state["caterpillar"]
         plv1 = state["plvs"][self.la_hosts[0]]["plvs"]
@@ -251,7 +266,7 @@ class Ra(Component):
                 "la2": self.la_ids[1],
                 "i": i1,
                 "j": j1,
-                "psid": request.get("psid", self.default_psid),
+                "psid": state["psid"],
             }
             rh = request_hash(single)
             single["rh"] = rh
@@ -338,6 +353,12 @@ class Ra(Component):
     def on_cert_reject(self, env) -> None:
         rh, reason = fields(env.payload, rh=bytes, reason=str)
         self.store.put("deferred", {"rh": rh, "reason": reason})
+        state = self._pending_app.pop(rh, None)
+        if state is not None:
+            # one refused certificate fails the device's whole request
+            for other in [k for k, v in self._pending_app.items() if v is state]:
+                del self._pending_app[other]
+            self._deny(state["src"], state["reply_ref"], reason)
 
     def on_batch_request(self, env) -> None:
         handle, period, ref = fields(
@@ -370,15 +391,26 @@ class Ra(Component):
         opened = self._open_request(env)
         if opened is None:
             return
-        msg, cert, handle = opened
-        request = decode(msg.payload)
-        ctype, pubkey, psid, validities = fields(
-            request, ctype=int, pubkey=bytes, psid=int, validities=list
+        msg, cert, handle, reply_ref = opened
+        try:
+            request = decode(msg.payload)
+            ctype, pubkey, psid, validities = fields(
+                request, ctype=int, pubkey=bytes, psid=int, validities=list,
+            )
+            enc_pubkey, subject_info = fields(
+                {"enc_pubkey": None, "subject_info": None, **request},
+                enc_pubkey=(bytes, type(None)), subject_info=(str, type(None)),
+            )
+            rows(validities, int, int)
+        except ParseError:
+            self._deny(env.src, reply_ref, "malformed application request")
+            return
+        periods_ok = validities and all(
+            0 <= start <= end <= U32_MAX for start, end in validities
         )
-        if not all(type(w) is list and len(w) == 2
-                   and type(w[0]) is type(w[1]) is int for w in validities):
-            raise ParseError("validities are not [from, to] period pairs", 0)
-        (reply_ref,) = fields(env.payload, reply_ref=bytes)
+        if ctype not in _APP_TYPES or not 0 <= psid <= U32_MAX or not periods_ok:
+            self._deny(env.src, reply_ref, "malformed application request")
+            return
         state = {
             "reply_ref": reply_ref,
             "src": env.src,
@@ -389,11 +421,11 @@ class Ra(Component):
             tbs = {
                 "ctype": ctype,
                 "pubkey": pubkey,
-                "enc_pubkey": request.get("enc_pubkey"),
+                "enc_pubkey": enc_pubkey,
                 "valid_from": valid_from,
                 "valid_to": valid_to,
                 "psid": psid,
-                "subject_info": request.get("subject_info"),
+                "subject_info": subject_info,
             }
             rh = request_hash(tbs)
             self._pending_app[rh] = state
@@ -483,12 +515,11 @@ class Ra(Component):
         opened = self._open_request(env, allow_recertified=True)
         if opened is None:
             return
-        msg, cert, handle = opened
+        msg, cert, _, reply_ref = opened
         if self.require_recertified_eca and cert.issuer_id not in self.recertified_ecas:
-            self._deny(env, "issuing ECA not re-certified")
+            self._deny(env.src, reply_ref, "issuing ECA not re-certified")
             return
         (new_pub,) = fields(decode(msg.payload), new_pub=bytes)
-        (reply_ref,) = fields(env.payload, reply_ref=bytes)
         self.send("eca", "reenroll.forward", {
             "old_cert": msg.cert_bytes, "new_pub": new_pub, "reply_ref": reply_ref,
         })

@@ -116,6 +116,9 @@ class MessageBus:
             raise ValueError(f"component id {component_id!r} already registered")
         self._components[component_id] = component
 
+    def is_registered(self, component_id: str) -> bool:
+        return component_id in self._components
+
     def send(self, env: Envelope) -> None:
         if env.dst in _PROXIED and _is_end_entity(env.src):
             raise InvariantViolation(

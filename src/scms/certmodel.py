@@ -38,6 +38,7 @@ CRL_MAGIC = b"CR"
 CERT_ID_BYTES = 8
 SIG_BYTES = 64
 NO_REGION = 0xFF  # region byte of a CRL entry without a region hint
+U32_MAX = 0xFFFF_FFFF  # largest validity period or PSID a certificate holds
 
 # magic "SC" | version | ctype | alg | flags | subject_key | valid_from |
 # valid_to | psid | craca_id | crl_series | issuer_id
@@ -157,6 +158,11 @@ class Certificate:
             raise ValueError("craca_id and issuer_id must be 8 bytes")
         if self.valid_from > self.valid_to:
             raise ValueError("validity period is inverted")
+        if not (0 <= self.valid_from and self.valid_to <= U32_MAX
+                and 0 <= self.psid <= U32_MAX):
+            raise ValueError("validity periods and psid must fit in 32 bits")
+        if self.subject_info is not None and len(self.subject_info.encode()) > 0xFFFF:
+            raise ValueError("subject_info must fit in 65535 bytes")
 
     # --- encoding ---
 

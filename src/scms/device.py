@@ -181,6 +181,7 @@ class Device:
         self.certs: dict[int, list[dict]] = {}
         self.quarantined: list[dict] = []
         self.app_certs: list[dict] = []
+        self._pending_app_key: KeyPair | None = None
         self.provision_status: str | None = None
         self.last_deny_reason: str | None = None
         self.bsm_seq = 0
@@ -323,7 +324,7 @@ class Device:
             (error,) = fields(env.payload, error=str)
             self.provision_status = f"batch-{error}"
             return
-        (items,) = fields(env.payload, items=list)
+        (items,) = fields(env.payload, items=list[bytes])
         for item in items:
             self._install_package(item)
 
@@ -389,10 +390,10 @@ class Device:
 
     def request_app_certs(self, ctype: CertType, validities: list[list[int]],
                           psid: int, with_enc_key: bool = False) -> None:
-        self.app_signing_key = KeyPair.generate(self.rng)
+        self._pending_app_key = KeyPair.generate(self.rng)
         request = {
             "ctype": int(ctype),
-            "pubkey": self.app_signing_key.public.encode(),
+            "pubkey": self._pending_app_key.public.encode(),
             "psid": psid,
             "validities": validities,
             "subject_info": self.model,
@@ -411,12 +412,15 @@ class Device:
 
     def on_app_issued(self, env) -> None:
         (certs,) = fields(env.payload, certs=list)
+        if self._pending_app_key is None:
+            raise ScmsError("no application certificate request is pending")
         decoded = [Certificate.decode(raw) for raw in certs]
         for cert, raw in zip(decoded, certs):
             self.app_certs.append({
                 "cert": cert, "cert_bytes": raw,
-                "priv": self.app_signing_key.private,
+                "priv": self._pending_app_key.private,
             })
+        self._pending_app_key = None
 
     # --- BSM signing with rotation ---
 

@@ -6,12 +6,14 @@ integers use minimal-width two's complement and dict entries are sorted by
 their UTF-8 key bytes. Used for message payloads, bus envelopes and store
 snapshots. Certificate and CRL wire formats have their own fixed layouts
 in certmodel, read through ``Reader``. A decoded payload is read through
-``fields``, which checks each field's presence and exact type.
+``fields``, which checks each field's presence and exact type, and a
+list of fixed-shape rows through ``rows``.
 """
 
 from __future__ import annotations
 
 import struct
+from types import GenericAlias
 
 from .errors import ParseError
 
@@ -94,10 +96,11 @@ def require_bytes(data) -> None:
 def fields(mapping, **kinds) -> tuple:
     """The values of ``mapping`` under each keyword, in keyword order.
 
-    Each kind is a type or a tuple of types, and a value must have exactly
-    that type (``True`` is not an ``int``). A non-dict mapping, a missing key
-    or a wrong type raises ``ParseError``: the one check a handler applies
-    to a payload before it writes or sends anything.
+    Each kind is a type, a tuple of types, or ``list[T]`` for a list whose
+    items all have type ``T``, and a value must have exactly that type
+    (``True`` is not an ``int``). A non-dict mapping, a missing key or a
+    wrong type raises ``ParseError``: the one check a handler applies to a
+    payload before it writes or sends anything.
     """
     if type(mapping) is not dict:
         raise ParseError(f"expected a mapping, got {type(mapping).__name__}", 0)
@@ -106,14 +109,33 @@ def fields(mapping, **kinds) -> tuple:
         if key not in mapping:
             raise ParseError(f"missing field {key!r}", 0)
         value = mapping[key]
-        if type(value) is not kind and (
-            type(kind) is not tuple or type(value) not in kind
-        ):
+        if type(value) is not kind and not _has_kind(value, kind):
             raise ParseError(
                 f"field {key!r} has the wrong type {type(value).__name__}", 0
             )
         values.append(value)
     return tuple(values)
+
+
+def _has_kind(value, kind) -> bool:
+    if type(kind) is tuple:
+        return type(value) in kind
+    if type(kind) is GenericAlias:
+        (item,) = kind.__args__
+        return type(value) is list and all(type(v) is item for v in value)
+    return False
+
+
+def rows(items, *kinds) -> list:
+    """``items`` if it is a list of rows, each a list holding one value of
+    exactly each kind in order; otherwise ``ParseError``."""
+    if type(items) is not list or not all(
+        type(row) is list and len(row) == len(kinds)
+        and all(type(v) is kind for v, kind in zip(row, kinds))
+        for row in items
+    ):
+        raise ParseError(f"expected a list of {len(kinds)}-item rows", 0)
+    return items
 
 
 def _need(data: bytes, offset: int, n: int) -> int:

@@ -43,7 +43,7 @@ from .certmodel import (
 )
 from .crypto import DeterministicRandom, KeyPair
 from .device import Device, FixedIntervalRotation
-from .encoding import decode, fields
+from .encoding import decode, encode, fields
 from .errors import ParseError, ScmsError
 from .linkage import LA1_ID, LA2_ID, LinkageSeed, pre_linkage_values, seed_at
 from .misbehavior import Crlg, Ma, ThresholdDetector
@@ -433,7 +433,14 @@ def _apply_event(world: World, event: dict, report_periods: dict) -> None:
         world.ra.flush()
     elif action == "inject":
         src, dst, mtype = fields(event, src=str, dst=str, type=str)
+        for name in (src, dst):
+            if not world.bus.is_registered(name):
+                raise ScmsError(f"inject event names no component {name!r}")
         payload = _from_json(event.get("payload"))
+        try:
+            encode(payload)
+        except (TypeError, ValueError):
+            raise ScmsError("inject payload is not a wire value") from None
         world.bus.send(Envelope(src, dst, mtype, payload))
     else:
         raise ScmsError(f"unknown scenario action {action!r}")

@@ -28,6 +28,9 @@ LA_ID_BYTES = 4
 # requests
 LA1_ID = b"\x00\x00\x00\x01"
 LA2_ID = b"\x00\x00\x00\x02"
+# most certificates per period one chain covers: a CRL group holds j_max
+# in 16 bits
+J_MAX = 0xFFFF
 
 
 @dataclass(frozen=True)

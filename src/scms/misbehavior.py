@@ -48,6 +48,7 @@ from .crypto import KeyPair, hybrid_decrypt
 from .crypto.hybrid import HybridCiphertext
 from .encoding import decode, encode, fields
 from .errors import DecryptionError, ParseError
+from .linkage import J_MAX
 
 
 @dataclass
@@ -138,6 +139,7 @@ def _reply(**kinds):
 
 class Ma(Component):
     pca_host = "pca"
+    ra_hosts = ("ra",)
     la_hosts = ("la1", "la2")
     crl_store_host = "crlstore"
 
@@ -318,7 +320,7 @@ class Ma(Component):
 
     @_reply(found=bool, rh=bytes, ra_host=str)
     def on_ma_lv2rh_resp(self, key, case, step, reply) -> None:
-        if not reply["found"]:
+        if not reply["found"] or reply["ra_host"] not in self.ra_hosts:
             self._fail(key, "rh")
             return
         case["rh"] = reply["rh"]
@@ -326,9 +328,9 @@ class Ma(Component):
             reply["ra_host"], "ma.blacklist", {"rh": case["rh"]}, key, "bl"
         )
 
-    @_reply(found=bool, la_hosts=list, lci1=list, lci2=list, j_max=int)
+    @_reply(found=bool, lci1=list[bytes], lci2=list[bytes], j_max=int)
     def on_ma_blacklist_resp(self, key, case, step, reply) -> None:
-        if not reply["found"]:
+        if not reply["found"] or not 1 <= reply["j_max"] <= J_MAX:
             self._fail(key, "blacklist")
             return
         case["j_max"] = reply["j_max"]
@@ -336,12 +338,12 @@ class Ma(Component):
         period = self.clock.period
         for n, lci in enumerate(reply["lci1"]):
             self._query(
-                reply["la_hosts"][0], "ma.lci2seed",
+                self.la_hosts[0], "ma.lci2seed",
                 {"lci": lci, "period": period}, key, f"seed1:{n}",
             )
         for n, lci in enumerate(reply["lci2"]):
             self._query(
-                reply["la_hosts"][1], "ma.lci2seed",
+                self.la_hosts[1], "ma.lci2seed",
                 {"lci": lci, "period": period}, key, f"seed2:{n}",
             )
 
@@ -401,13 +403,13 @@ class Ma(Component):
 
     @_reply(found=bool, rh=bytes, ra_host=str)
     def on_ma_cert2rh_resp(self, key, case, step, reply) -> None:
-        if not reply["found"]:
+        if not reply["found"] or reply["ra_host"] not in self.ra_hosts:
             self._fail(key, "rh")
             return
         self._query(reply["ra_host"], "ma.blacklist_nonpseudo",
                     {"rh": reply["rh"]}, key, "bl")
 
-    @_reply(found=bool, rhs=list)
+    @_reply(found=bool, rhs=list[bytes])
     def on_ma_blacklist_nonpseudo_resp(self, key, case, step, reply) -> None:
         if not reply["found"]:
             self._fail(key, "blacklist")
@@ -422,7 +424,7 @@ class Ma(Component):
         self._query(self.pca_host, "ma.certsbyrh", {"rhs": reply["rhs"]},
                     key, "certs")
 
-    @_reply(certs=list)
+    @_reply(certs=list[bytes])
     def on_ma_certsbyrh_resp(self, key, case, step, reply) -> None:
         certs = [Certificate.decode(raw) for raw in reply["certs"]]
         del self._cases[key]

@@ -197,8 +197,15 @@ def _provision_request(**changes) -> dict:
     encode(_provision_request(k_sign="0" * 16)),
     encode([_provision_request()]),
     b"\xff",
+    encode(_provision_request(psid=2**40)),
+    encode(_provision_request(psid="32")),
+    encode(_provision_request(j_max=2**16)),
+    encode(_provision_request(j_max=0)),
+    encode(_provision_request(n_periods=0)),
+    encode(_provision_request(start=-1)),
 ], ids=["A-off-curve", "no-start", "start-str", "j_max-bytes", "k_sign-str",
-        "not-a-dict", "not-canonical"])
+        "not-a-dict", "not-canonical", "psid-over-32-bits", "psid-str",
+        "j_max-over-16-bits", "j_max-zero", "no-periods", "start-negative"])
 def test_malformed_provision_request_denied_before_any_state(payload):
     world = make_world()
     device = world.devices[0]
@@ -304,6 +311,37 @@ def test_misaligned_la_grids_raise_invariant_violation():
     }
     with pytest.raises(InvariantViolation):
         world.ra._expand(state)
+
+
+def _until_queued(world, mtype: str) -> None:
+    """Deliver until an envelope of ``mtype`` waits in the queue."""
+    while not any(env.mtype == mtype for env in world.bus._queue):
+        world.bus._deliver(world.bus._queue.popleft())
+
+
+@pytest.mark.parametrize("plvs", [
+    [5],
+    [[0, 0], [0, 1]],
+    [[0, 0, "ct"], [0, 1, b"ct"]],
+    [[0, 1, b"ct"], [0, 0, b"ct"]],
+    [[0, 0, b"ct"]],
+    [[2**40, 0, b"ct"], [0, 1, b"ct"]],
+], ids=["bare-int", "pairs", "str-ciphertext", "reordered", "short",
+        "period-over-32-bits"])
+def test_la_grid_other_than_requested_is_a_dead_letter(plvs):
+    world = make_world(devices=1)
+    device = world.devices[0]
+    device.request_certs(0, 1, j_max=2)
+    _until_queued(world, "chain.open")
+    (ref,) = world.ra._pending
+    # a forged reply from an LA source that names the live request
+    world.bus._queue.appendleft(Envelope("la1", "ra", "chain.plvs", {
+        "ref": ref, "lci": b"\x00", "plvs": plvs,
+    }))
+    world.bus.run()
+    assert world.bus.dead_letters == 1
+    # the genuine replies still complete the request
+    assert world.registry.audit_view("ra").count("request_index") == 2
 
 
 def test_lci_not_opening_to_stored_seed_raises_invariant_violation():
@@ -432,6 +470,62 @@ def test_pca_rejects_a_request_naming_an_unknown_la():
     audit = world.registry.audit_view("pca").scan("audit")
     assert [r["op"] for r in audit] == ["cert.request.rejected"]
     assert world.registry.audit_view("pca").count("issued") == 0
+
+
+@pytest.mark.parametrize("ctype, validities, psid, with_enc_key, reason", [
+    (CertType.RSE_APPLICATION, [[5, 1]], 130, False,
+     "malformed application request"),
+    (CertType.OBE_PSEUDONYM, [[0, 1]], 130, False,
+     "malformed application request"),
+    (CertType.OBE_ENROLLMENT, [[0, 1]], 130, False,
+     "malformed application request"),
+    (CertType.RSE_APPLICATION, [[0, 2**32]], 130, False,
+     "malformed application request"),
+    (CertType.RSE_APPLICATION, [[0, 1]], 2**40, False,
+     "malformed application request"),
+    (CertType.RSE_APPLICATION, [], 130, False,
+     "malformed application request"),
+    (CertType.OBE_IDENTIFICATION, [[0, 1], [2, 3]], 130, True,
+     "non-conforming certificate"),
+], ids=["inverted", "pseudonym", "enrollment", "period-over-32-bits",
+        "psid-over-32-bits", "no-validity", "identification-with-enc-key"])
+def test_nonconforming_app_request_is_denied(ctype, validities, psid,
+                                              with_enc_key, reason):
+    world = make_world(devices=1)
+    device = world.devices[0]
+    device.request_app_certs(ctype, validities, psid=psid,
+                             with_enc_key=with_enc_key)
+    world.bus.run()
+    assert world.bus.dead_letters == 0
+    assert device.provision_status == "denied"
+    assert device.last_deny_reason.startswith(reason)
+    assert device.app_certs == []
+    assert world.ra._pending_app == {}
+    assert world.registry.audit_view("pca").count("issued_plain") == 0
+
+
+@pytest.mark.parametrize("tbs", [
+    {"ctype": int(CertType.OBE_PSEUDONYM)},
+    {"valid_from": 5, "valid_to": 1},
+    {"psid": 2**40},
+    {"subject_info": "x" * 70_000},
+], ids=["pseudonym", "inverted", "psid-over-32-bits", "long-subject-info"])
+def test_pca_rejects_a_nonconforming_plain_request(tbs):
+    world = make_world(devices=1)
+    request = {"rh": b"\x01" * 32, "tbs": {
+        "ctype": int(CertType.RSE_APPLICATION),
+        "pubkey": mul_g(DeterministicRandom(3).scalar()).encode(),
+        "enc_pubkey": None, "valid_from": 0, "valid_to": 1, "psid": 130,
+        "subject_info": None, **tbs,
+    }}
+    world.bus.send(Envelope("ra", "pca", "cert.request.plain", request))
+    world.bus.run()
+    assert world.bus.dead_letters == 0
+    deferred = world.registry.audit_view("ra").scan("deferred")
+    assert [r["reason"].split(":")[0] for r in deferred] == [
+        "non-conforming certificate"]
+    audit = world.registry.audit_view("pca").scan("audit")
+    assert [r["op"] for r in audit] == ["cert.request.rejected"]
 
 
 def test_pca_store_has_no_enrollment_material():

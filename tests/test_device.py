@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from scms.bus import Envelope
 from scms.certmodel import (
     CertIdRevocation,
     Crl,
@@ -183,6 +184,28 @@ def test_one_crl_check_path_in_bsm_validation(monkeypatch):
     listener._bump_trust()
     assert listener.validate_bsm(offender.sign_bsm([0, 0], 30)) == (False, "revoked")
     assert listener.validate_bsm(honest_bsm) == (False, "untrusted-chain")
+
+
+def test_unrequested_app_certificates_are_a_dead_letter():
+    world = make_world(devices=1)
+    device = world.devices[0]
+    world.bus.send(Envelope("lop", device.id, "app.issued", {
+        "reply_ref": b"\x00" * 8, "certs": [device.enrollment_cert_bytes],
+    }))
+    world.bus.run()
+    assert world.bus.dead_letters == 1
+    assert device.app_certs == []
+
+
+def test_batch_item_of_another_type_is_a_dead_letter():
+    world = make_world(devices=1)
+    device = world.devices[0]
+    world.bus.send(Envelope("lop", device.id, "batch.response", {
+        "reply_ref": b"\x00" * 8, "period": 0, "items": [5],
+    }))
+    world.bus.run()
+    assert world.bus.dead_letters == 1
+    assert device.quarantined == []
 
 
 def test_report_encrypted_to_ma_only():

@@ -8,11 +8,16 @@ ends as a dead letter must leave the stores unchanged and send nothing.
 The runs are derandomized, so a failure reproduces on every run.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scms.bus import Envelope, MessageBus
+from scms import harness
+from scms.bus import Envelope, MessageBus, Trace
+from scms.certmodel import CertType
+from scms.device import Device
 from scms.encoding import encode
 from scms.errors import InvariantViolation, ScmsError
 from scms.harness import ScenarioConfig, run_scenario
@@ -22,9 +27,17 @@ from tests.conftest import make_world
 _OTHER_VALUES = [None, True, 7, "text", b"\x00" * 8, [5], {"k": b""}]
 
 
+def _copy(world, env=None):
+    """A deep copy of a world (and an envelope), with a fresh trace: the
+    trace's running hash cannot be copied, and the copies need none."""
+    return copy.deepcopy((world, env), {id(world.trace): Trace(keep_events=False)})
+
+
 def _recorded_run():
-    """A finished world and the first envelope delivered to each
-    (destination, type); devices count as one destination."""
+    """For each (destination, type), a copy of the world taken just before
+    the first delivery of that type, with the envelope delivered then.
+    Devices count as one destination. Replies are copied while the request
+    they answer is still open, so a mutated reply reaches the handler body."""
     config = ScenarioConfig(
         name="handler-fuzz", seed=31, devices=4, periods=3, batch_size=3,
         bsms_per_device_per_period=1, listeners_per_bsm=1,
@@ -35,30 +48,49 @@ def _recorded_run():
              "voters": [1, 2]},
         ],
     )
-    first: dict[str, Envelope] = {}
+    worlds = []
+    first: dict[str, tuple] = {}
     deliver = MessageBus._deliver
 
+    class Recorded(harness.World):
+        def __init__(self, config):
+            super().__init__(config)
+            worlds.append(self)
+
     def recording(bus, env):
-        dst = "device" if env.dst.startswith("obe") else env.dst
-        first.setdefault(f"{dst}:{env.mtype}", env)
+        dst = "device" if env.dst.startswith(("obe", "rse")) else env.dst
+        key = f"{dst}:{env.mtype}"
+        if worlds and key not in first:
+            first[key] = _copy(worlds[0], env)
         deliver(bus, env)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MessageBus, "_deliver", recording)
+        patch.setattr(harness, "World", Recorded)
         result = run_scenario(config)
         world = result.world
-        # flows no scenario event drives: policy pull, re-enrollment and
-        # the MA's same-device investigation
+        # flows no scenario event drives: policy pull, re-enrollment, the
+        # MA's same-device investigation, and an RSE's application
+        # certificates and their revocation
         world.devices[1].fetch_policy()
         world.devices[2].reenroll_reestablish()
         issued = world.issued_certificates()
         world.ma.request_same_device(issued[0]["lv"], issued[-1]["lv"])
         world.bus.run()
+        rse = Device("rse0", world.bus, world.rng, model="rse-model-a")
+        rse.bootstrap(world.dcm, ctype=CertType.RSE_ENROLLMENT,
+                      subject_info="rse-unit-0")
+        rse.request_app_certs(CertType.RSE_APPLICATION, [[0, 5], [6, 9]],
+                              psid=130, with_enc_key=True)
+        world.bus.run()
+        world.ma.start_certificate_revocation(rse.app_certs[0]["cert_bytes"])
+        world.bus.run()
     assert result.violations == []
-    return world, first
+    assert world.bus.dead_letters == 0
+    return first
 
 
-WORLD, ENVELOPES = _recorded_run()
+RECORDED = _recorded_run()
 
 
 def drain_checked(world) -> None:
@@ -74,51 +106,88 @@ def drain_checked(world) -> None:
             assert len(bus._queue) == queued, env.mtype
 
 
+_DROP = object()
+
+
+def _paths(value, prefix=()) -> list[tuple[tuple, object]]:
+    """(path, value) of every field, nested mappings included."""
+    out = []
+    if isinstance(value, dict):
+        for key in sorted(value):
+            out.append((prefix + (key,), value[key]))
+            out += _paths(value[key], prefix + (key,))
+    return out
+
+
+def _with(value: dict, path: tuple, new) -> dict:
+    """A copy of ``value`` with the field at ``path`` replaced or dropped."""
+    head, rest = path[0], path[1:]
+    out = dict(value)
+    if rest:
+        out[head] = _with(value[head], rest, new)
+    elif new is _DROP:
+        del out[head]
+    else:
+        out[head] = new
+    return out
+
+
 @st.composite
 def mutated(draw, env: Envelope) -> tuple[str, object]:
     payload = env.payload
-    names = sorted(payload) if isinstance(payload, dict) else []
-    byte_fields = [k for k in names if isinstance(payload[k], bytes)]
-    ops = ["unknown-type"]
-    ops += ["drop", "retype"] if names else []
-    ops += ["bytes"] if byte_fields else []
-    op = draw(st.sampled_from(ops))
+    paths = _paths(payload)
+    kinds = {
+        "drop": paths,
+        "retype": paths,
+        "bytes": [(p, v) for p, v in paths if type(v) is bytes],
+        "text": [(p, v) for p, v in paths if type(v) is str],
+        "number": [(p, v) for p, v in paths if type(v) is int],
+    }
+    op = draw(st.sampled_from(["unknown-type"] + [k for k, v in kinds.items() if v]))
     if op == "unknown-type":
         return "no.such.type", payload
+    path, value = draw(st.sampled_from(kinds[op]))
     if op == "drop":
-        key = draw(st.sampled_from(names))
-        return env.mtype, {k: v for k, v in payload.items() if k != key}
-    if op == "retype":
-        key = draw(st.sampled_from(names))
-        others = [v for v in _OTHER_VALUES if type(v) is not type(payload[key])]
-        return env.mtype, {**payload, key: draw(st.sampled_from(others))}
-    key = draw(st.sampled_from(byte_fields))
-    data = bytearray(payload[key])
-    edit = draw(st.sampled_from(["flip", "truncate", "extend"]))
-    if edit == "flip" and data:
-        data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
-    elif edit == "truncate" and data:
-        del data[draw(st.integers(0, len(data) - 1)):]
+        new = _DROP
+    elif op == "retype":
+        new = draw(st.sampled_from(
+            [v for v in _OTHER_VALUES if type(v) is not type(value)]))
+    elif op == "text":
+        new = draw(st.sampled_from(["", value + "x", value[:-1]]))
+    elif op == "number":
+        new = draw(st.sampled_from([-1 - value, value + 1, value - 1]))
     else:
-        data += draw(st.binary(min_size=1, max_size=8))
-    return env.mtype, {**payload, key: bytes(data)}
+        data = bytearray(value)
+        edit = draw(st.sampled_from(["flip", "truncate", "extend"]))
+        if edit == "flip" and data:
+            data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+        elif edit == "truncate" and data:
+            del data[draw(st.integers(0, len(data) - 1)):]
+        else:
+            data += draw(st.binary(min_size=1, max_size=8))
+        new = bytes(data)
+    return env.mtype, _with(payload, path, new)
 
 
 def test_every_handler_type_was_recorded():
-    covered = {key.split(":")[0] for key in ENVELOPES}
-    assert {"device", "lop", "ra", "pca", "la1", "la2", "ma",
+    covered = {key.split(":")[0] for key in RECORDED}
+    assert {"device", "lop", "ra", "pca", "la1", "la2", "ma", "eca",
             "crlstore"} <= covered
-    assert len(ENVELOPES) >= 30
+    assert {"ra:app.request", "pca:cert.request.plain",
+            "ra:cert.response.plain", "device:app.issued",
+            "ma:ma.certsbyrh.resp"} <= set(RECORDED)
+    assert len(RECORDED) >= 45
 
 
-@pytest.mark.parametrize("key", sorted(ENVELOPES))
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@pytest.mark.parametrize("key", sorted(RECORDED))
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_mutated_envelope_never_aborts_the_run(key, data):
-    env = ENVELOPES[key]
+    world, env = _copy(*RECORDED[key])
     mtype, payload = data.draw(mutated(env), label="mutation")
-    WORLD.bus.send(Envelope(env.src, env.dst, mtype, payload))
-    drain_checked(WORLD)
+    # ahead of whatever else was queued, as the original was delivered
+    world.bus._queue.appendleft(Envelope(env.src, env.dst, mtype, payload))
+    drain_checked(world)
 
 
 # --- the probe: every handler of a small world, 18 malformed payloads ---

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from scms.errors import ScmsError
+from scms.errors import InvariantViolation, ScmsError
 from scms.harness import ScenarioConfig, run_scenario, shuffle_dispersion
 from scms.persistence import StoreRegistry
 from tests.conftest import make_world, provision_all
@@ -138,9 +138,16 @@ def test_inject_event_sends_json_payloads_with_bytes():
 @pytest.mark.parametrize("event", [
     {"src": "pg", "dst": "obe0"},
     {"src": "pg", "dst": "obe0", "type": 5, "payload": {}},
-])
+    {"src": "ghost", "dst": "crlstore", "type": "crl.fetch", "payload": {}},
+    {"src": "pg", "dst": "ghost", "type": "crl.fetch", "payload": {}},
+    {"src": "pg", "dst": "obe0", "type": "bsm", "payload": {"bsm": 1.5}},
+    {"src": "pg", "dst": "obe0", "type": "bsm", "payload": {"bsm": 2**4000}},
+], ids=["no-type", "int-type", "unknown-src", "unknown-dst", "float",
+        "huge-int"])
 def test_malformed_inject_event_raises(event):
-    with pytest.raises(ScmsError):
+    with pytest.raises(ScmsError) as err:
         run_scenario(_small_config(events=[
             {"period": 0, "action": "inject", **event},
         ]))
+    # a bad scenario file, not a fault of the system under test
+    assert not isinstance(err.value, InvariantViolation)

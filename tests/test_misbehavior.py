@@ -288,6 +288,31 @@ def test_refused_query_fails_its_case():
     assert world.ma._await == {}
 
 
+@pytest.mark.parametrize("mtype, change, stage", [
+    ("ma.lv2rh.resp", {"ra_host": "ghost"}, "rh"),
+    ("ma.blacklist.resp", {"j_max": 0}, "blacklist"),
+    ("ma.blacklist.resp", {"j_max": 2**16}, "blacklist"),
+    ("ma.blacklist.resp", {"la_hosts": ["ghost", "ghost"]}, None),
+], ids=["unknown-ra", "j_max-zero", "j_max-over-16-bits", "unknown-las"])
+def test_reply_naming_a_bad_host_or_range_fails_its_case(mtype, change, stage):
+    world = _revocation_world()
+    lv = world.issued_certificates()[0]["lv"]
+    world.ma.start_pseudonym_revocation(lv)
+    bus = world.bus
+    while bus._queue[0].mtype != mtype:
+        bus._deliver(bus._queue.popleft())
+    reply = bus._queue.popleft()
+    bus._queue.appendleft(Envelope(reply.src, reply.dst, reply.mtype,
+                                   {**reply.payload, **change}))
+    bus.run()
+    assert bus.dead_letters == 0
+    failed = world.registry.audit_view("ma").scan("failed_case")
+    if stage is None:  # the MA asks its own LAs, whatever the RA names
+        assert failed == [] and world.ma.revocations_completed == 1
+    else:
+        assert failed == [{"lv": lv, "stage": stage}]
+
+
 def test_audit_reconciliation_finds_no_orphans():
     world = _revocation_world()
     _file_reports(world, 0, [1, 2, 3], period=1)
