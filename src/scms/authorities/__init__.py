@@ -1,19 +1,19 @@
 """Issuance-side SCMS components as isolated state machines."""
 
-from .base import Component
+from .base import Component, Identity
 from .crlstore import CrlStore, Pg
-from .enrollment import CertificationServices, Dcm, Eca, UncertifiedModel, device_handle
+from .enrollment import Dcm, Eca, UncertifiedModel, device_handle
 from .la import LinkageAuthority
 from .lop import Lop
 from .pca import Pca, request_hash
 from .ra import Ra
 
 __all__ = [
-    "CertificationServices",
     "Component",
     "CrlStore",
     "Dcm",
     "Eca",
+    "Identity",
     "LinkageAuthority",
     "Lop",
     "Pca",

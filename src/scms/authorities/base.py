@@ -1,13 +1,16 @@
 """Common machinery for SCMS components.
 
 Each component is a single-threaded state machine with a private store
-namespace, its own deterministic random stream and a signing identity.
-``Component.handle`` is the one message dispatcher: an envelope goes to
-the ``on_<message_type>`` method (dots become underscores), and an unknown
-type is refused with ``ScmsError``, which the bus turns into a dead letter.
-Devices bind the same function; the proxy routes by its own rule. Each
-handler reads its payload through ``encoding.fields`` before it writes or
-sends anything, so a malformed envelope is refused whole.
+namespace and its own deterministic random stream, built whole in one
+constructor call. An ``Authority`` also holds its own certificate and
+keys (an ``Identity``), and an ``MaQueryServer`` also answers the
+misbehavior authority's signed queries. ``Component.handle`` is the one
+message dispatcher: an envelope goes to the ``on_<message_type>`` method
+(dots become underscores), and an unknown type is refused with
+``ScmsError``, which the bus turns into a dead letter. Devices bind the
+same function; the proxy routes by its own rule. Each handler reads its
+payload through ``encoding.fields`` before it writes or sends anything,
+so a malformed envelope is refused whole.
 
 ``ma_query`` is the one server side of the misbehavior authority's
 signed-query protocol: signature check, quota, audit log and reply, for
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from typing import NamedTuple
 
 from ..bus import Envelope, MessageBus
 from ..certmodel import Certificate, SignedMessage, verify_message
@@ -27,12 +31,16 @@ from ..errors import ScmsError
 from ..persistence import StoreRegistry
 
 
-class Component:
-    # set by configure() on the authorities that answer MA queries; a
-    # component without a limit serves them without a per-period quota
-    ma_cert: Certificate | None = None
-    ma_query_limit: int | None = None
+class Identity(NamedTuple):
+    """An authority's signing key, its certificate and, for an authority
+    that receives encrypted traffic, its encryption key."""
 
+    keypair: KeyPair
+    cert: Certificate
+    enc_keypair: KeyPair | None
+
+
+class Component:
     def __init__(
         self,
         component_id: str,
@@ -45,21 +53,7 @@ class Component:
         self.clock = bus.clock
         self.store = registry.create(component_id)
         self.rng = rng.child(component_id)
-        self.keypair: KeyPair | None = None
-        self.enc_keypair: KeyPair | None = None
-        self.cert: Certificate | None = None
-        self._ma_queries: dict[int, int] = {}
         bus.register(component_id, self)
-
-    def install_identity(
-        self,
-        keypair: KeyPair,
-        cert: Certificate,
-        enc_keypair: KeyPair | None = None,
-    ) -> None:
-        self.keypair = keypair
-        self.cert = cert
-        self.enc_keypair = enc_keypair
 
     def send(self, dst: str, mtype: str, payload: dict) -> None:
         self.bus.send(Envelope(self.id, dst, mtype, payload))
@@ -85,6 +79,31 @@ class Component:
         )
 
 
+class Authority(Component):
+    """A component that signs with its own certificate."""
+
+    def __init__(self, component_id: str, bus: MessageBus,
+                 registry: StoreRegistry, rng: DeterministicRandom,
+                 identity: Identity):
+        super().__init__(component_id, bus, registry, rng)
+        self.keypair, self.cert, self.enc_keypair = identity
+
+
+class MaQueryServer(Authority):
+    """An authority that serves the MA's signed queries (``ma_query``):
+    it checks each against the MA's certificate and serves at most
+    ``ma_query_limit`` of them per period."""
+
+    def __init__(self, component_id: str, bus: MessageBus,
+                 registry: StoreRegistry, rng: DeterministicRandom,
+                 identity: Identity, ma_cert: Certificate,
+                 ma_query_limit: int):
+        super().__init__(component_id, bus, registry, rng, identity)
+        self.ma_cert = ma_cert
+        self.ma_query_limit = ma_query_limit
+        self._ma_queries: dict[int, int] = {}
+
+
 def ma_query(answer):
     """Serve one signed MA query type with ``answer(self, request)``, whose
     returned body goes back as ``<op>.resp``. A query with a bad signature
@@ -97,10 +116,9 @@ def ma_query(answer):
         msg = SignedMessage.decode(q)
         digest = hashlib.sha256(msg.payload).hexdigest()
         period = self.clock.period
-        if self.ma_cert is None or not verify_message(msg, self.ma_cert):
+        if not verify_message(msg, self.ma_cert):
             logged, reason = b"bad-signature", "bad signature"
-        elif (self.ma_query_limit is not None
-              and self._ma_queries.get(period, 0) >= self.ma_query_limit):
+        elif self._ma_queries.get(period, 0) >= self.ma_query_limit:
             logged, reason = b"over-quota", "rate limited"
         else:
             self._ma_queries[period] = self._ma_queries.get(period, 0) + 1

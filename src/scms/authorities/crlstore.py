@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..certmodel import Crl, CrlSet, encode_composite
 from ..encoding import fields
 from ..rootmgmt import PolicyGenerator
-from .base import Component
+from .base import Authority, Component
 
 
 class CrlStore(Component):
@@ -52,10 +52,11 @@ class CrlStore(Component):
         })
 
 
-class Pg(Component):
+class Pg(Authority):
     """Policy generator as a bus component wrapping the signing logic."""
 
-    def init_generator(self) -> None:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.generator = PolicyGenerator(self.keypair, self.cert)
 
     def publish_gpf(self, params: dict):

@@ -1,4 +1,4 @@
-"""Bootstrapping-side components: certification services, ECA and DCM.
+"""Bootstrapping-side components: ECA and DCM.
 
 Bootstrapping runs over an out-of-band secure channel, so the DCM is
 invoked directly rather than through the bus: it checks the device model
@@ -17,31 +17,25 @@ from ..certmodel import CertType, Certificate, SeriesConfig, issue_certificate
 from ..crypto import GroupElement
 from ..encoding import fields
 from ..errors import ScmsError
-from .base import Component
+from .base import Authority
 
 
 class UncertifiedModel(ScmsError):
     """The device model is not on the certification-services allowlist."""
 
 
-class CertificationServices:
-    """Which device models are eligible for enrollment."""
-
-    def __init__(self, certified_models: set[str]):
-        self.certified_models = set(certified_models)
-
-    def is_certified(self, model: str) -> bool:
-        return model in self.certified_models
+# periods an enrollment certificate stays valid from its issue
+ENROLLMENT_VALIDITY = 160
 
 
-class Eca(Component):
+class Eca(Authority):
     """Enrollment CA: signs enrollment certificates."""
 
-    def configure(self, series: SeriesConfig, craca_id: bytes,
-                  enrollment_validity: int = 160):
+    def __init__(self, component_id, bus, registry, rng, identity,
+                 series: SeriesConfig, craca_id: bytes):
+        super().__init__(component_id, bus, registry, rng, identity)
         self.series = series
         self.craca_id = craca_id
-        self.enrollment_validity = enrollment_validity
 
     def issue_enrollment(
         self,
@@ -54,7 +48,7 @@ class Eca(Component):
             ctype=ctype,
             subject_key=public_key,
             valid_from=valid_from,
-            valid_to=valid_from + self.enrollment_validity,
+            valid_to=valid_from + ENROLLMENT_VALIDITY,
             psid=0,
             craca_id=self.craca_id,
             crl_series=self.series.enrollment,
@@ -92,9 +86,9 @@ class Eca(Component):
 class Dcm:
     """Device configuration manager (out-of-band, secure environment)."""
 
-    def __init__(self, certification: CertificationServices, eca: Eca,
+    def __init__(self, certified_models: set[str], eca: Eca,
                  trust_bundle: dict):
-        self.certification = certification
+        self.certified_models = certified_models
         self.eca = eca
         self.trust_bundle = trust_bundle
 
@@ -106,7 +100,7 @@ class Dcm:
         subject_info: str | None = None,
     ) -> dict:
         """Bootstrap = initialization (trust bundle) + enrollment (cert)."""
-        if not self.certification.is_certified(model):
+        if model not in self.certified_models:
             raise UncertifiedModel(f"model {model!r} is not certified")
         cert = self.eca.issue_enrollment(
             device_pubkey, ctype=ctype, subject_info=subject_info,

@@ -18,23 +18,19 @@ from ..crypto.hybrid import HybridCiphertext
 from ..encoding import decode, encode, fields
 from ..errors import InvariantViolation
 from ..linkage import LinkageSeed, check_la_id, pre_linkage_values, seed_at
-from .base import Component, ma_query
+from .base import MaQueryServer, ma_query
 
 
-class LinkageAuthority(Component):
-    def configure(
-        self,
-        la_id: bytes,
-        pca_enc_pub,
-        ma_cert: Certificate,
-        ma_query_limit: int = 64,
-    ) -> None:
+class LinkageAuthority(MaQueryServer):
+    def __init__(self, component_id, bus, registry, rng, identity,
+                 ma_cert: Certificate, ma_query_limit: int, la_id: bytes,
+                 pca_enc_pub):
+        super().__init__(component_id, bus, registry, rng, identity, ma_cert,
+                         ma_query_limit)
         self.la_id = check_la_id(la_id)
         self._pca_channel = channel_key(
             self.enc_keypair.private, pca_enc_pub, b"la-to-pca|" + la_id
         )
-        self.ma_cert = ma_cert
-        self.ma_query_limit = ma_query_limit
 
     # --- chain management (RA-facing) ---
 

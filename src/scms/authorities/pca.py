@@ -26,18 +26,16 @@ from ..crypto import GroupElement, channel_decrypt, channel_key, hybrid_encrypt
 from ..encoding import decode, encode, fields
 from ..errors import DecryptionError, ParseError
 from ..linkage import xor_lv
-from .base import Component, ma_query
+from .base import MaQueryServer, ma_query
 
 
-class Pca(Component):
-    def configure(
-        self,
-        series: SeriesConfig,
-        craca_id: bytes,
-        la_enc_pubs: dict[str, GroupElement],
-        ma_cert: Certificate,
-        ma_query_limit: int = 64,
-    ) -> None:
+class Pca(MaQueryServer):
+    def __init__(self, component_id, bus, registry, rng, identity,
+                 ma_cert: Certificate, ma_query_limit: int,
+                 series: SeriesConfig, craca_id: bytes,
+                 la_enc_pubs: dict[bytes, GroupElement]):
+        super().__init__(component_id, bus, registry, rng, identity, ma_cert,
+                         ma_query_limit)
         self.series = series
         self.craca_id = craca_id
         self._la_channels = {
@@ -46,8 +44,6 @@ class Pca(Component):
             )
             for la_id, pub in la_enc_pubs.items()
         }
-        self.ma_cert = ma_cert
-        self.ma_query_limit = ma_query_limit
 
     # --- pseudonym issuance (steps 4 and 5) ---
 

@@ -20,6 +20,7 @@ import hashlib
 
 from ..butterfly import CaterpillarRequest, TimeIndex, cocoon_expand
 from ..certmodel import (
+    BSM_PSID,
     U32_MAX,
     CertType,
     Certificate,
@@ -34,33 +35,30 @@ from ..encoding import decode, encode, fields, rows
 from ..errors import DecryptionError, InvariantViolation, ParseError, ScmsError
 from ..linkage import J_MAX, LA1_ID, LA2_ID
 from ..rootmgmt import Ballot, TrustState
-from .base import Component, ma_query
+from .base import MaQueryServer, ma_query
 from .enrollment import device_handle
 from .pca import request_hash
+
+# the shuffle buffer goes to the PCA once it holds this many requests or
+# its oldest request has waited this many days, whichever comes first
+SHUFFLE_MAX_COUNT = 10_000
+SHUFFLE_MAX_DAYS = 1
 
 _ENROLLMENT_TYPES = {CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT}
 # the certificates an end entity may request outside the pseudonym flow
 _APP_TYPES = {CertType.OBE_IDENTIFICATION, CertType.RSE_APPLICATION}
 
 
-class Ra(Component):
+class Ra(MaQueryServer):
     pca_host = "pca"
     la_hosts = ("la1", "la2")
     la_ids = (LA1_ID, LA2_ID)
 
-    def configure(
-        self,
-        trust: TrustState,
-        ma_cert: Certificate | None = None,
-        shuffle_max_count: int = 10_000,
-        shuffle_max_days: int = 1,
-        default_psid: int = 32,
-    ) -> None:
+    def __init__(self, component_id, bus, registry, rng, identity,
+                 ma_cert: Certificate, ma_query_limit: int, trust: TrustState):
+        super().__init__(component_id, bus, registry, rng, identity, ma_cert,
+                         ma_query_limit)
         self.trust = trust
-        self.ma_cert = ma_cert
-        self.shuffle_max_count = shuffle_max_count
-        self.shuffle_max_days = shuffle_max_days
-        self.default_psid = default_psid
         self._pending: dict[str, dict] = {}       # chain ref -> provisioning state
         self._pending_app: dict[bytes, dict] = {} # request hash -> app state
         self._buffer: list[dict] = []             # shuffle buffer of singles
@@ -150,7 +148,7 @@ class Ra(Component):
                 request, A=bytes, k_sign=bytes, H=bytes, k_enc=bytes,
                 start=int, n_periods=int, j_max=int,
             )
-            (psid,) = fields({"psid": self.default_psid, **request}, psid=int)
+            (psid,) = fields({"psid": BSM_PSID, **request}, psid=int)
             caterpillar = CaterpillarRequest(
                 signing_seed=GroupElement.decode(a),
                 signing_key=k_sign,
@@ -285,9 +283,9 @@ class Ra(Component):
     def maybe_flush(self) -> bool:
         if not self._buffer:
             return False
-        due = len(self._buffer) >= self.shuffle_max_count or (
+        due = len(self._buffer) >= SHUFFLE_MAX_COUNT or (
             self._buffer_first_day is not None
-            and self.clock.day - self._buffer_first_day >= self.shuffle_max_days
+            and self.clock.day - self._buffer_first_day >= SHUFFLE_MAX_DAYS
         )
         if due:
             self.flush()

@@ -28,7 +28,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
-from .crypto import POINT_BYTES, GroupElement, Scalar, sign, verify
+from .crypto import POINT_BYTES, GroupElement, KeyPair, Scalar, sign, verify
 from .encoding import Reader, within
 from .errors import ParseError
 from .linkage import LV_BYTES, RevocationEntry, expand_revocation_entry
@@ -75,6 +75,10 @@ SERIES_COMPONENT = 2
 SERIES_APPLICATION = 3  # identification + RSE application
 SERIES_ENROLLMENT = 4
 SERIES_ROOT_MANAGED = 256  # PG / CRLG / MA, CRACA = root
+
+# provider service id of basic safety messages (IEEE 1609.12), the
+# application every pseudonym certificate here is issued for
+BSM_PSID = 0x20
 
 
 @dataclass(frozen=True)
@@ -237,6 +241,35 @@ def issue_certificate(cert: Certificate, issuer_priv: Scalar, issuer_alg: int = 
     """Attach the issuer's signature over the to-be-signed bytes."""
     sig = sign(issuer_priv, digest_for_alg(issuer_alg, cert.tbs_bytes()))
     return replace(cert, signature=sig)
+
+
+def issue_component_cert(
+    key: KeyPair,
+    role: str,
+    issuer_cert: Certificate | None,
+    issuer_key: KeyPair | None,
+    craca_id: bytes,
+    crl_series: int,
+    valid: tuple[int, int],
+    enc_key: GroupElement | None,
+) -> Certificate:
+    """A component certificate naming ``role``, signed by its issuer, or
+    self-signed (a root) when there is no issuer certificate."""
+    cert = Certificate(
+        ctype=CertType.COMPONENT,
+        subject_key=key.public,
+        valid_from=valid[0],
+        valid_to=valid[1],
+        psid=0,
+        craca_id=craca_id,
+        crl_series=crl_series,
+        issuer_id=b"\x00" * 8 if issuer_cert is None else issuer_cert.cert_id(),
+        enc_key=enc_key,
+        subject_info=role,
+        self_signed=issuer_cert is None,
+    )
+    signer = key if issuer_key is None else issuer_key
+    return issue_certificate(cert, signer.private)
 
 
 def check_cert_signature(cert: Certificate, issuer: Certificate) -> bool:

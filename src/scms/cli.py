@@ -107,7 +107,7 @@ def cmd_crl(args) -> int:
 
 def cmd_ballot_demo(args) -> int:
     from .crypto import DeterministicRandom, KeyPair
-    from .certmodel import CertType, Certificate, issue_certificate
+    from .certmodel import SERIES_COMPONENT, issue_component_cert
     from .rootmgmt import ENDORSE_ROOT, TrustState, build_ballot, make_elector
 
     rng = DeterministicRandom(args.seed, "ballot-demo")
@@ -115,14 +115,9 @@ def cmd_ballot_demo(args) -> int:
     trust = TrustState([cert for _, cert in electors],
                        quorum=args.quorum if args.quorum else None)
     root_key = KeyPair.generate(rng)
-    root_cert = issue_certificate(
-        Certificate(
-            ctype=CertType.COMPONENT, subject_key=root_key.public,
-            valid_from=0, valid_to=1 << 20, psid=0, craca_id=b"\x00" * 8,
-            crl_series=2, issuer_id=b"\x00" * 8, subject_info="root",
-            self_signed=True,
-        ),
-        root_key.private,
+    root_cert = issue_component_cert(
+        root_key, "root", None, None, b"\x00" * 8, SERIES_COMPONENT,
+        (0, 1 << 20), None,
     )
     ballot = build_ballot(ENDORSE_ROOT, root_cert, electors[: args.votes])
     accepted = trust.process_ballot(ballot)

@@ -18,7 +18,7 @@ on which generator may revoke which series.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .authorities.base import Component
 from .authorities.enrollment import device_handle
@@ -31,6 +31,7 @@ from .butterfly import (
     reconstruct_private,
 )
 from .certmodel import (
+    BSM_PSID,
     CertIdRevocation,
     CertType,
     Certificate,
@@ -59,14 +60,8 @@ from .errors import DecryptionError, ParseError, ScmsError
 from .rootmgmt import Ballot, TrustState, check_policy_artifact
 
 
-@dataclass
-class FixedIntervalRotation:
-    """Change the signing certificate every `minutes` simulated minutes."""
-
-    minutes: int = 5
-
-    def choose(self, available: int, minute: int) -> int:
-        return (minute // self.minutes) % available
+# a device changes its signing certificate every this many simulated minutes
+ROTATION_MINUTES = 5
 
 
 class DeviceCrlStore(CrlSet):
@@ -154,7 +149,6 @@ class Device:
         bus: MessageBus,
         rng: DeterministicRandom,
         model: str = "obe-model-a",
-        rotation: FixedIntervalRotation | None = None,
         crl_capacity: int = 10_000,
     ):
         self.id = device_id
@@ -162,7 +156,6 @@ class Device:
         self.clock = bus.clock
         self.rng = rng.child(device_id)
         self.model = model
-        self.rotation = rotation or FixedIntervalRotation()
         self.bus.register(device_id, self)
 
         self.enrollment_key: KeyPair | None = None
@@ -266,8 +259,7 @@ class Device:
 
     # --- certificate request (step 1) ---
 
-    def request_certs(self, start: int, n_periods: int, j_max: int = 20,
-                      psid: int = 32) -> None:
+    def request_certs(self, start: int, n_periods: int, j_max: int = 20) -> None:
         if not self.bootstrapped:
             raise ScmsError("device is not bootstrapped")
         a = self.rng.scalar()
@@ -280,7 +272,6 @@ class Device:
             "start": start,
             "n_periods": n_periods,
             "j_max": j_max,
-            "psid": psid,
         }
         request = {
             "A": mul_g(a).encode(),
@@ -290,7 +281,7 @@ class Device:
             "start": start,
             "n_periods": n_periods,
             "j_max": j_max,
-            "psid": psid,
+            "psid": BSM_PSID,
         }
         enrollment_cert = Certificate.decode(self.enrollment_cert_bytes)
         msg = sign_message(
@@ -430,11 +421,19 @@ class Device:
             if c["cert"].valid_at(self.clock.period)
         ]
 
-    def sign_bsm(self, position: list[int], speed: int) -> bytes | None:
+    def signing_cert(self) -> dict | None:
+        """The current certificate that the rotation schedule picks for this
+        minute, or None if the device holds none for this period."""
         available = self.current_certs()
         if not available:
             return None
-        chosen = available[self.rotation.choose(len(available), self.clock.minute)]
+        slot = self.clock.minute // ROTATION_MINUTES
+        return available[slot % len(available)]
+
+    def sign_bsm(self, position: list[int], speed: int) -> bytes | None:
+        chosen = self.signing_cert()
+        if chosen is None:
+            return None
         self.bsm_seq += 1
         payload = encode({
             "p": self.clock.period,
@@ -497,10 +496,9 @@ class Device:
         ever sees the ciphertext."""
         msg = SignedMessage.decode(bsm_bytes)
         evidence = hashlib.sha256(bsm_bytes).digest()
-        mine = self.current_certs()
-        if not mine:
+        chosen = self.signing_cert()
+        if chosen is None:
             raise ScmsError("no pseudonym certificate to sign the report")
-        chosen = mine[self.rotation.choose(len(mine), self.clock.minute)]
         reporter = sign_message(chosen["priv"], chosen["cert"], evidence)
         report = encode({
             "kind": "bsm",

@@ -22,10 +22,10 @@ import time
 from dataclasses import dataclass, field, asdict
 
 from .authorities import (
-    CertificationServices,
     CrlStore,
     Dcm,
     Eca,
+    Identity,
     LinkageAuthority,
     Lop,
     Pca,
@@ -39,10 +39,10 @@ from .certmodel import (
     Certificate,
     SeriesConfig,
     SignedMessage,
-    issue_certificate,
+    issue_component_cert,
 )
 from .crypto import DeterministicRandom, KeyPair
-from .device import Device, FixedIntervalRotation
+from .device import ROTATION_MINUTES, Device
 from .encoding import decode, encode, fields
 from .errors import ParseError, ScmsError
 from .linkage import LA1_ID, LA2_ID, LinkageSeed, pre_linkage_values, seed_at
@@ -60,6 +60,21 @@ from .rootmgmt import (
 
 CRLG_SERIES = [1, 2, 3, 4, 256]
 
+# role -> (issuer role, has an encryption key, root-managed CRL series);
+# the PKI draws each role's keys in this order, after the electors
+PKI_ROLES = {
+    "root": (None, False, False),
+    "ica": ("root", False, False),
+    "eca": ("ica", False, False),
+    "pca": ("ica", True, False),
+    "ra": ("ica", True, False),
+    "la1": ("ica", True, False),
+    "la2": ("ica", True, False),
+    "ma": ("root", True, True),
+    "crlg": ("root", False, True),
+    "pg": ("root", False, True),
+}
+
 
 @dataclass
 class ScenarioConfig:
@@ -68,12 +83,7 @@ class ScenarioConfig:
     devices: int = 10
     periods: int = 4
     batch_size: int = 20
-    psid: int = 32
-    shuffle_max_count: int = 10_000
-    shuffle_max_days: int = 1
     detector_threshold: int = 3
-    detector_window: int = 4
-    rotation_minutes: int = 5
     bsms_per_device_per_period: int = 2
     listeners_per_bsm: int = 2
     crl_capacity: int = 10_000
@@ -109,184 +119,95 @@ class World:
         self._build_components()
         self._build_devices()
 
-    # --- PKI and component identities ---
-
-    def _component_cert(self, key, role, issuer_cert, issuer_key, series,
-                        enc_pub=None, root_managed=False):
-        cert = Certificate(
-            ctype=CertType.COMPONENT,
-            subject_key=key.public,
-            valid_from=0,
-            valid_to=1 << 20,
-            psid=0,
-            craca_id=(b"\x00" * 8 if issuer_cert is None
-                      else self.root_cert.cert_id()),
-            crl_series=self.series.root_managed if root_managed else series,
-            issuer_id=(b"\x00" * 8 if issuer_cert is None
-                       else issuer_cert.cert_id()),
-            enc_key=enc_pub,
-            subject_info=role,
-            self_signed=issuer_cert is None,
-        )
-        signer = issuer_key if issuer_key is not None else key
-        return issue_certificate(cert, signer.private)
+    # --- PKI and components ---
 
     def _build_pki(self) -> None:
         rng = self.rng.child("pki")
         self.electors = [
             make_elector(rng, ALG_DOMAIN_SEP if n == 2 else 0) for n in range(3)
         ]
-        self.root_key = KeyPair.generate(rng)
-        self.root_cert = self._component_cert(
-            self.root_key, "root", None, None, self.series.component
-        )
-        self.ica_key = KeyPair.generate(rng)
-        self.ica_cert = self._component_cert(
-            self.ica_key, "ica", self.root_cert, self.root_key,
-            self.series.component,
-        )
-
-        def issue(role, issuer_cert, issuer_key, enc=False, root_managed=False):
+        self.pki: dict[str, Identity] = {}
+        for role, (issuer_role, has_enc, root_managed) in PKI_ROLES.items():
             key = KeyPair.generate(rng)
-            enc_key = KeyPair.generate(rng) if enc else None
-            cert = self._component_cert(
-                key, role, issuer_cert, issuer_key, self.series.component,
-                enc_pub=enc_key.public if enc_key else None,
-                root_managed=root_managed,
+            enc = KeyPair.generate(rng) if has_enc else None
+            issuer = self.pki.get(issuer_role)
+            # the root is revoked by elector ballots, not a CRL, so it
+            # names no CRACA
+            craca = (b"\x00" * 8 if issuer is None
+                     else self.pki["root"].cert.cert_id())
+            crl_series = (self.series.root_managed if root_managed
+                          else self.series.component)
+            cert = issue_component_cert(
+                key, role, None if issuer is None else issuer.cert,
+                None if issuer is None else issuer.keypair, craca, crl_series,
+                (0, 1 << 20), None if enc is None else enc.public,
             )
-            return key, enc_key, cert
+            self.pki[role] = Identity(key, cert, enc)
 
-        self.eca_key, _, self.eca_cert = issue("eca", self.ica_cert, self.ica_key)
-        self.pca_key, self.pca_enc, self.pca_cert = issue(
-            "pca", self.ica_cert, self.ica_key, enc=True
-        )
-        self.ra_key, self.ra_enc, self.ra_cert = issue(
-            "ra", self.ica_cert, self.ica_key, enc=True
-        )
-        self.la1_key, self.la1_enc, self.la1_cert = issue(
-            "la1", self.ica_cert, self.ica_key, enc=True
-        )
-        self.la2_key, self.la2_enc, self.la2_cert = issue(
-            "la2", self.ica_cert, self.ica_key, enc=True
-        )
-        self.ma_key, self.ma_enc, self.ma_cert = issue(
-            "ma", self.root_cert, self.root_key, enc=True, root_managed=True
-        )
-        self.crlg_key, _, self.crlg_cert = issue(
-            "crlg", self.root_cert, self.root_key, root_managed=True
-        )
-        self.pg_key, _, self.pg_cert = issue(
-            "pg", self.root_cert, self.root_key, root_managed=True
-        )
+    def _chain(self, role: str) -> list[bytes]:
+        """Encoded certificates from ``role`` up to the root."""
+        chain = []
+        while role is not None:
+            chain.append(self.pki[role].cert.encode())
+            role = PKI_ROLES[role][0]
+        return chain
 
     def _authority_trust(self) -> TrustState:
         trust = TrustState([cert for _, cert in self.electors])
-        trust.store.add_cert(self.root_cert)
-        trust.store.endorse_root(self.root_cert.cert_id())
-        for cert in (self.ica_cert, self.eca_cert, self.pca_cert, self.ra_cert,
-                     self.la1_cert, self.la2_cert, self.ma_cert,
-                     self.crlg_cert, self.pg_cert):
-            trust.store.add_cert(cert)
+        for identity in self.pki.values():
+            trust.store.add_cert(identity.cert)
+        trust.store.endorse_root(self.pki["root"].cert.cert_id())
         return trust
 
     def _build_components(self) -> None:
+        pki, config, series = self.pki, self.config, self.series
         args = (self.bus, self.registry, self.rng)
-        ma_query_limit = max(64, self.config.devices * 4)
+        craca = pki["root"].cert.cert_id()
+        # every server of MA queries answers under one per-period quota
+        ma_quota = (pki["ma"].cert, max(64, config.devices * 4))
+        pca_enc = pki["pca"].enc_keypair.public
         self.lop = Lop("lop", *args)
         self.crl_store = CrlStore("crlstore", *args)
-
-        self.eca = Eca("eca", *args)
-        self.eca.install_identity(self.eca_key, self.eca_cert)
-        self.eca.configure(self.series, self.root_cert.cert_id())
-
-        self.pca = Pca("pca", *args)
-        self.pca.install_identity(self.pca_key, self.pca_cert, self.pca_enc)
-        self.pca.configure(
-            self.series,
-            self.root_cert.cert_id(),
-            {LA1_ID: self.la1_enc.public, LA2_ID: self.la2_enc.public},
-            ma_cert=self.ma_cert,
-            ma_query_limit=ma_query_limit,
-        )
-
-        self.la1 = LinkageAuthority("la1", *args)
-        self.la1.install_identity(self.la1_key, self.la1_cert, self.la1_enc)
-        self.la1.configure(LA1_ID, self.pca_enc.public, self.ma_cert,
-                           ma_query_limit=ma_query_limit)
-        self.la2 = LinkageAuthority("la2", *args)
-        self.la2.install_identity(self.la2_key, self.la2_cert, self.la2_enc)
-        self.la2.configure(LA2_ID, self.pca_enc.public, self.ma_cert,
-                           ma_query_limit=ma_query_limit)
-
-        self.ra = Ra("ra", *args)
-        self.ra.install_identity(self.ra_key, self.ra_cert, self.ra_enc)
-        self.ra.configure(
-            self._authority_trust(),
-            ma_cert=self.ma_cert,
-            shuffle_max_count=self.config.shuffle_max_count,
-            shuffle_max_days=self.config.shuffle_max_days,
-            default_psid=self.config.psid,
-        )
-
-        crlg = Crlg(self.crlg_key, self.crlg_cert, self.root_cert.cert_id())
-        self.ma = Ma("ma", *args)
-        self.ma.install_identity(self.ma_key, self.ma_cert, self.ma_enc)
-        self.ma.configure(
-            crlg,
-            self.series,
-            detector=ThresholdDetector(
-                threshold=self.config.detector_threshold,
-                window_periods=self.config.detector_window,
-            ),
-        )
-
-        self.pg = Pg("pg", *args)
-        self.pg.install_identity(self.pg_key, self.pg_cert)
-        self.pg.init_generator()
-        gpf = self.pg.publish_gpf({
-            "batch_size": self.config.batch_size,
-            "rotation_minutes": self.config.rotation_minutes,
-            "crl_capacity": self.config.crl_capacity,
+        self.eca = Eca("eca", *args, pki["eca"], series, craca)
+        self.pca = Pca("pca", *args, pki["pca"], *ma_quota, series, craca, {
+            LA1_ID: pki["la1"].enc_keypair.public,
+            LA2_ID: pki["la2"].enc_keypair.public,
         })
-        gccf = self.pg.publish_gccf([
-            [self.pca_cert.encode(), self.ica_cert.encode(),
-             self.root_cert.encode()],
-            [self.eca_cert.encode(), self.ica_cert.encode(),
-             self.root_cert.encode()],
-            [self.ma_cert.encode(), self.root_cert.encode()],
-            [self.crlg_cert.encode(), self.root_cert.encode()],
-        ])
+        self.la1 = LinkageAuthority("la1", *args, pki["la1"], *ma_quota,
+                                    LA1_ID, pca_enc)
+        self.la2 = LinkageAuthority("la2", *args, pki["la2"], *ma_quota,
+                                    LA2_ID, pca_enc)
+        self.ra = Ra("ra", *args, pki["ra"], *ma_quota, self._authority_trust())
+        crlg = Crlg(pki["crlg"].keypair, pki["crlg"].cert, craca)
+        self.ma = Ma("ma", *args, pki["ma"], crlg, series,
+                     ThresholdDetector(threshold=config.detector_threshold))
+        self.pg = Pg("pg", *args, pki["pg"])
+        gpf = self.pg.publish_gpf({
+            "batch_size": config.batch_size,
+            "rotation_minutes": ROTATION_MINUTES,
+            "crl_capacity": config.crl_capacity,
+        })
+        gccf = self.pg.publish_gccf(
+            [self._chain(role) for role in ("pca", "eca", "ma", "crlg")]
+        )
         self.bus.run()
 
-        self.certification = CertificationServices(
-            {"obe-model-a", "rse-model-a"}
-        )
         self.bundle = {
             "electors": [cert.encode() for _, cert in self.electors],
-            "roots": [self.root_cert.encode()],
-            "ica": self.ica_cert.encode(),
-            "pca": self.pca_cert.encode(),
-            "eca": self.eca_cert.encode(),
-            "ra": self.ra_cert.encode(),
-            "ma": self.ma_cert.encode(),
-            "pg": self.pg_cert.encode(),
-            "crlg": self.crlg_cert.encode(),
+            "roots": [pki["root"].cert.encode()],
+            **{role: pki[role].cert.encode()
+               for role in ("ica", "pca", "eca", "ra", "ma", "pg", "crlg")},
             "crlg_series": CRLG_SERIES,
             "gpf": gpf.encode(),
             "gccf": gccf.encode(),
         }
-        self.dcm = Dcm(self.certification, self.eca, self.bundle)
+        self.dcm = Dcm({"obe-model-a", "rse-model-a"}, self.eca, self.bundle)
 
     def _build_devices(self) -> None:
         self.devices: list[Device] = []
         for n in range(self.config.devices):
-            device = Device(
-                f"obe{n}",
-                self.bus,
-                self.rng,
-                rotation=FixedIntervalRotation(self.config.rotation_minutes),
-                crl_capacity=self.config.crl_capacity,
-            )
+            device = Device(f"obe{n}", self.bus, self.rng,
+                            crl_capacity=self.config.crl_capacity)
             device.bootstrap(self.dcm)
             self.devices.append(device)
 
@@ -331,26 +252,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     for event in config.events:
         events_by_period.setdefault(event["period"], []).append(event)
 
-    # provisioning request phase (period 0): whole span up front
-    for device in world.devices:
-        if device.handle_id in {world.devices[i].handle_id for i in config.mitm_devices}:
-            world.ra.mitm_handles.add(device.handle_id)
-    for device in world.devices:
-        device.request_certs(0, config.periods, j_max=config.batch_size,
-                             psid=config.psid)
-        bus.run()
-    # a day passes; any sub-threshold remainder flushes on the day rule
-    clock.advance_minutes(24 * 60)
-    world.ra.maybe_flush()
-    bus.run()
-
-    # devices pick up every pre-generated weekly batch while they have
-    # connectivity; revocation must catch offenders who already hold
-    # future certificates, which is the point of linkage values
-    for device in world.devices:
-        for period in range(config.periods):
-            device.download_batch(period)
-        bus.run()
+    world.ra.mitm_handles = {
+        world.devices[i].handle_id for i in config.mitm_devices
+    }
+    provision_fleet(world)
 
     report_periods: dict[bytes, int] = {}
     for period in range(config.periods):
@@ -383,6 +288,25 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         violations=violations,
         world=world,
     )
+
+
+def provision_fleet(world: World) -> None:
+    """Period 0: every device requests certificates for the whole run, a
+    day passes so that the RA's shuffle buffer flushes on the day rule,
+    and every device picks up every weekly batch while it has
+    connectivity (revocation must catch offenders who already hold future
+    certificates, which is the point of linkage values)."""
+    config, bus = world.config, world.bus
+    for device in world.devices:
+        device.request_certs(0, config.periods, j_max=config.batch_size)
+        bus.run()
+    world.clock.advance_minutes(24 * 60)
+    world.ra.maybe_flush()
+    bus.run()
+    for device in world.devices:
+        for period in range(config.periods):
+            device.download_batch(period)
+        bus.run()
 
 
 def _bsm_traffic(world: World, period: int) -> None:
@@ -426,8 +350,7 @@ def _apply_event(world: World, event: dict, report_periods: dict) -> None:
     elif action == "topoff":
         device = world.devices[event["device"]]
         device.request_certs(
-            event["start"], event["n_periods"],
-            j_max=world.config.batch_size, psid=world.config.psid,
+            event["start"], event["n_periods"], j_max=world.config.batch_size
         )
         world.bus.run()
         world.ra.flush()
@@ -469,9 +392,9 @@ def _apply_ballot_event(world: World, event: dict) -> None:
         world.electors.append(new)
         ballot = build_ballot(ENDORSE_ELECTOR, new[1], voters)
     elif kind == "endorse-root":
-        ballot = build_ballot(ENDORSE_ROOT, world.root_cert, voters)
+        ballot = build_ballot(ENDORSE_ROOT, world.pki["root"].cert, voters)
     elif kind == "revoke-root":
-        ballot = build_ballot(REVOKE_ROOT, world.root_cert, voters)
+        ballot = build_ballot(REVOKE_ROOT, world.pki["root"].cert, voters)
     else:
         raise ScmsError(f"unknown ballot kind {kind!r}")
     payload = {"ballot": ballot.encode()}

@@ -30,7 +30,7 @@ import functools
 import hashlib
 from dataclasses import dataclass
 
-from .authorities.base import Component
+from .authorities.base import Authority
 from .certmodel import (
     CertIdRevocation,
     CertType,
@@ -47,7 +47,7 @@ from .certmodel import (
 from .crypto import KeyPair, hybrid_decrypt
 from .crypto.hybrid import HybridCiphertext
 from .encoding import decode, encode, fields
-from .errors import DecryptionError, ParseError
+from .errors import DecryptionError, ParseError, ScmsError
 from .linkage import J_MAX
 
 
@@ -120,7 +120,8 @@ def _reply(**kinds):
     """Route an ``<op>.resp`` to ``handler(self, key, case, step, reply)``
     for the open case its echo names; a reply for no open case is dropped.
     The reply must carry ``kinds``, except that one whose ``found`` is false
-    carries nothing more."""
+    carries nothing more. A reply the handler refuses with ``ScmsError``
+    fails its case at the step's stage and becomes a dead letter."""
 
     def wrap(handler):
         @functools.wraps(handler)
@@ -128,27 +129,38 @@ def _reply(**kinds):
             (echo,) = fields(env.payload, echo=str)
             if env.payload.get("found", True):
                 fields(env.payload, **kinds)
-            routed = self._case_for(echo)
-            if routed is not None:
-                handler(self, *routed, env.payload)
+            routed = self._case_for(env, echo)
+            if routed is None:
+                return
+            key, case, step = routed
+            try:
+                handler(self, key, case, step, env.payload)
+            except ScmsError:
+                if key in self._cases:
+                    self._fail(key, step.partition(":")[0])
+                raise
 
         return route
 
     return wrap
 
 
-class Ma(Component):
+class Ma(Authority):
     pca_host = "pca"
     ra_hosts = ("ra",)
     la_hosts = ("la1", "la2")
     crl_store_host = "crlstore"
 
-    def configure(self, crlg: Crlg, series: SeriesConfig, detector=None) -> None:
+    def __init__(self, component_id, bus, registry, rng, identity,
+                 crlg: Crlg, series: SeriesConfig, detector: ThresholdDetector):
+        super().__init__(component_id, bus, registry, rng, identity)
         self.crlg = crlg
         self.series = series
-        self.detector = detector or ThresholdDetector()
+        self.detector = detector
         self._cases: dict[str, dict] = {}
-        self._await: dict[str, tuple[str, str]] = {}
+        # query digest -> (case key, step, server asked); a step is named
+        # by its stage, plus ":<detail>" where a stage sends several queries
+        self._await: dict[str, tuple[str, str, str]] = {}
         self._flagged: set[bytes] = set()
         self.revocations_completed = 0
 
@@ -163,12 +175,19 @@ class Ma(Component):
             "period": self.clock.period, "dst": dst, "op": op,
             "object": digest,
         })
-        self._await[digest] = (case_key, step)
+        self._await[digest] = (case_key, step, dst)
         self.send(dst, op, {"q": msg.encode()})
 
-    def _case_for(self, echo: str) -> tuple[str, dict, str] | None:
-        """(key, case, step) of the open case whose query a reply echoes."""
-        key, step = self._await.pop(echo, (None, None))
+    def _case_for(self, env, echo: str) -> tuple[str, dict, str] | None:
+        """(key, case, step) of the open case whose query a reply echoes.
+        A reply from any component but the one asked is refused, and the
+        query stays open for its server."""
+        if echo not in self._await:
+            return None
+        key, step, server = self._await[echo]
+        if env.src != server:
+            raise ScmsError(f"reply from {env.src!r} to a query for {server!r}")
+        del self._await[echo]
         case = self._cases.get(key)
         return None if case is None else (key, case, step)
 
@@ -325,7 +344,8 @@ class Ma(Component):
             return
         case["rh"] = reply["rh"]
         self._query(
-            reply["ra_host"], "ma.blacklist", {"rh": case["rh"]}, key, "bl"
+            reply["ra_host"], "ma.blacklist", {"rh": case["rh"]}, key,
+            "blacklist",
         )
 
     @_reply(found=bool, lci1=list[bytes], lci2=list[bytes], j_max=int)
@@ -339,12 +359,12 @@ class Ma(Component):
         for n, lci in enumerate(reply["lci1"]):
             self._query(
                 self.la_hosts[0], "ma.lci2seed",
-                {"lci": lci, "period": period}, key, f"seed1:{n}",
+                {"lci": lci, "period": period}, key, f"seeds:1:{n}",
             )
         for n, lci in enumerate(reply["lci2"]):
             self._query(
                 self.la_hosts[1], "ma.lci2seed",
-                {"lci": lci, "period": period}, key, f"seed2:{n}",
+                {"lci": lci, "period": period}, key, f"seeds:2:{n}",
             )
 
     @_reply(found=bool, ls=bytes, la_id=bytes)
@@ -358,8 +378,8 @@ class Ma(Component):
         del self._cases[key]
         period = self.clock.period
         for n in range(case["n_chains"]):
-            s1 = case["seeds"][f"seed1:{n}"]
-            s2 = case["seeds"][f"seed2:{n}"]
+            s1 = case["seeds"][f"seeds:1:{n}"]
+            s2 = case["seeds"][f"seeds:2:{n}"]
             entry = LinkageRevocation(
                 i=period,
                 ls1=s1["ls"],
@@ -407,7 +427,7 @@ class Ma(Component):
             self._fail(key, "rh")
             return
         self._query(reply["ra_host"], "ma.blacklist_nonpseudo",
-                    {"rh": reply["rh"]}, key, "bl")
+                    {"rh": reply["rh"]}, key, "blacklist")
 
     @_reply(found=bool, rhs=list[bytes])
     def on_ma_blacklist_nonpseudo_resp(self, key, case, step, reply) -> None:
@@ -443,7 +463,7 @@ class Ma(Component):
     def on_ma_refused(self, env) -> None:
         op, reason, echo = fields(env.payload, op=str, reason=str, echo=str)
         self.store.put("refusal", {"op": op, "reason": reason})
-        routed = self._case_for(echo)
+        routed = self._case_for(env, echo)
         if routed is not None:
             self._fail(routed[0], "refused")
 

@@ -5,12 +5,10 @@ from dataclasses import dataclass
 import pytest
 
 from scms.certmodel import (
-    ALG_DEFAULT,
-    CertType,
     Certificate,
     SeriesConfig,
     TrustStore,
-    issue_certificate,
+    issue_component_cert,
 )
 from scms.crypto import DeterministicRandom, KeyPair
 
@@ -40,21 +38,8 @@ def make_component_cert(
     enc_key=None,
     valid=(0, 10000),
 ) -> Certificate:
-    cert = Certificate(
-        ctype=CertType.COMPONENT,
-        subject_key=key.public,
-        valid_from=valid[0],
-        valid_to=valid[1],
-        psid=0,
-        craca_id=craca_id,
-        crl_series=series,
-        issuer_id=b"\x00" * 8 if issuer_cert is None else issuer_cert.cert_id(),
-        enc_key=enc_key,
-        subject_info=role,
-        self_signed=issuer_cert is None,
-    )
-    signer = key if issuer_key is None else issuer_key
-    return issue_certificate(cert, signer.private, ALG_DEFAULT)
+    return issue_component_cert(key, role, issuer_cert, issuer_key, craca_id,
+                                series, valid, enc_key)
 
 
 def build_mini_pki(seed: int = 1000) -> MiniPki:
@@ -120,16 +105,6 @@ def make_world(**overrides):
 
 def provision_all(world) -> None:
     """Drive request, expansion, issuance and batch pickup to completion."""
-    for device in world.devices:
-        device.request_certs(
-            0, world.config.periods, j_max=world.config.batch_size,
-            psid=world.config.psid,
-        )
-        world.bus.run()
-    world.clock.advance_minutes(24 * 60)
-    world.ra.maybe_flush()
-    world.bus.run()
-    for device in world.devices:
-        for period in range(world.config.periods):
-            device.download_batch(period)
-    world.bus.run()
+    from scms.harness import provision_fleet
+
+    provision_fleet(world)

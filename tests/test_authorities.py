@@ -16,7 +16,13 @@ from scms.authorities import (
 from scms.authorities.base import ma_query
 from scms.butterfly import CaterpillarRequest
 from scms.bus import Envelope, MessageBus
-from scms.certmodel import Certificate, CertType, sign_message, verify_chain
+from scms.certmodel import (
+    Certificate,
+    CertType,
+    issue_component_cert,
+    sign_message,
+    verify_chain,
+)
 from scms.crypto import (
     DeterministicRandom,
     channel_decrypt,
@@ -168,7 +174,8 @@ def test_garbage_request_denied_not_crash():
     # properly encrypted, structurally malformed inside
     from scms.crypto import hybrid_encrypt
 
-    blob = hybrid_encrypt(world.ra_enc.public, b"not canonical", device.rng)
+    blob = hybrid_encrypt(world.pki["ra"].enc_keypair.public, b"not canonical",
+                          device.rng)
     world.bus.send(Envelope(device.id, "lop", "lop.fwd", {
         "dst": "ra", "mtype": "provision.request",
         "body": {"blob": blob.encode(), "reply_ref": b"\x06"},
@@ -355,7 +362,7 @@ def test_lci_not_opening_to_stored_seed_raises_invariant_violation():
         "lci_digest": hashlib.sha256(lci).hexdigest(), "seed0": b"\x02" * 16,
         "period0": 0, "la_id": la.la_id,
     })
-    query = sign_message(world.ma.keypair.private, world.ma_cert,
+    query = sign_message(world.ma.keypair.private, world.pki["ma"].cert,
                          encode({"lci": lci, "period": 0}))
     with pytest.raises(InvariantViolation):
         la.on_ma_lci2seed(
@@ -392,7 +399,7 @@ def test_ma_query_for_unknown_object_answers_not_found(op):
 
     world.bus.register("sink", Sink())
     raw = encode(request)
-    query = sign_message(world.ma.keypair.private, world.ma_cert, raw)
+    query = sign_message(world.ma.keypair.private, world.pki["ma"].cert, raw)
     world.bus.send(Envelope("sink", server, op, {"q": query.encode()}))
     world.bus.run()
     digest = hashlib.sha256(raw).hexdigest()
@@ -430,9 +437,10 @@ def test_issued_lv_matches_la_side_xor():
 
     # white-box: decrypt stored encrypted plvs with the channel keys and
     # compare the XOR with the certificate's embedded linkage value
-    k1 = channel_key(world.la1_enc.private, world.pca_enc.public,
+    pca_enc = world.pki["pca"].enc_keypair.public
+    k1 = channel_key(world.pki["la1"].enc_keypair.private, pca_enc,
                      b"la-to-pca|" + b"\x00\x00\x00\x01")
-    k2 = channel_key(world.la2_enc.private, world.pca_enc.public,
+    k2 = channel_key(world.pki["la2"].enc_keypair.private, pca_enc,
                      b"la-to-pca|" + b"\x00\x00\x00\x02")
     for record in pca_records[:10]:
         plv1 = decode(channel_decrypt(k1, record["eplv1"]))
@@ -459,7 +467,7 @@ def test_devices_reconstruct_all_keys():
 def test_pca_rejects_a_request_naming_an_unknown_la():
     world = make_world(devices=1)
     device = world.devices[0]
-    device.request_certs(0, 1, j_max=2, psid=world.config.psid)
+    device.request_certs(0, 1, j_max=2)
     world.bus.run()
     single = {**world.ra._buffer[0], "la2": b"\x00\x00\x00\x09"}
     world.bus.send(Envelope("ra", "pca", "cert.request", single))
@@ -632,7 +640,8 @@ def test_topoff_reuses_linkage_chain():
     assert len(issued_p3) == 1
     # the certificate's lv is consistent with the original chain at p3
     cert = Certificate.decode(issued_p3[0]["cert"])
-    k2 = channel_key(world.la2_enc.private, world.pca_enc.public,
+    k2 = channel_key(world.pki["la2"].enc_keypair.private,
+                     world.pki["pca"].enc_keypair.public,
                      b"la-to-pca|" + b"\x00\x00\x00\x02")
     plv2 = decode(channel_decrypt(k2, issued_p3[0]["eplv2"]))
     lv = bytes(a ^ b for a, b in zip(expect.value, plv2["plv"]))
@@ -699,7 +708,8 @@ def test_reenroll_requires_recertified_eca_when_flagged():
     assert device.provision_status == "denied"
     assert "re-certified" in device.last_deny_reason
     # once the SCMS manager re-certifies the ECA, roll-over succeeds
-    world.ra.recertified_ecas[world.eca_cert.cert_id()] = world.eca_cert
+    eca_cert = world.pki["eca"].cert
+    world.ra.recertified_ecas[eca_cert.cert_id()] = eca_cert
     device.reenroll_reestablish()
     world.bus.run()
     assert device.provision_status == "re-enrolled"
@@ -753,21 +763,24 @@ def test_root_rotation_with_eca_recertification():
     # re-certified under the new root
     rng = world.rng.child("rotation")
     root2_key = KeyPair.generate(rng)
-    root2_cert = world._component_cert(
-        root2_key, "root", None, None, world.series.component
+    series, valid = world.series.component, (0, 1 << 20)
+    craca = world.pki["root"].cert.cert_id()
+    root2_cert = issue_component_cert(
+        root2_key, "root", None, None, b"\x00" * 8, series, valid, None
     )
     ica2_key = KeyPair.generate(rng)
-    ica2_cert = world._component_cert(
-        ica2_key, "ica", root2_cert, root2_key, world.series.component
+    ica2_cert = issue_component_cert(
+        ica2_key, "ica", root2_cert, root2_key, craca, series, valid, None
     )
-    eca2_cert = world._component_cert(
-        world.eca_key, "eca", ica2_cert, ica2_key, world.series.component
+    eca2_cert = issue_component_cert(
+        world.pki["eca"].keypair, "eca", ica2_cert, ica2_key, craca, series,
+        valid, None,
     )
 
     # elector ballots rotate the root fleet-wide
     voters = world.electors[:2]
     for ballot in (build_ballot(ENDORSE_ROOT, root2_cert, voters),
-                   build_ballot(REVOKE_ROOT, world.root_cert, voters)):
+                   build_ballot(REVOKE_ROOT, world.pki["root"].cert, voters)):
         payload = {"ballot": ballot.encode()}
         world.bus.send(Envelope("pg", "ra", "ballot.publish", payload))
         for d in world.devices:
@@ -788,7 +801,7 @@ def test_root_rotation_with_eca_recertification():
     for cert in (ica2_cert, eca2_cert):
         world.ra.trust.store.add_cert(cert)
     world.ra.require_recertified_eca = True
-    world.ra.recertified_ecas[world.eca_cert.cert_id()] = eca2_cert
+    world.ra.recertified_ecas[world.pki["eca"].cert.cert_id()] = eca2_cert
     world.eca.cert = eca2_cert  # same key, re-certified certificate
 
     device.reenroll_reestablish()

@@ -180,7 +180,7 @@ def test_one_crl_check_path_in_bsm_validation(monkeypatch):
     # a failed walk is "revoked" when the leaf itself is revoked, whatever
     # else is wrong with the chain, and "untrusted-chain" otherwise
     assert listener.validate_bsm(offender.sign_bsm([0, 0], 30)) == (False, "revoked")
-    listener.trust.store.revoke_root(world.root_cert.cert_id())
+    listener.trust.store.revoke_root(world.pki["root"].cert.cert_id())
     listener._bump_trust()
     assert listener.validate_bsm(offender.sign_bsm([0, 0], 30)) == (False, "revoked")
     assert listener.validate_bsm(honest_bsm) == (False, "untrusted-chain")
@@ -221,8 +221,8 @@ def test_report_encrypted_to_ma_only():
     blob = world.ra._report_buffer[0]
     ct = HybridCiphertext.decode(blob)
     with pytest.raises(DecryptionError):
-        hybrid_decrypt(world.ra_enc.private, ct)
-    plain = decode(hybrid_decrypt(world.ma_enc.private, ct))
+        hybrid_decrypt(world.pki["ra"].enc_keypair.private, ct)
+    plain = decode(hybrid_decrypt(world.pki["ma"].enc_keypair.private, ct))
     # the reporter identifies itself by pseudonym certificate, never by
     # its enrollment certificate
     reporter_msg = SignedMessage.decode(plain["reporter"])

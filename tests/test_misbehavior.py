@@ -99,7 +99,7 @@ def test_malformed_reports_quarantined_not_crash():
     from scms.crypto import hybrid_encrypt
 
     junk_encrypted = hybrid_encrypt(
-        world.ma_enc.public, b"\xde\xad", world.rng
+        world.pki["ma"].enc_keypair.public, b"\xde\xad", world.rng
     ).encode()
     world.bus.send(E("ra", "ma", "mb.batch", {
         "reports": [b"\x00" * 60, junk_encrypted],
@@ -119,12 +119,13 @@ def test_malformed_reporter_certificate_recorded_not_crash():
         cert_bytes=b"SC\x01",  # truncated certificate
     )
     good = {
-        "kind": "bsm", "reported_cert": world.ma_cert.encode(),
+        "kind": "bsm", "reported_cert": world.pki["ma"].cert.encode(),
         "evidence": b"\x01" * 32, "reporter": reporter.encode(),
     }
     no_evidence = {k: v for k, v in good.items() if k != "evidence"}
     reports = [
-        hybrid_encrypt(world.ma_enc.public, encode(value), world.rng).encode()
+        hybrid_encrypt(world.pki["ma"].enc_keypair.public, encode(value),
+                       world.rng).encode()
         for value in (good, no_evidence, ["not", "a", "report"])
     ]
     world.bus.send(Envelope("ra", "ma", "mb.batch", {"reports": reports}))
@@ -160,11 +161,7 @@ def test_report_batch_order_decorrelated_from_filing_order():
     assert len(set(reporter_ids)) == 9
     filed_ids = []
     for reporter in reporters:
-        entry = reporter.current_certs()[
-            reporter.rotation.choose(len(reporter.current_certs()),
-                                     world.clock.minute)
-        ]
-        filed_ids.append(entry["cert"].cert_id())
+        filed_ids.append(reporter.signing_cert()["cert"].cert_id())
     assert set(filed_ids) == set(reporter_ids)
     assert filed_ids != reporter_ids  # seeded shuffle reordered them
 
@@ -249,7 +246,8 @@ def test_same_device_verdicts():
 def test_unsigned_ma_query_refused_and_logged():
     world = _revocation_world()
     intruder = KeyPair.generate(DeterministicRandom(999))
-    fake = sign_message(intruder.private, world.ma_cert, encode({"lv": b"x" * 9}))
+    fake = sign_message(intruder.private, world.pki["ma"].cert,
+                        encode({"lv": b"x" * 9}))
     world.bus.send(Envelope("ma", "pca", "ma.lv2plv", {"q": fake.encode()}))
     world.bus.run()
     refusals = world.registry.audit_view("ma").scan("refusal")
@@ -260,25 +258,41 @@ def test_unsigned_ma_query_refused_and_logged():
     assert len(audit) == 1
 
 
-def test_rate_limited_queries_refused():
+def _quota_of_one(world, server):
+    """Every server of MA queries answers under the world's one quota; cut
+    the named server's to one query per period."""
+    component = getattr(world, server)
+    assert component.ma_query_limit == max(64, 4 * world.config.devices)
+    component.ma_query_limit = 1
+
+
+# each server answers one query of its op per revocation, so a quota of
+# one stalls the second revocation
+QUOTA_SERVERS = pytest.mark.parametrize("server, op", [
+    ("la1", "ma.lci2seed"), ("ra", "ma.blacklist"),
+], ids=["la1", "ra"])
+
+
+@QUOTA_SERVERS
+def test_rate_limited_queries_refused(server, op):
     world = _revocation_world()
-    # one seed query per revocation: a quota of one stalls the second
-    world.la1.ma_query_limit = 1
+    _quota_of_one(world, server)
     _file_reports(world, 0, [1, 2, 3], period=1)
     assert world.ma.revocations_completed == 1
     _file_reports(world, 1, [2, 3, 4], period=1)
     assert world.ma.revocations_completed == 1  # blocked by the quota
     refusals = world.registry.audit_view("ma").scan("refusal")
     assert any(r["reason"] == "rate limited" for r in refusals)
-    over_quota = world.registry.audit_view("la1").where(
-        "audit", op="ma.lci2seed.refused"
+    over_quota = world.registry.audit_view(server).where(
+        "audit", op=op + ".refused"
     )
     assert len(over_quota) == 1
 
 
-def test_refused_query_fails_its_case():
+@QUOTA_SERVERS
+def test_refused_query_fails_its_case(server, op):
     world = _revocation_world()
-    world.la1.ma_query_limit = 1
+    _quota_of_one(world, server)
     _file_reports(world, 0, [1, 2, 3], period=1)
     _file_reports(world, 1, [2, 3, 4], period=1)
     failed = world.registry.audit_view("ma").scan("failed_case")
@@ -298,19 +312,38 @@ def test_reply_naming_a_bad_host_or_range_fails_its_case(mtype, change, stage):
     world = _revocation_world()
     lv = world.issued_certificates()[0]["lv"]
     world.ma.start_pseudonym_revocation(lv)
-    bus = world.bus
-    while bus._queue[0].mtype != mtype:
-        bus._deliver(bus._queue.popleft())
-    reply = bus._queue.popleft()
-    bus._queue.appendleft(Envelope(reply.src, reply.dst, reply.mtype,
-                                   {**reply.payload, **change}))
-    bus.run()
-    assert bus.dead_letters == 0
+    reply = _hold(world.bus, mtype)
+    world.bus._queue.appendleft(Envelope(reply.src, reply.dst, reply.mtype,
+                                         {**reply.payload, **change}))
+    world.bus.run()
+    assert world.bus.dead_letters == 0
     failed = world.registry.audit_view("ma").scan("failed_case")
     if stage is None:  # the MA asks its own LAs, whatever the RA names
         assert failed == [] and world.ma.revocations_completed == 1
     else:
         assert failed == [{"lv": lv, "stage": stage}]
+
+
+def _hold(bus, mtype):
+    """Deliver until an envelope of ``mtype`` is next, and take it out."""
+    while bus._queue[0].mtype != mtype:
+        bus._deliver(bus._queue.popleft())
+    return bus._queue.popleft()
+
+
+def test_reply_from_a_server_not_asked_is_refused():
+    world = _revocation_world()
+    world.ma.start_pseudonym_revocation(world.issued_certificates()[0]["lv"])
+    reply = _hold(world.bus, "ma.lv2plv.resp")
+    world.bus.send(Envelope("pg", "ma", reply.mtype, reply.payload))
+    world.bus.run()
+    assert world.ma.revocations_completed == 0
+    assert world.bus.dead_letters == 1
+    # the query still waits for the PCA, and its real reply completes it
+    world.bus.send(reply)
+    world.bus.run()
+    assert world.ma.revocations_completed == 1
+    assert world.bus.dead_letters == 1
 
 
 def test_audit_reconciliation_finds_no_orphans():
@@ -355,7 +388,7 @@ def test_rse_application_issuance_and_revocation():
 
     world.ma.start_certificate_revocation(rse.app_certs[0]["cert_bytes"])
     world.bus.run()
-    crl = world.crl_store.crls.get(world.root_cert.cert_id(), 3)
+    crl = world.crl_store.crls.get(world.pki["root"].cert.cert_id(), 3)
     assert crl is not None
     assert len(crl.certid_entries) == 3
     assert all(len(e.cert_id) == 8 for e in crl.certid_entries)
@@ -375,7 +408,7 @@ def test_expired_only_device_blacklist_without_crl_delta():
     world.clock.set(2, 0)  # the only cert is now expired
     world.ma.start_certificate_revocation(rse.app_certs[0]["cert_bytes"])
     world.bus.run()
-    assert world.crl_store.crls.get(world.root_cert.cert_id(), 3) is None
+    assert world.crl_store.crls.get(world.pki["root"].cert.cert_id(), 3) is None
     record = world.registry.audit_view("ma").scan("revocation_nonpseudo")[0]
     assert record["cert_ids"] == []
     rse.request_app_certs(CertType.RSE_APPLICATION, [[5, 6]], psid=130)
@@ -391,11 +424,28 @@ def test_unknown_nonpseudonym_request_hash_fails_case_at_blacklist():
         "kind": "cert_revocation", "cert_id": cert_id, "series": 3,
     }
     world.ma._query("ra", "ma.blacklist_nonpseudo", {"rh": b"\x00" * 32},
-                    key, "bl")
+                    key, "blacklist")
     world.bus.run()
     failed = world.registry.audit_view("ma").scan("failed_case")
     assert failed == [{"cert_id": cert_id, "stage": "blacklist"}]
     assert world.ma._cases == {}
+
+
+def test_reply_the_handler_refuses_fails_its_case():
+    world = _rse_world()
+    world.rse.request_app_certs(CertType.RSE_APPLICATION, [[0, 10]], psid=130)
+    world.bus.run()
+    cert = world.rse.app_certs[0]["cert"]
+    world.ma.start_certificate_revocation(cert.encode())
+    reply = _hold(world.bus, "ma.certsbyrh.resp")
+    world.bus.send(Envelope(reply.src, reply.dst, reply.mtype,
+                            {**reply.payload, "certs": [b"junk"]}))
+    world.bus.run()
+    assert world.bus.dead_letters == 1
+    failed = world.registry.audit_view("ma").scan("failed_case")
+    assert failed == [{"cert_id": cert.cert_id(), "stage": "certs"}]
+    assert world.ma._cases == {}
+    assert world.ma._await == {}
 
 
 def test_pseudonym_cert_rejected_by_nonpseudonym_pipeline():
@@ -413,7 +463,7 @@ def test_crlg_groups_and_sequence():
     world.clock.set(1, 0)
     _file_reports(world, 0, [2, 3, 4], period=1)
     _file_reports(world, 1, [2, 3, 4], period=1)
-    crl = world.crl_store.crls.get(world.root_cert.cert_id(), 1)
+    crl = world.crl_store.crls.get(world.pki["root"].cert.cert_id(), 1)
     assert crl.sequence == 2  # one publication per completed revocation
     assert len(crl.linkage_entries) == 2
     raw = crl.tbs_bytes()
@@ -426,5 +476,5 @@ def test_crlg_groups_and_sequence():
     assert reissued.linkage_entries == crl.linkage_entries
 
     # the CRLG signature chains to the CRACA of the series
-    assert check_crl_signature(reissued, world.crlg_cert)
-    assert verify_chain(world.crlg_cert, world.devices[0].trust.store).ok
+    assert check_crl_signature(reissued, world.pki["crlg"].cert)
+    assert verify_chain(world.pki["crlg"].cert, world.devices[0].trust.store).ok

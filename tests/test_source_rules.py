@@ -30,6 +30,16 @@ def test_one_message_dispatcher():
     assert len(found) == 1 and found[0].startswith("authorities/base.py:"), found
 
 
+def test_components_are_built_in_one_step():
+    # identity and settings go to the constructor, never to a later step
+    found = [
+        where for where, node in _nodes()
+        if isinstance(node, ast.FunctionDef)
+        and node.name in {"configure", "install_identity", "init_generator"}
+    ]
+    assert found == []
+
+
 def test_no_unchecked_payload_subscripts():
     # handlers read payloads through encoding.fields, never env.payload[...]
     found = [
