@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 
-from ..certmodel import CertType, Certificate, SeriesConfig, issue_certificate
+from ..certmodel import SERIES_ENROLLMENT, CertType, Certificate, issue_certificate
 from ..crypto import GroupElement
 from ..encoding import fields
 from ..errors import ScmsError
@@ -32,9 +32,8 @@ class Eca(Authority):
     """Enrollment CA: signs enrollment certificates."""
 
     def __init__(self, component_id, bus, registry, rng, identity,
-                 series: SeriesConfig, craca_id: bytes):
+                 craca_id: bytes):
         super().__init__(component_id, bus, registry, rng, identity)
-        self.series = series
         self.craca_id = craca_id
 
     def issue_enrollment(
@@ -51,7 +50,7 @@ class Eca(Authority):
             valid_to=valid_from + ENROLLMENT_VALIDITY,
             psid=0,
             craca_id=self.craca_id,
-            crl_series=self.series.enrollment,
+            crl_series=SERIES_ENROLLMENT,
             issuer_id=self.cert.cert_id(),
             subject_info=subject_info,
         )

@@ -16,27 +16,32 @@ import hashlib
 
 from ..butterfly import butterfly_finalize
 from ..certmodel import (
+    SERIES_PSEUDONYM,
     CertType,
     Certificate,
-    SeriesConfig,
     issue_certificate,
+    series_for_type,
     sign_message,
 )
-from ..crypto import GroupElement, channel_decrypt, channel_key, hybrid_encrypt
+from ..crypto import (
+    GroupElement,
+    channel_decrypt,
+    channel_key,
+    hybrid_encrypt,
+    xor_bytes,
+)
 from ..encoding import decode, encode, fields
 from ..errors import DecryptionError, ParseError
-from ..linkage import xor_lv
 from .base import MaQueryServer, ma_query
 
 
 class Pca(MaQueryServer):
     def __init__(self, component_id, bus, registry, rng, identity,
                  ma_cert: Certificate, ma_query_limit: int,
-                 series: SeriesConfig, craca_id: bytes,
+                 craca_id: bytes,
                  la_enc_pubs: dict[bytes, GroupElement]):
         super().__init__(component_id, bus, registry, rng, identity, ma_cert,
                          ma_query_limit)
-        self.series = series
         self.craca_id = craca_id
         self._la_channels = {
             la_id: channel_key(
@@ -84,7 +89,7 @@ class Pca(MaQueryServer):
         if (plv1["i"], plv1["j"]) != (i, j) or (plv2["i"], plv2["j"]) != (i, j):
             self._reject(env, rh, "pre-linkage index mismatch")
             return
-        lv = xor_lv(plv1["plv"], plv2["plv"])
+        lv = xor_bytes(plv1["plv"], plv2["plv"])
 
         butterfly_pub, recon = butterfly_finalize(cocoon, self.rng)
         cert = self._issue(env, rh, dict(
@@ -93,7 +98,7 @@ class Pca(MaQueryServer):
             valid_from=i,
             valid_to=i,
             psid=psid,
-            crl_series=self.series.pseudonym,
+            crl_series=SERIES_PSEUDONYM,
             linkage_value=lv,
         ))
         if cert is None:
@@ -150,7 +155,7 @@ class Pca(MaQueryServer):
             valid_from=valid_from,
             valid_to=valid_to,
             psid=psid,
-            crl_series=self.series.for_type(ctype),
+            crl_series=series_for_type(ctype),
             enc_key=None if enc_pubkey is None else GroupElement.decode(enc_pubkey),
             subject_info=subject_info,
         ))

@@ -36,13 +36,17 @@ from ..errors import DecryptionError, InvariantViolation, ParseError, ScmsError
 from ..linkage import J_MAX, LA1_ID, LA2_ID
 from ..rootmgmt import Ballot, TrustState
 from .base import MaQueryServer, ma_query
-from .enrollment import device_handle
+from .enrollment import ENROLLMENT_VALIDITY, device_handle
 from .pca import request_hash
 
 # the shuffle buffer goes to the PCA once it holds this many requests or
 # its oldest request has waited this many days, whichever comes first
 SHUFFLE_MAX_COUNT = 10_000
 SHUFFLE_MAX_DAYS = 1
+# the most certificates one provisioning request may ask the LAs to fill:
+# 20 a period over a whole enrollment validity; each LA computes and
+# stores the grid at once, so an unbounded one stalls the run
+MAX_REQUEST_CERTS = ENROLLMENT_VALIDITY * 20
 
 _ENROLLMENT_TYPES = {CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT}
 # the certificates an end entity may request outside the pseudonym flow
@@ -160,6 +164,7 @@ class Ra(MaQueryServer):
             return
         end = start + n_periods - 1
         if not (0 <= start <= end <= U32_MAX and 1 <= j_max <= J_MAX
+                and n_periods * j_max <= MAX_REQUEST_CERTS
                 and 0 <= psid <= U32_MAX):
             self._deny(env.src, reply_ref, "malformed caterpillar request")
             return

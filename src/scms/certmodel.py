@@ -69,7 +69,7 @@ _PSEUDONYMOUS = {CertType.OBE_ENROLLMENT, CertType.OBE_PSEUDONYM}
 # Types allowed to carry an encryption key.
 _MAY_ENCRYPT = {CertType.RSE_APPLICATION, CertType.COMPONENT, CertType.ELECTOR}
 
-# Default CRL series assignment; configurable via SeriesConfig.
+# CRL series assignment
 SERIES_PSEUDONYM = 1
 SERIES_COMPONENT = 2
 SERIES_APPLICATION = 3  # identification + RSE application
@@ -81,24 +81,15 @@ SERIES_ROOT_MANAGED = 256  # PG / CRLG / MA, CRACA = root
 BSM_PSID = 0x20
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    pseudonym: int = SERIES_PSEUDONYM
-    component: int = SERIES_COMPONENT
-    application: int = SERIES_APPLICATION
-    enrollment: int = SERIES_ENROLLMENT
-    root_managed: int = SERIES_ROOT_MANAGED
-
-    def for_type(self, ctype: CertType, root_managed: bool = False) -> int:
-        if root_managed:
-            return self.root_managed
-        if ctype == CertType.OBE_PSEUDONYM:
-            return self.pseudonym
-        if ctype in (CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT):
-            return self.enrollment
-        if ctype in (CertType.OBE_IDENTIFICATION, CertType.RSE_APPLICATION):
-            return self.application
-        return self.component
+def series_for_type(ctype: CertType) -> int:
+    """The CRL series that revokes certificates of type ``ctype``."""
+    if ctype == CertType.OBE_PSEUDONYM:
+        return SERIES_PSEUDONYM
+    if ctype in (CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT):
+        return SERIES_ENROLLMENT
+    if ctype in (CertType.OBE_IDENTIFICATION, CertType.RSE_APPLICATION):
+        return SERIES_APPLICATION
+    return SERIES_COMPONENT
 
 
 # signature algorithm tags (heterogeneous electors)

@@ -21,7 +21,7 @@ from .hybrid import (
     hybrid_decrypt,
     hybrid_encrypt,
 )
-from .prf import aes_block, hash_truncated, prf_block, prf_blocks
+from .prf import aes_block, hash_truncated, prf_block, prf_blocks, xor_bytes
 from .rng import DeterministicRandom
 from .signing import SIGNATURE_BYTES, sign, verify, verify_pure
 
@@ -52,4 +52,5 @@ __all__ = [
     "sign",
     "verify",
     "verify_pure",
+    "xor_bytes",
 ]

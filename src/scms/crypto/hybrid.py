@@ -8,13 +8,17 @@ or a wrong private key fails the GCM tag check.
 
 Also provides static channel keys for fixed component pairs (LA -> PCA
 application-layer encryption routed opaquely through the RA).
+
+Both derive their AES key in ``_shared_key``: ECDH in the OpenSSL backend,
+between a private key from ``group.backend_private`` and the peer key that
+``group.backend_public`` caches per encoded point, then SHA-256 over the
+secret and a label.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -22,9 +26,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from ..encoding import Reader
 from ..errors import DecryptionError
-from .group import POINT_BYTES, GroupElement, Scalar
+from .group import POINT_BYTES, GroupElement, Scalar, backend_private, backend_public
 
-_CURVE = ec.SECP256R1()
 _ZERO_NONCE = b"\x00" * 12
 TAG_BYTES = 16
 
@@ -46,29 +49,19 @@ class HybridCiphertext:
         return cls(eph, r.rest(), tag)
 
 
-@lru_cache(maxsize=4096)
-def _load_peer(encoded: bytes):
-    point = GroupElement.decode(encoded)
-    return ec.EllipticCurvePublicNumbers(point.x, point.y, _CURVE).public_key()
-
-
-def _shared_key(priv: Scalar, peer: GroupElement, eph_encoded: bytes) -> bytes:
-    secret = ec.derive_private_key(priv.value, _CURVE).exchange(
-        ec.ECDH(), _load_peer(peer.encode())
-    )
-    return hashlib.sha256(secret + eph_encoded).digest()[:16]
+def _shared_key(own: ec.EllipticCurvePrivateKey, peer: GroupElement,
+                label: bytes) -> bytes:
+    secret = own.exchange(ec.ECDH(), backend_public(peer.encode())[0])
+    return hashlib.sha256(secret + label).digest()[:16]
 
 
 def hybrid_encrypt(to: GroupElement, plaintext: bytes, rng) -> HybridCiphertext:
     if to.is_identity:
         raise ValueError("cannot encrypt to the identity element")
-    eph_priv = rng.scalar()
-    eph_key = ec.derive_private_key(eph_priv.value, _CURVE)
+    eph_key = backend_private(rng.scalar().value)
     nums = eph_key.public_key().public_numbers()
     ephemeral = GroupElement(nums.x, nums.y, _skip_check=True)
-    eph_encoded = ephemeral.encode()
-    secret = eph_key.exchange(ec.ECDH(), _load_peer(to.encode()))
-    key = hashlib.sha256(secret + eph_encoded).digest()[:16]
+    key = _shared_key(eph_key, to, ephemeral.encode())
     sealed = AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None)
     return HybridCiphertext(ephemeral, sealed[:-TAG_BYTES], sealed[-TAG_BYTES:])
 
@@ -76,7 +69,8 @@ def hybrid_encrypt(to: GroupElement, plaintext: bytes, rng) -> HybridCiphertext:
 def hybrid_decrypt(priv: Scalar, ct: HybridCiphertext) -> bytes:
     if ct.ephemeral.is_identity:
         raise DecryptionError("identity ephemeral key")
-    key = _shared_key(priv, ct.ephemeral, ct.ephemeral.encode())
+    key = _shared_key(backend_private(priv.value), ct.ephemeral,
+                      ct.ephemeral.encode())
     try:
         return AESGCM(key).decrypt(_ZERO_NONCE, ct.payload + ct.tag, None)
     except InvalidTag as exc:
@@ -86,10 +80,7 @@ def hybrid_decrypt(priv: Scalar, ct: HybridCiphertext) -> bytes:
 def channel_key(own_priv: Scalar, peer_pub: GroupElement, label: bytes) -> bytes:
     """Static-DH symmetric key for a fixed component pair; both sides derive
     the same key from their own private half."""
-    secret = ec.derive_private_key(own_priv.value, _CURVE).exchange(
-        ec.ECDH(), _load_peer(peer_pub.encode())
-    )
-    return hashlib.sha256(secret + label).digest()[:16]
+    return _shared_key(backend_private(own_priv.value), peer_pub, label)
 
 
 def channel_encrypt(key: bytes, plaintext: bytes, rng) -> bytes:

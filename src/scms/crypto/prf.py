@@ -3,6 +3,7 @@
 ``prf_block`` is AES-128 in Davies-Meyer mode (cipher output XOR input),
 the one-way block function behind both key expansion and pre-linkage
 values. ``hash_truncated`` keeps the u most significant bytes of SHA-256.
+``xor_bytes`` is the one byte-string XOR, shared with the linkage values.
 """
 
 from __future__ import annotations
@@ -30,10 +31,16 @@ def aes_block(key: bytes, block: bytes) -> bytes:
     return _cipher(key).encryptor().update(block)
 
 
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR of two byte strings, truncated to the shorter one."""
+    n = min(len(a), len(b))
+    x = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
+    return x.to_bytes(n, "big")
+
+
 def prf_block(key: bytes, block: bytes) -> bytes:
     """Davies-Meyer: AES_key(block) XOR block."""
-    out = aes_block(key, block)
-    return bytes(a ^ b for a, b in zip(out, block))
+    return prf_blocks(key, [block])[0]
 
 
 def prf_blocks(key: bytes, blocks: list[bytes]) -> list[bytes]:
@@ -41,11 +48,10 @@ def prf_blocks(key: bytes, blocks: list[bytes]) -> list[bytes]:
     if len(key) != KEY_BYTES:
         raise ValueError(f"key must be {KEY_BYTES} bytes")
     joined = b"".join(blocks)
-    enc = _cipher(key).encryptor().update(joined)
-    return [
-        bytes(a ^ b for a, b in zip(enc[i : i + 16], joined[i : i + 16]))
-        for i in range(0, len(joined), 16)
-    ]
+    if len(joined) != BLOCK_BYTES * len(blocks):
+        raise ValueError(f"blocks must be {BLOCK_BYTES} bytes")
+    out = xor_bytes(_cipher(key).encryptor().update(joined), joined)
+    return [out[i : i + BLOCK_BYTES] for i in range(0, len(out), BLOCK_BYTES)]
 
 
 def hash_truncated(data: bytes, u: int) -> bytes:

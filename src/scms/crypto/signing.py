@@ -2,9 +2,10 @@
 
 Signing is pure Python with a deterministic nonce derived from the private
 key and digest, so identical inputs always yield identical signature bytes
-(required for replayable scenarios and golden vectors). Verification is
-delegated to the OpenSSL backend, which doubles as an independent check
-that signing produces standard ECDSA; a pure-Python verifier is kept for
+(required for replayable scenarios and golden vectors). Verification runs
+in the OpenSSL backend on the public key that ``group.backend_public``
+caches per encoded point, which doubles as an independent check that
+signing produces standard ECDSA; a pure-Python verifier is kept for
 differential tests.
 
 Signature encoding: 64 bytes, r then s, each 32 bytes big-endian.
@@ -13,7 +14,6 @@ Signature encoding: 64 bytes, r then s, each 32 bytes big-endian.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -23,12 +23,11 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
     encode_dss_signature,
 )
 
-from .group import G, ORDER, GroupElement, Scalar, mul_g, scalar_mult
+from .group import G, ORDER, GroupElement, Scalar, backend_public, mul_g, scalar_mult
 
 SIGNATURE_BYTES = 64
 _NONCE_LABEL = b"scms-ecdsa-nonce-v1"
 _PREHASHED = ec.ECDSA(Prehashed(hashes.SHA256()))
-_CURVE = ec.SECP256R1()
 
 
 def sign(priv: Scalar, digest: bytes) -> bytes:
@@ -54,12 +53,6 @@ def sign(priv: Scalar, digest: bytes) -> bytes:
         return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
-@lru_cache(maxsize=4096)
-def _load_public(encoded: bytes):
-    point = GroupElement.decode(encoded)
-    return ec.EllipticCurvePublicNumbers(point.x, point.y, _CURVE).public_key()
-
-
 def verify(pub: GroupElement, digest: bytes, signature: bytes) -> bool:
     """True iff the signature is valid; malformed input returns False."""
     r, s = _split(signature)
@@ -68,7 +61,7 @@ def verify(pub: GroupElement, digest: bytes, signature: bytes) -> bool:
     if pub.is_identity or len(digest) != 32:
         return False
     try:
-        key = _load_public(pub.encode())
+        key = backend_public(pub.encode())[0]
         key.verify(encode_dss_signature(r, s), digest, _PREHASHED)
         return True
     except (InvalidSignature, ValueError):

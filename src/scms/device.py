@@ -254,8 +254,25 @@ class Device:
             "dst": dst, "mtype": mtype, "body": body,
         }))
 
-    def _encrypt_to_ra(self, value: dict) -> bytes:
-        return hybrid_encrypt(self.ra_enc_key, encode(value), self.rng).encode()
+    def _send_signed(self, mtype: str, payload: bytes) -> None:
+        """Sign ``payload`` with the enrollment key and send it to the RA,
+        sealed to the RA's encryption key, with a fresh reply reference."""
+        msg = sign_message(
+            self.enrollment_key.private,
+            Certificate.decode(self.enrollment_cert_bytes), payload,
+        )
+        self._via_lop("ra", mtype, {
+            "blob": hybrid_encrypt(
+                self.ra_enc_key, encode({"req": msg.encode()}), self.rng
+            ).encode(),
+            "reply_ref": self.rng.randbytes(8),
+        })
+
+    def _report_to_ma(self, report: dict) -> None:
+        """Seal a misbehavior report to the MA; the RA that relays it only
+        ever sees the ciphertext."""
+        blob = hybrid_encrypt(self.ma_enc_key, encode(report), self.rng).encode()
+        self._via_lop("ra", "mb.report", {"blob": blob})
 
     # --- certificate request (step 1) ---
 
@@ -283,14 +300,7 @@ class Device:
             "j_max": j_max,
             "psid": BSM_PSID,
         }
-        enrollment_cert = Certificate.decode(self.enrollment_cert_bytes)
-        msg = sign_message(
-            self.enrollment_key.private, enrollment_cert, encode(request)
-        )
-        self._via_lop("ra", "provision.request", {
-            "blob": self._encrypt_to_ra({"req": msg.encode()}),
-            "reply_ref": self.rng.randbytes(8),
-        })
+        self._send_signed("provision.request", encode(request))
 
     def on_provision_ack(self, env) -> None:
         self.provision_status = "acknowledged"
@@ -369,13 +379,11 @@ class Device:
             "reason": reason,
         })
         if self.ma_enc_key is not None:
-            report = encode({
+            self._report_to_ma({
                 "kind": "install-failure",
                 "evidence": hashlib.sha256(package_bytes).digest(),
                 "reason": reason,
             })
-            blob = hybrid_encrypt(self.ma_enc_key, report, self.rng).encode()
-            self._via_lop("ra", "mb.report", {"blob": blob})
 
     # --- application / identification certificates ---
 
@@ -392,14 +400,7 @@ class Device:
         if with_enc_key:
             self.app_enc_key = KeyPair.generate(self.rng)
             request["enc_pubkey"] = self.app_enc_key.public.encode()
-        enrollment_cert = Certificate.decode(self.enrollment_cert_bytes)
-        msg = sign_message(
-            self.enrollment_key.private, enrollment_cert, encode(request)
-        )
-        self._via_lop("ra", "app.request", {
-            "blob": self._encrypt_to_ra({"req": msg.encode()}),
-            "reply_ref": self.rng.randbytes(8),
-        })
+        self._send_signed("app.request", encode(request))
 
     def on_app_issued(self, env) -> None:
         (certs,) = fields(env.payload, certs=list)
@@ -492,22 +493,19 @@ class Device:
     # --- misbehavior reporting ---
 
     def report_misbehavior(self, bsm_bytes: bytes) -> None:
-        """Encrypt a report about a received BSM to the MA; the RA only
-        ever sees the ciphertext."""
+        """Report a received BSM to the MA."""
         msg = SignedMessage.decode(bsm_bytes)
         evidence = hashlib.sha256(bsm_bytes).digest()
         chosen = self.signing_cert()
         if chosen is None:
             raise ScmsError("no pseudonym certificate to sign the report")
         reporter = sign_message(chosen["priv"], chosen["cert"], evidence)
-        report = encode({
+        self._report_to_ma({
             "kind": "bsm",
             "reported_cert": msg.cert_bytes,
             "evidence": evidence,
             "reporter": reporter.encode(),
         })
-        blob = hybrid_encrypt(self.ma_enc_key, report, self.rng).encode()
-        self._via_lop("ra", "mb.report", {"blob": blob})
 
     # --- CRL retrieval and storage ---
 
@@ -545,16 +543,9 @@ class Device:
     def reenroll_reestablish(self) -> None:
         """Roll over to a new enrollment certificate signed with the old."""
         new_key = KeyPair.generate(self.rng)
-        enrollment_cert = Certificate.decode(self.enrollment_cert_bytes)
-        msg = sign_message(
-            self.enrollment_key.private, enrollment_cert,
-            encode({"new_pub": new_key.public.encode()}),
-        )
         self._pending_reenroll = {"key": new_key}
-        self._via_lop("ra", "reenroll.request", {
-            "blob": self._encrypt_to_ra({"req": msg.encode()}),
-            "reply_ref": self.rng.randbytes(8),
-        })
+        self._send_signed("reenroll.request",
+                          encode({"new_pub": new_key.public.encode()}))
 
     def on_reenroll_issued(self, env) -> None:
         (cert_bytes,) = fields(env.payload, cert=bytes)

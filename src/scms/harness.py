@@ -35,9 +35,10 @@ from .authorities import (
 from .bus import Clock, Envelope, MessageBus, Trace
 from .certmodel import (
     ALG_DOMAIN_SEP,
+    SERIES_COMPONENT,
+    SERIES_ROOT_MANAGED,
     CertType,
     Certificate,
-    SeriesConfig,
     SignedMessage,
     issue_component_cert,
 )
@@ -110,7 +111,6 @@ class World:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.rng = DeterministicRandom(config.seed, "world")
-        self.series = SeriesConfig()
         self.clock = Clock()
         self.trace = Trace(keep_events=config.keep_trace_events)
         self.bus = MessageBus(clock=self.clock, trace=self.trace)
@@ -135,8 +135,7 @@ class World:
             # names no CRACA
             craca = (b"\x00" * 8 if issuer is None
                      else self.pki["root"].cert.cert_id())
-            crl_series = (self.series.root_managed if root_managed
-                          else self.series.component)
+            crl_series = SERIES_ROOT_MANAGED if root_managed else SERIES_COMPONENT
             cert = issue_component_cert(
                 key, role, None if issuer is None else issuer.cert,
                 None if issuer is None else issuer.keypair, craca, crl_series,
@@ -160,7 +159,7 @@ class World:
         return trust
 
     def _build_components(self) -> None:
-        pki, config, series = self.pki, self.config, self.series
+        pki, config = self.pki, self.config
         args = (self.bus, self.registry, self.rng)
         craca = pki["root"].cert.cert_id()
         # every server of MA queries answers under one per-period quota
@@ -168,8 +167,8 @@ class World:
         pca_enc = pki["pca"].enc_keypair.public
         self.lop = Lop("lop", *args)
         self.crl_store = CrlStore("crlstore", *args)
-        self.eca = Eca("eca", *args, pki["eca"], series, craca)
-        self.pca = Pca("pca", *args, pki["pca"], *ma_quota, series, craca, {
+        self.eca = Eca("eca", *args, pki["eca"], craca)
+        self.pca = Pca("pca", *args, pki["pca"], *ma_quota, craca, {
             LA1_ID: pki["la1"].enc_keypair.public,
             LA2_ID: pki["la2"].enc_keypair.public,
         })
@@ -179,7 +178,7 @@ class World:
                                     LA2_ID, pca_enc)
         self.ra = Ra("ra", *args, pki["ra"], *ma_quota, self._authority_trust())
         crlg = Crlg(pki["crlg"].keypair, pki["crlg"].cert, craca)
-        self.ma = Ma("ma", *args, pki["ma"], crlg, series,
+        self.ma = Ma("ma", *args, pki["ma"], crlg,
                      ThresholdDetector(threshold=config.detector_threshold))
         self.pg = Pg("pg", *args, pki["pg"])
         gpf = self.pg.publish_gpf({

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crypto import hash_truncated, prf_blocks
+from .crypto import hash_truncated, prf_blocks, xor_bytes
 
 SEED_BYTES = 16    # u
 LV_BYTES = 9       # v
@@ -128,11 +128,7 @@ def linkage_value(p1: PreLinkageValue, p2: PreLinkageValue) -> LinkageValue:
         )
     if p1.la_id == p2.la_id:
         raise ValueError("pre-linkage values must come from distinct authorities")
-    return LinkageValue(xor_lv(p1.value, p2.value), p1.i, p1.j)
-
-
-def xor_lv(v1: bytes, v2: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(v1, v2))
+    return LinkageValue(xor_bytes(p1.value, p2.value), p1.i, p1.j)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from .certmodel import (
     Certificate,
     Crl,
     LinkageRevocation,
+    SERIES_PSEUDONYM,
     Priority,
-    SeriesConfig,
     SignedMessage,
     sign_crl,
     sign_message,
@@ -152,10 +152,9 @@ class Ma(Authority):
     crl_store_host = "crlstore"
 
     def __init__(self, component_id, bus, registry, rng, identity,
-                 crlg: Crlg, series: SeriesConfig, detector: ThresholdDetector):
+                 crlg: Crlg, detector: ThresholdDetector):
         super().__init__(component_id, bus, registry, rng, identity)
         self.crlg = crlg
-        self.series = series
         self.detector = detector
         self._cases: dict[str, dict] = {}
         # query digest -> (case key, step, server asked); a step is named
@@ -389,7 +388,7 @@ class Ma(Authority):
                 j_max=case["j_max"],
                 priority=Priority.NORMAL,
             )
-            self.crlg.add_entries(self.series.pseudonym, linkage=[entry])
+            self.crlg.add_entries(SERIES_PSEUDONYM, linkage=[entry])
             self.store.put("revocation", {
                 "lv": case["lv"],
                 "rh": case["rh"],
@@ -400,7 +399,7 @@ class Ma(Authority):
                 "period": period,
             })
         self.revocations_completed += 1
-        self.publish_crl(self.series.pseudonym)
+        self.publish_crl(SERIES_PSEUDONYM)
 
     # --- non-pseudonym revocation pipeline ---
 

@@ -5,8 +5,9 @@ from dataclasses import dataclass
 import pytest
 
 from scms.certmodel import (
+    SERIES_COMPONENT,
+    SERIES_ROOT_MANAGED,
     Certificate,
-    SeriesConfig,
     TrustStore,
     issue_component_cert,
 )
@@ -16,7 +17,6 @@ from scms.crypto import DeterministicRandom, KeyPair
 @dataclass
 class MiniPki:
     rng: DeterministicRandom
-    series: SeriesConfig
     root_key: KeyPair
     root_cert: Certificate
     ica_key: KeyPair
@@ -28,43 +28,30 @@ class MiniPki:
     trust: TrustStore
 
 
-def make_component_cert(
-    key: KeyPair,
-    role: str,
-    issuer_cert: Certificate | None,
-    issuer_key: KeyPair | None,
-    craca_id: bytes,
-    series: int,
-    enc_key=None,
-    valid=(0, 10000),
-) -> Certificate:
-    return issue_component_cert(key, role, issuer_cert, issuer_key, craca_id,
-                                series, valid, enc_key)
-
-
 def build_mini_pki(seed: int = 1000) -> MiniPki:
     rng = DeterministicRandom(seed, "mini-pki")
-    series = SeriesConfig()
+    valid = (0, 10000)
 
     root_key = KeyPair.generate(rng)
     # the root itself is revoked via elector ballots, not a CRL, and its
     # own id cannot appear inside its encoding; zero craca marks that
-    root_cert = make_component_cert(
-        root_key, "root", None, None, b"\x00" * 8, series.component
+    root_cert = issue_component_cert(
+        root_key, "root", None, None, b"\x00" * 8, SERIES_COMPONENT, valid, None
     )
     craca = root_cert.cert_id()
 
     ica_key = KeyPair.generate(rng)
-    ica_cert = make_component_cert(
-        ica_key, "ica", root_cert, root_key, craca, series.component
+    ica_cert = issue_component_cert(
+        ica_key, "ica", root_cert, root_key, craca, SERIES_COMPONENT, valid, None
     )
     pca_key = KeyPair.generate(rng)
-    pca_cert = make_component_cert(
-        pca_key, "pca", ica_cert, ica_key, craca, series.component
+    pca_cert = issue_component_cert(
+        pca_key, "pca", ica_cert, ica_key, craca, SERIES_COMPONENT, valid, None
     )
     crlg_key = KeyPair.generate(rng)
-    crlg_cert = make_component_cert(
-        crlg_key, "crlg", root_cert, root_key, craca, series.root_managed
+    crlg_cert = issue_component_cert(
+        crlg_key, "crlg", root_cert, root_key, craca, SERIES_ROOT_MANAGED,
+        valid, None,
     )
 
     trust = TrustStore()
@@ -73,7 +60,6 @@ def build_mini_pki(seed: int = 1000) -> MiniPki:
     trust.endorse_root(root_cert.cert_id())
     return MiniPki(
         rng=rng,
-        series=series,
         root_key=root_key,
         root_cert=root_cert,
         ica_key=ica_key,

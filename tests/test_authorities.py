@@ -17,6 +17,7 @@ from scms.authorities.base import ma_query
 from scms.butterfly import CaterpillarRequest
 from scms.bus import Envelope, MessageBus
 from scms.certmodel import (
+    SERIES_COMPONENT,
     Certificate,
     CertType,
     issue_component_cert,
@@ -210,20 +211,15 @@ def _provision_request(**changes) -> dict:
     encode(_provision_request(j_max=0)),
     encode(_provision_request(n_periods=0)),
     encode(_provision_request(start=-1)),
+    encode(_provision_request(n_periods=8, j_max=1000)),
 ], ids=["A-off-curve", "no-start", "start-str", "j_max-bytes", "k_sign-str",
         "not-a-dict", "not-canonical", "psid-over-32-bits", "psid-str",
-        "j_max-over-16-bits", "j_max-zero", "no-periods", "start-negative"])
+        "j_max-over-16-bits", "j_max-zero", "no-periods", "start-negative",
+        "grid-over-bound"])
 def test_malformed_provision_request_denied_before_any_state(payload):
     world = make_world()
     device = world.devices[0]
-    msg = sign_message(
-        device.enrollment_key.private,
-        Certificate.decode(device.enrollment_cert_bytes), payload,
-    )
-    device._via_lop("ra", "provision.request", {
-        "blob": device._encrypt_to_ra({"req": msg.encode()}),
-        "reply_ref": b"\x07",
-    })
+    device._send_signed("provision.request", payload)
     world.bus.run()
     assert device.provision_status == "denied"
     assert device.last_deny_reason == "malformed caterpillar request"
@@ -237,15 +233,7 @@ def test_malformed_provision_request_denied_before_any_state(payload):
 def test_well_formed_provision_request_is_accepted():
     world = make_world()
     device = world.devices[0]
-    msg = sign_message(
-        device.enrollment_key.private,
-        Certificate.decode(device.enrollment_cert_bytes),
-        encode(_provision_request()),
-    )
-    device._via_lop("ra", "provision.request", {
-        "blob": device._encrypt_to_ra({"req": msg.encode()}),
-        "reply_ref": b"\x07",
-    })
+    device._send_signed("provision.request", encode(_provision_request()))
     world.bus.run()
     assert world.registry.audit_view("ra").count("span") == 1
 
@@ -763,7 +751,7 @@ def test_root_rotation_with_eca_recertification():
     # re-certified under the new root
     rng = world.rng.child("rotation")
     root2_key = KeyPair.generate(rng)
-    series, valid = world.series.component, (0, 1 << 20)
+    series, valid = SERIES_COMPONENT, (0, 1 << 20)
     craca = world.pki["root"].cert.cert_id()
     root2_cert = issue_component_cert(
         root2_key, "root", None, None, b"\x00" * 8, series, valid, None

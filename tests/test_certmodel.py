@@ -6,6 +6,9 @@ import random
 import pytest
 
 from scms.certmodel import (
+    SERIES_APPLICATION,
+    SERIES_COMPONENT,
+    SERIES_PSEUDONYM,
     CertIdRevocation,
     CertType,
     Certificate,
@@ -48,7 +51,7 @@ def _pseudonym(pki, key, lv, period=5):
         valid_to=period,
         psid=32,
         craca_id=pki.root_cert.cert_id(),
-        crl_series=pki.series.pseudonym,
+        crl_series=SERIES_PSEUDONYM,
         issuer_id=pki.pca_cert.cert_id(),
         linkage_value=lv,
     )
@@ -305,7 +308,7 @@ def test_chain_fails_with_revoked_intermediate(pki):
     lv = _lv_for(DeterministicRandom(70))
     cert = _pseudonym(pki, key, lv)
     crl = Crl(
-        series=pki.series.component,
+        series=SERIES_COMPONENT,
         craca_id=pki.root_cert.cert_id(),
         issue_period=5,
         sequence=1,
@@ -441,7 +444,7 @@ def test_crl_check_pseudonym_revocation_and_backward_privacy(pki):
 
     revocation_period = 3
     crl = Crl(
-        series=pki.series.pseudonym,
+        series=SERIES_PSEUDONYM,
         craca_id=pki.root_cert.cert_id(),
         issue_period=revocation_period,
         sequence=1,
@@ -481,13 +484,13 @@ def test_crl_check_certid(pki):
         valid_to=52,
         psid=130,
         craca_id=pki.root_cert.cert_id(),
-        crl_series=pki.series.application,
+        crl_series=SERIES_APPLICATION,
         issuer_id=pki.pca_cert.cert_id(),
         subject_info="rse-1",
     )
     cert = issue_certificate(cert, pki.pca_key.private)
     crl_set = CrlSet()
-    crl = Crl(series=pki.series.application, craca_id=pki.root_cert.cert_id(),
+    crl = Crl(series=SERIES_APPLICATION, craca_id=pki.root_cert.cert_id(),
               issue_period=0, sequence=1, crlg_cert_id=b"\x00" * 8,
               certid_entries=[CertIdRevocation(cert.cert_id())])
     sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scms.certmodel import (
+    SERIES_PSEUDONYM,
     CertIdRevocation,
     CertType,
     Certificate,
@@ -50,7 +51,7 @@ def _samples() -> dict[str, list[bytes]]:
     pseudonym = issue_certificate(Certificate(
         ctype=CertType.OBE_PSEUDONYM, subject_key=key.public, valid_from=5,
         valid_to=5, psid=32, craca_id=pki.root_cert.cert_id(),
-        crl_series=pki.series.pseudonym, issuer_id=pki.pca_cert.cert_id(),
+        crl_series=SERIES_PSEUDONYM, issuer_id=pki.pca_cert.cert_id(),
         linkage_value=rng.randbytes(9),
     ), pki.pca_key.private)
     crls = []

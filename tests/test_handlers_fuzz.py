@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from scms import harness
 from scms.bus import Envelope, MessageBus, Trace
-from scms.certmodel import CertType
+from scms.certmodel import SERIES_PSEUDONYM, CertType
 from scms.device import Device
 from scms.encoding import encode
 from scms.errors import InvariantViolation, ScmsError
@@ -252,7 +252,7 @@ def test_ballot_of_a_bare_int_list_is_a_dead_letter(dst):
 def test_truncated_composite_crl_is_a_dead_letter():
     world = make_world(devices=1, keep_trace_events=True)
     device = world.devices[0]
-    world.ma.publish_crl(world.series.pseudonym)
+    world.ma.publish_crl(SERIES_PSEUDONYM)
     world.bus.run()
     good = world.crl_store.composite()
     assert good[4:6] == b"\x00\x01"  # one CRL, its length at [6:10]

@@ -3,7 +3,14 @@ the root-management impact table."""
 
 import pytest
 
-from scms.certmodel import ALG_DEFAULT, ALG_DOMAIN_SEP, ChainResult, verify_chain
+from scms.certmodel import (
+    ALG_DEFAULT,
+    ALG_DOMAIN_SEP,
+    SERIES_ROOT_MANAGED,
+    ChainResult,
+    issue_component_cert,
+    verify_chain,
+)
 from scms.crypto import DeterministicRandom, KeyPair
 from scms.encoding import encode
 from scms.errors import ParseError
@@ -21,7 +28,7 @@ from scms.rootmgmt import (
     check_policy_artifact,
     make_elector,
 )
-from tests.conftest import build_mini_pki, make_component_cert
+from tests.conftest import build_mini_pki
 
 
 def _setup(n_electors=3, quorum=None, seed=90):
@@ -182,8 +189,9 @@ def test_ballot_validation_is_pure(pki):
 def _pg(pki):
     rng = DeterministicRandom(91, "pg")
     key = KeyPair.generate(rng)
-    cert = make_component_cert(key, "pg", pki.root_cert, pki.root_key,
-                               pki.root_cert.cert_id(), pki.series.root_managed)
+    cert = issue_component_cert(key, "pg", pki.root_cert, pki.root_key,
+                                pki.root_cert.cert_id(), SERIES_ROOT_MANAGED,
+                                (0, 10000), None)
     return PolicyGenerator(key, cert)
 
 

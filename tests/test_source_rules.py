@@ -51,3 +51,16 @@ def test_no_unchecked_payload_subscripts():
         and node.value.value.id == "env"
     ]
     assert found == []
+
+
+def test_one_openssl_key_adapter():
+    # every backend key is built in crypto/group.py, behind one key cache
+    names = {"derive_private_key", "from_encoded_point",
+             "EllipticCurvePublicNumbers", "SECP256R1"}
+    found = [
+        where for where, node in _nodes()
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+    ]
+    assert found and all(w.startswith("crypto/group.py:") for w in found), found
