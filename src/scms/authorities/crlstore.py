@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from ..certmodel import Crl, CrlSet, encode_composite
 from ..encoding import fields
+from ..errors import ScmsError
 from ..rootmgmt import PolicyGenerator
 from .base import Authority, Component
 
@@ -22,6 +23,8 @@ class CrlStore(Component):
         self._policy: dict[str, bytes] = {}
 
     def on_crl_publish(self, env) -> None:
+        if env.src != "ma":
+            raise ScmsError(f"CRL from {env.src!r}, not the MA")
         (raw,) = fields(env.payload, crl=bytes)
         crl = Crl.decode(raw)
         if self.crls.add(crl):
@@ -41,6 +44,8 @@ class CrlStore(Component):
         })
 
     def on_policy_publish(self, env) -> None:
+        if env.src != "pg":
+            raise ScmsError(f"policy file from {env.src!r}, not the PG")
         name, data = fields(env.payload, name=str, data=bytes)
         self._policy[name] = data
 

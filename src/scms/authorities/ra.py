@@ -21,6 +21,7 @@ import hashlib
 from ..butterfly import CaterpillarRequest, TimeIndex, cocoon_expand
 from ..certmodel import (
     BSM_PSID,
+    ENROLLMENT_TYPES,
     U32_MAX,
     CertType,
     Certificate,
@@ -48,7 +49,6 @@ SHUFFLE_MAX_DAYS = 1
 # stores the grid at once, so an unbounded one stalls the run
 MAX_REQUEST_CERTS = ENROLLMENT_VALIDITY * 20
 
-_ENROLLMENT_TYPES = {CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT}
 # the certificates an end entity may request outside the pseudonym flow
 _APP_TYPES = {CertType.OBE_IDENTIFICATION, CertType.RSE_APPLICATION}
 
@@ -114,13 +114,13 @@ class Ra(MaQueryServer):
         if cert is None:
             self._deny(env.src, ref, "missing enrollment certificate")
             return None
-        if cert.ctype not in _ENROLLMENT_TYPES:
+        if cert.ctype not in ENROLLMENT_TYPES:
             self._deny(env.src, ref, "not an enrollment certificate")
             return None
         if not verify_message(msg, cert):
             self._deny(env.src, ref, "bad signature")
             return None
-        if not verify_chain(cert, self.trust.store, at_period=self.clock.period).ok:
+        if not verify_chain(cert, self.trust, at_period=self.clock.period).ok:
             if not (allow_recertified and self._recertified_ok(cert)):
                 self._deny(env.src, ref, "enrollment certificate does not verify")
                 return None
@@ -137,7 +137,7 @@ class Ra(MaQueryServer):
             return False
         if not check_cert_signature(cert, new_eca):
             return False
-        return verify_chain(new_eca, self.trust.store).ok
+        return verify_chain(new_eca, self.trust).ok
 
     # --- provisioning step 2: accept, validate, expand ---
 

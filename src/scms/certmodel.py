@@ -23,15 +23,20 @@ CertId entries, are signed by the CRL generator, and are distributed per
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
 from .crypto import POINT_BYTES, GroupElement, KeyPair, Scalar, sign, verify
 from .encoding import Reader, within
 from .errors import ParseError
 from .linkage import LV_BYTES, RevocationEntry, expand_revocation_entry
+
+if TYPE_CHECKING:
+    from .rootmgmt import TrustState
 
 CERT_MAGIC = b"SC"
 CRL_MAGIC = b"CR"
@@ -68,6 +73,8 @@ class CertType(IntEnum):
 _PSEUDONYMOUS = {CertType.OBE_ENROLLMENT, CertType.OBE_PSEUDONYM}
 # Types allowed to carry an encryption key.
 _MAY_ENCRYPT = {CertType.RSE_APPLICATION, CertType.COMPONENT, CertType.ELECTOR}
+# Types an end entity signs its requests to the RA with.
+ENROLLMENT_TYPES = {CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT}
 
 # CRL series assignment
 SERIES_PSEUDONYM = 1
@@ -85,7 +92,7 @@ def series_for_type(ctype: CertType) -> int:
     """The CRL series that revokes certificates of type ``ctype``."""
     if ctype == CertType.OBE_PSEUDONYM:
         return SERIES_PSEUDONYM
-    if ctype in (CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT):
+    if ctype in ENROLLMENT_TYPES:
         return SERIES_ENROLLMENT
     if ctype in (CertType.OBE_IDENTIFICATION, CertType.RSE_APPLICATION):
         return SERIES_APPLICATION
@@ -263,6 +270,9 @@ def issue_component_cert(
     return issue_certificate(cert, signer.private)
 
 
+# pure in two frozen certificates, keyed by full equality (signatures
+# included), so the memo is never stale and needs no invalidation
+@functools.lru_cache(maxsize=4096)
 def check_cert_signature(cert: Certificate, issuer: Certificate) -> bool:
     if cert.signature is None:
         return False
@@ -557,41 +567,7 @@ def crl_check(cert: Certificate, crl_set: CrlSet) -> CrlStatus:
     return CrlStatus("valid")
 
 
-# --- trust store and chain validation ---
-
-
-class TrustStore:
-    """Known certificates, elector-endorsed roots and current CRLs.
-
-    ``crls`` starts as an uncapped ``CrlSet``; a device replaces it with
-    its capped ``DeviceCrlStore`` subclass, so chain validation reads the
-    same entries as its BSM check.
-    """
-
-    def __init__(self):
-        self.certs: dict[bytes, Certificate] = {}
-        self.endorsed_roots: set[bytes] = set()
-        self.revoked_roots: set[bytes] = set()
-        self.crls = CrlSet()
-
-    def add_cert(self, cert: Certificate) -> bytes:
-        cid = cert.cert_id()
-        self.certs[cid] = cert
-        return cid
-
-    def resolve(self, cert_id: bytes) -> Certificate | None:
-        return self.certs.get(cert_id)
-
-    def endorse_root(self, cert_id: bytes) -> None:
-        self.endorsed_roots.add(cert_id)
-        self.revoked_roots.discard(cert_id)
-
-    def revoke_root(self, cert_id: bytes) -> None:
-        self.revoked_roots.add(cert_id)
-        self.endorsed_roots.discard(cert_id)
-
-    def root_trusted(self, cert_id: bytes) -> bool:
-        return cert_id in self.endorsed_roots and cert_id not in self.revoked_roots
+# --- chain validation ---
 
 
 @dataclass(frozen=True)
@@ -601,11 +577,11 @@ class ChainResult:
 
 
 def verify_chain(
-    cert: Certificate, trust: TrustStore, at_period: int | None = None
+    cert: Certificate, trust: TrustState, at_period: int | None = None
 ) -> ChainResult:
     """Walk issuer links up to a self-signed root, checking signatures,
     validity windows, per-series revocation and the elector endorsement of
-    the root."""
+    the root; only ``check_cert_signature`` is memoized."""
     current = cert
     depth = 0
     while True:

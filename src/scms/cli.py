@@ -41,7 +41,7 @@ def cmd_bootstrap(args) -> int:
     print(json.dumps({
         "devices_bootstrapped": len(world.devices),
         "enrollment_cert_bytes": len(device.enrollment_cert_bytes),
-        "trusted_roots": len(device.trust.store.endorsed_roots),
+        "trusted_roots": len(device.trust.endorsed_roots),
         "electors": device.trust.valid_elector_count(),
         "policy": device.policy,
     }, indent=2))
@@ -126,7 +126,7 @@ def cmd_ballot_demo(args) -> int:
         "quorum": trust.quorum,
         "votes": args.votes,
         "accepted": len(accepted) == 1,
-        "root_trusted": trust.store.root_trusted(root_cert.cert_id()),
+        "root_trusted": trust.root_trusted(root_cert.cert_id()),
     }, indent=2))
     return 0
 

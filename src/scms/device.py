@@ -32,6 +32,7 @@ from .butterfly import (
 )
 from .certmodel import (
     BSM_PSID,
+    ENROLLMENT_TYPES,
     CertIdRevocation,
     CertType,
     Certificate,
@@ -74,9 +75,9 @@ class DeviceCrlStore(CrlSet):
     priority class), and each stored CRL is replaced by an unsigned copy
     holding only its retained entries.
 
-    The device binds this store as its trust store's ``crls``, so chain
-    validation and BSM validation both read it through ``crl_check``, and
-    an evicted entry no longer revokes.
+    The device passes this store to its ``TrustState`` as ``crls``, so
+    chain validation and BSM validation both read it through ``crl_check``,
+    and an evicted entry no longer revokes.
     """
 
     def __init__(self, capacity: int = 10_000):
@@ -181,7 +182,6 @@ class Device:
         self.received: list[tuple[bool, str]] = []
         self.reject_counts: dict[str, int] = {}
         self.mitm_detected = 0
-        self._verified_certs: set[bytes] = set()
         self._pending_reenroll: dict | None = None
 
     # --- bootstrap (out-of-band, via DCM) ---
@@ -199,19 +199,17 @@ class Device:
         self.enrollment_cert_bytes = bundle["enrollment_cert"]
         self.handle_id = device_handle(self.enrollment_cert_bytes)
         electors = [Certificate.decode(raw) for raw in bundle["electors"]]
-        self.trust = TrustState(electors)
-        self.trust.store.crls = self.crl_store
+        self.trust = TrustState(electors, crls=self.crl_store)
         for raw in bundle["roots"]:
             cert = Certificate.decode(raw)
-            self.trust.store.add_cert(cert)
-            self.trust.store.endorse_root(cert.cert_id())
+            self.trust.add_cert(cert)
+            self.trust.endorse_root(cert.cert_id())
         for name in ("ica", "pca", "eca", "ma", "pg", "crlg"):
-            cert = Certificate.decode(bundle[name])
-            self.trust.store.add_cert(cert)
+            self.trust.add_cert(Certificate.decode(bundle[name]))
         self.pca_cert = Certificate.decode(bundle["pca"])
         ma_cert = Certificate.decode(bundle["ma"])
         ra_cert = Certificate.decode(bundle["ra"])
-        self.trust.store.add_cert(ra_cert)
+        self.trust.add_cert(ra_cert)
         self.ma_enc_key = ma_cert.enc_key
         self.ra_enc_key = ra_cert.enc_key
         self.pg_cert = Certificate.decode(bundle["pg"])
@@ -220,28 +218,23 @@ class Device:
         for name in ("gpf", "gccf"):
             if name in bundle:
                 self._apply_policy_file(name, bundle[name])
-        self._bump_trust()
 
-    def _apply_policy_file(self, name: str, data: bytes) -> bool:
+    def _apply_policy_file(self, name: str, data: bytes) -> None:
         """Verify a signed policy ("gpf") or certificate chain ("gccf")
         file against the pinned policy generator and apply it if it is
-        newer than the held version; returns True if it was applied."""
+        that kind of file and newer than the held version."""
         artifact = check_policy_artifact(
-            data, self.pg_cert, self.policy_versions.get(name, 0)
+            data, self.pg_cert, self.policy_versions.get(name, 0), name
         )
         if artifact is None:
-            return False
+            return
         self.policy_versions[name] = artifact.version
         if name == "gpf":
             self.policy = artifact.body
         else:
             for chain in artifact.body["chains"]:
                 for raw in chain:
-                    self.trust.store.add_cert(Certificate.decode(raw))
-        return True
-
-    def _bump_trust(self) -> None:
-        self._verified_certs.clear()
+                    self.trust.add_cert(Certificate.decode(raw))
 
     @property
     def bootstrapped(self) -> bool:
@@ -479,15 +472,10 @@ class Device:
             return False, "bad-signature"
         if not cert.valid_at(self.clock.period):
             return False, "expired-period"
-        # every CRL change empties the cache, so a cached certificate was
-        # walked, its own CRL state included, against the current CRLs
-        cache_key = cert.cert_id()
-        if cache_key not in self._verified_certs:
-            if not verify_chain(cert, self.trust.store).ok:
-                if crl_check(cert, self.crl_store).is_revoked:
-                    return False, "revoked"
-                return False, "untrusted-chain"
-            self._verified_certs.add(cache_key)
+        if not verify_chain(cert, self.trust).ok:
+            if crl_check(cert, self.crl_store).is_revoked:
+                return False, "revoked"
+            return False, "untrusted-chain"
         return True, "ok"
 
     # --- misbehavior reporting ---
@@ -515,16 +503,15 @@ class Device:
     def on_crl_composite(self, env) -> None:
         (data,) = fields(env.payload, data=bytes)
         for crl in decode_composite(data):
-            if self.crl_store.add(crl):
-                self._bump_trust()
+            self.crl_store.add(crl)
 
     # --- root management and policy updates ---
 
     def on_ballot_publish(self, env) -> None:
         (raw,) = fields(env.payload, ballot=bytes)
         ballot = Ballot.decode(raw)
-        if self.trust is not None and self.trust.process_ballot(ballot):
-            self._bump_trust()
+        if self.trust is not None:
+            self.trust.process_ballot(ballot)
 
     def fetch_policy(self) -> None:
         """Pull the latest signed policy and chain files (over the air)."""
@@ -534,9 +521,8 @@ class Device:
         (files,) = fields(env.payload, files=dict)
         for name in ("gpf", "gccf"):
             data = files.get(name)
-            if data is not None and self._apply_policy_file(name, data):
-                if name == "gccf":
-                    self._bump_trust()
+            if data is not None:
+                self._apply_policy_file(name, data)
 
     # --- re-enrollment ---
 
@@ -551,6 +537,12 @@ class Device:
         (cert_bytes,) = fields(env.payload, cert=bytes)
         if self._pending_reenroll is None:
             return
+        cert = Certificate.decode(cert_bytes)
+        if (cert.ctype not in ENROLLMENT_TYPES
+                or cert.subject_key != self._pending_reenroll["key"].public
+                or not verify_chain(cert, self.trust).ok):
+            raise ScmsError("not an enrollment certificate for the pending "
+                            "key that chains to a trusted root")
         self.enrollment_key = self._pending_reenroll["key"]
         self.enrollment_cert_bytes = cert_bytes
         self.handle_id = device_handle(self.enrollment_cert_bytes)
@@ -563,7 +555,6 @@ class Device:
         self.certs.clear()
         self.quarantined.clear()
         self.app_certs.clear()
-        self._verified_certs.clear()
         self.bootstrap(dcm)
 
     # --- state snapshot (scenario checkpointing) ---

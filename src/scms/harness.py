@@ -154,8 +154,8 @@ class World:
     def _authority_trust(self) -> TrustState:
         trust = TrustState([cert for _, cert in self.electors])
         for identity in self.pki.values():
-            trust.store.add_cert(identity.cert)
-        trust.store.endorse_root(self.pki["root"].cert.cert_id())
+            trust.add_cert(identity.cert)
+        trust.endorse_root(self.pki["root"].cert.cert_id())
         return trust
 
     def _build_components(self) -> None:

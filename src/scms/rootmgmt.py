@@ -23,8 +23,8 @@ from .certmodel import (
     ALG_DEFAULT,
     CertType,
     Certificate,
+    CrlSet,
     SignedMessage,
-    TrustStore,
     digest_for_alg,
     issue_certificate,
     sign_message,
@@ -129,19 +129,38 @@ def cast_vote(elector_key: KeyPair, elector_cert: Certificate, action: Action) -
 
 
 class TrustState:
-    """Elector set, endorsed roots and the derived certificate trust store.
+    """Electors, the roots they endorsed, known certificates and the CRLs
+    that chain validation reads (a device passes its ``DeviceCrlStore``).
 
     quorum defaults to n+1 for 2n+1 installed electors and may be pinned
     explicitly.
     """
 
-    def __init__(self, electors: list[Certificate], quorum: int | None = None):
+    def __init__(self, electors: list[Certificate], quorum: int | None = None,
+                 crls: CrlSet | None = None):
         self.electors: dict[bytes, Certificate] = {}
         self.revoked_electors: set[bytes] = set()
-        self.store = TrustStore()
+        self.certs: dict[bytes, Certificate] = {}
+        self.endorsed_roots: set[bytes] = set()
+        self.crls = CrlSet() if crls is None else crls
         for cert in electors:
             self.electors[cert.cert_id()] = cert
         self.quorum = quorum if quorum is not None else len(electors) // 2 + 1
+
+    def add_cert(self, cert: Certificate) -> None:
+        self.certs[cert.cert_id()] = cert
+
+    def resolve(self, cert_id: bytes) -> Certificate | None:
+        return self.certs.get(cert_id)
+
+    def endorse_root(self, cert_id: bytes) -> None:
+        self.endorsed_roots.add(cert_id)
+
+    def revoke_root(self, cert_id: bytes) -> None:
+        self.endorsed_roots.discard(cert_id)
+
+    def root_trusted(self, cert_id: bytes) -> bool:
+        return cert_id in self.endorsed_roots
 
     def valid_elector_count(self) -> int:
         return len(self.electors) - len(
@@ -176,10 +195,10 @@ class TrustState:
         cert = Certificate.decode(action.object_cert)
         cid = cert.cert_id()
         if action.kind == ENDORSE_ROOT:
-            self.store.add_cert(cert)
-            self.store.endorse_root(cid)
+            self.add_cert(cert)
+            self.endorse_root(cid)
         elif action.kind == REVOKE_ROOT:
-            self.store.revoke_root(cid)
+            self.revoke_root(cid)
         elif action.kind == ENDORSE_ELECTOR:
             self.electors[cid] = cert
             self.revoked_electors.discard(cid)
@@ -245,9 +264,10 @@ class PolicyGenerator:
 
 
 def check_policy_artifact(
-    data: bytes, pg_cert: Certificate, last_version: int
+    data: bytes, pg_cert: Certificate, last_version: int, name: str
 ) -> PolicyArtifact | None:
-    """Verify signature and version monotonicity; None if rejected."""
+    """Verify signature, kind (``name``, "gpf" or "gccf") and version
+    monotonicity; None if rejected."""
     try:
         signed = SignedMessage.decode(data)
     except ParseError:
@@ -255,9 +275,9 @@ def check_policy_artifact(
     if not verify_message(signed, pg_cert):
         return None
     value = decode(signed.payload)
-    if value["version"] <= last_version:
+    if value["name"] != name or value["version"] <= last_version:
         return None
     return PolicyArtifact(
-        name=value["name"], version=value["version"], body=value["body"],
+        name=name, version=value["version"], body=value["body"],
         signed=signed,
     )

@@ -8,10 +8,10 @@ from scms.certmodel import (
     SERIES_COMPONENT,
     SERIES_ROOT_MANAGED,
     Certificate,
-    TrustStore,
     issue_component_cert,
 )
 from scms.crypto import DeterministicRandom, KeyPair
+from scms.rootmgmt import TrustState
 
 
 @dataclass
@@ -25,7 +25,7 @@ class MiniPki:
     pca_cert: Certificate
     crlg_key: KeyPair
     crlg_cert: Certificate
-    trust: TrustStore
+    trust: TrustState
 
 
 def build_mini_pki(seed: int = 1000) -> MiniPki:
@@ -54,7 +54,7 @@ def build_mini_pki(seed: int = 1000) -> MiniPki:
         valid, None,
     )
 
-    trust = TrustStore()
+    trust = TrustState([])
     for cert in (root_cert, ica_cert, pca_cert, crlg_cert):
         trust.add_cert(cert)
     trust.endorse_root(root_cert.cert_id())

@@ -273,7 +273,7 @@ def test_criterion_8_elector_suite(pki):
             build_ballot(ENDORSE_ROOT, new_root, [electors[2], replacement])
         )
         assert len(accepted) == 1
-        assert trust.store.root_trusted(new_root.cert_id())
+        assert trust.root_trusted(new_root.cert_id())
 
 
 def test_criterion_9_end_to_end_determinism(scenario_runs):

@@ -2,6 +2,7 @@
 shuffling, PCA issuance, batches, re-enrollment."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -18,14 +19,18 @@ from scms.butterfly import CaterpillarRequest
 from scms.bus import Envelope, MessageBus
 from scms.certmodel import (
     SERIES_COMPONENT,
+    SERIES_PSEUDONYM,
     Certificate,
     CertType,
+    Crl,
+    issue_certificate,
     issue_component_cert,
     sign_message,
     verify_chain,
 )
 from scms.crypto import (
     DeterministicRandom,
+    KeyPair,
     channel_decrypt,
     channel_key,
     hybrid_encrypt,
@@ -47,7 +52,7 @@ def test_bootstrap_bundle_chain_verifies():
     device = world.devices[0]
     cert = Certificate.decode(device.enrollment_cert_bytes)
     assert cert.ctype == CertType.OBE_ENROLLMENT
-    assert verify_chain(cert, device.trust.store).ok
+    assert verify_chain(cert, device.trust).ok
     assert device.trust.valid_elector_count() == 3
     assert device.policy["batch_size"] == world.config.batch_size
 
@@ -665,7 +670,7 @@ def test_reenroll_rollover_and_continue():
     assert device.provision_status == "re-enrolled"
     assert device.enrollment_cert_bytes != old_cert
     fresh = Certificate.decode(device.enrollment_cert_bytes)
-    assert verify_chain(fresh, device.trust.store).ok
+    assert verify_chain(fresh, device.trust).ok
     # provisioning continues under the new identity
     device.request_certs(0, 1, j_max=2)
     world.bus.run()
@@ -701,6 +706,52 @@ def test_reenroll_requires_recertified_eca_when_flagged():
     device.reenroll_reestablish()
     world.bus.run()
     assert device.provision_status == "re-enrolled"
+
+
+def test_reenrollment_certificate_checked_before_adoption():
+    world = make_world(devices=2)
+    device, other = world.devices
+    device.reenroll_reestablish()
+    pending_key = device._pending_reenroll["key"]
+    # an enrollment certificate for the pending key from an unknown issuer
+    stranger = KeyPair.generate(DeterministicRandom(5, "stranger"))
+    unchained = issue_certificate(
+        replace(Certificate.decode(device.enrollment_cert_bytes),
+                subject_key=pending_key.public),
+        stranger.private,
+    )
+    # each one arrives, straight from another device, before the real
+    # certificate has made its way back through the proxy
+    for junk in (b"junk", world.pki["pca"].cert.encode(),
+                 other.enrollment_cert_bytes, unchained.encode()):
+        world.bus.send(Envelope(other.id, device.id, "reenroll.issued",
+                                {"cert": junk}))
+    world.bus.run()
+    assert world.bus.dead_letters == 4
+    assert device.provision_status == "re-enrolled"
+    fresh = Certificate.decode(device.enrollment_cert_bytes)
+    assert fresh.subject_key == pending_key.public
+    assert verify_chain(fresh, device.trust).ok
+
+
+def test_crl_and_policy_published_only_by_their_generators():
+    world = make_world(devices=1)
+    craca = world.pki["root"].cert.cert_id()
+    forged = Crl(series=SERIES_PSEUDONYM, craca_id=craca, issue_period=0,
+                 sequence=0xFFFF_FFFF, crlg_cert_id=world.pki["crlg"].cert.cert_id(),
+                 signature=b"\x11" * 64)
+    policy = dict(world.crl_store._policy)
+    world.bus.send(Envelope("obe0", "crlstore", "crl.publish",
+                            {"crl": forged.encode()}))
+    world.bus.send(Envelope("obe0", "crlstore", "policy.publish",
+                            {"name": "gpf", "data": b"junk"}))
+    world.bus.run()
+    assert world.bus.dead_letters == 2
+    assert world.crl_store._policy == policy
+    # the MA's CRL, with its lower sequence, is still taken
+    crl = world.ma.publish_crl(SERIES_PSEUDONYM)
+    world.bus.run()
+    assert world.crl_store.crls.get(craca, SERIES_PSEUDONYM) == crl
 
 
 def test_device_handle_derivation():
@@ -776,7 +827,7 @@ def test_root_rotation_with_eca_recertification():
     world.bus.run()
 
     # the old enrollment certificate no longer chains anywhere
-    assert not verify_chain(old_enrollment, device.trust.store).ok
+    assert not verify_chain(old_enrollment, device.trust).ok
 
     # SCMS manager: distribute the new chains and mark the ECA re-certified
     world.pg.publish_gccf([
@@ -787,7 +838,7 @@ def test_root_rotation_with_eca_recertification():
         d.fetch_policy()
     world.bus.run()
     for cert in (ica2_cert, eca2_cert):
-        world.ra.trust.store.add_cert(cert)
+        world.ra.trust.add_cert(cert)
     world.ra.require_recertified_eca = True
     world.ra.recertified_ecas[world.pki["eca"].cert.cert_id()] = eca2_cert
     world.eca.cert = eca2_cert  # same key, re-certified certificate
@@ -796,6 +847,6 @@ def test_root_rotation_with_eca_recertification():
     world.bus.run()
     assert device.provision_status == "re-enrolled"
     fresh = Certificate.decode(device.enrollment_cert_bytes)
-    result = verify_chain(fresh, device.trust.store)
+    result = verify_chain(fresh, device.trust)
     assert result.ok, result.reason
     assert fresh.issuer_id == eca2_cert.cert_id()

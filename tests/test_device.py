@@ -166,24 +166,45 @@ def test_one_crl_check_path_in_bsm_validation(monkeypatch):
 
     import scms.certmodel as certmodel
 
-    calls = []
-    real = certmodel.crl_check
+    calls, verifies = [], []
+    real, real_verify = certmodel.crl_check, certmodel.verify
     monkeypatch.setattr(certmodel, "crl_check",
                         lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(certmodel, "verify",
+                        lambda *a: verifies.append(1) or real_verify(*a))
     honest_bsm = honest.sign_bsm([0, 0], 30)
     assert listener.validate_bsm(honest_bsm) == (True, "ok")
     walked = len(calls)
     assert walked >= 2  # the chain walk checks the leaf and its issuers
+    verifies.clear()
     assert listener.validate_bsm(honest_bsm) == (True, "ok")
-    assert len(calls) == walked  # a cached chain needs no CRL check
+    # every walk reads the CRLs afresh; only the certificate signatures
+    # are memoized, so the message signature is the one verify left
+    assert len(calls) == 2 * walked
+    assert len(verifies) == 1
 
     # a failed walk is "revoked" when the leaf itself is revoked, whatever
     # else is wrong with the chain, and "untrusted-chain" otherwise
     assert listener.validate_bsm(offender.sign_bsm([0, 0], 30)) == (False, "revoked")
-    listener.trust.store.revoke_root(world.pki["root"].cert.cert_id())
-    listener._bump_trust()
+    # a root revocation takes effect on the next message, with nothing to
+    # invalidate
+    listener.trust.revoke_root(world.pki["root"].cert.cert_id())
     assert listener.validate_bsm(offender.sign_bsm([0, 0], 30)) == (False, "revoked")
     assert listener.validate_bsm(honest_bsm) == (False, "untrusted-chain")
+
+
+def test_policy_file_in_the_other_slot_is_refused():
+    world = make_world(devices=1)
+    device = world.devices[0]
+    policy, versions = dict(device.policy), dict(device.policy_versions)
+    gpf = world.pg.publish_gpf({"batch_size": 7}).encode()
+    gccf = world.pg.publish_gccf([]).encode()
+    for files in ({"gccf": gpf}, {"gpf": gccf}):
+        world.bus.send(Envelope("crlstore", device.id, "policy.files",
+                                {"files": files}))
+        world.bus.run()
+        assert device.policy == policy
+        assert device.policy_versions == versions
 
 
 def test_unrequested_app_certificates_are_a_dead_letter():

@@ -384,7 +384,7 @@ def test_rse_application_issuance_and_revocation():
         cert = entry["cert"]
         assert cert.ctype == CertType.RSE_APPLICATION
         assert cert.enc_key is not None
-        assert verify_chain(cert, rse.trust.store).ok
+        assert verify_chain(cert, rse.trust).ok
 
     world.ma.start_certificate_revocation(rse.app_certs[0]["cert_bytes"])
     world.bus.run()
@@ -477,4 +477,4 @@ def test_crlg_groups_and_sequence():
 
     # the CRLG signature chains to the CRACA of the series
     assert check_crl_signature(reissued, world.pki["crlg"].cert)
-    assert verify_chain(world.pki["crlg"].cert, world.devices[0].trust.store).ok
+    assert verify_chain(world.pki["crlg"].cert, world.devices[0].trust).ok

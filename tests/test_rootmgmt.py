@@ -55,14 +55,14 @@ def test_two_of_three_votes_accepted(pki):
     ballot = build_ballot(ENDORSE_ROOT, pki.root_cert, electors[:2])
     accepted = trust.process_ballot(ballot)
     assert len(accepted) == 1
-    assert trust.store.root_trusted(pki.root_cert.cert_id())
+    assert trust.root_trusted(pki.root_cert.cert_id())
 
 
 def test_single_vote_rejected(pki):
     _, electors, trust = _setup()
     ballot = build_ballot(ENDORSE_ROOT, pki.root_cert, electors[:1])
     assert trust.process_ballot(ballot) == []
-    assert not trust.store.root_trusted(pki.root_cert.cert_id())
+    assert not trust.root_trusted(pki.root_cert.cert_id())
 
 
 def test_duplicate_votes_counted_once(pki):
@@ -114,9 +114,9 @@ def test_impact_row_revoking_one_elector_keeps_roots_valid(pki):
     trust.process_ballot(build_ballot(REVOKE_ELECTOR, electors[0][1], electors[1:]))
     # existing endorsement still in force; EE chain still verifies
     for cert in (pki.ica_cert, pki.pca_cert):
-        trust.store.add_cert(cert)
-    assert trust.store.root_trusted(pki.root_cert.cert_id())
-    assert verify_chain(pki.pca_cert, trust.store) == ChainResult(True)
+        trust.add_cert(cert)
+    assert trust.root_trusted(pki.root_cert.cert_id())
+    assert verify_chain(pki.pca_cert, trust) == ChainResult(True)
     assert trust.valid_elector_count() == 2
 
 
@@ -124,10 +124,10 @@ def test_impact_row_root_revocation_stops_dependent_chains(pki):
     _, electors, trust = _setup()
     trust.process_ballot(build_ballot(ENDORSE_ROOT, pki.root_cert, electors[:2]))
     for cert in (pki.ica_cert, pki.pca_cert):
-        trust.store.add_cert(cert)
-    assert verify_chain(pki.pca_cert, trust.store).ok
+        trust.add_cert(cert)
+    assert verify_chain(pki.pca_cert, trust).ok
     trust.process_ballot(build_ballot(REVOKE_ROOT, pki.root_cert, electors[:2]))
-    result = verify_chain(pki.pca_cert, trust.store)
+    result = verify_chain(pki.pca_cert, trust)
     assert not result.ok
     assert result.reason == "root not endorsed by elector quorum"
 
@@ -146,7 +146,7 @@ def test_impact_row_new_elector_counts_and_new_root_trusted(pki):
     ballot = build_ballot(ENDORSE_ROOT, other_pki.root_cert,
                           [electors[1], replacement])
     assert len(trust.process_ballot(ballot)) == 1
-    assert trust.store.root_trusted(other_pki.root_cert.cert_id())
+    assert trust.root_trusted(other_pki.root_cert.cert_id())
 
     # and tolerates another single revocation afterwards
     trust.process_ballot(build_ballot(REVOKE_ELECTOR, electors[1][1],
@@ -161,7 +161,7 @@ def test_apply_action_idempotent(pki):
     action = trust.validate_ballot(ballot)[0]
     trust.apply_action(action)
     trust.apply_action(action)
-    assert trust.store.root_trusted(pki.root_cert.cert_id())
+    assert trust.root_trusted(pki.root_cert.cert_id())
 
 
 def test_ballot_encoding_roundtrip(pki):
@@ -201,8 +201,10 @@ def test_policy_versions_monotone(pki):
     v2 = pg.publish_gpf({"batch_size": 24})
     assert (v1.version, v2.version) == (1, 2)
     # a device at version 2 rejects a replayed version-1 file
-    assert check_policy_artifact(v1.encode(), pg.cert, last_version=2) is None
-    accepted = check_policy_artifact(v2.encode(), pg.cert, last_version=1)
+    assert check_policy_artifact(v1.encode(), pg.cert, last_version=2,
+                                 name="gpf") is None
+    accepted = check_policy_artifact(v2.encode(), pg.cert, last_version=1,
+                                     name="gpf")
     assert accepted is not None
     assert accepted.body == {"batch_size": 24}
 
@@ -212,7 +214,8 @@ def test_tampered_policy_rejected(pki):
     artifact = pg.publish_gpf({"rotation_minutes": 5})
     raw = bytearray(artifact.encode())
     raw[10] ^= 1
-    assert check_policy_artifact(bytes(raw), pg.cert, last_version=0) is None
+    assert check_policy_artifact(bytes(raw), pg.cert, last_version=0,
+                                 name="gpf") is None
 
 
 def test_gccf_carries_chains(pki):
@@ -220,7 +223,8 @@ def test_gccf_carries_chains(pki):
     chains = [[pki.pca_cert.encode(), pki.ica_cert.encode(),
                pki.root_cert.encode()]]
     artifact = pg.publish_gccf(chains)
-    accepted = check_policy_artifact(artifact.encode(), pg.cert, last_version=0)
+    accepted = check_policy_artifact(artifact.encode(), pg.cert, last_version=0,
+                                     name="gccf")
     assert accepted is not None
     assert accepted.body["chains"] == chains
 

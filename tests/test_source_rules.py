@@ -64,3 +64,14 @@ def test_one_openssl_key_adapter():
         or (isinstance(node, ast.alias) and node.name in names)
     ]
     assert found and all(w.startswith("crypto/group.py:") for w in found), found
+
+
+def test_one_trust_model():
+    # roots, known certificates and CRLs live in rootmgmt.TrustState only
+    found = [
+        f"{where.split(':')[0]}:{node.name}" for where, node in _nodes()
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "root_trusted"
+                for item in node.body)
+    ]
+    assert found == ["rootmgmt.py:TrustState"], found
