@@ -23,7 +23,6 @@ CertId entries, are signed by the CRL generator, and are distributed per
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field, replace
@@ -137,6 +136,10 @@ class Certificate:
     self_signed: bool = False
     alg: int = ALG_DEFAULT
     signature: bytes | None = None
+    # tbs_bytes() and cert_id(), filled on first use; replace() starts a
+    # copy with None, so a signed copy never inherits the unsigned bytes
+    _tbs: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _id: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ctype == CertType.OBE_PSEUDONYM:
@@ -169,6 +172,8 @@ class Certificate:
     # --- encoding ---
 
     def tbs_bytes(self) -> bytes:
+        if self._tbs is not None:
+            return self._tbs
         flags = (
             (1 if self.enc_key is not None else 0)
             | (2 if self.linkage_value is not None else 0)
@@ -187,7 +192,8 @@ class Certificate:
         if self.subject_info is not None:
             raw = self.subject_info.encode()
             out += len(raw).to_bytes(2, "big") + raw
-        return bytes(out)
+        object.__setattr__(self, "_tbs", bytes(out))
+        return self._tbs
 
     def encode(self) -> bytes:
         if self.signature is None:
@@ -229,7 +235,10 @@ class Certificate:
             raise ParseError(f"nonconforming certificate: {exc}", 0) from None
 
     def cert_id(self) -> bytes:
-        return hashlib.sha256(self.encode()).digest()[:CERT_ID_BYTES]
+        if self._id is None:
+            object.__setattr__(
+                self, "_id", hashlib.sha256(self.encode()).digest()[:CERT_ID_BYTES])
+        return self._id
 
     def valid_at(self, period: int) -> bool:
         return self.valid_from <= period <= self.valid_to
@@ -270,9 +279,6 @@ def issue_component_cert(
     return issue_certificate(cert, signer.private)
 
 
-# pure in two frozen certificates, keyed by full equality (signatures
-# included), so the memo is never stale and needs no invalidation
-@functools.lru_cache(maxsize=4096)
 def check_cert_signature(cert: Certificate, issuer: Certificate) -> bool:
     if cert.signature is None:
         return False
@@ -581,7 +587,9 @@ def verify_chain(
 ) -> ChainResult:
     """Walk issuer links up to a self-signed root, checking signatures,
     validity windows, per-series revocation and the elector endorsement of
-    the root; only ``check_cert_signature`` is memoized."""
+    the root. Nothing here is memoized: CRL and root state are read on
+    every walk, and a signature seen before is answered by the verify memo
+    of ``crypto.signing``."""
     current = cert
     depth = 0
     while True:

@@ -6,7 +6,10 @@ key and digest, so identical inputs always yield identical signature bytes
 in the OpenSSL backend on the public key that ``group.backend_public``
 caches per encoded point, which doubles as an independent check that
 signing produces standard ECDSA; a pure-Python verifier is kept for
-differential tests.
+differential tests. ``backend_verify`` is the one signature memo of the
+package: a pure function of (encoded key, digest, signature), so message,
+certificate-chain, CRL and ballot signatures share it and it never goes
+stale.
 
 Signature encoding: 64 bytes, r then s, each 32 bytes big-endian.
 """
@@ -14,6 +17,7 @@ Signature encoding: 64 bytes, r then s, each 32 bytes big-endian.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -28,6 +32,12 @@ from .group import G, ORDER, GroupElement, Scalar, backend_public, mul_g, scalar
 SIGNATURE_BYTES = 64
 _NONCE_LABEL = b"scms-ecdsa-nonce-v1"
 _PREHASHED = ec.ECDSA(Prehashed(hashes.SHA256()))
+# Distinct (key, digest, signature) triples the verify memo holds. Every
+# receiver in range checks the same broadcast, and the FIFO bus delivers
+# the copies of one broadcast back to back, so repeats arrive close
+# together: on v2x_traffic seed 1 the memo hit 48,732 times at 64 entries,
+# 49,612 at 256 and 49,614 at 4096.
+VERIFY_MEMO_SIZE = 256
 
 
 def sign(priv: Scalar, digest: bytes) -> bytes:
@@ -54,14 +64,25 @@ def sign(priv: Scalar, digest: bytes) -> bytes:
 
 
 def verify(pub: GroupElement, digest: bytes, signature: bytes) -> bool:
-    """True iff the signature is valid; malformed input returns False."""
-    r, s = _split(signature)
+    """True iff the signature is valid; malformed input returns False.
+    The backend checks each distinct well-formed triple once while it
+    stays in the memo."""
+    if type(digest) is not bytes or type(signature) is not bytes:
+        return False
+    r, _ = _split(signature)
     if r is None:
         return False
     if pub.is_identity or len(digest) != 32:
         return False
+    return backend_verify(pub.encode(), digest, signature)
+
+
+@lru_cache(maxsize=VERIFY_MEMO_SIZE)
+def backend_verify(point: bytes, digest: bytes, signature: bytes) -> bool:
+    """OpenSSL verdict on a signature that ``verify`` found well formed."""
+    r, s = _split(signature)
     try:
-        key = backend_public(pub.encode())[0]
+        key = backend_public(point)[0]
         key.verify(encode_dss_signature(r, s), digest, _PREHASHED)
         return True
     except (InvalidSignature, ValueError):

@@ -319,6 +319,8 @@ class Device:
             self.provision_status = f"batch-{error}"
             return
         (items,) = fields(env.payload, items=list[bytes])
+        if self.caterpillar is None:
+            raise ScmsError("no certificate request is pending")
         for item in items:
             self._install_package(item)
 
@@ -336,23 +338,29 @@ class Device:
             self.mitm_detected += 1
             self._quarantine(package_bytes, "issuer signature mismatch")
             return
-        envelope = decode(package.payload)
-        index = TimeIndex(envelope["i"], envelope["j"])
+        # a signed package is still outside input: its fields are checked
+        # before use, and a bad one quarantines only this package
+        try:
+            i, j, ct = fields(decode(package.payload), i=int, j=int, ct=bytes)
+            index = TimeIndex(i, j)
+        except (ParseError, ValueError):
+            self._quarantine(package_bytes, "malformed package")
+            return
         cat = self.caterpillar
         enc_priv = cocoon_private(cat["h"], cat["k_enc"], ENCRYPTION, index)
         try:
-            plain = hybrid_decrypt(
-                enc_priv, HybridCiphertext.decode(envelope["ct"])
-            )
+            plain = hybrid_decrypt(enc_priv, HybridCiphertext.decode(ct))
         except (DecryptionError, ParseError):
             self._quarantine(package_bytes, "response decryption failed")
             return
-        content = decode(plain)
-        cert = Certificate.decode(content["cert"])
-        b_prime = reconstruct_private(
-            cat["a"], cat["k_sign"], index,
-            ReconstructionValue(Scalar.from_bytes(content["c"])),
-        )
+        try:
+            cert_bytes, c = fields(decode(plain), cert=bytes, c=bytes)
+            cert = Certificate.decode(cert_bytes)
+            recon = ReconstructionValue(Scalar.from_bytes(c))
+        except (ParseError, ValueError):
+            self._quarantine(package_bytes, "malformed package")
+            return
+        b_prime = reconstruct_private(cat["a"], cat["k_sign"], index, recon)
         if mul_g(b_prime) != cert.subject_key:
             self._quarantine(package_bytes, "reconstructed key mismatch")
             return
@@ -361,7 +369,7 @@ class Device:
             return
         self.certs.setdefault(index.i, []).append({
             "cert": cert,
-            "cert_bytes": content["cert"],
+            "cert_bytes": cert_bytes,
             "priv": b_prime,
             "j": index.j,
         })

@@ -458,7 +458,9 @@ def _namespace_leaves(namespace):
 def _parses_as_cert_type(leaf: bytes, ctypes: set[CertType]) -> bool:
     from .certmodel import CERT_MAGIC
 
-    if len(leaf) < 4 or leaf[:2] != CERT_MAGIC:
+    # a certificate that decodes has ctype == leaf[3], so a leaf whose type
+    # byte is outside ``ctypes`` gets the full decode's verdict without it
+    if len(leaf) < 4 or leaf[:2] != CERT_MAGIC or leaf[3] not in ctypes:
         return False
     try:
         cert = Certificate.decode(leaf)

@@ -2,6 +2,7 @@
 chain validation, CRL checks and sizes."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -186,6 +187,19 @@ def test_certificate_encoding_is_canonical(pki):
     assert cert.encode() == Certificate.decode(cert.encode()).encode()
     assert cert.cert_id() == Certificate.decode(cert.encode()).cert_id()
     assert len(cert.cert_id()) == 8
+
+
+def test_cached_certificate_bytes_leave_identity_alone(pki):
+    cert = _pseudonym(pki, KeyPair.generate(pki.rng), _lv_for(DeterministicRandom(61)))
+    fresh = Certificate.decode(cert.encode())
+    cert.cert_id()  # fills the cache of one copy only
+    assert fresh == cert and hash(fresh) == hash(cert)
+    assert repr(fresh) == repr(cert)
+    # a re-signed copy computes its own id, never the original's
+    other = replace(cert, signature=bytes(64))
+    assert other.tbs_bytes() == cert.tbs_bytes()
+    assert other.cert_id() != cert.cert_id()
+    assert Certificate.decode(other.encode()).cert_id() == other.cert_id()
 
 
 def test_certificate_parse_errors():

@@ -31,6 +31,7 @@ from scms.crypto import (
     verify_pure,
 )
 from scms.crypto.group import CURVE_P
+from scms.crypto.signing import backend_verify
 from scms.errors import DecryptionError, ParseError
 
 
@@ -261,6 +262,45 @@ def test_verify_backends_agree():
         assert verify(kp.public, digest, bytes(bad)) == verify_pure(
             kp.public, digest, bytes(bad)
         )
+
+
+def test_verify_memo_keeps_each_verdict_to_its_triple():
+    rng = DeterministicRandom(17)
+    kp, other = KeyPair.generate(rng), KeyPair.generate(rng)
+    digest = hashlib.sha256(b"memo").digest()
+    sig = sign(kp.private, digest)
+    assert verify(kp.public, digest, sig)
+    flipped = sig[:40] + bytes([sig[40] ^ 0x01]) + sig[41:]
+    assert not verify(kp.public, digest, flipped)
+    assert not verify(other.public, digest, sig)
+    assert verify(kp.public, digest, sig)
+
+
+def test_verify_memo_refuses_non_bytes_without_type_error():
+    rng = DeterministicRandom(18)
+    kp = KeyPair.generate(rng)
+    digest = hashlib.sha256(b"memo").digest()
+    sig = sign(kp.private, digest)
+    assert verify(kp.public, digest, sig)
+    assert not verify(kp.public, digest, bytearray(sig))
+    assert not verify(kp.public, bytearray(digest), sig)
+    assert not verify(kp.public, digest, sig[:-1])
+    assert not verify(kp.public, digest, sig + b"\x00")
+    assert not verify(kp.public, digest[:-1], sig)
+
+
+def test_repeated_verify_is_a_memo_hit():
+    rng = DeterministicRandom(19)
+    kp = KeyPair.generate(rng)
+    digest = hashlib.sha256(b"memo").digest()
+    sig = sign(kp.private, digest)
+    backend_verify.cache_clear()
+    assert verify(kp.public, digest, sig)
+    first = backend_verify.cache_info()
+    assert (first.hits, first.misses) == (0, 1)
+    assert verify(kp.public, digest, sig)
+    again = backend_verify.cache_info()
+    assert (again.hits, again.misses) == (1, 1)
 
 
 # --- hybrid encryption ---

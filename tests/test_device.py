@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from scms.bus import Envelope
+from scms.butterfly import ENCRYPTION, TimeIndex, cocoon_private
 from scms.certmodel import (
     CertIdRevocation,
     Crl,
@@ -15,11 +16,13 @@ from scms.certmodel import (
     SignedMessage,
     crl_check,
     sign_crl,
+    sign_message,
 )
-from scms.crypto import DeterministicRandom, hybrid_decrypt
+from scms.crypto import DeterministicRandom, hybrid_decrypt, hybrid_encrypt, mul_g
 from scms.crypto.hybrid import HybridCiphertext
+from scms.crypto.signing import backend_verify
 from scms.device import DeviceCrlStore
-from scms.encoding import decode
+from scms.encoding import decode, encode
 from scms.errors import DecryptionError, ScmsError
 from scms.harness import ScenarioConfig, run_scenario
 from tests.conftest import make_world, provision_all
@@ -166,22 +169,20 @@ def test_one_crl_check_path_in_bsm_validation(monkeypatch):
 
     import scms.certmodel as certmodel
 
-    calls, verifies = [], []
-    real, real_verify = certmodel.crl_check, certmodel.verify
+    calls = []
+    real = certmodel.crl_check
     monkeypatch.setattr(certmodel, "crl_check",
                         lambda *a: calls.append(1) or real(*a))
-    monkeypatch.setattr(certmodel, "verify",
-                        lambda *a: verifies.append(1) or real_verify(*a))
     honest_bsm = honest.sign_bsm([0, 0], 30)
     assert listener.validate_bsm(honest_bsm) == (True, "ok")
     walked = len(calls)
     assert walked >= 2  # the chain walk checks the leaf and its issuers
-    verifies.clear()
+    misses = backend_verify.cache_info().misses
     assert listener.validate_bsm(honest_bsm) == (True, "ok")
-    # every walk reads the CRLs afresh; only the certificate signatures
-    # are memoized, so the message signature is the one verify left
+    # every walk reads the CRLs afresh; only signature verdicts are
+    # memoized, so the repeat reaches the backend for none of them
     assert len(calls) == 2 * walked
-    assert len(verifies) == 1
+    assert backend_verify.cache_info().misses == misses
 
     # a failed walk is "revoked" when the leaf itself is revoked, whatever
     # else is wrong with the chain, and "untrusted-chain" otherwise
@@ -227,6 +228,67 @@ def test_batch_item_of_another_type_is_a_dead_letter():
     world.bus.run()
     assert world.bus.dead_letters == 1
     assert device.quarantined == []
+
+
+def _pca_signed(world, payload) -> bytes:
+    return sign_message(world.pca.keypair.private, world.pki["pca"].cert,
+                        encode(payload)).encode()
+
+
+def _sealed_to_slot(device, i, j, content) -> dict:
+    """A package envelope whose ciphertext the device can open for (i, j)."""
+    cat = device.caterpillar
+    key = cocoon_private(cat["h"], cat["k_enc"], ENCRYPTION, TimeIndex(i, j))
+    ct = hybrid_encrypt(mul_g(key), encode(content), DeterministicRandom(5))
+    return {"i": i, "j": j, "ct": ct.encode()}
+
+
+@pytest.mark.parametrize("payload", [
+    {"i": 0},
+    [0, 1, b"ct"],
+    {"i": 0, "j": "1", "ct": b""},
+    {"i": 0, "j": 1 << 32, "ct": b""},
+    "sealed:no-c",
+    "sealed:junk-cert",
+    "sealed:short-c",
+], ids=["missing-fields", "list", "str-j", "j-over-32-bits",
+        "content-without-c", "content-junk-cert", "content-short-c"])
+def test_malformed_pca_signed_package_is_quarantined(payload):
+    world = make_world(devices=1, periods=1, batch_size=3)
+    provision_all(world)
+    device = world.devices[0]
+    (batch,) = world.registry.audit_view("ra").where(
+        "batch", handle=device.handle_id)
+    cert_bytes = device.certs[0][0]["cert_bytes"]
+    contents = {
+        "sealed:no-c": {"cert": cert_bytes},
+        "sealed:junk-cert": {"cert": b"SC junk", "c": b"\x01" * 32},
+        "sealed:short-c": {"cert": cert_bytes, "c": b"\x01" * 31},
+    }
+    if isinstance(payload, str):
+        payload = _sealed_to_slot(device, 0, 0, contents[payload])
+    bad = _pca_signed(world, payload)
+    device.certs.clear()
+    world.bus.send(Envelope("lop", device.id, "batch.response", {
+        "reply_ref": b"\x00" * 8, "period": 0, "items": [bad, *batch["items"]],
+    }))
+    world.bus.run()
+    assert world.bus.dead_letters == 0
+    assert [q["reason"] for q in device.quarantined] == ["malformed package"]
+    # the rest of the batch still installs
+    assert len(device.certs[0]) == 3
+
+
+def test_unrequested_batch_is_a_dead_letter():
+    world = make_world(devices=1)
+    device = world.devices[0]
+    package = _pca_signed(world, {"i": 0, "j": 0, "ct": b"\x00" * 10})
+    world.bus.send(Envelope("lop", device.id, "batch.response", {
+        "reply_ref": b"\x00" * 8, "period": 0, "items": [package],
+    }))
+    world.bus.run()
+    assert world.bus.dead_letters == 1
+    assert device.certs == {} and device.quarantined == []
 
 
 def test_report_encrypted_to_ma_only():

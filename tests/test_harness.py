@@ -5,8 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from scms.errors import InvariantViolation, ScmsError
-from scms.harness import ScenarioConfig, run_scenario, shuffle_dispersion
+from scms.certmodel import ENROLLMENT_TYPES, Certificate, CertType, issue_certificate
+from scms.crypto import DeterministicRandom, KeyPair
+from scms.errors import InvariantViolation, ParseError, ScmsError
+from scms.harness import (
+    ScenarioConfig,
+    _namespace_leaves,
+    _parses_as_cert_type,
+    run_audits,
+    run_scenario,
+    shuffle_dispersion,
+)
 from scms.persistence import StoreRegistry
 from tests.conftest import make_world, provision_all
 
@@ -151,3 +160,50 @@ def test_malformed_inject_event_raises(event):
         ]))
     # a bad scenario file, not a fault of the system under test
     assert not isinstance(err.value, InvariantViolation)
+
+
+# --- separation audits ---
+
+def _unissued_cert(ctype: CertType, **extra) -> bytes:
+    """A certificate no component issued, so only the audit's type probe,
+    not its set of known certificates, can find it."""
+    key = KeyPair.generate(DeterministicRandom(77))
+    cert = Certificate(ctype=ctype, subject_key=key.public, valid_from=0,
+                       valid_to=1, psid=0x20, craca_id=b"\x01" * 8,
+                       crl_series=1, issuer_id=b"\x02" * 8, **extra)
+    return issue_certificate(cert, key.private).encode()
+
+
+@pytest.mark.parametrize("owner, ctype, extra, violation", [
+    ("pca", CertType.OBE_ENROLLMENT, {},
+     "pca:planted: enrollment certificate present"),
+    ("ra", CertType.OBE_PSEUDONYM, {"linkage_value": b"\x03" * 9},
+     "ra:planted: plaintext pseudonym certificate"),
+])
+def test_audit_flags_planted_certificate(owner, ctype, extra, violation):
+    world = make_world(devices=2, periods=1, batch_size=2)
+    provision_all(world)
+    assert run_audits(world) == []
+    world.registry.audit_view(owner).put(
+        "planted", {"blob": _unissued_cert(ctype, **extra)})
+    assert run_audits(world) == [violation]
+
+
+def test_cert_type_probe_matches_full_decode():
+    world = make_world(devices=2, periods=2, batch_size=2)
+    provision_all(world)
+    leaves = [leaf for owner in world.registry.owners()
+              for _, leaf in _namespace_leaves(world.registry.audit_view(owner))
+              if isinstance(leaf, bytes)]
+    probes = [ENROLLMENT_TYPES, {CertType.OBE_PSEUDONYM}]
+    probes += [{ctype} for ctype in CertType]
+    hits = 0
+    for leaf in leaves:
+        try:
+            ctype = Certificate.decode(leaf).ctype
+        except ParseError:
+            ctype = None
+        for ctypes in probes:
+            assert _parses_as_cert_type(leaf, ctypes) == (ctype in ctypes)
+        hits += ctype is not None
+    assert hits > 0

@@ -75,3 +75,25 @@ def test_one_trust_model():
                 for item in node.body)
     ]
     assert found == ["rootmgmt.py:TrustState"], found
+
+
+def _decorator_name(node) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def test_memos_live_in_crypto():
+    # a memo is a pure function of bytes in the crypto layer; no layer above
+    # keeps a verdict that later trust or CRL state could make stale
+    found = [
+        where for where, node in _nodes()
+        if isinstance(node, ast.FunctionDef)
+        and any(_decorator_name(d) in {"lru_cache", "cache"}
+                for d in node.decorator_list)
+    ]
+    assert found and all(w.startswith("crypto/") for w in found), found
+    # and signature verdicts have exactly one
+    assert sum(w.startswith("crypto/signing.py:") for w in found) == 1, found
