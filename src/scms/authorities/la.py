@@ -45,11 +45,11 @@ class LinkageAuthority(MaQueryServer):
                         j_max: int, lci_digest: str) -> list:
         out = []
         for i in range(start, start + n_periods):
-            seed = self._seed_for(record, i)
-            for plv in pre_linkage_values(self.la_id, seed, j_max):
+            seed = self._seed_for(record, i).value
+            for j, plv in enumerate(pre_linkage_values(self.la_id, seed, j_max)):
                 ct = channel_encrypt(
                     self._pca_channel,
-                    encode({"plv": plv.value, "i": plv.i, "j": plv.j}),
+                    encode({"plv": plv, "i": i, "j": j}),
                     self.rng,
                 )
                 self.store.put(
@@ -57,7 +57,7 @@ class LinkageAuthority(MaQueryServer):
                     {"ct_digest": hashlib.sha256(ct).hexdigest(),
                      "lci_digest": lci_digest},
                 )
-                out.append([plv.i, plv.j, ct])
+                out.append([i, j, ct])
         return out
 
     def on_chain_open(self, env) -> None:

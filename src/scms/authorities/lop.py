@@ -39,7 +39,7 @@ class Lop(Component):
 
     def _reply(self, env: Envelope) -> None:
         (ref,) = fields(env.payload, reply_ref=bytes)
-        device = self._sessions.get(ref)
+        device = self._sessions.pop(ref, None)
         if device is None:
             raise ScmsError("reply for unknown proxy session")
         self.bus.send(Envelope(self.id, device, env.mtype, env.payload))

@@ -23,15 +23,10 @@ from ..certmodel import (
     series_for_type,
     sign_message,
 )
-from ..crypto import (
-    GroupElement,
-    channel_decrypt,
-    channel_key,
-    hybrid_encrypt,
-    xor_bytes,
-)
+from ..crypto import GroupElement, channel_decrypt, channel_key, hybrid_encrypt
 from ..encoding import decode, encode, fields
 from ..errors import DecryptionError, ParseError
+from ..linkage import linkage_value
 from .base import MaQueryServer, ma_query
 
 
@@ -89,7 +84,7 @@ class Pca(MaQueryServer):
         if (plv1["i"], plv1["j"]) != (i, j) or (plv2["i"], plv2["j"]) != (i, j):
             self._reject(env, rh, "pre-linkage index mismatch")
             return
-        lv = xor_bytes(plv1["plv"], plv2["plv"])
+        lv = linkage_value(plv1["plv"], plv2["plv"])
 
         butterfly_pub, recon = butterfly_finalize(cocoon, self.rng)
         cert = self._issue(env, rh, dict(

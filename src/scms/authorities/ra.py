@@ -307,7 +307,12 @@ class Ra(MaQueryServer):
 
     # --- step 6: collate responses into weekly batches ---
 
+    def _check_pca(self, env) -> None:
+        if env.src != self.pca_host:
+            raise ScmsError(f"{env.mtype} from {env.src!r}, not the PCA")
+
     def on_cert_response(self, env) -> None:
+        self._check_pca(env)
         rh, package = fields(env.payload, rh=bytes, package=bytes)
         index = self.store.first("request_index", rh=rh)
         if index is None:
@@ -354,6 +359,7 @@ class Ra(MaQueryServer):
         return forged.encode()
 
     def on_cert_reject(self, env) -> None:
+        self._check_pca(env)
         rh, reason = fields(env.payload, rh=bytes, reason=str)
         self.store.put("deferred", {"rh": rh, "reason": reason})
         state = self._pending_app.pop(rh, None)
@@ -439,6 +445,7 @@ class Ra(MaQueryServer):
             self.send(self.pca_host, "cert.request.plain", {"rh": rh, "tbs": tbs})
 
     def on_cert_response_plain(self, env) -> None:
+        self._check_pca(env)
         rh, raw = fields(env.payload, rh=bytes, cert=bytes)
         cert_id = Certificate.decode(raw).cert_id()
         state = self._pending_app.pop(rh, None)

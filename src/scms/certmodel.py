@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from .crypto import POINT_BYTES, GroupElement, KeyPair, Scalar, sign, verify
 from .encoding import Reader, within
 from .errors import ParseError
-from .linkage import LV_BYTES, RevocationEntry, expand_revocation_entry
+from .linkage import LV_BYTES, LinkageRevocation, expand_revocation_entry
 
 if TYPE_CHECKING:
     from .rootmgmt import TrustState
@@ -359,26 +359,6 @@ class Priority(IntEnum):
 
 
 @dataclass(frozen=True)
-class LinkageRevocation:
-    """One revoked device: both seeds at the revocation period."""
-
-    i: int
-    ls1: bytes
-    ls2: bytes
-    la_id1: bytes
-    la_id2: bytes
-    j_max: int
-    priority: int = Priority.NORMAL
-    region: int | None = None
-
-    def to_entry(self) -> RevocationEntry:
-        return RevocationEntry(
-            i=self.i, ls1=self.ls1, ls2=self.ls2,
-            la_id1=self.la_id1, la_id2=self.la_id2, j_max=self.j_max,
-        )
-
-
-@dataclass(frozen=True)
 class CertIdRevocation:
     cert_id: bytes
     priority: int = Priority.NORMAL
@@ -449,13 +429,18 @@ class Crl:
             raise ParseError(f"unsupported CRL version {version}", 2)
         linkage_entries = []
         for _ in range(n_groups):
+            start = r.pos
             la1, la2, i, j_max, n_dev = r.unpack(_CRL_GROUP, "CRL group header")
             block = r.take(n_dev * _CRL_LINKAGE.size, "CRL linkage entries")
-            linkage_entries += [
-                LinkageRevocation(i, ls1, ls2, la1, la2, j_max, priority,
-                                  None if region == NO_REGION else region)
-                for ls1, ls2, priority, region in _CRL_LINKAGE.iter_unpack(block)
-            ]
+            try:
+                linkage_entries += [
+                    LinkageRevocation(i, ls1, ls2, la1, la2, j_max, priority,
+                                      None if region == NO_REGION else region)
+                    for ls1, ls2, priority, region
+                    in _CRL_LINKAGE.iter_unpack(block)
+                ]
+            except ValueError as exc:  # the entry's own checks
+                raise ParseError(f"bad CRL group: {exc}", start) from None
         n_certids = r.u32("CRL certid count")
         block = r.take(n_certids * _CRL_CERTID.size, "CRL certid entries")
         certid_entries = [
@@ -529,8 +514,7 @@ class CrlSet:
             values = set()
             for entry in crl.linkage_entries:
                 if entry.i <= period:
-                    for lv in expand_revocation_entry(entry.to_entry(), period):
-                        values.add(lv.value)
+                    values |= expand_revocation_entry(entry, period)
             cached = self._cache[key] = frozenset(values)
         return cached
 

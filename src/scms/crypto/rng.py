@@ -12,8 +12,6 @@ import hashlib
 
 from .group import ORDER, Scalar
 
-_BLOCK = 32
-
 
 class DeterministicRandom:
     def __init__(self, seed: int | bytes, label: str = "root"):

@@ -564,25 +564,3 @@ class Device:
         self.quarantined.clear()
         self.app_certs.clear()
         self.bootstrap(dcm)
-
-    # --- state snapshot (scenario checkpointing) ---
-
-    def state_snapshot(self) -> bytes:
-        per_period = {}
-        for period in sorted(self.certs):
-            per_period[str(period)] = [
-                {"cert": c["cert_bytes"], "priv": c["priv"].to_bytes(),
-                 "j": c["j"]}
-                for c in self.certs[period]
-            ]
-        return encode({
-            "id": self.id,
-            "enrollment_cert": self.enrollment_cert_bytes,
-            "enrollment_priv": (
-                self.enrollment_key.private.to_bytes()
-                if self.enrollment_key else None
-            ),
-            "certs": per_period,
-            "crl_entries": self.crl_store.snapshot_bytes(),
-            "policy_versions": {k: v for k, v in self.policy_versions.items()},
-        })

@@ -32,7 +32,9 @@ from .authorities import (
     Pg,
     Ra,
 )
-from .bus import Clock, Envelope, MessageBus, Trace
+from .bus import (
+    MINUTES_PER_DAY, MINUTES_PER_PERIOD, Clock, Envelope, MessageBus, Trace,
+)
 from .certmodel import (
     ALG_DOMAIN_SEP,
     SERIES_COMPONENT,
@@ -230,9 +232,6 @@ class World:
             })
         return rows
 
-    def device_handles(self) -> dict[str, str]:
-        return {d.id: d.handle_id for d in self.devices}
-
 
 @dataclass
 class ScenarioResult:
@@ -299,7 +298,7 @@ def provision_fleet(world: World) -> None:
     for device in world.devices:
         device.request_certs(0, config.periods, j_max=config.batch_size)
         bus.run()
-    world.clock.advance_minutes(24 * 60)
+    world.clock.advance_minutes(MINUTES_PER_DAY)
     world.ra.maybe_flush()
     bus.run()
     for device in world.devices:
@@ -316,7 +315,7 @@ def _bsm_traffic(world: World, period: int) -> None:
     listeners = min(config.listeners_per_bsm, n - 1)
     for b in range(config.bsms_per_device_per_period):
         # spread emissions across the week so rotation kicks in
-        minute = (b * (7 * 24 * 60)) // max(1, config.bsms_per_device_per_period)
+        minute = (b * MINUTES_PER_PERIOD) // max(1, config.bsms_per_device_per_period)
         world.clock.set(period, minute)
         for idx, device in enumerate(world.devices):
             peers = [
@@ -506,9 +505,8 @@ def run_audits(world: World) -> list[str]:
                                 chain["period0"] + config.periods + 1):
                 evolved = seed_at(la_id, seed, period)
                 seeds[evolved.value] = (chain["lci_digest"], period)
-                for plv in pre_linkage_values(la_id, evolved,
-                                              config.batch_size):
-                    plvs.add(plv.value)
+                plvs.update(pre_linkage_values(la_id, evolved.value,
+                                               config.batch_size))
         la_plvs[name] = plvs
         la_seeds[name] = seeds
 

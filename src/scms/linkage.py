@@ -12,6 +12,11 @@ embedded in a pseudonym certificate is the XOR of the two authorities'
 pre-linkage values for the same (i, j). Publishing both seeds for period i
 on a revocation list lets anyone regenerate every linkage value of that
 device for periods >= i, while periods < i stay unlinkable.
+
+Seeds, pre-linkage values and linkage values are plain ``bytes``; only
+``LinkageSeed`` pairs a seed with its period, so that no chain is walked
+backward. An LA id is checked where it enters: the LA's constructor and
+``LinkageRevocation``.
 """
 
 from __future__ import annotations
@@ -43,43 +48,14 @@ class LinkageSeed:
             raise ValueError(f"linkage seed must be {SEED_BYTES} bytes")
 
 
-@dataclass(frozen=True)
-class PreLinkageValue:
-    value: bytes
-    i: int
-    j: int
-    la_id: bytes
-
-    def __post_init__(self):
-        if len(self.value) != LV_BYTES:
-            raise ValueError(f"pre-linkage value must be {LV_BYTES} bytes")
-
-
-@dataclass(frozen=True)
-class LinkageValue:
-    value: bytes
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if len(self.value) != LV_BYTES:
-            raise ValueError(f"linkage value must be {LV_BYTES} bytes")
-
-
 def check_la_id(la_id: bytes) -> bytes:
     if len(la_id) != LA_ID_BYTES:
         raise ValueError(f"la_id must be {LA_ID_BYTES} bytes")
     return la_id
 
 
-def new_seed(la_id: bytes, rng, period: int = 0) -> LinkageSeed:
-    check_la_id(la_id)
-    return LinkageSeed(rng.randbytes(SEED_BYTES), period)
-
-
 def evolve_seed(la_id: bytes, seed: LinkageSeed) -> LinkageSeed:
     """One forward step of the hash chain."""
-    check_la_id(la_id)
     return LinkageSeed(
         hash_truncated(la_id + seed.value, SEED_BYTES), seed.period + 1
     )
@@ -96,45 +72,24 @@ def seed_at(la_id: bytes, seed: LinkageSeed, period: int) -> LinkageSeed:
     return seed
 
 
-def _plv_block(la_id: bytes, j: int) -> bytes:
-    # la_id (32 bits) || j (32 bits) || 64 zero bits fills the AES block
-    return la_id + j.to_bytes(4, "big") + b"\x00" * 8
+def pre_linkage_values(la_id: bytes, seed: bytes, j_max: int) -> list[bytes]:
+    """Pre-linkage values j = 0 .. j_max-1 of one period's seed, in one
+    cipher pass. Each AES block is la_id (32 bits) || j (32 bits) || 64
+    zero bits."""
+    blocks = [la_id + j.to_bytes(4, "big") + bytes(8) for j in range(j_max)]
+    return [out[:LV_BYTES] for out in prf_blocks(seed, blocks)]
 
 
-def pre_linkage_value(la_id: bytes, seed: LinkageSeed, j: int) -> PreLinkageValue:
-    check_la_id(la_id)
-    out = prf_blocks(seed.value, [_plv_block(la_id, j)])[0]
-    return PreLinkageValue(out[:LV_BYTES], seed.period, j, la_id)
-
-
-def pre_linkage_values(
-    la_id: bytes, seed: LinkageSeed, j_max: int
-) -> list[PreLinkageValue]:
-    """All pre-linkage values of one period, one cipher pass."""
-    check_la_id(la_id)
-    blocks = [_plv_block(la_id, j) for j in range(j_max)]
-    outs = prf_blocks(seed.value, blocks)
-    return [
-        PreLinkageValue(out[:LV_BYTES], seed.period, j, la_id)
-        for j, out in enumerate(outs)
-    ]
-
-
-def linkage_value(p1: PreLinkageValue, p2: PreLinkageValue) -> LinkageValue:
+def linkage_value(plv1: bytes, plv2: bytes) -> bytes:
     """XOR of the two authorities' pre-linkage values for the same slot."""
-    if (p1.i, p1.j) != (p2.i, p2.j):
-        raise ValueError(
-            f"pre-linkage index mismatch: ({p1.i},{p1.j}) vs ({p2.i},{p2.j})"
-        )
-    if p1.la_id == p2.la_id:
-        raise ValueError("pre-linkage values must come from distinct authorities")
-    return LinkageValue(xor_bytes(p1.value, p2.value), p1.i, p1.j)
+    return xor_bytes(plv1, plv2)
 
 
 @dataclass(frozen=True)
-class RevocationEntry:
-    """What a revocation list publishes for one device: both period-i seeds
-    plus the identifying la_id pair and the slot count."""
+class LinkageRevocation:
+    """What a revocation list publishes for one revoked device: both
+    period-i seeds, the two LA ids and the slot count, plus the CRL's
+    priority and region hint."""
 
     i: int
     ls1: bytes
@@ -142,15 +97,21 @@ class RevocationEntry:
     la_id1: bytes
     la_id2: bytes
     j_max: int
+    priority: int = 0
+    region: int | None = None
 
     def __post_init__(self):
         if len(self.ls1) != SEED_BYTES or len(self.ls2) != SEED_BYTES:
-            raise ValueError("revocation entry seeds must be 16 bytes")
+            raise ValueError(f"revocation entry seeds must be {SEED_BYTES} bytes")
+        check_la_id(self.la_id1)
+        check_la_id(self.la_id2)
+        if self.la_id1 == self.la_id2:
+            raise ValueError("revocation entry must name two distinct LAs")
 
 
 def expand_revocation_entry(
-    entry: RevocationEntry, target_period: int
-) -> set[LinkageValue]:
+    entry: LinkageRevocation, target_period: int
+) -> set[bytes]:
     """Linkage values of the revoked device at target_period >= entry.i.
 
     Earlier periods are unreachable by construction: the chain only runs
@@ -163,6 +124,8 @@ def expand_revocation_entry(
         )
     s1 = seed_at(entry.la_id1, LinkageSeed(entry.ls1, entry.i), target_period)
     s2 = seed_at(entry.la_id2, LinkageSeed(entry.ls2, entry.i), target_period)
-    plv1 = pre_linkage_values(entry.la_id1, s1, entry.j_max)
-    plv2 = pre_linkage_values(entry.la_id2, s2, entry.j_max)
-    return {linkage_value(p1, p2) for p1, p2 in zip(plv1, plv2)}
+    return set(map(
+        linkage_value,
+        pre_linkage_values(entry.la_id1, s1.value, entry.j_max),
+        pre_linkage_values(entry.la_id2, s2.value, entry.j_max),
+    ))

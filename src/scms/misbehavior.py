@@ -374,28 +374,34 @@ class Ma(Authority):
         case["seeds"][step] = {"ls": reply["ls"], "la_id": reply["la_id"]}
         if len(case["seeds"]) < 2 * case["n_chains"]:
             return
-        del self._cases[key]
         period = self.clock.period
-        for n in range(case["n_chains"]):
-            s1 = case["seeds"][f"seeds:1:{n}"]
-            s2 = case["seeds"][f"seeds:2:{n}"]
-            entry = LinkageRevocation(
-                i=period,
-                ls1=s1["ls"],
-                ls2=s2["ls"],
-                la_id1=s1["la_id"],
-                la_id2=s2["la_id"],
-                j_max=case["j_max"],
-                priority=Priority.NORMAL,
-            )
-            self.crlg.add_entries(SERIES_PSEUDONYM, linkage=[entry])
+        entries = []
+        try:
+            for n in range(case["n_chains"]):
+                s1 = case["seeds"][f"seeds:1:{n}"]
+                s2 = case["seeds"][f"seeds:2:{n}"]
+                entries.append(LinkageRevocation(
+                    i=period,
+                    ls1=s1["ls"],
+                    ls2=s2["ls"],
+                    la_id1=s1["la_id"],
+                    la_id2=s2["la_id"],
+                    j_max=case["j_max"],
+                    priority=Priority.NORMAL,
+                ))
+        except ValueError:  # a seed or LA id no CRL entry can carry
+            self._fail(key, "seeds")
+            return
+        del self._cases[key]
+        self.crlg.add_entries(SERIES_PSEUDONYM, linkage=entries)
+        for entry in entries:
             self.store.put("revocation", {
                 "lv": case["lv"],
                 "rh": case["rh"],
-                "ls1": s1["ls"],
-                "ls2": s2["ls"],
-                "la_id1": s1["la_id"],
-                "la_id2": s2["la_id"],
+                "ls1": entry.ls1,
+                "ls2": entry.ls2,
+                "la_id1": entry.la_id1,
+                "la_id2": entry.la_id2,
                 "period": period,
             })
         self.revocations_completed += 1

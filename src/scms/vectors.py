@@ -15,8 +15,7 @@ from pathlib import Path
 
 from .butterfly import CaterpillarRequest, TimeIndex, cocoon_expand, expand_f
 from .crypto import Scalar, hash_truncated, mul_g, prf_block, sign
-from .linkage import LinkageSeed, evolve_seed, linkage_value, pre_linkage_value
-from .linkage import PreLinkageValue
+from .linkage import LinkageSeed, evolve_seed, linkage_value, pre_linkage_values
 
 
 def parse_vector_file(path) -> list[list[str]]:
@@ -49,12 +48,12 @@ def _compute(entry: list[str]) -> bytes:
         seed = LinkageSeed(bytes.fromhex(entry[2]), 0)
         return evolve_seed(bytes.fromhex(entry[1]), seed).value
     if kind == "plv":
-        seed = LinkageSeed(bytes.fromhex(entry[1]), 0)
-        return pre_linkage_value(bytes.fromhex(entry[2]), seed, int(entry[3])).value
+        j = int(entry[3])
+        return pre_linkage_values(
+            bytes.fromhex(entry[2]), bytes.fromhex(entry[1]), j + 1
+        )[j]
     if kind == "lv":
-        p1 = PreLinkageValue(bytes.fromhex(entry[1]), 0, 0, b"\x00\x00\x00\x01")
-        p2 = PreLinkageValue(bytes.fromhex(entry[2]), 0, 0, b"\x00\x00\x00\x02")
-        return linkage_value(p1, p2).value
+        return linkage_value(bytes.fromhex(entry[1]), bytes.fromhex(entry[2]))
     if kind == "ecdsa_sign":
         return sign(
             Scalar.from_bytes(bytes.fromhex(entry[1])), bytes.fromhex(entry[2])

@@ -29,7 +29,7 @@ from scms.certmodel import (
 )
 from scms.crypto import DeterministicRandom, KeyPair, mul_g
 from scms.harness import ScenarioConfig, run_scenario
-from scms.linkage import evolve_seed, linkage_value, new_seed, pre_linkage_value
+from scms.linkage import LinkageSeed, evolve_seed, linkage_value, pre_linkage_values
 from scms import vectors as vectors_mod
 
 REPO = Path(__file__).resolve().parent.parent
@@ -165,18 +165,18 @@ def test_criterion_4_crl_size_10k_entries(pki):
 def test_criterion_5_collision_rate_scaled():
     with criterion(5, "24-bit linkage collision count within 2x of birthday"):
         rng = DeterministicRandom(42, "collision-criterion")
-        chains = [(new_seed(LA1, rng), new_seed(LA2, rng))
-                  for _ in range(1024)]
+        chains = [(LinkageSeed(rng.randbytes(16), 0),
+                   LinkageSeed(rng.randbytes(16), 0)) for _ in range(1024)]
         periods = 200
         observed = 0
         for _ in range(periods):
             buckets: dict[bytes, int] = {}
             for s1, s2 in chains:
                 lv = linkage_value(
-                    pre_linkage_value(LA1, s1, 0),
-                    pre_linkage_value(LA2, s2, 0),
+                    pre_linkage_values(LA1, s1.value, 1)[0],
+                    pre_linkage_values(LA2, s2.value, 1)[0],
                 )
-                short = lv.value[:3]  # 24-bit truncation
+                short = lv[:3]  # 24-bit truncation
                 buckets[short] = buckets.get(short, 0) + 1
             for count in buckets.values():
                 observed += count * (count - 1) // 2
@@ -315,6 +315,14 @@ def test_garbage_drill_dead_letters_without_violations(scenario_runs):
     assert all(r.metrics["dead_letters"] == 0
                for name, (r, _) in scenario_runs.items()
                if name != "garbage_drill")
+
+
+def test_proxy_keeps_no_session_after_a_scenario(scenario_runs):
+    # every flow replies once per reference, and the reply spends it
+    assert {
+        name: len(first.world.lop._sessions)
+        for name, (first, _) in scenario_runs.items()
+    } == {name: 0 for name in scenario_runs}
 
 
 def test_criterion_10_mitm_detection(scenario_runs):

@@ -40,7 +40,7 @@ from scms.device import Device
 from scms.encoding import decode, encode
 from scms.errors import InvariantViolation
 from scms.harness import shuffle_dispersion
-from scms.linkage import LinkageSeed, pre_linkage_value, seed_at
+from scms.linkage import LinkageSeed, pre_linkage_values, seed_at
 from scms.persistence import StoreRegistry
 from tests.conftest import make_world, provision_all
 
@@ -120,6 +120,56 @@ def test_lop_refuses_other_destinations_and_unknown_sessions():
     dead = [(e["t"], e["err"]) for e in world.trace.events
             if e["kind"] == "dead_letter"]
     assert dead == [("lop.fwd", "ScmsError"), ("provision.ack", "ScmsError")]
+
+
+def test_lop_forgets_a_session_at_its_reply():
+    bus = MessageBus()
+    lop = Lop("lop", bus, StoreRegistry(), DeterministicRandom(1))
+    seen = []
+
+    class Sink:
+        def handle(self, env):
+            seen.append(env)
+
+    bus.register("ra", Sink())
+    bus.register("obe0", Sink())
+    bus.send(Envelope("obe0", "lop", "lop.fwd", {
+        "dst": "ra", "mtype": "provision.request",
+        "body": {"reply_ref": b"\x07" * 8},
+    }))
+    bus.run()
+    assert list(lop._sessions) == [b"\x07" * 8]
+    ack = {"reply_ref": b"\x07" * 8, "request_id": "r"}
+    bus.send(Envelope("ra", "lop", "provision.ack", ack))
+    bus.send(Envelope("ra", "lop", "provision.ack", ack))
+    bus.run()
+    # the first reply reaches the device; the second names a spent session
+    assert [(e.dst, e.mtype) for e in seen] == [
+        ("ra", "provision.request"), ("obe0", "provision.ack"),
+    ]
+    assert bus.dead_letters == 1
+    assert lop._sessions == {}
+
+
+@pytest.mark.parametrize("mtype", [
+    "cert.response", "cert.response.plain", "cert.reject",
+])
+def test_ra_takes_pca_replies_only_from_the_pca(mtype):
+    world = make_world(devices=1)
+    world.devices[0].request_certs(0, 1, j_max=2)
+    world.bus.run()  # the singles wait in the RA's shuffle buffer
+    (rh, *_) = [r["rh"] for r in
+                world.registry.audit_view("ra").scan("request_index")]
+    payload = {
+        "cert.response": {"rh": rh, "package": b"junk"},
+        "cert.response.plain": {"rh": rh, "cert": world.pki["pca"].cert.encode()},
+        "cert.reject": {"rh": rh, "reason": "forged"},
+    }[mtype]
+    before = world.registry.snapshot_bytes()
+    world.bus.send(Envelope("crlstore", "ra", mtype, payload))
+    world.bus.run()
+    assert world.bus.dead_letters == 1
+    assert world.registry.snapshot_bytes() == before
 
 
 def test_ra_sees_only_lop_sources():
@@ -317,6 +367,25 @@ def _until_queued(world, mtype: str) -> None:
     """Deliver until an envelope of ``mtype`` waits in the queue."""
     while not any(env.mtype == mtype for env in world.bus._queue):
         world.bus._deliver(world.bus._queue.popleft())
+
+
+def test_pca_rejects_pre_linkage_values_of_another_slot():
+    # linkage_value XORs bare bytes, so the PCA's (i, j) check is the one
+    # that keeps two slots' pre-linkage values apart
+    world = make_world(devices=1)
+    world.devices[0].request_certs(0, 1, j_max=2)
+    world.bus.run()
+    world.ra.flush()
+    first, second = [env.payload for env in world.bus._queue]
+    world.bus._queue.clear()
+    world.bus.send(Envelope("ra", "pca", "cert.request",
+                            {**first, "eplv1": second["eplv1"]}))
+    world.bus.run()
+    assert world.registry.audit_view("pca").count("issued") == 0
+    deferred = world.registry.audit_view("ra").scan("deferred")
+    assert [(r["rh"], r["reason"]) for r in deferred] == [
+        (first["rh"], "pre-linkage index mismatch"),
+    ]
 
 
 @pytest.mark.parametrize("plvs", [
@@ -623,7 +692,7 @@ def test_topoff_reuses_linkage_chain():
     chain = la1.scan("chain")[0]
     seed0 = LinkageSeed(chain["seed0"], chain["period0"])
     s3 = seed_at(b"\x00\x00\x00\x01", seed0, 3)
-    expect = pre_linkage_value(b"\x00\x00\x00\x01", s3, 0)
+    expect = pre_linkage_values(b"\x00\x00\x00\x01", s3.value, 1)[0]
     device.download_batch(3)
     world.bus.run()
     issued_p3 = [
@@ -637,7 +706,7 @@ def test_topoff_reuses_linkage_chain():
                      world.pki["pca"].enc_keypair.public,
                      b"la-to-pca|" + b"\x00\x00\x00\x02")
     plv2 = decode(channel_decrypt(k2, issued_p3[0]["eplv2"]))
-    lv = bytes(a ^ b for a, b in zip(expect.value, plv2["plv"]))
+    lv = bytes(a ^ b for a, b in zip(expect, plv2["plv"]))
     assert cert.linkage_value == lv
 
 

@@ -31,14 +31,9 @@ from scms.certmodel import (
     verify_chain,
     verify_message,
 )
-from scms.crypto import DeterministicRandom, KeyPair
+from scms.crypto import DeterministicRandom, KeyPair, sign
 from scms.errors import ParseError
-from scms.linkage import (
-    new_seed,
-    pre_linkage_value,
-    linkage_value,
-    seed_at,
-)
+from scms.linkage import LinkageSeed, linkage_value, pre_linkage_values, seed_at
 
 LA1 = (1).to_bytes(4, "big")
 LA2 = (2).to_bytes(4, "big")
@@ -59,12 +54,15 @@ def _pseudonym(pki, key, lv, period=5):
     return issue_certificate(cert, pki.pca_key.private)
 
 
-def _lv_for(rng, j=0, period=5):
-    s1 = seed_at(LA1, new_seed(LA1, rng), period)
-    s2 = seed_at(LA2, new_seed(LA2, rng), period)
-    return linkage_value(
-        pre_linkage_value(LA1, s1, j), pre_linkage_value(LA2, s2, j)
-    ).value
+def _lv_at(s1: bytes, s2: bytes, j: int) -> bytes:
+    return linkage_value(pre_linkage_values(LA1, s1, j + 1)[j],
+                         pre_linkage_values(LA2, s2, j + 1)[j])
+
+
+def _lv_for(rng, period=5):
+    s1 = seed_at(LA1, LinkageSeed(rng.randbytes(16), 0), period)
+    s2 = seed_at(LA2, LinkageSeed(rng.randbytes(16), 0), period)
+    return _lv_at(s1.value, s2.value, 0)
 
 
 # --- feature flags ---
@@ -408,6 +406,23 @@ def test_crl_groups_share_header(pki):
     assert len(two.tbs_bytes()) - len(one.tbs_bytes()) == 34
 
 
+def test_crl_group_naming_one_la_twice_is_a_parse_error(pki):
+    # a generator-signed list whose group names LA1 as both authorities
+    rng = DeterministicRandom(78)
+    crl = Crl(series=SERIES_PSEUDONYM, craca_id=pki.root_cert.cert_id(),
+              issue_period=3, sequence=1, crlg_cert_id=b"\x00" * 8,
+              linkage_entries=[_make_linkage_entry(rng)])
+    sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
+    tbs = crl.tbs_bytes()
+    group = 31  # the CRL header's length; the group starts with la_id1
+    assert tbs[group:group + 8] == LA1 + LA2
+    forged = tbs[:group + 4] + LA1 + tbs[group + 8:]
+    digest = message_digest(forged, pki.crlg_cert.encode())
+    with pytest.raises(ParseError) as info:
+        Crl.decode(forged + sign(pki.crlg_key.private, digest))
+    assert info.value.offset == group
+
+
 def test_crl_10k_entries_within_size_budget(pki):
     rng = DeterministicRandom(75)
     crl = Crl(
@@ -441,16 +456,14 @@ def test_crl_set_keeps_highest_sequence(pki):
 
 def test_crl_check_pseudonym_revocation_and_backward_privacy(pki):
     rng = DeterministicRandom(77)
-    s1_0, s2_0 = new_seed(LA1, rng), new_seed(LA2, rng)
+    s1_0 = LinkageSeed(rng.randbytes(16), 0)
+    s2_0 = LinkageSeed(rng.randbytes(16), 0)
     key = KeyPair.generate(pki.rng)
 
     def cert_at(period, j=0):
-        s1 = seed_at(LA1, s1_0, period)
-        s2 = seed_at(LA2, s2_0, period)
-        lv = linkage_value(
-            pre_linkage_value(LA1, s1, j), pre_linkage_value(LA2, s2, j)
-        )
-        return _pseudonym(pki, key, lv.value, period=period)
+        lv = _lv_at(seed_at(LA1, s1_0, period).value,
+                    seed_at(LA2, s2_0, period).value, j)
+        return _pseudonym(pki, key, lv, period=period)
 
     crl_set = CrlSet()
     # empty set: no CRL for the series yet

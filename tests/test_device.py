@@ -458,16 +458,3 @@ def test_quarantined_certs_never_sign():
     assert target.mitm_detected == 8
     world.clock.set(0, 0)
     assert target.sign_bsm([0, 0], 10) is None  # nothing usable installed
-
-
-def test_state_snapshot_roundtrip():
-    world = make_world(devices=1, periods=2, batch_size=3)
-    provision_all(world)
-    device = world.devices[0]
-    snapshot = decode(device.state_snapshot())
-    assert snapshot["id"] == device.id
-    assert snapshot["enrollment_cert"] == device.enrollment_cert_bytes
-    assert set(snapshot["certs"]) == {"0", "1"}
-    assert len(snapshot["certs"]["0"]) == 3
-    # snapshotting twice is stable
-    assert device.state_snapshot() == device.state_snapshot()

@@ -324,6 +324,28 @@ def test_reply_naming_a_bad_host_or_range_fails_its_case(mtype, change, stage):
         assert failed == [{"lv": lv, "stage": stage}]
 
 
+@pytest.mark.parametrize("change", [
+    {"ls": b"\x05" * 15},
+    {"la_id": b""},
+    {"la_id": b"\x00\x00\x00\x02"},
+], ids=["ls-15-bytes", "la_id-empty", "la_id-of-the-other-la"])
+def test_seeds_no_crl_entry_can_carry_fail_their_case(change):
+    world = _revocation_world()
+    lv = world.issued_certificates()[0]["lv"]
+    world.ma.start_pseudonym_revocation(lv)
+    reply = _hold(world.bus, "ma.lci2seed.resp")
+    world.bus._queue.appendleft(Envelope(reply.src, reply.dst, reply.mtype,
+                                         {**reply.payload, **change}))
+    world.bus.run()
+    # a handled refusal, like found: false, not a dead letter
+    assert world.bus.dead_letters == 0
+    failed = world.registry.audit_view("ma").scan("failed_case")
+    assert failed == [{"lv": lv, "stage": "seeds"}]
+    assert world.ma.revocations_completed == 0
+    assert world.registry.audit_view("ma").count("revocation") == 0
+    assert world.crl_store.crls.all_crls() == []
+
+
 def _hold(bus, mtype):
     """Deliver until an envelope of ``mtype`` is next, and take it out."""
     while bus._queue[0].mtype != mtype:

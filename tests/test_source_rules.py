@@ -97,3 +97,16 @@ def test_memos_live_in_crypto():
     assert found and all(w.startswith("crypto/") for w in found), found
     # and signature verdicts have exactly one
     assert sum(w.startswith("crypto/signing.py:") for w in found) == 1, found
+
+
+def test_one_revocation_entry_type():
+    # the CRL, the MA and the device's expansion share one linkage entry
+    found = [
+        f"{where.split(':')[0]}:{node.name}" for where, node in _nodes()
+        if isinstance(node, ast.ClassDef)
+        and {"ls1", "ls2"} <= {
+            item.target.id for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        }
+    ]
+    assert found == ["linkage.py:LinkageRevocation"], found
