@@ -101,6 +101,7 @@ class MaQueryServer(Authority):
         super().__init__(component_id, bus, registry, rng, identity)
         self.ma_cert = ma_cert
         self.ma_query_limit = ma_query_limit
+        # queries served in the current period, the only one the quota reads
         self._ma_queries: dict[int, int] = {}
 
 
@@ -116,12 +117,13 @@ def ma_query(answer):
         msg = SignedMessage.decode(q)
         digest = hashlib.sha256(msg.payload).hexdigest()
         period = self.clock.period
+        served = self._ma_queries.get(period, 0)
         if not verify_message(msg, self.ma_cert):
             logged, reason = b"bad-signature", "bad signature"
-        elif self._ma_queries.get(period, 0) >= self.ma_query_limit:
+        elif served >= self.ma_query_limit:
             logged, reason = b"over-quota", "rate limited"
         else:
-            self._ma_queries[period] = self._ma_queries.get(period, 0) + 1
+            self._ma_queries = {period: served + 1}
             self.audit_log(env.src, env.mtype, digest)
             reply = answer(self, decode(msg.payload))
             self.send(env.src, env.mtype + ".resp", {**reply, "echo": digest})

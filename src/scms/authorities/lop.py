@@ -5,6 +5,11 @@ proxy's own id, leaving the payload byte-identical, so the registration
 and misbehavior authorities never observe which device a request came
 from. Replies are routed back through per-message reply references chosen
 freshly by the device, never a stable device identifier.
+
+A session lives from its forward until its reply, or until a forward in a
+period two or more after the one it was opened in: a reply comes within
+the bus run of its request, so an older session is one whose request was
+refused, and it is dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from .base import Component
 class Lop(Component):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._sessions: dict[bytes, str] = {}
+        # reply reference -> (device, period opened); the clock never
+        # moves back across periods, so the table is in period order
+        self._sessions: dict[bytes, tuple[str, int]] = {}
 
     def handle(self, env: Envelope) -> None:
         # a router, not a dispatcher: one forward type, every other type
@@ -32,14 +39,22 @@ class Lop(Component):
         dst, mtype, body = fields(env.payload, dst=str, mtype=str, body=dict)
         if dst not in _PROXIED:
             raise ScmsError(f"the proxy does not forward to {dst!r}")
+        period = self.clock.period
+        while self._sessions:
+            oldest = next(iter(self._sessions))
+            if self._sessions[oldest][1] >= period - 1:
+                break
+            del self._sessions[oldest]
         ref = body.get("reply_ref")
         if type(ref) is bytes:
-            self._sessions[ref] = env.src
+            # a reused reference moves to the end, keeping the period order
+            self._sessions.pop(ref, None)
+            self._sessions[ref] = (env.src, period)
         self.bus.send(Envelope(self.id, dst, mtype, body))
 
     def _reply(self, env: Envelope) -> None:
         (ref,) = fields(env.payload, reply_ref=bytes)
-        device = self._sessions.pop(ref, None)
-        if device is None:
+        session = self._sessions.pop(ref, None)
+        if session is None:
             raise ScmsError("reply for unknown proxy session")
-        self.bus.send(Envelope(self.id, device, env.mtype, env.payload))
+        self.bus.send(Envelope(self.id, session[0], env.mtype, env.payload))

@@ -13,6 +13,7 @@ rate limit and audit log.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 from ..butterfly import butterfly_finalize
 from ..certmodel import (
@@ -23,7 +24,7 @@ from ..certmodel import (
     series_for_type,
     sign_message,
 )
-from ..crypto import GroupElement, channel_decrypt, channel_key, hybrid_encrypt
+from ..crypto import GroupElement, Scalar, channel_decrypt, channel_key, hybrid_seal
 from ..encoding import decode, encode, fields
 from ..errors import DecryptionError, ParseError
 from ..linkage import linkage_value
@@ -51,85 +52,75 @@ class Pca(MaQueryServer):
         self.audit_log(env.src, "cert.request.rejected", rh)
         self.send(env.src, "cert.reject", {"rh": rh, "reason": reason})
 
-    def _issue(self, env, rh: bytes, content: dict) -> Certificate | None:
-        """Sign a certificate with this PCA as issuer, or reject the request
-        if the requested content does not make a conforming certificate."""
-        try:
-            cert = Certificate(
-                craca_id=self.craca_id, issuer_id=self.cert.cert_id(), **content
-            )
-        except ValueError as exc:
-            self._reject(env, rh, f"non-conforming certificate: {exc}")
-            return None
-        return issue_certificate(cert, self.keypair.private)
+    def _requested(self, content: dict) -> Certificate:
+        """The unsigned certificate with this PCA as issuer; raises
+        ``ValueError`` if the content does not make a conforming one."""
+        return Certificate(
+            craca_id=self.craca_id, issuer_id=self.cert.cert_id(), **content
+        )
 
     def on_cert_request(self, env) -> None:
+        # the checks and both draws run here, in delivery order; the
+        # kernel does the crypto and the commit every write and send
         rh, la1, la2, eplv1, eplv2, i, j, cocoon, resp_key, psid = fields(
             env.payload, rh=bytes, la1=bytes, la2=bytes, eplv1=bytes,
             eplv2=bytes, i=int, j=int, cocoon=bytes, resp_key=bytes, psid=int,
         )
         cocoon = GroupElement.decode(cocoon)
         response_key = GroupElement.decode(resp_key)
+
+        def refuse(reason: str) -> None:
+            self.bus.defer(None, (), lambda _: self._reject(env, rh, reason))
+
+        if response_key.is_identity:
+            refuse("response key is the identity")
+            return
         channel1 = self._la_channels.get(la1)
         channel2 = self._la_channels.get(la2)
         if channel1 is None or channel2 is None:
-            self._reject(env, rh, "unknown linkage authority")
+            refuse("unknown linkage authority")
             return
         try:
             plv1 = decode(channel_decrypt(channel1, eplv1))
             plv2 = decode(channel_decrypt(channel2, eplv2))
         except DecryptionError:
-            self._reject(env, rh, "pre-linkage value decryption failed")
+            refuse("pre-linkage value decryption failed")
             return
         if (plv1["i"], plv1["j"]) != (i, j) or (plv2["i"], plv2["j"]) != (i, j):
-            self._reject(env, rh, "pre-linkage index mismatch")
+            refuse("pre-linkage index mismatch")
             return
         lv = linkage_value(plv1["plv"], plv2["plv"])
 
-        butterfly_pub, recon = butterfly_finalize(cocoon, self.rng)
-        cert = self._issue(env, rh, dict(
-            ctype=CertType.OBE_PSEUDONYM,
-            subject_key=butterfly_pub,
-            valid_from=i,
-            valid_to=i,
-            psid=psid,
-            crl_series=SERIES_PSEUDONYM,
-            linkage_value=lv,
-        ))
-        if cert is None:
+        c = self.rng.scalar()
+        try:
+            # the cocoon key stands in for the butterfly key, which only
+            # the kernel computes; conformance does not read the key
+            requested = self._requested(dict(
+                ctype=CertType.OBE_PSEUDONYM,
+                subject_key=cocoon,
+                valid_from=i,
+                valid_to=i,
+                psid=psid,
+                crl_series=SERIES_PSEUDONYM,
+                linkage_value=lv,
+            ))
+        except ValueError as exc:
+            refuse(f"non-conforming certificate: {exc}")
             return
-        cert_bytes = cert.encode()
+        ephemeral = self.rng.scalar()
+        record = {"rh": rh, "eplv1": eplv1, "eplv2": eplv2, "i": i, "j": j,
+                  "lv": lv}
 
-        sealed = hybrid_encrypt(
-            response_key,
-            encode({"cert": cert_bytes, "c": recon.c.to_bytes()}),
-            self.rng,
-        ).encode()
-        # the slot index rides outside the encryption (the RA knows it from
-        # its own request anyway) so the device can pick its cocoon key;
-        # the signature covers index and ciphertext together
-        package = sign_message(
-            self.keypair.private,
-            self.cert,
-            encode({"i": i, "j": j, "ct": sealed}),
-        )
+        def commit(result: tuple[bytes, bytes]) -> None:
+            cert_bytes, package = result
+            self.store.put("issued", {**record, "cert": cert_bytes,
+                                      "ra_host": env.src})
+            self.send(env.src, "cert.response", {"rh": rh, "package": package})
 
-        self.store.put(
-            "issued",
-            {
-                "rh": rh,
-                "eplv1": eplv1,
-                "eplv2": eplv2,
-                "i": i,
-                "j": j,
-                "lv": lv,
-                "cert": cert_bytes,
-                "ra_host": env.src,
-            },
-        )
-        self.send(env.src, "cert.response", {
-            "rh": rh, "package": package.encode(),
-        })
+        self.bus.defer(issue_pseudonym, (
+            self.keypair.private.value, self.cert, requested, j, c.value,
+            ephemeral.value, resp_key,
+        ), commit)
 
     # --- plain issuance (identification / RSE application) ---
 
@@ -144,18 +135,22 @@ class Pca(MaQueryServer):
             ctype = CertType(ctype)
         except ValueError:
             raise ParseError(f"unknown certificate type {ctype}", 0) from None
-        cert = self._issue(env, rh, dict(
-            ctype=ctype,
-            subject_key=GroupElement.decode(pubkey),
-            valid_from=valid_from,
-            valid_to=valid_to,
-            psid=psid,
-            crl_series=series_for_type(ctype),
-            enc_key=None if enc_pubkey is None else GroupElement.decode(enc_pubkey),
-            subject_info=subject_info,
-        ))
-        if cert is None:
+        try:
+            requested = self._requested(dict(
+                ctype=ctype,
+                subject_key=GroupElement.decode(pubkey),
+                valid_from=valid_from,
+                valid_to=valid_to,
+                psid=psid,
+                crl_series=series_for_type(ctype),
+                enc_key=(None if enc_pubkey is None
+                         else GroupElement.decode(enc_pubkey)),
+                subject_info=subject_info,
+            ))
+        except ValueError as exc:
+            self._reject(env, rh, f"non-conforming certificate: {exc}")
             return
+        cert = issue_certificate(requested, self.keypair.private)
         self.store.put(
             "issued_plain",
             {
@@ -207,6 +202,32 @@ class Pca(MaQueryServer):
             if record is not None:
                 certs.append(record["cert"])
         return {"certs": certs}
+
+
+def issue_pseudonym(pca_priv: int, pca_cert: Certificate,
+                    requested: Certificate, j: int, c: int, ephemeral: int,
+                    response_key: bytes) -> tuple[bytes, bytes]:
+    """The crypto of one pseudonym issuance, a pure kernel: butterfly key
+    ``cocoon + c*G`` (the cocoon stands as ``requested``'s subject key),
+    the certificate signature, the seal of certificate and ``c`` to the
+    response key with the ephemeral scalar, and the PCA's signature over
+    the sealed package. Returns (certificate bytes, package bytes)."""
+    priv = Scalar(pca_priv)
+    butterfly_pub, recon = butterfly_finalize(requested.subject_key, Scalar(c))
+    cert = issue_certificate(replace(requested, subject_key=butterfly_pub), priv)
+    cert_bytes = cert.encode()
+    sealed = hybrid_seal(
+        GroupElement.decode(response_key),
+        encode({"cert": cert_bytes, "c": recon.c.to_bytes()}),
+        Scalar(ephemeral),
+    ).encode()
+    # the slot index rides outside the encryption (the RA knows it from
+    # its own request anyway) so the device can pick its cocoon key;
+    # the signature covers index and ciphertext together
+    package = sign_message(
+        priv, pca_cert, encode({"i": requested.valid_from, "j": j, "ct": sealed})
+    )
+    return cert_bytes, package.encode()
 
 
 def request_hash(single: dict) -> bytes:

@@ -110,10 +110,10 @@ def cocoon_expand(req: CaterpillarRequest, index: TimeIndex) -> CocoonKeys:
 
 
 def butterfly_finalize(
-    cocoon: GroupElement, rng
+    cocoon: GroupElement, c: Scalar
 ) -> tuple[GroupElement, ReconstructionValue]:
-    """Issuer-side randomization: butterfly key = cocoon + c*G, fresh c."""
-    c = rng.scalar()
+    """Issuer-side randomization: butterfly key = cocoon + c*G, where the
+    issuer draws a fresh c for each certificate."""
     return cocoon + mul_g(c), ReconstructionValue(c)
 
 

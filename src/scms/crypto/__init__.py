@@ -20,6 +20,7 @@ from .hybrid import (
     channel_key,
     hybrid_decrypt,
     hybrid_encrypt,
+    hybrid_seal,
 )
 from .prf import aes_block, hash_truncated, prf_block, prf_blocks, xor_bytes
 from .rng import DeterministicRandom
@@ -44,6 +45,7 @@ __all__ = [
     "hash_truncated",
     "hybrid_decrypt",
     "hybrid_encrypt",
+    "hybrid_seal",
     "mul_g",
     "prf_block",
     "prf_blocks",

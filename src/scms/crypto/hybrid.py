@@ -56,9 +56,17 @@ def _shared_key(own: ec.EllipticCurvePrivateKey, peer: GroupElement,
 
 
 def hybrid_encrypt(to: GroupElement, plaintext: bytes, rng) -> HybridCiphertext:
+    """Seal to ``to`` with an ephemeral scalar drawn from ``rng``."""
+    return hybrid_seal(to, plaintext, rng.scalar())
+
+
+def hybrid_seal(to: GroupElement, plaintext: bytes,
+                ephemeral_priv: Scalar) -> HybridCiphertext:
+    """Seal to ``to`` with a given ephemeral scalar, so that the caller can
+    draw it in one place and seal in another."""
     if to.is_identity:
         raise ValueError("cannot encrypt to the identity element")
-    eph_key = backend_private(rng.scalar().value)
+    eph_key = backend_private(ephemeral_priv.value)
     nums = eph_key.public_key().public_numbers()
     ephemeral = GroupElement(nums.x, nums.y, _skip_check=True)
     key = _shared_key(eph_key, to, ephemeral.encode())

@@ -17,6 +17,7 @@ on which generator may revoke which series.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import replace
 
@@ -313,65 +314,38 @@ class Device:
         })
 
     def on_batch_response(self, env) -> None:
+        # each package is opened by a kernel; the commits install or
+        # quarantine in order (see scms.bus)
         fields(env.payload)
         if "error" in env.payload:
             (error,) = fields(env.payload, error=str)
-            self.provision_status = f"batch-{error}"
+            status = f"batch-{error}"
+            self.bus.defer(None, (), lambda _: setattr(
+                self, "provision_status", status))
             return
         (items,) = fields(env.payload, items=list[bytes])
         if self.caterpillar is None:
             raise ScmsError("no certificate request is pending")
-        for item in items:
-            self._install_package(item)
-
-    def _install_package(self, package_bytes: bytes) -> None:
-        try:
-            package = SignedMessage.decode(package_bytes)
-        except ParseError:
-            self._quarantine(package_bytes, "unparseable package")
-            return
-        if package.cert_id != self.pca_cert.cert_id() or not verify_message(
-            package, self.pca_cert
-        ):
-            # covers the response-key substitution attack: the issuer's
-            # signature no longer matches the delivered ciphertext
-            self.mitm_detected += 1
-            self._quarantine(package_bytes, "issuer signature mismatch")
-            return
-        # a signed package is still outside input: its fields are checked
-        # before use, and a bad one quarantines only this package
-        try:
-            i, j, ct = fields(decode(package.payload), i=int, j=int, ct=bytes)
-            index = TimeIndex(i, j)
-        except (ParseError, ValueError):
-            self._quarantine(package_bytes, "malformed package")
-            return
         cat = self.caterpillar
-        enc_priv = cocoon_private(cat["h"], cat["k_enc"], ENCRYPTION, index)
-        try:
-            plain = hybrid_decrypt(enc_priv, HybridCiphertext.decode(ct))
-        except (DecryptionError, ParseError):
-            self._quarantine(package_bytes, "response decryption failed")
+        secrets = (cat["a"].value, cat["h"].value, cat["k_sign"], cat["k_enc"])
+        for item in items:
+            self.bus.defer(open_package, (item, self.pca_cert, secrets),
+                           functools.partial(self._install, item))
+
+    def _install(self, package_bytes: bytes, opened) -> None:
+        """Install what ``open_package`` returned, or quarantine the
+        package under the reason it returned instead."""
+        if type(opened) is str:
+            if opened == ISSUER_MISMATCH:
+                self.mitm_detected += 1
+            self._quarantine(package_bytes, opened)
             return
-        try:
-            cert_bytes, c = fields(decode(plain), cert=bytes, c=bytes)
-            cert = Certificate.decode(cert_bytes)
-            recon = ReconstructionValue(Scalar.from_bytes(c))
-        except (ParseError, ValueError):
-            self._quarantine(package_bytes, "malformed package")
-            return
-        b_prime = reconstruct_private(cat["a"], cat["k_sign"], index, recon)
-        if mul_g(b_prime) != cert.subject_key:
-            self._quarantine(package_bytes, "reconstructed key mismatch")
-            return
-        if cert.valid_from != index.i or cert.linkage_value is None:
-            self._quarantine(package_bytes, "certificate content mismatch")
-            return
-        self.certs.setdefault(index.i, []).append({
+        i, j, cert, cert_bytes, b_prime = opened
+        self.certs.setdefault(i, []).append({
             "cert": cert,
             "cert_bytes": cert_bytes,
-            "priv": b_prime,
-            "j": index.j,
+            "priv": Scalar(b_prime),
+            "j": j,
         })
 
     def _quarantine(self, package_bytes: bytes, reason: str) -> None:
@@ -564,3 +538,51 @@ class Device:
         self.quarantined.clear()
         self.app_certs.clear()
         self.bootstrap(dcm)
+
+
+# the quarantine reason that also counts as a detected key substitution
+ISSUER_MISMATCH = "issuer signature mismatch"
+
+
+def open_package(package_bytes: bytes, pca_cert: Certificate,
+                 secrets: tuple[int, int, bytes, bytes]):
+    """Open one PCA package with the caterpillar ``secrets`` (a, h, k_sign,
+    k_enc), a pure kernel: check the issuer's signature, decrypt with the
+    slot's cocoon key, decode the certificate, reconstruct the private key
+    and check it against the certificate's key. Returns (i, j, certificate,
+    certificate bytes, private key value), or the reason to quarantine."""
+    try:
+        package = SignedMessage.decode(package_bytes)
+    except ParseError:
+        return "unparseable package"
+    if package.cert_id != pca_cert.cert_id() or not verify_message(
+        package, pca_cert
+    ):
+        # covers the response-key substitution attack: the issuer's
+        # signature no longer matches the delivered ciphertext
+        return ISSUER_MISMATCH
+    # a signed package is still outside input: its fields are checked
+    # before use, and a bad one quarantines only this package
+    try:
+        i, j, ct = fields(decode(package.payload), i=int, j=int, ct=bytes)
+        index = TimeIndex(i, j)
+    except (ParseError, ValueError):
+        return "malformed package"
+    a, h, k_sign, k_enc = secrets
+    enc_priv = cocoon_private(Scalar(h), k_enc, ENCRYPTION, index)
+    try:
+        plain = hybrid_decrypt(enc_priv, HybridCiphertext.decode(ct))
+    except (DecryptionError, ParseError):
+        return "response decryption failed"
+    try:
+        cert_bytes, c = fields(decode(plain), cert=bytes, c=bytes)
+        cert = Certificate.decode(cert_bytes)
+        recon = ReconstructionValue(Scalar.from_bytes(c))
+    except (ParseError, ValueError):
+        return "malformed package"
+    b_prime = reconstruct_private(Scalar(a), k_sign, index, recon)
+    if mul_g(b_prime) != cert.subject_key:
+        return "reconstructed key mismatch"
+    if cert.valid_from != index.i or cert.linkage_value is None:
+        return "certificate content mismatch"
+    return i, j, cert, cert_bytes, b_prime.value

@@ -2,16 +2,22 @@
 stated tolerance, printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
-The committed scenarios are each executed twice (cached per session) so
-the determinism criterion covers every one of them.
+The committed scenarios are each executed twice (cached per session), once
+in this process and once by ``scms run`` in a fresh interpreter, so the
+determinism criterion covers every one of them.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from scms import bus
 from scms.butterfly import (
     CaterpillarRequest,
     TimeIndex,
@@ -49,15 +55,34 @@ def criterion(number: int, title: str):
     print(f"criterion {number}: PASS - {title}")
 
 
+def fresh_python(*args: str, **env: str) -> str:
+    """stdout of ``python args`` in a fresh interpreter that imports this
+    checkout's package."""
+    pythonpath = os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": pythonpath, **env},
+    ).stdout
+
+
+def scms_run(path: Path) -> dict:
+    """``scms run`` of one scenario in a fresh interpreter, under a hash
+    seed other than this process's, with a cold kernel pool and cold
+    caches; returns its JSON output."""
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    return json.loads(fresh_python("-m", "scms.cli", "run", str(path),
+                                   PYTHONHASHSEED=seed))
+
+
 @pytest.fixture(scope="session")
 def scenario_runs():
-    """Each committed scenario executed twice under its own seed."""
+    """Each committed scenario executed twice under its own seed: here,
+    and by ``scms run`` in a fresh interpreter."""
     runs = {}
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         config = ScenarioConfig.from_json(path.read_text())
-        first = run_scenario(config)
-        second = run_scenario(config)
-        runs[config.name] = (first, second)
+        runs[config.name] = (run_scenario(config), scms_run(path))
     return runs
 
 
@@ -81,7 +106,7 @@ def test_criterion_1_butterfly_identity_1000_sessions():
         for n in range(1000):
             index = TimeIndex(n // 20, n % 20)
             cocoon = cocoon_expand(request, index)
-            cert_key, recon = butterfly_finalize(cocoon.signing, rng)
+            cert_key, recon = butterfly_finalize(cocoon.signing, rng.scalar())
             b_prime = reconstruct_private(
                 sign_kp.private, request.signing_key, index, recon
             )
@@ -280,8 +305,8 @@ def test_criterion_9_end_to_end_determinism(scenario_runs):
     with criterion(9, "identical trace digests for every committed scenario"):
         assert len(scenario_runs) >= 5
         for name, (first, second) in sorted(scenario_runs.items()):
-            assert first.trace_digest == second.trace_digest, name
-            assert first.metrics["bus_messages"] == second.metrics[
+            assert first.trace_digest == second["trace_digest"], name
+            assert first.metrics["bus_messages"] == second["metrics"][
                 "bus_messages"
             ], name
 
@@ -304,6 +329,33 @@ def test_scenario_digests_match_reference_table(scenario_runs):
         for name, (first, _) in scenario_runs.items()
     }
     assert digests == REFERENCE_DIGESTS
+
+
+@pytest.mark.parametrize("name", ["mitm_drill", "revocation_demo"])
+def test_serial_kernels_give_the_reference_digest(name, monkeypatch):
+    # one CPU, no pool worker, every kernel inline: the trace the pool gives
+    monkeypatch.setattr(bus, "POOL_WORKERS", 0)
+    config = ScenarioConfig.from_json((SCENARIO_DIR / f"{name}.json").read_text())
+    assert run_scenario(config).trace_digest[:16] == REFERENCE_DIGESTS[name]
+
+
+def test_a_process_with_threads_spawns_the_same_trace():
+    # a thread of the host program's own: the pool spawns its workers
+    script = (
+        "import json, multiprocessing, sys, threading\n"
+        "threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
+        "from scms import bus\n"
+        "from scms.harness import ScenarioConfig, run_scenario\n"
+        "bus.POOL_WORKERS = 1\n"
+        "config = ScenarioConfig.from_json(open(sys.argv[1]).read())\n"
+        "digest = run_scenario(config).trace_digest\n"
+        "(worker,) = multiprocessing.active_children()\n"
+        "print(json.dumps([digest, worker.name]))\n"
+    )
+    digest, worker = json.loads(
+        fresh_python("-c", script, str(SCENARIO_DIR / "mitm_drill.json")))
+    assert digest[:16] == REFERENCE_DIGESTS["mitm_drill"]
+    assert worker.startswith("SpawnProcess")
 
 
 def test_garbage_drill_dead_letters_without_violations(scenario_runs):

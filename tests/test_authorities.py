@@ -919,3 +919,48 @@ def test_root_rotation_with_eca_recertification():
     result = verify_chain(fresh, device.trust)
     assert result.ok, result.reason
     assert fresh.issuer_id == eca2_cert.cert_id()
+
+
+def test_lop_drops_sessions_whose_reply_never_came():
+    world = make_world(devices=1)
+    lop = world.lop
+
+    def forward(ref: bytes) -> None:
+        world.bus.send(Envelope("obe0", "lop", "lop.fwd", {
+            "dst": "ra", "mtype": "no.such", "body": {"reply_ref": ref},
+        }))
+
+    for n in range(50):
+        forward(n.to_bytes(8, "big"))
+    world.bus.run()
+    assert world.bus.dead_letters == 50  # the RA refuses every one
+    assert len(lop._sessions) == 50
+    world.clock.set(1)
+    forward(b"\xfe" * 8)
+    forward((0).to_bytes(8, "big"))  # a reused reference is opened anew
+    world.bus.run()
+    assert len(lop._sessions) == 51  # opened in the previous period: kept
+    world.clock.set(2)
+    forward(b"\xfd" * 8)
+    world.bus.run()
+    assert list(lop._sessions) == [
+        b"\xfe" * 8, (0).to_bytes(8, "big"), b"\xfd" * 8]
+    world.clock.set(4)
+    forward(b"\xff" * 8)
+    world.bus.run()
+    assert list(lop._sessions) == [b"\xff" * 8]
+
+
+def test_pca_rejects_an_identity_response_key():
+    # nothing can be sealed to the identity; before, the run aborted
+    world = make_world(devices=1)
+    world.devices[0].request_certs(0, 1, j_max=2)
+    world.bus.run()
+    single = {**world.ra._buffer[0], "resp_key": b"\x00" * 33}
+    world.bus.send(Envelope("ra", "pca", "cert.request", single))
+    world.bus.run()
+    assert world.bus.dead_letters == 0
+    deferred = world.registry.audit_view("ra").scan("deferred")
+    assert deferred == [{"rh": single["rh"],
+                         "reason": "response key is the identity"}]
+    assert world.registry.audit_view("pca").count("issued") == 0

@@ -1,9 +1,12 @@
 """Bus, clock and trace tests: FIFO determinism, proxy enforcement, the
-fault boundary."""
+fault boundary, deferred jobs."""
 
 import pytest
 
+from scms import bus as bus_module
 from scms.bus import Clock, Envelope, MessageBus, Trace
+from scms.crypto import DeterministicRandom
+from scms.encoding import fields
 from scms.errors import InvariantViolation, ParseError, ScmsError
 
 
@@ -137,3 +140,120 @@ def test_plain_scms_error_is_contained_too():
     bus.send(Envelope("a", "bad", "m", {}))
     assert bus.run() == 1
     assert bus.dead_letters == 1
+
+
+# --- deferred jobs: handler, kernel, commit ---
+
+def square(x: int) -> int:
+    """A kernel: module level, so the pool can pickle it."""
+    return x * x
+
+
+class Squarer:
+    """Toy component that squares ``x`` in a kernel. Its handler draws a
+    salt, refuses a negative ``x`` (a ``refused`` reply, written and sent
+    by a commit too) and a non-integer one (a dead letter); its commit
+    stores and sends the answer. ``deferring=False`` runs kernel and
+    commit in the handler, as serial handling would."""
+
+    def __init__(self, bus, own_id, deferring):
+        self.id, self.bus, self.deferring = own_id, bus, deferring
+        self.store = []
+        self.rng = DeterministicRandom(7, own_id)
+        bus.register(own_id, self)
+
+    def handle(self, env):
+        (x,) = fields(env.payload, x=int)
+        salt = self.rng.randbelow(1000)
+        if x < 0:
+            self._job(None, (), lambda _: self._commit(env, "refused", x, salt))
+        else:
+            self._job(square, (x,), lambda y: self._commit(env, "square", y, salt))
+
+    def _job(self, kernel, args, commit):
+        if self.deferring:
+            self.bus.defer(kernel, args, commit)
+        else:
+            commit(None if kernel is None else kernel(*args))
+
+    def _commit(self, env, kind, value, salt):
+        self.store.append((kind, value, salt))
+        self.bus.send(Envelope(self.id, env.src, kind, {"v": value, "s": salt}))
+
+
+def _drive(deferring: bool):
+    trace = Trace()
+    bus = MessageBus(trace=trace)
+    squarer = Squarer(bus, "sq", deferring)
+    client = Echo(bus, "client")
+    other = Echo(bus, "other")
+    payloads = [{"x": n} for n in range(12)]
+    payloads[3] = {"x": -3}        # refused in the handler phase
+    payloads[7] = {"x": "seven"}   # a dead letter
+    for payload in payloads:
+        bus.send(Envelope("client", "sq", "sq", payload))
+    # another destination ends the run of deliveries; then a run of one
+    bus.send(Envelope("client", "other", "ping", {}))
+    bus.send(Envelope("client", "sq", "sq", {"x": 99}))
+    delivered = bus.run()
+    return trace.digest(), delivered, bus.dead_letters, client.seen, \
+        other.seen, squarer.store, squarer.rng.randbytes(8)
+
+
+@pytest.mark.parametrize("workers, chunk", [(0, 8), (1, 3), (2, 8)],
+                         ids=["one-cpu", "one-worker", "two-workers"])
+def test_deferred_jobs_match_serial_handling(workers, chunk, monkeypatch):
+    monkeypatch.setattr(bus_module, "POOL_WORKERS", workers)
+    monkeypatch.setattr(bus_module, "POOL_CHUNK", chunk)
+    deferred, serial = _drive(True), _drive(False)
+    assert deferred == serial
+    digest, delivered, dead, seen, _, store, _ = deferred
+    assert (delivered, dead) == (26, 1)
+    assert seen[:3] == ["square", "square", "square"]
+    assert store[3][:2] == ("refused", -3) and store[-1][:2] == ("square", 9801)
+
+
+def test_defer_outside_run_commits_at_once():
+    bus = MessageBus()
+    squarer = Squarer(bus, "sq", deferring=True)
+    Echo(bus, "client")
+    squarer.handle(Envelope("client", "sq", "sq", {"x": 5}))
+    assert squarer.store[0][:2] == ("square", 25)
+    assert len(bus._queue) == 1
+
+
+def test_commit_error_aborts_the_run():
+    def commit(_):
+        raise ParseError("late", 0)
+
+    class Deferring:
+        def handle(self, env):
+            bus.defer(None, (), commit)
+
+    bus = MessageBus()
+    bus.register("d", Deferring())
+    bus.send(Envelope("x", "d", "m", {}))
+    with pytest.raises(InvariantViolation):
+        bus.run()
+    assert bus.dead_letters == 0
+
+
+def fail(x: int) -> int:
+    raise ValueError(f"kernel bug on {x}")
+
+
+def test_a_kernel_that_raises_in_a_worker_aborts_the_run(monkeypatch):
+    monkeypatch.setattr(bus_module, "POOL_WORKERS", 2)
+    monkeypatch.setattr(bus_module, "POOL_CHUNK", 2)
+
+    class Failing:
+        def handle(self, env):
+            bus.defer(fail, (env.payload["x"],), lambda _: None)
+
+    bus = MessageBus()
+    bus.register("f", Failing())
+    for x in range(6):
+        bus.send(Envelope("x", "f", "m", {"x": x}))
+    with pytest.raises((InvariantViolation, ValueError), match="kernel bug"):
+        bus.run()
+    assert bus.dead_letters == 0

@@ -164,7 +164,7 @@ def test_caterpillar_rejects_identity_seed():
 def test_finalize_algebra():
     rng = DeterministicRandom(32)
     cocoon = KeyPair.generate(rng).public
-    pub, c = butterfly_finalize(cocoon, rng)
+    pub, c = butterfly_finalize(cocoon, rng.scalar())
     assert pub - mul_g(c.c) == cocoon
 
 
@@ -173,7 +173,7 @@ def test_finalize_randomizes():
     cocoon = KeyPair.generate(rng).public
     seen = set()
     for _ in range(1000):
-        pub, _ = butterfly_finalize(cocoon, rng)
+        pub, _ = butterfly_finalize(cocoon, rng.scalar())
         seen.add(pub.encode())
     assert len(seen) == 1000
     assert cocoon.encode() not in seen
@@ -192,7 +192,7 @@ def test_wrong_reconstruction_value_detected():
     req, a, _ = _request(rng)
     idx = TimeIndex(0, 0)
     cocoon = cocoon_expand(req, idx)
-    pub, c = butterfly_finalize(cocoon.signing, rng)
+    pub, c = butterfly_finalize(cocoon.signing, rng.scalar())
     wrong = ReconstructionValue(c.c + Scalar(1))
     b_bad = reconstruct_private(a, req.signing_key, idx, wrong)
     assert mul_g(b_bad) != pub
@@ -207,7 +207,7 @@ def test_end_to_end_key_identity_1000():
     for n in range(1000):
         idx = TimeIndex(n // 20, n % 20)
         cocoon = cocoon_expand(req, idx)
-        pub, c = butterfly_finalize(cocoon.signing, rng)
+        pub, c = butterfly_finalize(cocoon.signing, rng.scalar())
         b = reconstruct_private(a, req.signing_key, idx, c)
         if mul_g(b) != pub:
             mismatches += 1

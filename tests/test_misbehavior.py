@@ -258,6 +258,18 @@ def test_unsigned_ma_query_refused_and_logged():
     assert len(audit) == 1
 
 
+def test_ma_query_counter_keeps_only_the_current_period():
+    world = make_world(devices=1)
+    query = sign_message(world.pki["ma"].keypair.private, world.pki["ma"].cert,
+                         encode({"lv": b"x" * 9}))
+    for period in range(4):
+        world.clock.set(period)
+        world.bus.send(Envelope("ma", "pca", "ma.lv2plv", {"q": query.encode()}))
+        world.bus.run()
+    assert world.pca._ma_queries == {3: 1}
+    assert len(world.registry.audit_view("pca").where("audit", op="ma.lv2plv")) == 4
+
+
 def _quota_of_one(world, server):
     """Every server of MA queries answers under the world's one quota; cut
     the named server's to one query per period."""
