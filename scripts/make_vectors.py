@@ -4,7 +4,9 @@
 Every value in vectors/golden.txt is computed here from first principles:
 single AES-128-ECB block calls, SHA-256, and naive big-integer elliptic
 curve arithmetic. This script deliberately imports nothing from the scms
-package so the vectors stay an independent check on the library.
+package so the vectors stay an independent check on the library; it is
+also the pure reference the library's tests compare against, point
+decompression and ECDSA verification included.
 
 Usage:
     python scripts/make_vectors.py [--out vectors/golden.txt]
@@ -99,6 +101,23 @@ def compress(point) -> bytes:
     return bytes([2 + (y & 1)]) + x.to_bytes(32, "big")
 
 
+def decompress(data: bytes):
+    """Inverse of compress; ValueError on a bad length or tag, x >= p or a
+    point off the curve."""
+    if len(data) != 33:
+        raise ValueError("point must be 33 bytes")
+    if data == b"\x00" * 33:
+        return None
+    x = int.from_bytes(data[1:], "big")
+    if data[0] not in (2, 3) or x >= P:
+        raise ValueError("bad tag or x out of range")
+    rhs = (pow(x, 3, P) + A * x + B) % P
+    y = pow(rhs, (P + 1) // 4, P)  # p = 3 mod 4
+    if y * y % P != rhs:
+        raise ValueError("point is not on the curve")
+    return x, y if (y & 1) == (data[0] & 1) else P - y
+
+
 def ecdsa_sign(priv: int, digest: bytes) -> bytes:
     # Deterministic nonce: hash of key, digest and a fixed domain label.
     e = int.from_bytes(digest, "big") % N
@@ -119,6 +138,18 @@ def ecdsa_sign(priv: int, digest: bytes) -> bytes:
         if s == 0:
             continue
         return r.to_bytes(32, "big") + s.to_bytes(32, "big")
+
+
+def ecdsa_verify(point, digest: bytes, sig: bytes) -> bool:
+    if point is None or len(digest) != 32 or len(sig) != 64:
+        return False
+    r, s = int.from_bytes(sig[:32], "big"), int.from_bytes(sig[32:], "big")
+    if not (1 <= r < N and 1 <= s < N):
+        return False
+    w = pow(s, -1, N)
+    e = int.from_bytes(digest, "big") % N
+    R = ec_add(ec_mul(e * w % N, (GX, GY)), ec_mul(r * w % N, point))
+    return R is not None and R[0] % N == r
 
 
 def build_lines():

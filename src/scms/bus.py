@@ -90,7 +90,7 @@ class Clock:
         return self.period * 7 + self.minute // MINUTES_PER_DAY
 
     def set(self, period: int, minute: int = 0) -> None:
-        if (period, minute) < (self.period, self.minute) and period < self.period:
+        if period < self.period:
             raise ValueError("clock cannot move backward across periods")
         self.period = period
         self.minute = minute

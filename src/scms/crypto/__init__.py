@@ -10,7 +10,6 @@ from .group import (
     KeyPair,
     Scalar,
     mul_g,
-    scalar_mul_add,
     scalar_mult,
 )
 from .hybrid import (
@@ -22,9 +21,9 @@ from .hybrid import (
     hybrid_encrypt,
     hybrid_seal,
 )
-from .prf import aes_block, hash_truncated, prf_block, prf_blocks, xor_bytes
+from .prf import hash_truncated, prf_block, prf_blocks, xor_bytes
 from .rng import DeterministicRandom
-from .signing import SIGNATURE_BYTES, sign, verify, verify_pure
+from .signing import SIGNATURE_BYTES, sign, verify
 
 __all__ = [
     "G",
@@ -38,7 +37,6 @@ __all__ = [
     "HybridCiphertext",
     "KeyPair",
     "Scalar",
-    "aes_block",
     "channel_decrypt",
     "channel_encrypt",
     "channel_key",
@@ -49,10 +47,8 @@ __all__ = [
     "mul_g",
     "prf_block",
     "prf_blocks",
-    "scalar_mul_add",
     "scalar_mult",
     "sign",
     "verify",
-    "verify_pure",
     "xor_bytes",
 ]

@@ -68,7 +68,7 @@ def hybrid_seal(to: GroupElement, plaintext: bytes,
         raise ValueError("cannot encrypt to the identity element")
     eph_key = backend_private(ephemeral_priv.value)
     nums = eph_key.public_key().public_numbers()
-    ephemeral = GroupElement(nums.x, nums.y, _skip_check=True)
+    ephemeral = GroupElement(nums.x, nums.y)
     key = _shared_key(eph_key, to, ephemeral.encode())
     sealed = AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None)
     return HybridCiphertext(ephemeral, sealed[:-TAG_BYTES], sealed[-TAG_BYTES:])

@@ -22,15 +22,6 @@ def _cipher(key: bytes) -> Cipher:
     return Cipher(algorithms.AES(key), modes.ECB())
 
 
-def aes_block(key: bytes, block: bytes) -> bytes:
-    """Raw single-block AES-128-ECB encryption."""
-    if len(key) != KEY_BYTES:
-        raise ValueError(f"key must be {KEY_BYTES} bytes")
-    if len(block) != BLOCK_BYTES:
-        raise ValueError(f"block must be {BLOCK_BYTES} bytes")
-    return _cipher(key).encryptor().update(block)
-
-
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR of two byte strings, truncated to the shorter one."""
     n = min(len(a), len(b))

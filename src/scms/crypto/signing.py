@@ -5,11 +5,12 @@ key and digest, so identical inputs always yield identical signature bytes
 (required for replayable scenarios and golden vectors). Verification runs
 in the OpenSSL backend on the public key that ``group.backend_public``
 caches per encoded point, which doubles as an independent check that
-signing produces standard ECDSA; a pure-Python verifier is kept for
-differential tests. ``backend_verify`` is the one signature memo of the
-package: a pure function of (encoded key, digest, signature), so message,
-certificate-chain, CRL and ballot signatures share it and it never goes
-stale.
+signing produces standard ECDSA. The pure reference for both is
+``ecdsa_sign`` and ``ecdsa_verify`` in ``scripts/make_vectors.py``, which
+the tests compare against. ``backend_verify`` is the one signature memo of
+the package: a pure function of (encoded key, digest, signature), so
+message, certificate-chain, CRL and ballot signatures share it and it
+never goes stale.
 
 Signature encoding: 64 bytes, r then s, each 32 bytes big-endian.
 """
@@ -27,7 +28,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
     encode_dss_signature,
 )
 
-from .group import G, ORDER, GroupElement, Scalar, backend_public, mul_g, scalar_mult
+from .group import ORDER, GroupElement, Scalar, backend_public, mul_g
 
 SIGNATURE_BYTES = 64
 _NONCE_LABEL = b"scms-ecdsa-nonce-v1"
@@ -87,23 +88,6 @@ def backend_verify(point: bytes, digest: bytes, signature: bytes) -> bool:
         return True
     except (InvalidSignature, ValueError):
         return False
-
-
-def verify_pure(pub: GroupElement, digest: bytes, signature: bytes) -> bool:
-    """Reference verifier, used to cross-check the OpenSSL path."""
-    r, s = _split(signature)
-    if r is None:
-        return False
-    if pub.is_identity or len(digest) != 32:
-        return False
-    e = int.from_bytes(digest, "big") % ORDER
-    w = pow(s, -1, ORDER)
-    point = scalar_mult(Scalar(e * w % ORDER), G) + scalar_mult(
-        Scalar(r * w % ORDER), pub
-    )
-    if point.is_identity:
-        return False
-    return point.x % ORDER == r
 
 
 def _split(signature: bytes):

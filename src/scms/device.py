@@ -126,17 +126,6 @@ class DeviceCrlStore(CrlSet):
     def entry_count(self) -> int:
         return sum(crl.entry_count() for crl in self._crls.values())
 
-    def snapshot_bytes(self) -> bytes:
-        """Retained entries re-serialized in the grouped CRL wire layout,
-        one unsigned list per (CRACA, series) that still holds entries."""
-        out = bytearray()
-        for crl in self.all_crls():
-            if crl.entry_count():
-                raw = replace(crl, crlg_cert_id=b"\x00" * 8).tbs_bytes()
-                out += len(raw).to_bytes(4, "big")
-                out += raw
-        return bytes(out)
-
 
 class Device:
     """One OBE or RSE end entity."""

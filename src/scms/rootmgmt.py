@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import hashlib
-
 from .certmodel import (
     ALG_DEFAULT,
     CertType,
@@ -77,9 +75,6 @@ class Action:
 
     def signing_material(self) -> bytes:
         return _BALLOT_DOMAIN + self.kind.encode() + b"|" + self.object_cert
-
-    def object_id(self) -> bytes:
-        return hashlib.sha256(self.object_cert).digest()[:8]
 
 
 @dataclass

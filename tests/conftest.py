@@ -1,4 +1,5 @@
-"""Shared fixtures: deterministic RNG and a miniature CA hierarchy."""
+"""Shared fixtures and helpers: a miniature CA hierarchy, small worlds and
+the cross-store joins that tests assert on."""
 
 from dataclasses import dataclass
 
@@ -94,3 +95,31 @@ def provision_all(world) -> None:
     from scms.harness import provision_fleet
 
     provision_fleet(world)
+
+
+def issued_certificates(world) -> list[dict]:
+    """Join PCA issuance records with RA request indexes: every issued
+    pseudonym certificate, in issuance order, attributed to its device
+    handle."""
+    handles = {
+        record["rh"]: record["handle"]
+        for record in world.registry.audit_view("ra").scan("request_index")
+    }
+    return [
+        {"handle": handles.get(record["rh"]),
+         **{key: record[key] for key in ("rh", "i", "j", "lv", "cert")}}
+        for record in world.registry.audit_view("pca").scan("issued")
+    ]
+
+
+def shuffle_dispersion(world) -> float:
+    """Fraction of devices whose requests did NOT arrive contiguously at
+    the PCA (structural unlinkability of the shuffle)."""
+    arrivals: dict = {}
+    for pos, row in enumerate(issued_certificates(world)):
+        arrivals.setdefault(row["handle"], []).append(pos)
+    if not arrivals:
+        return 1.0
+    spread = [len(p) == 1 or max(p) - min(p) + 1 != len(p)
+              for p in arrivals.values()]
+    return sum(spread) / len(arrivals)

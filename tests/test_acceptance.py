@@ -37,6 +37,7 @@ from scms.crypto import DeterministicRandom, KeyPair, mul_g
 from scms.harness import ScenarioConfig, run_scenario
 from scms.linkage import LinkageSeed, evolve_seed, linkage_value, pre_linkage_values
 from scms import vectors as vectors_mod
+from tests.conftest import issued_certificates
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -137,7 +138,7 @@ def test_criterion_3_revocation_completeness_and_backward_privacy(baseline):
         crl_set = CrlSet()
         for crl in world.crl_store.crls.all_crls():
             crl_set.add(crl)
-        issued = world.issued_certificates()
+        issued = issued_certificates(world)
         assert len(issued) == 100 * 20 * 10
 
         flagged = {

@@ -39,10 +39,9 @@ from scms.crypto import (
 from scms.device import Device
 from scms.encoding import decode, encode
 from scms.errors import InvariantViolation
-from scms.harness import shuffle_dispersion
 from scms.linkage import LinkageSeed, pre_linkage_values, seed_at
 from scms.persistence import StoreRegistry
-from tests.conftest import make_world, provision_all
+from tests.conftest import make_world, provision_all, shuffle_dispersion
 
 
 # --- bootstrapping ---

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from scms.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -64,12 +66,31 @@ def test_run_scenario_and_trace(tmp_path, capsys):
     assert first["kind"] == "deliver"
 
 
-def test_run_malformed_scenario(tmp_path, capsys):
+@pytest.mark.parametrize("text, reason", [
+    pytest.param("{not json", "Expecting property name", id="not-json"),
+    pytest.param("[1, 2]", "JSON object", id="not-an-object"),
+    pytest.param('{"devices": "ten"}', "'devices'", id="devices-str"),
+    pytest.param('{"devices": true}', "'devices'", id="devices-bool"),
+    pytest.param('{"devices": 2, "mitm_devices": [7]}', "mitm_devices",
+                 id="mitm-outside-fleet"),
+    pytest.param('{"events": "x"}', "'events'", id="events-str"),
+    pytest.param('{"events": ["x"]}', "'events'", id="event-str"),
+    pytest.param('{"periods": 0}', "one period", id="no-periods"),
+    pytest.param('{"periods": 2, "events": [{"period": 2, "action": "topoff"}]}',
+                 "outside the run", id="event-after-last-period"),
+    pytest.param('{"events": [{"action": "topoff"}]}', "'period'",
+                 id="event-without-period"),
+    pytest.param('{"events": [{"period": 0, "action": 1}]}', "'action'",
+                 id="action-int"),
+])
+def test_run_malformed_scenario(tmp_path, capsys, text, reason):
+    # refused on load with exit 2, before a world is built
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text(text)
     rc = main(["run", str(bad)])
     assert rc == 2
-    assert "cannot load scenario" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot load scenario" in err and reason in err
 
 
 def test_crl_inspect_revocation_demo(tmp_path, capsys):

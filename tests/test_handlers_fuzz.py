@@ -21,7 +21,7 @@ from scms.device import Device
 from scms.encoding import encode
 from scms.errors import InvariantViolation, ScmsError
 from scms.harness import ScenarioConfig, run_scenario
-from tests.conftest import make_world
+from tests.conftest import issued_certificates, make_world
 
 # one value of each payload type, for "a field of another type"
 _OTHER_VALUES = [None, True, 7, "text", b"\x00" * 8, [5], {"k": b""}]
@@ -74,7 +74,7 @@ def _recorded_run():
         # certificates and their revocation
         world.devices[1].fetch_policy()
         world.devices[2].reenroll_reestablish()
-        issued = world.issued_certificates()
+        issued = issued_certificates(world)
         world.ma.request_same_device(issued[0]["lv"], issued[-1]["lv"])
         world.bus.run()
         rse = Device("rse0", world.bus, world.rng, model="rse-model-a")

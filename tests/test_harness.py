@@ -1,6 +1,8 @@
 """Scenario runner tests: determinism, metrics arithmetic, audits,
 snapshotting and scenario-file parsing."""
 
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,10 +16,9 @@ from scms.harness import (
     _parses_as_cert_type,
     run_audits,
     run_scenario,
-    shuffle_dispersion,
 )
 from scms.persistence import StoreRegistry
-from tests.conftest import make_world, provision_all
+from tests.conftest import make_world, provision_all, shuffle_dispersion
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -61,7 +62,7 @@ def test_revocation_event_rejects_future_bsms():
 def test_scenario_json_roundtrip(tmp_path):
     config = _small_config(events=[{"period": 0, "action": "ballot",
                                     "kind": "endorse-root", "voters": [0, 1]}])
-    text = config.to_json()
+    text = json.dumps(asdict(config))
     again = ScenarioConfig.from_json(text)
     assert again == config
 

@@ -18,7 +18,7 @@ from scms.crypto import DeterministicRandom, KeyPair
 from scms.device import Device
 from scms.encoding import encode
 from scms.misbehavior import ThresholdDetector
-from tests.conftest import make_world, provision_all
+from tests.conftest import issued_certificates, make_world, provision_all
 
 
 def _report(lv, reporter, period=0):
@@ -177,7 +177,7 @@ def test_full_revocation_flags_forward_periods_only():
         crl_set.add(crl)
     flagged = {
         (r["i"], r["j"])
-        for r in world.issued_certificates()
+        for r in issued_certificates(world)
         if r["handle"] == offender.handle_id
         and crl_check(Certificate.decode(r["cert"]), crl_set).is_revoked
     }
@@ -221,7 +221,7 @@ def test_revocation_idempotent_for_same_lv():
 
 def test_same_device_verdicts():
     world = _revocation_world()
-    issued = world.issued_certificates()
+    issued = issued_certificates(world)
     by_handle = {}
     for row in issued:
         by_handle.setdefault(row["handle"], []).append(row)
@@ -322,7 +322,7 @@ def test_refused_query_fails_its_case(server, op):
 ], ids=["unknown-ra", "j_max-zero", "j_max-over-16-bits", "unknown-las"])
 def test_reply_naming_a_bad_host_or_range_fails_its_case(mtype, change, stage):
     world = _revocation_world()
-    lv = world.issued_certificates()[0]["lv"]
+    lv = issued_certificates(world)[0]["lv"]
     world.ma.start_pseudonym_revocation(lv)
     reply = _hold(world.bus, mtype)
     world.bus._queue.appendleft(Envelope(reply.src, reply.dst, reply.mtype,
@@ -343,7 +343,7 @@ def test_reply_naming_a_bad_host_or_range_fails_its_case(mtype, change, stage):
 ], ids=["ls-15-bytes", "la_id-empty", "la_id-of-the-other-la"])
 def test_seeds_no_crl_entry_can_carry_fail_their_case(change):
     world = _revocation_world()
-    lv = world.issued_certificates()[0]["lv"]
+    lv = issued_certificates(world)[0]["lv"]
     world.ma.start_pseudonym_revocation(lv)
     reply = _hold(world.bus, "ma.lci2seed.resp")
     world.bus._queue.appendleft(Envelope(reply.src, reply.dst, reply.mtype,
@@ -367,7 +367,7 @@ def _hold(bus, mtype):
 
 def test_reply_from_a_server_not_asked_is_refused():
     world = _revocation_world()
-    world.ma.start_pseudonym_revocation(world.issued_certificates()[0]["lv"])
+    world.ma.start_pseudonym_revocation(issued_certificates(world)[0]["lv"])
     reply = _hold(world.bus, "ma.lv2plv.resp")
     world.bus.send(Envelope("pg", "ma", reply.mtype, reply.payload))
     world.bus.run()
@@ -484,7 +484,7 @@ def test_reply_the_handler_refuses_fails_its_case():
 
 def test_pseudonym_cert_rejected_by_nonpseudonym_pipeline():
     world = _revocation_world()
-    row = world.issued_certificates()[0]
+    row = issued_certificates(world)[0]
     with pytest.raises(ValueError):
         world.ma.start_certificate_revocation(row["cert"])
 

@@ -181,7 +181,7 @@ def test_ballot_validation_is_pure(pki):
     ballot = build_ballot(ENDORSE_ROOT, pki.root_cert, electors[:2])
     first = trust.validate_ballot(ballot)
     second = trust.validate_ballot(ballot)
-    assert [a.object_id() for a in first] == [a.object_id() for a in second]
+    assert [a.object_cert for a in first] == [a.object_cert for a in second]
 
 
 # --- policy generator ---

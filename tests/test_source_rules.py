@@ -110,3 +110,60 @@ def test_one_revocation_entry_type():
         }
     ]
     assert found == ["linkage.py:LinkageRevocation"], found
+
+
+REPO = Path(__file__).resolve().parent.parent
+# public names no run or CLI path calls yet, each with the ROADMAP item
+# that gives it a caller or removes it
+UNCALLED = {
+    "Device.request_app_certs": "item 4",
+    "Device.fetch_policy": "item 4",
+    "Device.reenroll_reestablish": "item 4",
+    "Device.rebootstrap": "item 4",
+    "Ma.request_same_device": "item 4",
+    "StoreRegistry.snapshot": "item 5",
+    "StoreRegistry.restore": "item 5",
+}
+
+
+def _public_defs(body, prefix=""):
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield prefix + node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from _public_defs(node.body, f"{prefix}{node.name}.")
+
+
+def test_every_public_function_has_a_caller():
+    # src holds only what a run, the CLI or the benchmark calls: a public
+    # function or method is named somewhere in src/scms or perfbench/ (the
+    # tracer's string targets count; an import does not). Handlers are
+    # reached through the dispatcher, so on_* is exempt.
+    defined, named = [], set()
+    bench = sorted((REPO / "perfbench").rglob("*.py"))
+    for path in sorted(ROOT.rglob("*.py")) + bench:
+        tree = ast.parse(path.read_text(), str(path))
+        if path.is_relative_to(ROOT):
+            defined += _public_defs(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif (isinstance(node, ast.Constant) and type(node.value) is str
+                  and not path.is_relative_to(ROOT)):
+                named.update(node.value.split("."))
+    uncalled = {qualified for qualified, name in defined
+                if not name.startswith("on_") and name not in named}
+    assert uncalled == set(UNCALLED), uncalled ^ set(UNCALLED)
+
+
+def test_vector_oracle_is_standalone():
+    # the tests compare the package against scripts/make_vectors.py, so the
+    # script must not reach the package by any import
+    tree = ast.parse((REPO / "scripts" / "make_vectors.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules and all(m.split(".")[0] not in {"", "scms"} for m in modules), modules
