@@ -157,10 +157,6 @@ class MessageBus:
         self._running = False
         self._reset()
 
-    def __getstate__(self) -> dict:
-        # a copy taken inside run() (a checkpoint of a world) starts outside
-        return {**self.__dict__, "_running": False}
-
     def register(self, component_id: str, component) -> None:
         if component_id in self._components:
             raise ValueError(f"component id {component_id!r} already registered")

@@ -48,15 +48,6 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         return Scalar(self.value + other.value)
 
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.value - other.value)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.value * other.value)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.value)
-
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(SCALAR_BYTES, "big")
 

@@ -3,11 +3,11 @@
 Encodes a restricted value model (None, bool, int, bytes, str, list, dict
 with string keys) such that equal values always produce identical bytes:
 integers use minimal-width two's complement and dict entries are sorted by
-their UTF-8 key bytes. Used for message payloads, bus envelopes and store
-snapshots. Certificate and CRL wire formats have their own fixed layouts
-in certmodel, read through ``Reader``. A decoded payload is read through
-``fields``, which checks each field's presence and exact type, and a
-list of fixed-shape rows through ``rows``.
+their UTF-8 key bytes. Used for message payloads and for bus envelopes,
+whose encodings the trace hashes. Certificate and CRL wire formats have
+their own fixed layouts in certmodel, read through ``Reader``. A decoded
+payload is read through ``fields``, which checks each field's presence
+and exact type, and a list of fixed-shape rows through ``rows``.
 """
 
 from __future__ import annotations

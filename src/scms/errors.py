@@ -17,10 +17,6 @@ class DecryptionError(ScmsError):
     """Authenticated decryption failed (wrong key or tampered payload)."""
 
 
-class StoreAccessError(ScmsError):
-    """A component attempted to open a store namespace it does not own."""
-
-
 class InvariantViolation(ScmsError):
     """A structural invariant of the system was broken (e.g. a device
     bypassing the location obscurer proxy)."""

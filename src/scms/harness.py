@@ -64,6 +64,16 @@ from .rootmgmt import (
 )
 
 CRLG_SERIES = [1, 2, 3, 4, 256]
+ELECTORS = 3  # at the start of a run; each add-elector ballot adds one
+
+# the keys of each scenario action, besides period and action
+EVENT_FIELDS = {
+    "misbehavior": {"offender": int, "reporters": list[int]},
+    "ballot": {"kind": str, "voters": list[int]},
+    "topoff": {"device": int, "start": int, "n_periods": int},
+    "inject": {"src": str, "dst": str, "type": str},
+}
+BALLOT_KINDS = {"revoke-elector", "add-elector", "endorse-root", "revoke-root"}
 
 # role -> (issuer role, has an encryption key, root-managed CRL series);
 # the PKI draws each role's keys in this order, after the electors
@@ -99,8 +109,8 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         """A scenario file, checked so that a malformed one is refused here
-        with ``ScmsError`` rather than failing the run. The keys of an event
-        other than ``period`` and ``action`` are checked when it is applied."""
+        with ``ScmsError`` rather than failing the run: each event's keys
+        and types, and the devices and electors it names."""
         data = json.loads(text)
         if type(data) is not dict:
             raise ScmsError("a scenario must be a JSON object")
@@ -115,10 +125,41 @@ class ScenarioConfig:
         if any(i not in range(config.devices) for i in config.mitm_devices):
             raise ScmsError("mitm_devices names a device outside the fleet")
         for event in config.events:
-            period, _ = fields(event, period=int, action=str)
+            period, action = fields(event, period=int, action=str)
             if period not in range(config.periods):
                 raise ScmsError(f"event period {period} is outside the run")
+            if action not in EVENT_FIELDS:
+                raise ScmsError(f"unknown scenario action {action!r}")
+            fields(event, **EVENT_FIELDS[action])
+            if action == "ballot" and event["kind"] not in BALLOT_KINDS:
+                raise ScmsError(f"unknown ballot kind {event['kind']!r}")
+        electors = ELECTORS
+        # in the order the events apply
+        for event in sorted(config.events, key=lambda e: e["period"]):
+            _check_indices(event, config.devices, electors)
+            if event["action"] == "ballot" and event["kind"] == "add-elector":
+                electors += 1
         return config
+
+
+def _check_indices(event: dict, devices: int, electors: int) -> None:
+    """The devices and electors an event names exist when it applies."""
+    action = event["action"]
+    if action == "misbehavior":
+        named = [event["offender"], *event["reporters"]]
+    elif action == "topoff":
+        named = [event["device"]]
+    else:
+        named = []
+    if any(i not in range(devices) for i in named):
+        raise ScmsError(f"{action} event names a device outside the fleet")
+    if action != "ballot":
+        return
+    named = list(event["voters"])
+    if event["kind"] == "revoke-elector":
+        named += fields(event, index=int)
+    if any(i not in range(electors) for i in named):
+        raise ScmsError("ballot event names an elector not present")
 
 
 class World:
@@ -140,7 +181,8 @@ class World:
     def _build_pki(self) -> None:
         rng = self.rng.child("pki")
         self.electors = [
-            make_elector(rng, ALG_DOMAIN_SEP if n == 2 else 0) for n in range(3)
+            make_elector(rng, ALG_DOMAIN_SEP if n == 2 else 0)
+            for n in range(ELECTORS)
         ]
         self.pki: dict[str, Identity] = {}
         for role, (issuer_role, has_enc, root_managed) in PKI_ROLES.items():

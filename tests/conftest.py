@@ -12,6 +12,7 @@ from scms.certmodel import (
     issue_component_cert,
 )
 from scms.crypto import DeterministicRandom, KeyPair
+from scms.encoding import encode
 from scms.rootmgmt import TrustState
 
 
@@ -95,6 +96,16 @@ def provision_all(world) -> None:
     from scms.harness import provision_fleet
 
     provision_fleet(world)
+
+
+def store_fingerprint(registry) -> bytes:
+    """Every namespace's records in the canonical encoding, by owner and
+    kind: equal fingerprints mean that no store gained, lost or changed a
+    record."""
+    return encode({
+        owner: {kind: ns.scan(kind) for kind in ns.kinds()}
+        for owner, ns in registry._namespaces.items()
+    })
 
 
 def issued_certificates(world) -> list[dict]:

@@ -41,7 +41,12 @@ from scms.encoding import decode, encode
 from scms.errors import InvariantViolation
 from scms.linkage import LinkageSeed, pre_linkage_values, seed_at
 from scms.persistence import StoreRegistry
-from tests.conftest import make_world, provision_all, shuffle_dispersion
+from tests.conftest import (
+    make_world,
+    provision_all,
+    shuffle_dispersion,
+    store_fingerprint,
+)
 
 
 # --- bootstrapping ---
@@ -164,11 +169,11 @@ def test_ra_takes_pca_replies_only_from_the_pca(mtype):
         "cert.response.plain": {"rh": rh, "cert": world.pki["pca"].cert.encode()},
         "cert.reject": {"rh": rh, "reason": "forged"},
     }[mtype]
-    before = world.registry.snapshot_bytes()
+    before = store_fingerprint(world.registry)
     world.bus.send(Envelope("crlstore", "ra", mtype, payload))
     world.bus.run()
     assert world.bus.dead_letters == 1
-    assert world.registry.snapshot_bytes() == before
+    assert store_fingerprint(world.registry) == before
 
 
 def test_ra_sees_only_lop_sources():

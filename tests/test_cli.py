@@ -82,6 +82,20 @@ def test_run_scenario_and_trace(tmp_path, capsys):
                  id="event-without-period"),
     pytest.param('{"events": [{"period": 0, "action": 1}]}', "'action'",
                  id="action-int"),
+    pytest.param('{"devices": 2, "events": [{"period": 0, "action": "misbehavior",'
+                 ' "offender": 9, "reporters": [1]}]}', "outside the fleet",
+                 id="offender-outside-fleet"),
+    pytest.param('{"devices": 2, "events": [{"period": 0, "action": "topoff",'
+                 ' "start": 1, "n_periods": 1}]}', "'device'",
+                 id="topoff-without-device"),
+    pytest.param('{"devices": 2, "events": [{"period": 0, "action": "ballot",'
+                 ' "kind": "endorse-root", "voters": [7]}]}', "elector",
+                 id="voter-not-present"),
+    pytest.param('{"devices": 2, "events": [{"period": 0, "action": "ballot",'
+                 ' "kind": "nope", "voters": [1]}]}', "ballot kind",
+                 id="ballot-kind-unknown"),
+    pytest.param('{"devices": 2, "events": [{"period": 0, "action": "dance"}]}',
+                 "unknown scenario action", id="action-unknown"),
 ])
 def test_run_malformed_scenario(tmp_path, capsys, text, reason):
     # refused on load with exit 2, before a world is built

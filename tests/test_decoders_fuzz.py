@@ -35,7 +35,6 @@ from scms.crypto import (
 )
 from scms.encoding import decode, encode
 from scms.errors import ParseError, ScmsError
-from scms.persistence import StoreRegistry
 from scms.rootmgmt import ENDORSE_ROOT, Ballot, build_ballot, make_elector
 from tests.conftest import build_mini_pki
 
@@ -72,9 +71,6 @@ def _samples() -> dict[str, list[bytes]]:
         crls.append(sign_crl(crl, pki.crlg_key.private, pki.crlg_cert))
     payload = encode({"p": 3, "pos": [-1, 2], "tag": "bsm", "raw": b"\x00\x01"})
     electors = [make_elector(rng) for _ in range(2)]
-    registry = StoreRegistry()
-    registry.create("ra").put("enrollment", {"handle": "aa", "lci1": [b"\x01"]})
-    registry.create("la1").put("chain", {"seed0": b"\x02" * 16, "period0": 0})
     return {
         "encoding.decode": [payload, encode([None, True, False, -300, {}])],
         "Certificate.decode": [pseudonym.encode(), pki.pca_cert.encode()],
@@ -91,7 +87,6 @@ def _samples() -> dict[str, list[bytes]]:
         "Ballot.decode": [
             build_ballot(ENDORSE_ROOT, pki.root_cert, electors).encode(),
         ],
-        "StoreRegistry.restore": [registry.snapshot_bytes()],
     }
 
 
@@ -120,29 +115,16 @@ def mutated(draw, samples: list[bytes]) -> bytes:
     return bytes(data)
 
 
-@pytest.fixture(scope="module")
-def restore(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "state.snap"
-
-    def restore_bytes(data: bytes) -> None:
-        path.write_bytes(data)
-        StoreRegistry().restore(path)
-
-    return restore_bytes
-
-
-def _decoders(restore) -> dict:
-    return {
-        "encoding.decode": decode,
-        "Certificate.decode": Certificate.decode,
-        "SignedMessage.decode": SignedMessage.decode,
-        "Crl.decode": Crl.decode,
-        "decode_composite": decode_composite,
-        "HybridCiphertext.decode": HybridCiphertext.decode,
-        "GroupElement.decode": GroupElement.decode,
-        "Ballot.decode": Ballot.decode,
-        "StoreRegistry.restore": restore,
-    }
+DECODERS = {
+    "encoding.decode": decode,
+    "Certificate.decode": Certificate.decode,
+    "SignedMessage.decode": SignedMessage.decode,
+    "Crl.decode": Crl.decode,
+    "decode_composite": decode_composite,
+    "HybridCiphertext.decode": HybridCiphertext.decode,
+    "GroupElement.decode": GroupElement.decode,
+    "Ballot.decode": Ballot.decode,
+}
 
 
 def _decode_or_scms_error(decoder, data: bytes) -> None:
@@ -154,8 +136,8 @@ def _decode_or_scms_error(decoder, data: bytes) -> None:
         pass
 
 
-def test_samples_decode(restore):
-    for name, decoder in _decoders(restore).items():
+def test_samples_decode():
+    for name, decoder in DECODERS.items():
         for data in SAMPLES[name]:
             decoder(data)
 
@@ -163,20 +145,20 @@ def test_samples_decode(restore):
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
-def test_mutated_input_raises_only_scms_error(name, restore, data):
+def test_mutated_input_raises_only_scms_error(name, data):
     raw = data.draw(mutated(SAMPLES[name]), label="input")
-    _decode_or_scms_error(_decoders(restore)[name], raw)
+    _decode_or_scms_error(DECODERS[name], raw)
 
 
 @pytest.mark.parametrize("value", [5, None, "text"], ids=["int", "None", "str"])
-@pytest.mark.parametrize("name", sorted(set(SAMPLES) - {"StoreRegistry.restore"}))
-def test_non_bytes_input_is_a_parse_error_at_offset_0(name, value, restore):
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_non_bytes_input_is_a_parse_error_at_offset_0(name, value):
     with pytest.raises(ParseError) as err:
-        _decoders(restore)[name](value)
+        DECODERS[name](value)
     assert err.value.offset == 0
 
 
-def test_nested_parse_error_offset_is_in_the_outer_input(restore):
+def test_nested_parse_error_offset_is_in_the_outer_input():
     off_curve = b"\x02" + b"\x11" * 32
     cert = SAMPLES["Certificate.decode"][1]  # a component type may encrypt
     bad_subject_key = cert[:6] + off_curve + cert[39:]
@@ -191,6 +173,3 @@ def test_nested_parse_error_offset_is_in_the_outer_input(restore):
     with pytest.raises(ParseError) as err:
         decode_composite(composite[:second] + b"XX" + composite[second + 2:])
     assert err.value.offset == second
-    with pytest.raises(ParseError) as err:
-        restore(b"SNAP\x01\x09")
-    assert err.value.offset == 5

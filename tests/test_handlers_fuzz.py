@@ -21,7 +21,7 @@ from scms.device import Device
 from scms.encoding import encode
 from scms.errors import InvariantViolation, ScmsError
 from scms.harness import ScenarioConfig, run_scenario
-from tests.conftest import issued_certificates, make_world
+from tests.conftest import issued_certificates, make_world, store_fingerprint
 
 # one value of each payload type, for "a field of another type"
 _OTHER_VALUES = [None, True, 7, "text", b"\x00" * 8, [5], {"k": b""}]
@@ -29,8 +29,12 @@ _OTHER_VALUES = [None, True, 7, "text", b"\x00" * 8, [5], {"k": b""}]
 
 def _copy(world, env=None):
     """A deep copy of a world (and an envelope), with a fresh trace: the
-    trace's running hash cannot be copied, and the copies need none."""
-    return copy.deepcopy((world, env), {id(world.trace): Trace(keep_events=False)})
+    trace's running hash cannot be copied, and the copies need none. A copy
+    taken inside ``bus.run`` starts outside it."""
+    world, env = copy.deepcopy((world, env),
+                               {id(world.trace): Trace(keep_events=False)})
+    world.bus._running = False
+    return world, env
 
 
 def _recorded_run():
@@ -98,11 +102,11 @@ def drain_checked(world) -> None:
     bus = world.bus
     while bus._queue:
         env = bus._queue.popleft()
-        before = world.registry.snapshot_bytes()
+        before = store_fingerprint(world.registry)
         queued, dead = len(bus._queue), bus.dead_letters
         bus._deliver(env)
         if bus.dead_letters > dead:
-            assert world.registry.snapshot_bytes() == before, env.mtype
+            assert store_fingerprint(world.registry) == before, env.mtype
             assert len(bus._queue) == queued, env.mtype
 
 

@@ -1,6 +1,7 @@
 """Rules about the package source itself."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import scms
@@ -121,8 +122,6 @@ UNCALLED = {
     "Device.reenroll_reestablish": "item 4",
     "Device.rebootstrap": "item 4",
     "Ma.request_same_device": "item 4",
-    "StoreRegistry.snapshot": "item 5",
-    "StoreRegistry.restore": "item 5",
 }
 
 
@@ -136,26 +135,73 @@ def _public_defs(body, prefix=""):
 
 def test_every_public_function_has_a_caller():
     # src holds only what a run, the CLI or the benchmark calls: a public
-    # function or method is named somewhere in src/scms or perfbench/ (the
-    # tracer's string targets count; an import does not). Handlers are
-    # reached through the dispatcher, so on_* is exempt.
-    defined, named = [], set()
+    # function or method is named somewhere in src/scms or perfbench/ (a
+    # bare builtin name such as open(...) is not; an import is not), or a
+    # perfbench string names it exactly, as the tracer's targets do
+    # ("Certificate.decode", "scalar_mult"). Handlers are reached through
+    # the dispatcher, so on_* is exempt.
+    defined, named, targets = [], set(), set()
     bench = sorted((REPO / "perfbench").rglob("*.py"))
     for path in sorted(ROOT.rglob("*.py")) + bench:
         tree = ast.parse(path.read_text(), str(path))
         if path.is_relative_to(ROOT):
             defined += _public_defs(tree.body)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and node.id not in vars(builtins):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif (isinstance(node, ast.Constant) and type(node.value) is str
                   and not path.is_relative_to(ROOT)):
-                named.update(node.value.split("."))
+                targets.add(node.value)
     uncalled = {qualified for qualified, name in defined
-                if not name.startswith("on_") and name not in named}
+                if not name.startswith("on_") and name not in named
+                and qualified not in targets}
     assert uncalled == set(UNCALLED), uncalled ^ set(UNCALLED)
+
+
+def _scoped_nodes():
+    """(file, enclosing class and function names, node) for every node of
+    the package."""
+    def walk(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                yield from walk(child, names + (child.name,))
+            else:
+                yield names, child
+                yield from walk(child, names)
+
+    for path in sorted(ROOT.rglob("*.py")):
+        for names, node in walk(ast.parse(path.read_text(), str(path)), ()):
+            yield str(path.relative_to(ROOT)), names, node
+
+
+def _is_registry(value) -> bool:
+    if isinstance(value, ast.Call):
+        value = value.func
+    return (isinstance(value, ast.Name) and value.id in {"registry", "StoreRegistry"}
+            or isinstance(value, ast.Attribute) and value.attr == "registry")
+
+
+def test_stores_are_isolated_by_construction():
+    # a component holds only the namespace its constructor creates, only
+    # the post-run audits read across namespaces, and the one registry is
+    # World.registry, so no component can reach another's records
+    creates, views, holders = [], [], []
+    for file, names, node in _scoped_nodes():
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "create":
+                creates.append(f"{file}:{'.'.join(names)}")
+            elif node.func.attr == "audit_view":
+                views.append(file)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_registry(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            # an attribute set in a method belongs to the method's class
+            holders += [f"{file}:{names[0]}.{t.attr}" for t in targets
+                        if isinstance(t, ast.Attribute)]
+    assert creates == ["authorities/base.py:Component.__init__"], creates
+    assert views and set(views) == {"harness.py"}, views
+    assert holders == ["harness.py:World.registry"], holders
 
 
 def test_vector_oracle_is_standalone():
