@@ -72,6 +72,9 @@ class Pca(MaQueryServer):
         def refuse(reason: str) -> None:
             self.bus.defer(None, (), lambda _: self._reject(env, rh, reason))
 
+        if cocoon.is_identity:
+            refuse("cocoon key is the identity")
+            return
         if response_key.is_identity:
             refuse("response key is the identity")
             return
@@ -119,7 +122,7 @@ class Pca(MaQueryServer):
 
         self.bus.defer(issue_pseudonym, (
             self.keypair.private.value, self.cert, requested, j, c.value,
-            ephemeral.value, resp_key,
+            ephemeral.value, response_key,
         ), commit)
 
     # --- plain issuance (identification / RSE application) ---
@@ -206,7 +209,7 @@ class Pca(MaQueryServer):
 
 def issue_pseudonym(pca_priv: int, pca_cert: Certificate,
                     requested: Certificate, j: int, c: int, ephemeral: int,
-                    response_key: bytes) -> tuple[bytes, bytes]:
+                    response_key: GroupElement) -> tuple[bytes, bytes]:
     """The crypto of one pseudonym issuance, a pure kernel: butterfly key
     ``cocoon + c*G`` (the cocoon stands as ``requested``'s subject key),
     the certificate signature, the seal of certificate and ``c`` to the
@@ -217,7 +220,7 @@ def issue_pseudonym(pca_priv: int, pca_cert: Certificate,
     cert = issue_certificate(replace(requested, subject_key=butterfly_pub), priv)
     cert_bytes = cert.encode()
     sealed = hybrid_seal(
-        GroupElement.decode(response_key),
+        response_key,
         encode({"cert": cert_bytes, "c": recon.c.to_bytes()}),
         Scalar(ephemeral),
     ).encode()

@@ -3,13 +3,16 @@
 Scalars are integers mod the group order; group elements are curve points
 with a representable identity. Point addition is affine Python, and so is
 ``scalar_mult``, which no run calls; every other curve operation runs in
-the OpenSSL backend, whose keys are all built here: ``backend_public``,
-cached per encoded point, serves the point decoder, ECDSA verification
-and ECDH peers; ``backend_private`` serves ``mul_g`` and ECDH. The pure
-reference is ``scripts/make_vectors.py``, which imports nothing from this
-package; the test suite cross-checks the decoder, ``mul_g`` and point
-addition against it. Any discrete-log group with ~256-bit order could be
-substituted behind these types.
+the OpenSSL backend, whose keys are all built here. The point decoder
+keeps only affine coordinates, memoized per encoding. ``backend_key``
+builds a key from a point's coordinates for one call (ECDH peers);
+``backend_public`` caches the keys of signature verification, the only
+keys that are used again, so the one-shot butterfly, response and
+ephemeral points never reach it; ``backend_private`` serves ``mul_g`` and
+ECDH. The pure reference is ``scripts/make_vectors.py``, which imports
+nothing from this package; the test suite cross-checks the decoder,
+``mul_g`` and point addition against it. Any discrete-log group with
+~256-bit order could be substituted behind these types.
 
 Normative encodings: Scalar = 32 bytes big-endian; GroupElement = 33 bytes
 SEC1 compressed, identity = 33 zero bytes. The decoder raises
@@ -33,6 +36,10 @@ ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 SCALAR_BYTES = 32
 POINT_BYTES = 33
+# Encodings whose affine coordinates the point decoder keeps. On perfbench
+# seed 1, v2x_traffic misses 1,454 times at 1024 entries, as at 4096, and
+# 1,601 times at 256; fleet_revocation misses 5,241, 5,114 and 5,391 times.
+POINT_MEMO_SIZE = 1024
 
 _CURVE = ec.SECP256R1()
 
@@ -106,8 +113,7 @@ class GroupElement:
         require_bytes(data)
         if data == _IDENTITY_BYTES:
             return IDENTITY
-        _, x, y = backend_public(data)
-        return cls(x, y)
+        return cls(*_affine(data))
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,15 +134,14 @@ class GroupElement:
 _IDENTITY_BYTES = b"\x00" * POINT_BYTES
 
 
-# Each entry holds an OpenSSL key, so peak RSS bounds the size: on
-# perfbench, 8192 entries cost 9 MB more peak RSS than 4096 on provision,
-# and 4096 miss under 1 % more often than 8192 on fleet_revocation.
-@lru_cache(maxsize=4096)
-def backend_public(encoded: bytes) -> tuple[ec.EllipticCurvePublicKey, int, int]:
-    """Backend key and affine x, y of a compressed non-identity point,
-    built once per encoding; raises ``ParseError`` on a wrong length, a bad
-    tag, x >= p or an off-curve point."""
-    # runs on a cache miss only; a hit passed it
+# Encodings decoded again (certificates, CA and enrollment keys) skip the
+# decompression on a hit. An entry is two ints, not an OpenSSL key, so the
+# one-shot points that also pass through cost little room.
+@lru_cache(maxsize=POINT_MEMO_SIZE)
+def _affine(encoded: bytes) -> tuple[int, int]:
+    """Affine x, y of a compressed non-identity point; raises
+    ``ParseError`` on a wrong length, a bad tag, x >= p or an off-curve
+    point."""
     if len(encoded) != POINT_BYTES:
         raise ParseError(f"point must be {POINT_BYTES} bytes, got {len(encoded)}", 0)
     if encoded[0] not in (2, 3):
@@ -146,7 +151,29 @@ def backend_public(encoded: bytes) -> tuple[ec.EllipticCurvePublicKey, int, int]
     except ValueError:
         raise ParseError("point is not on the curve", 1) from None
     nums = key.public_numbers()
-    return key, nums.x, nums.y
+    return nums.x, nums.y
+
+
+def backend_key(point: GroupElement) -> ec.EllipticCurvePublicKey:
+    """Backend key of ``point``, built from its coordinates and not kept;
+    raises ``ParseError`` if the point is the identity or (x, y) is not
+    on the curve."""
+    if point.is_identity:
+        raise ParseError("the identity has no backend key", 0)
+    try:
+        return ec.EllipticCurvePublicNumbers(point.x, point.y, _CURVE).public_key()
+    except ValueError:
+        raise ParseError("point is not on the curve", 0) from None
+
+
+# The one OpenSSL key cache; signature verification is its only reader.
+# An entry holds an OpenSSL key, so peak RSS bounds the size. After one
+# seed-1 perfbench run it holds 29 keys on provision, 425 on v2x_traffic
+# and 687 on fleet_revocation.
+@lru_cache(maxsize=4096)
+def backend_public(x: int, y: int) -> ec.EllipticCurvePublicKey:
+    """``backend_key`` of the point (x, y), kept for the next signature."""
+    return backend_key(GroupElement(x, y))
 
 
 def backend_private(k: int) -> ec.EllipticCurvePrivateKey:

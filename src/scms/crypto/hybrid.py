@@ -10,9 +10,11 @@ Also provides static channel keys for fixed component pairs (LA -> PCA
 application-layer encryption routed opaquely through the RA).
 
 Both derive their AES key in ``_shared_key``: ECDH in the OpenSSL backend,
-between a private key from ``group.backend_private`` and the peer key that
-``group.backend_public`` caches per encoded point, then SHA-256 over the
-secret and a label.
+between a private key from ``group.backend_private`` and a peer key that
+``group.backend_key`` builds from the peer point's coordinates for this one
+exchange (ephemeral and response keys are used once, so no key is kept),
+then SHA-256 over the secret and a label. A peer that is the identity or
+off the curve raises ``ParseError``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from ..encoding import Reader
 from ..errors import DecryptionError
-from .group import POINT_BYTES, GroupElement, Scalar, backend_private, backend_public
+from .group import POINT_BYTES, GroupElement, Scalar, backend_key, backend_private
 
 _ZERO_NONCE = b"\x00" * 12
 TAG_BYTES = 16
@@ -51,7 +53,7 @@ class HybridCiphertext:
 
 def _shared_key(own: ec.EllipticCurvePrivateKey, peer: GroupElement,
                 label: bytes) -> bytes:
-    secret = own.exchange(ec.ECDH(), backend_public(peer.encode())[0])
+    secret = own.exchange(ec.ECDH(), backend_key(peer))
     return hashlib.sha256(secret + label).digest()[:16]
 
 
@@ -64,8 +66,6 @@ def hybrid_seal(to: GroupElement, plaintext: bytes,
                 ephemeral_priv: Scalar) -> HybridCiphertext:
     """Seal to ``to`` with a given ephemeral scalar, so that the caller can
     draw it in one place and seal in another."""
-    if to.is_identity:
-        raise ValueError("cannot encrypt to the identity element")
     eph_key = backend_private(ephemeral_priv.value)
     nums = eph_key.public_key().public_numbers()
     ephemeral = GroupElement(nums.x, nums.y)

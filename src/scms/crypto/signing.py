@@ -3,14 +3,15 @@
 Signing is pure Python with a deterministic nonce derived from the private
 key and digest, so identical inputs always yield identical signature bytes
 (required for replayable scenarios and golden vectors). Verification runs
-in the OpenSSL backend on the public key that ``group.backend_public``
-caches per encoded point, which doubles as an independent check that
+in the OpenSSL backend, which doubles as an independent check that
 signing produces standard ECDSA. The pure reference for both is
 ``ecdsa_sign`` and ``ecdsa_verify`` in ``scripts/make_vectors.py``, which
 the tests compare against. ``backend_verify`` is the one signature memo of
-the package: a pure function of (encoded key, digest, signature), so
+the package: a pure function of (key coordinates, digest, signature), so
 message, certificate-chain, CRL and ballot signatures share it and it
-never goes stale.
+never goes stale. It is also the only reader of ``group.backend_public``,
+the OpenSSL key cache, which builds each key from the decoded coordinates
+and keeps it for the key's next signature.
 
 Signature encoding: 64 bytes, r then s, each 32 bytes big-endian.
 """
@@ -28,6 +29,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
     encode_dss_signature,
 )
 
+from ..errors import ParseError
 from .group import ORDER, GroupElement, Scalar, backend_public, mul_g
 
 SIGNATURE_BYTES = 64
@@ -75,18 +77,19 @@ def verify(pub: GroupElement, digest: bytes, signature: bytes) -> bool:
         return False
     if pub.is_identity or len(digest) != 32:
         return False
-    return backend_verify(pub.encode(), digest, signature)
+    return backend_verify(pub.x, pub.y, digest, signature)
 
 
 @lru_cache(maxsize=VERIFY_MEMO_SIZE)
-def backend_verify(point: bytes, digest: bytes, signature: bytes) -> bool:
-    """OpenSSL verdict on a signature that ``verify`` found well formed."""
+def backend_verify(x: int, y: int, digest: bytes, signature: bytes) -> bool:
+    """OpenSSL verdict on a signature that ``verify`` found well formed,
+    under the key at (x, y); False if that point is not on the curve."""
     r, s = _split(signature)
     try:
-        key = backend_public(point)[0]
+        key = backend_public(x, y)
         key.verify(encode_dss_signature(r, s), digest, _PREHASHED)
         return True
-    except (InvalidSignature, ValueError):
+    except (InvalidSignature, ValueError, ParseError):
         return False
 
 

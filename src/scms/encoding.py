@@ -3,8 +3,11 @@
 Encodes a restricted value model (None, bool, int, bytes, str, list, dict
 with string keys) such that equal values always produce identical bytes:
 integers use minimal-width two's complement and dict entries are sorted by
-their UTF-8 key bytes. Used for message payloads and for bus envelopes,
-whose encodings the trace hashes. Certificate and CRL wire formats have
+their UTF-8 key bytes. The decoder accepts only these canonical bytes (an
+int of another width, or a repeated or out-of-order key, is a
+``ParseError``), so ``encode(decode(b)) == b`` whenever ``decode(b)``
+succeeds. Used for message payloads and for bus envelopes, whose
+encodings the trace hashes. Certificate and CRL wire formats have
 their own fixed layouts in certmodel, read through ``Reader``. A decoded
 payload is read through ``fields``, which checks each field's presence
 and exact type, and a list of fixed-shape rows through ``rows``.
@@ -41,7 +44,7 @@ def _encode_into(value, out: bytearray) -> None:
     elif value is False:
         out.append(_FALSE)
     elif isinstance(value, int):
-        width = max(1, (value.bit_length() + 8) // 8)
+        width = (value.bit_length() + 8) // 8
         out.append(_INT)
         out.append(width)
         out += value.to_bytes(width, "big", signed=True)
@@ -159,7 +162,10 @@ def _decode_at(data: bytes, offset: int):
         end = _need(data, offset, 1)
         width = data[offset]
         end = _need(data, end, width)
-        return int.from_bytes(data[offset + 1 : end], "big", signed=True), end
+        value = int.from_bytes(data[offset + 1 : end], "big", signed=True)
+        if width != (value.bit_length() + 8) // 8:  # the width encode gives
+            raise ParseError(f"int width {width} is not minimal", offset)
+        return value, end
     if tag == _BYTES or tag == _STR:
         end = _need(data, offset, 4)
         length = int.from_bytes(data[offset:end], "big")
@@ -184,12 +190,17 @@ def _decode_at(data: bytes, offset: int):
         count = int.from_bytes(data[offset:end], "big")
         offset = end
         result = {}
+        previous = None
         for _ in range(count):
             end = _need(data, offset, 4)
             klen = int.from_bytes(data[offset:end], "big")
             end2 = _need(data, end, klen)
+            raw_key = data[end:end2]
+            if previous is not None and raw_key <= previous:
+                raise ParseError("dict key repeated or out of order", end)
+            previous = raw_key
             try:
-                key = data[end:end2].decode()
+                key = raw_key.decode()
             except UnicodeDecodeError:
                 raise ParseError("invalid UTF-8 key", end) from None
             value, offset = _decode_at(data, end2)

@@ -968,3 +968,18 @@ def test_pca_rejects_an_identity_response_key():
     assert deferred == [{"rh": single["rh"],
                          "reason": "response key is the identity"}]
     assert world.registry.audit_view("pca").count("issued") == 0
+
+
+def test_pca_rejects_an_identity_cocoon_key():
+    # the butterfly key would be c*G, a key the PCA chose; before, it issued
+    world = make_world(devices=2, seed=3)
+    world.devices[0].request_certs(0, 1, j_max=2)
+    world.bus.run()
+    single = {**world.ra._buffer[0], "cocoon": b"\x00" * 33}
+    world.bus.send(Envelope("ra", "pca", "cert.request", single))
+    world.bus.run()
+    assert world.bus.dead_letters == 0
+    deferred = world.registry.audit_view("ra").scan("deferred")
+    assert deferred == [{"rh": single["rh"],
+                         "reason": "cocoon key is the identity"}]
+    assert world.registry.audit_view("pca").count("issued") == 0

@@ -21,6 +21,7 @@ from scms.crypto import (
     HybridCiphertext,
     KeyPair,
     Scalar,
+    channel_key,
     hash_truncated,
     hybrid_decrypt,
     hybrid_encrypt,
@@ -31,7 +32,7 @@ from scms.crypto import (
     sign,
     verify,
 )
-from scms.crypto.group import CURVE_P
+from scms.crypto.group import CURVE_P, backend_public
 from scms.crypto.signing import backend_verify
 from scms.errors import DecryptionError, ParseError
 
@@ -342,6 +343,54 @@ def test_hybrid_encoding_roundtrip():
     ct = hybrid_encrypt(kp.public, b"wire format", rng)
     decoded = HybridCiphertext.decode(ct.encode())
     assert hybrid_decrypt(kp.private, decoded) == b"wire format"
+
+
+# --- which keys the OpenSSL key cache keeps ---
+
+def test_decode_seal_and_open_leave_the_key_cache_alone():
+    rng = DeterministicRandom(24)
+    kp = KeyPair.generate(rng)
+    before = backend_public.cache_info().currsize
+    fresh = [mul_g(rng.scalar()).encode() for _ in range(20)]
+    assert [GroupElement.decode(raw).encode() for raw in fresh] == fresh
+    ct = hybrid_encrypt(GroupElement.decode(kp.public.encode()), b"once", rng)
+    opened = HybridCiphertext.decode(ct.encode())
+    assert hybrid_decrypt(kp.private, opened) == b"once"
+    assert backend_public.cache_info().currsize == before
+
+
+def test_verify_caches_one_key_per_signer():
+    rng = DeterministicRandom(25)
+    signers = [KeyPair.generate(rng) for _ in range(3)]
+    digests = [hashlib.sha256(bytes([n])).digest() for n in range(2)]
+    backend_public.cache_clear()  # a full cache would not grow
+    for n, kp in enumerate(signers):
+        assert verify(kp.public, digests[0], sign(kp.private, digests[0]))
+        assert backend_public.cache_info().currsize == n + 1
+    # a second signature by the same key is a new memo entry, not a new key
+    for kp in signers:
+        assert verify(kp.public, digests[1], sign(kp.private, digests[1]))
+    assert backend_public.cache_info().currsize == len(signers)
+
+
+def test_ecdh_peer_must_be_a_curve_point():
+    rng = DeterministicRandom(26)
+    kp = KeyPair.generate(rng)
+    off_curve = GroupElement(kp.public.x, (kp.public.y + 1) % CURVE_P)
+    for peer in (IDENTITY, off_curve):
+        with pytest.raises(ParseError):
+            hybrid_encrypt(peer, b"x", rng)
+        with pytest.raises(ParseError):
+            channel_key(kp.private, peer, b"label")
+    with pytest.raises(DecryptionError):
+        hybrid_decrypt(kp.private, HybridCiphertext(IDENTITY, b"", b"\x00" * 16))
+    ct = hybrid_encrypt(kp.public, b"x", rng)
+    with pytest.raises(ParseError):
+        hybrid_decrypt(kp.private, HybridCiphertext(
+            GroupElement(ct.ephemeral.x, ct.ephemeral.y ^ 2), ct.payload, ct.tag))
+    # a verification key off the curve is a refusal, not an error
+    digest = hashlib.sha256(b"off").digest()
+    assert not verify(off_curve, digest, sign(kp.private, digest))
 
 
 # --- deterministic randomness ---
