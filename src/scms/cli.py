@@ -19,7 +19,16 @@ from pathlib import Path
 from . import vectors as vectors_mod
 from .certmodel import Crl, decode_composite
 from .errors import ParseError, ScmsError
-from .harness import ScenarioConfig, run_scenario
+from .harness import ScenarioConfig, World, run_scenario
+
+
+def _scenario(build) -> ScenarioConfig:
+    """``build()``, or exit status 2 if it refuses, as for a bad flag."""
+    try:
+        return build()
+    except (OSError, json.JSONDecodeError, RecursionError, ScmsError) as exc:
+        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _add_scale_args(parser, devices=5, periods=3, batch_size=10):
@@ -30,12 +39,10 @@ def _add_scale_args(parser, devices=5, periods=3, batch_size=10):
 
 
 def cmd_bootstrap(args) -> int:
-    config = ScenarioConfig(
+    config = _scenario(lambda: ScenarioConfig(
         name="bootstrap", seed=args.seed, devices=args.devices, periods=1,
         batch_size=1, bsms_per_device_per_period=0,
-    )
-    from .harness import World
-
+    ))
     world = World(config)
     device = world.devices[0]
     print(json.dumps({
@@ -49,25 +56,25 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_provision(args) -> int:
-    config = ScenarioConfig(
+    config = _scenario(lambda: ScenarioConfig(
         name="provision", seed=args.seed, devices=args.devices,
         periods=args.periods, batch_size=args.batch_size,
         bsms_per_device_per_period=0,
-    )
+    ))
     result = run_scenario(config)
     print(json.dumps(result.metrics, indent=2))
     return 0 if not result.violations else 1
 
 
 def cmd_revoke(args) -> int:
-    config = ScenarioConfig(
+    config = _scenario(lambda: ScenarioConfig(
         name="revoke", seed=args.seed, devices=max(4, args.devices),
         periods=args.periods, batch_size=args.batch_size,
         events=[{
             "period": min(1, args.periods - 1), "action": "misbehavior",
             "offender": 0, "reporters": [1, 2, 3],
         }],
-    )
+    ))
     result = run_scenario(config)
     print(json.dumps({
         "revocations": result.metrics["revocations"],
@@ -132,11 +139,8 @@ def cmd_ballot_demo(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = ScenarioConfig.from_json(Path(args.scenario).read_text())
-    except (OSError, json.JSONDecodeError, ScmsError) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
-        return 2
+    config = _scenario(
+        lambda: ScenarioConfig.from_json(Path(args.scenario).read_text()))
     if args.trace:
         config.keep_trace_events = True
     result = run_scenario(config)

@@ -64,6 +64,7 @@ from .rootmgmt import Ballot, TrustState, check_policy_artifact
 
 # a device changes its signing certificate every this many simulated minutes
 ROTATION_MINUTES = 5
+CRL_CAPACITY = 10_000  # revocation entries a device keeps, unless configured
 
 
 class DeviceCrlStore(CrlSet):
@@ -81,7 +82,7 @@ class DeviceCrlStore(CrlSet):
     and an evicted entry no longer revokes.
     """
 
-    def __init__(self, capacity: int = 10_000):
+    def __init__(self, capacity: int):
         super().__init__()
         self.capacity = capacity
         self._jurisdiction: dict[bytes, set[int]] = {}
@@ -140,7 +141,7 @@ class Device:
         bus: MessageBus,
         rng: DeterministicRandom,
         model: str = "obe-model-a",
-        crl_capacity: int = 10_000,
+        crl_capacity: int = CRL_CAPACITY,
     ):
         self.id = device_id
         self.bus = bus

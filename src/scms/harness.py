@@ -4,9 +4,12 @@ A scenario builds a complete SCMS instance (electors, root, intermediate
 and enrollment CAs, RA, PCA, two LAs, MA with CRL generator, LOP, policy
 generator, CRL store) plus a fleet of devices, then drives the lifecycle
 period by period: bootstrap, provisioning, batch pickup, CRL pulls, BSM
-traffic, scripted misbehavior, root-management and injected-envelope
-events. Runs are fully deterministic under a seed; the trace digest is the
-replay fingerprint.
+traffic and scripted events. Each event action is one row of ``EVENTS``,
+with its keys and the function that applies it, and each ballot kind one
+row of ``BALLOTS``. ``ScenarioConfig`` checks every event against its row
+where the config is built, so a run applies only events that fit. Runs are
+fully deterministic under a seed; the trace digest is the replay
+fingerprint.
 
 Post-run audits enforce the separation-of-duties content rules on every
 authority store, reconcile the MA's signed-query log against the
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -35,7 +39,8 @@ from .authorities import (
     Ra,
 )
 from .bus import (
-    MINUTES_PER_DAY, MINUTES_PER_PERIOD, Clock, Envelope, MessageBus, Trace,
+    _PROXIED, MINUTES_PER_DAY, MINUTES_PER_PERIOD, Clock, Envelope, MessageBus,
+    Trace, _is_end_entity,
 )
 from .certmodel import (
     ALG_DOMAIN_SEP,
@@ -47,7 +52,7 @@ from .certmodel import (
     issue_component_cert,
 )
 from .crypto import DeterministicRandom, KeyPair
-from .device import ROTATION_MINUTES, Device
+from .device import CRL_CAPACITY, ROTATION_MINUTES, Device
 from .encoding import decode, encode, fields
 from .errors import ParseError, ScmsError
 from .linkage import LA1_ID, LA2_ID, LinkageSeed, pre_linkage_values, seed_at
@@ -66,14 +71,8 @@ from .rootmgmt import (
 CRLG_SERIES = [1, 2, 3, 4, 256]
 ELECTORS = 3  # at the start of a run; each add-elector ballot adds one
 
-# the keys of each scenario action, besides period and action
-EVENT_FIELDS = {
-    "misbehavior": {"offender": int, "reporters": list[int]},
-    "ballot": {"kind": str, "voters": list[int]},
-    "topoff": {"device": int, "start": int, "n_periods": int},
-    "inject": {"src": str, "dst": str, "type": str},
-}
-BALLOT_KINDS = {"revoke-elector", "add-elector", "endorse-root", "revoke-root"}
+# the ids World registers besides its devices, obe0, obe1, ...
+COMPONENTS = ("lop", "crlstore", "eca", "pca", "la1", "la2", "ra", "ma", "pg")
 
 # role -> (issuer role, has an encryption key, root-managed CRL series);
 # the PKI draws each role's keys in this order, after the electors
@@ -101,65 +100,37 @@ class ScenarioConfig:
     detector_threshold: int = 3
     bsms_per_device_per_period: int = 2
     listeners_per_bsm: int = 2
-    crl_capacity: int = 10_000
+    crl_capacity: int = CRL_CAPACITY
     mitm_devices: list[int] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     keep_trace_events: bool = False
 
+    def __post_init__(self) -> None:
+        """Refuse with ``ScmsError`` a config that cannot run, however it is
+        built: its fields' types, its sizes, and each event where it applies."""
+        fields(vars(self), **get_type_hints(type(self)))
+        if self.periods < 1 or self.devices < 1:
+            raise ScmsError("a scenario needs at least one period and one device")
+        fleet = range(self.devices)
+        if any(i not in fleet for i in self.mitm_devices):
+            raise ScmsError("mitm_devices names a device outside the fleet")
+        known = {"period": range(self.periods), "action": EVENTS,
+                 "ballot kind": BALLOTS, "device": fleet, "elector": range(ELECTORS),
+                 "component": {*COMPONENTS, *(f"obe{n}" for n in fleet)}}
+        # in the order the events apply
+        for event in sorted(self.events, key=lambda e: fields(e, period=int)):
+            _check_row("scenario", event, EVENT, known)
+
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        """A scenario file, checked so that a malformed one is refused here
-        with ``ScmsError`` rather than failing the run: each event's keys
-        and types, and the devices and electors it names."""
+        """A scenario file, which the constructor checks."""
         data = json.loads(text)
         if type(data) is not dict:
             raise ScmsError("a scenario must be a JSON object")
-        kinds = get_type_hints(cls)
-        unknown = set(data) - set(kinds)
+        unknown = set(data) - set(get_type_hints(cls))
         if unknown:
             raise ScmsError(f"unknown scenario fields: {sorted(unknown)}")
-        fields(data, **{key: kinds[key] for key in data})
-        config = cls(**data)
-        if config.periods < 1:
-            raise ScmsError("a scenario needs at least one period")
-        if any(i not in range(config.devices) for i in config.mitm_devices):
-            raise ScmsError("mitm_devices names a device outside the fleet")
-        for event in config.events:
-            period, action = fields(event, period=int, action=str)
-            if period not in range(config.periods):
-                raise ScmsError(f"event period {period} is outside the run")
-            if action not in EVENT_FIELDS:
-                raise ScmsError(f"unknown scenario action {action!r}")
-            fields(event, **EVENT_FIELDS[action])
-            if action == "ballot" and event["kind"] not in BALLOT_KINDS:
-                raise ScmsError(f"unknown ballot kind {event['kind']!r}")
-        electors = ELECTORS
-        # in the order the events apply
-        for event in sorted(config.events, key=lambda e: e["period"]):
-            _check_indices(event, config.devices, electors)
-            if event["action"] == "ballot" and event["kind"] == "add-elector":
-                electors += 1
-        return config
-
-
-def _check_indices(event: dict, devices: int, electors: int) -> None:
-    """The devices and electors an event names exist when it applies."""
-    action = event["action"]
-    if action == "misbehavior":
-        named = [event["offender"], *event["reporters"]]
-    elif action == "topoff":
-        named = [event["device"]]
-    else:
-        named = []
-    if any(i not in range(devices) for i in named):
-        raise ScmsError(f"{action} event names a device outside the fleet")
-    if action != "ballot":
-        return
-    named = list(event["voters"])
-    if event["kind"] == "revoke-elector":
-        named += fields(event, index=int)
-    if any(i not in range(electors) for i in named):
-        raise ScmsError("ballot event names an elector not present")
+        return cls(**data)
 
 
 class World:
@@ -271,7 +242,6 @@ class World:
 
 @dataclass
 class ScenarioResult:
-    config: ScenarioConfig
     trace_digest: str
     metrics: dict
     violations: list[str]
@@ -282,9 +252,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     started = time.perf_counter()
     world = World(config)
     bus, clock = world.bus, world.clock
-    events_by_period: dict[int, list[dict]] = {}
-    for event in config.events:
-        events_by_period.setdefault(event["period"], []).append(event)
 
     world.ra.mitm_handles = {
         world.devices[i].handle_id for i in config.mitm_devices
@@ -298,8 +265,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             device.fetch_crl()
         bus.run()
 
-        for event in events_by_period.get(period, []):
-            _apply_event(world, event, report_periods)
+        for event in (e for e in config.events if e["period"] == period):
+            EVENTS[event["action"]].apply(world, event, report_periods)
             bus.run()
 
         _bsm_traffic(world, period)
@@ -316,7 +283,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     metrics = collect_metrics(world, report_periods)
     metrics["elapsed_seconds"] = round(time.perf_counter() - started, 3)
     return ScenarioResult(
-        config=config,
         trace_digest=world.trace.digest(),
         metrics=metrics,
         violations=violations,
@@ -361,46 +327,56 @@ def _bsm_traffic(world: World, period: int) -> None:
         world.bus.run()
 
 
-def _apply_event(world: World, event: dict, report_periods: dict) -> None:
-    action = event["action"]
-    if action == "misbehavior":
-        offender = world.devices[event["offender"]]
-        reporters = [world.devices[i] for i in event["reporters"]]
-        bsm = offender.broadcast_bsm(
-            [r.id for r in reporters], position=[-3, 0], speed=50
-        )
-        world.bus.run()
-        if bsm is None:
-            raise ScmsError("offender has no certificate to misbehave with")
-        reported_cert = SignedMessage.decode(bsm).cert_bytes
-        lv = Certificate.decode(reported_cert).linkage_value
-        report_periods.setdefault(lv, world.clock.period)
-        for reporter in reporters:
-            reporter.report_misbehavior(bsm)
-        world.bus.run()
-        world.ra.flush_reports()
-    elif action == "ballot":
-        _apply_ballot_event(world, event)
-    elif action == "topoff":
-        device = world.devices[event["device"]]
-        device.request_certs(
-            event["start"], event["n_periods"], j_max=world.config.batch_size
-        )
-        world.bus.run()
-        world.ra.flush()
-    elif action == "inject":
-        src, dst, mtype = fields(event, src=str, dst=str, type=str)
-        for name in (src, dst):
-            if not world.bus.is_registered(name):
-                raise ScmsError(f"inject event names no component {name!r}")
-        payload = _from_json(event.get("payload"))
-        try:
-            encode(payload)
-        except (TypeError, ValueError):
-            raise ScmsError("inject payload is not a wire value") from None
-        world.bus.send(Envelope(src, dst, mtype, payload))
-    else:
-        raise ScmsError(f"unknown scenario action {action!r}")
+# --- scenario events ---
+
+def _misbehavior(world: World, event: dict, report_periods: dict) -> None:
+    offender = world.devices[event["offender"]]
+    reporters = [world.devices[i] for i in event["reporters"]]
+    bsm = offender.broadcast_bsm([r.id for r in reporters], position=[-3, 0], speed=50)
+    world.bus.run()
+    if bsm is None:
+        raise ScmsError("offender has no certificate to misbehave with")
+    lv = Certificate.decode(SignedMessage.decode(bsm).cert_bytes).linkage_value
+    report_periods.setdefault(lv, world.clock.period)
+    for reporter in reporters:
+        reporter.report_misbehavior(bsm)
+    world.bus.run()
+    world.ra.flush_reports()
+
+
+def _ballot(world: World, event: dict, report_periods: dict) -> None:
+    voters = [world.electors[i] for i in event["voters"]]
+    kind, subject = BALLOTS[event["kind"]].apply(world, event)
+    payload = {"ballot": build_ballot(kind, subject, voters).encode()}
+    for dst in ["ra", *(device.id for device in world.devices)]:
+        world.bus.send(Envelope("pg", dst, "ballot.publish", payload))
+
+
+def _add_elector(world: World, event: dict) -> tuple:
+    new = make_elector(world.rng.child("new-elector"))
+    world.electors.append(new)
+    return ENDORSE_ELECTOR, new[1]
+
+
+def _topoff(world: World, event: dict, report_periods: dict) -> None:
+    world.devices[event["device"]].request_certs(
+        event["start"], event["n_periods"], j_max=world.config.batch_size)
+    world.bus.run()
+    world.ra.flush()
+
+
+def _inject(world: World, event: dict, report_periods: dict) -> None:
+    payload = _from_json(event.get("payload"))
+    world.bus.send(Envelope(event["src"], event["dst"], event["type"], payload))
+
+
+def _check_inject(event: dict, known: dict) -> None:
+    if event["dst"] in _PROXIED and _is_end_entity(event["src"]):
+        raise ScmsError("inject event: an end entity sends around the LOP")
+    try:
+        encode(_from_json(event.get("payload")))
+    except (TypeError, ValueError, RecursionError):
+        raise ScmsError("inject payload is not a wire value") from None
 
 
 def _from_json(value):
@@ -415,26 +391,49 @@ def _from_json(value):
     return value
 
 
-def _apply_ballot_event(world: World, event: dict) -> None:
-    kind = event["kind"]
-    voters = [world.electors[i] for i in event["voters"]]
-    if kind == "revoke-elector":
-        ballot = build_ballot(REVOKE_ELECTOR, world.electors[event["index"]][1],
-                              voters)
-    elif kind == "add-elector":
-        new = make_elector(world.rng.child("new-elector"))
-        world.electors.append(new)
-        ballot = build_ballot(ENDORSE_ELECTOR, new[1], voters)
-    elif kind == "endorse-root":
-        ballot = build_ballot(ENDORSE_ROOT, world.pki["root"].cert, voters)
-    elif kind == "revoke-root":
-        ballot = build_ballot(REVOKE_ROOT, world.pki["root"].cert, voters)
-    else:
-        raise ScmsError(f"unknown ballot kind {kind!r}")
-    payload = {"ballot": ballot.encode()}
-    world.bus.send(Envelope("pg", "ra", "ballot.publish", payload))
-    for device in world.devices:
-        world.bus.send(Envelope("pg", device.id, "ballot.publish", payload))
+# a kind of event: its keys' types, its applier, and any further check on load
+Row = namedtuple("Row", "keys apply check", defaults=[None])
+
+# what an event key names, in every action that has it
+NAMED = {"period": "period", "action": "action", "kind": "ballot kind",
+         "offender": "device", "reporters": "device", "device": "device",
+         "voters": "elector", "index": "elector",
+         "src": "component", "dst": "component"}
+
+
+def _check_row(label: str, event: dict, row: Row, known: dict) -> None:
+    """Refuse an event that does not fit ``row`` or names what ``known`` lacks."""
+    for key, value in zip(row.keys, fields(event, **row.keys)):
+        for one in value if type(value) is list else [value]:
+            if key in NAMED and one not in known[NAMED[key]]:
+                raise ScmsError(f"{label} event: no {NAMED[key]} {one!r}")
+    if row.check is not None:
+        row.check(event, known)
+
+
+# the keys of every event; the row of its action checks the rest
+EVENT = Row({"period": int, "action": str}, None, lambda event, known: _check_row(
+    event["action"], event, EVENTS[event["action"]], known))
+
+# each scenario action, applied by run_scenario through its row
+EVENTS = {
+    "misbehavior": Row({"offender": int, "reporters": list[int]}, _misbehavior),
+    "ballot": Row({"kind": str, "voters": list[int]}, _ballot, lambda event, known:
+                  _check_row(event["kind"], event, BALLOTS[event["kind"]], known)),
+    "topoff": Row({"device": int, "start": int, "n_periods": int}, _topoff),
+    "inject": Row({"src": str, "dst": str, "type": str}, _inject, _check_inject),
+}
+
+# each kind of ballot event: its row's function gives the ballot's kind and
+# subject; an add-elector ballot adds one elector once it applies
+BALLOTS = {
+    "revoke-elector": Row({"index": int}, lambda world, event: (
+        REVOKE_ELECTOR, world.electors[event["index"]][1])),
+    "add-elector": Row({}, _add_elector, lambda event, known: known.update(
+        elector=range(len(known["elector"]) + 1))),
+    "endorse-root": Row({}, lambda world, _: (ENDORSE_ROOT, world.pki["root"].cert)),
+    "revoke-root": Row({}, lambda world, _: (REVOKE_ROOT, world.pki["root"].cert)),
+}
 
 
 # --- metrics ---

@@ -29,7 +29,7 @@ from .certmodel import (
     verify_message,
 )
 from .crypto import KeyPair, sign, verify
-from .encoding import decode, encode
+from .encoding import decode, encode, fields
 from .errors import ParseError
 
 ENDORSE_ROOT = "endorse-root"
@@ -265,14 +265,12 @@ def check_policy_artifact(
     monotonicity; None if rejected."""
     try:
         signed = SignedMessage.decode(data)
+        if not verify_message(signed, pg_cert):
+            return None
+        kind, version, body = fields(decode(signed.payload),
+                                     name=str, version=int, body=dict)
     except ParseError:
         return None
-    if not verify_message(signed, pg_cert):
+    if kind != name or version <= last_version:
         return None
-    value = decode(signed.payload)
-    if value["name"] != name or value["version"] <= last_version:
-        return None
-    return PolicyArtifact(
-        name=name, version=value["version"], body=value["body"],
-        signed=signed,
-    )
+    return PolicyArtifact(name=name, version=version, body=body, signed=signed)

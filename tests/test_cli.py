@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from scms import harness
 from scms.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
+# a small run with one inject event, whose keys go after the %
+INJECT = ('{"devices": 2, "periods": 1, "batch_size": 1, "events": [{"period": 0,'
+          ' "action": "inject", "type": "bsm", %s}]}')
 
 
 def test_vectors_check_passes(capsys):
@@ -69,6 +73,8 @@ def test_run_scenario_and_trace(tmp_path, capsys):
 @pytest.mark.parametrize("text, reason", [
     pytest.param("{not json", "Expecting property name", id="not-json"),
     pytest.param("[1, 2]", "JSON object", id="not-an-object"),
+    pytest.param('{"name": ' + "[" * 100_000 + "]" * 100_000 + "}", "recursion",
+                 id="nested-too-deep"),
     pytest.param('{"devices": "ten"}', "'devices'", id="devices-str"),
     pytest.param('{"devices": true}', "'devices'", id="devices-bool"),
     pytest.param('{"devices": 2, "mitm_devices": [7]}', "mitm_devices",
@@ -77,13 +83,13 @@ def test_run_scenario_and_trace(tmp_path, capsys):
     pytest.param('{"events": ["x"]}', "'events'", id="event-str"),
     pytest.param('{"periods": 0}', "one period", id="no-periods"),
     pytest.param('{"periods": 2, "events": [{"period": 2, "action": "topoff"}]}',
-                 "outside the run", id="event-after-last-period"),
+                 "no period 2", id="event-after-last-period"),
     pytest.param('{"events": [{"action": "topoff"}]}', "'period'",
                  id="event-without-period"),
     pytest.param('{"events": [{"period": 0, "action": 1}]}', "'action'",
                  id="action-int"),
     pytest.param('{"devices": 2, "events": [{"period": 0, "action": "misbehavior",'
-                 ' "offender": 9, "reporters": [1]}]}', "outside the fleet",
+                 ' "offender": 9, "reporters": [1]}]}', "no device 9",
                  id="offender-outside-fleet"),
     pytest.param('{"devices": 2, "events": [{"period": 0, "action": "topoff",'
                  ' "start": 1, "n_periods": 1}]}', "'device'",
@@ -95,14 +101,40 @@ def test_run_scenario_and_trace(tmp_path, capsys):
                  ' "kind": "nope", "voters": [1]}]}', "ballot kind",
                  id="ballot-kind-unknown"),
     pytest.param('{"devices": 2, "events": [{"period": 0, "action": "dance"}]}',
-                 "unknown scenario action", id="action-unknown"),
+                 "no action 'dance'", id="action-unknown"),
+    pytest.param(INJECT % '"src": "pg", "dst": "nobody", "payload": {}',
+                 "no component 'nobody'", id="inject-dst-unknown"),
+    pytest.param(INJECT % '"src": "pg", "dst": "obe0", "payload": {"bsm": 1.5}',
+                 "not a wire value", id="inject-float"),
+    pytest.param(INJECT % '"src": "pg", "dst": "obe0",'
+                 ' "payload": {"bsm": {"$bytes": "zz"}}',
+                 "not a wire value", id="inject-bad-hex"),
+    pytest.param(INJECT % '"src": "obe0", "dst": "ra", "payload": {}',
+                 "around the LOP", id="inject-around-proxy"),
 ])
-def test_run_malformed_scenario(tmp_path, capsys, text, reason):
+def test_run_malformed_scenario(tmp_path, capsys, monkeypatch, text, reason):
     # refused on load with exit 2, before a world is built
+    monkeypatch.setattr(harness, "World", None)
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    rc = main(["run", str(bad)])
-    assert rc == 2
+    with pytest.raises(SystemExit) as refused:
+        main(["run", str(bad)])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot load scenario" in err and reason in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["provision", "--periods", "0"], "one period"),
+    (["revoke", "--periods", "0"], "one period"),
+    (["bootstrap", "--devices", "0"], "one device"),
+    (["provision", "--devices", "-1"], "one device"),
+])
+def test_demo_refuses_bad_scale(capsys, argv, reason):
+    # the demos build their scenario through the same checks as a file
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
     err = capsys.readouterr().err
     assert "cannot load scenario" in err and reason in err
 

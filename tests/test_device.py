@@ -208,6 +208,26 @@ def test_policy_file_in_the_other_slot_is_refused():
         assert device.policy_versions == versions
 
 
+@pytest.mark.parametrize("value", [
+    [1, 2],
+    {"name": "gpf", "version": "2", "body": {}},
+    {"name": "gpf", "version": 2},
+    {"name": "gpf", "version": 2, "body": [1]},
+], ids=["list", "version-str", "no-body", "body-list"])
+def test_signed_policy_file_of_another_shape_is_refused(value):
+    # signed by the policy generator, so only its shape can refuse it
+    world = make_world(devices=1)
+    device = world.devices[0]
+    policy, versions = dict(device.policy), dict(device.policy_versions)
+    pg = world.pki["pg"]
+    signed = sign_message(pg.keypair.private, pg.cert, encode(value))
+    world.bus.send(Envelope("crlstore", device.id, "policy.files",
+                            {"files": {"gpf": signed.encode()}}))
+    world.bus.run()
+    assert device.policy == policy
+    assert device.policy_versions == versions
+
+
 def test_unrequested_app_certificates_are_a_dead_letter():
     world = make_world(devices=1)
     device = world.devices[0]

@@ -12,6 +12,7 @@ from scms.crypto import DeterministicRandom, KeyPair
 from scms.encoding import decode
 from scms.errors import InvariantViolation, ParseError, ScmsError
 from scms.harness import (
+    COMPONENTS,
     ScenarioConfig,
     _namespace_leaves,
     _parses_as_cert_type,
@@ -85,6 +86,22 @@ def test_committed_scenarios_parse():
     for path in files:
         config = ScenarioConfig.from_json(path.read_text())
         assert config.name == path.stem
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_benchmark_configs_construct(monkeypatch, seed):
+    # a config the benchmark builds must pass the checks a file passes
+    monkeypatch.syspath_prepend(str(SCENARIO_DIR.parent / "perfbench"))
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        config = workloads.build(workload, seed)["config"]
+        assert ScenarioConfig(**config).name == workload
+
+
+def test_inject_components_are_what_a_world_registers():
+    world = make_world(devices=3)
+    assert set(world.bus._components) == {*COMPONENTS, "obe0", "obe1", "obe2"}
 
 
 def test_shuffle_dispersion_structural_unlinkability():

@@ -113,6 +113,21 @@ def test_one_revocation_entry_type():
     assert found == ["linkage.py:LinkageRevocation"], found
 
 
+def test_one_scenario_schema():
+    # each scenario action and ballot kind is a row of harness.EVENTS or
+    # harness.BALLOTS, so no code compares an event with one by name
+    from scms.harness import BALLOTS, EVENTS
+
+    rows = {*EVENTS, *BALLOTS}
+    found = [
+        where for where, node in _nodes()
+        if isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Constant) and side.value in rows
+            for side in [node.left, *node.comparators])
+    ]
+    assert found == []
+
+
 REPO = Path(__file__).resolve().parent.parent
 # public names no run or CLI path calls yet, each with the ROADMAP item
 # that gives it a caller or removes it
