@@ -19,6 +19,17 @@ shifts a nested part's error). CertId is the 8-byte truncated hash of the full
 encoding. CRLs carry linkage-seed entries grouped by LA-id pair plus flat
 CertId entries, are signed by the CRL generator, and are distributed per
 (CRACA, series) so a receiver checks exactly one sequence per certificate.
+
+Certificate decoding is canonical: every input that decodes is the
+encoding of the certificate it decodes to, so a decoded certificate keeps
+its to-be-signed bytes as they arrived. ``Certificate.decode`` answers
+from a bounded memo keyed by the encoding, so the copies of one broadcast
+share one frozen certificate; a ``ParseError`` is never kept. A
+certificate hashes itself once: it keeps the SHA-256 of its encoding,
+which gives its CertId and binds signed messages to it, and the digest of
+its to-be-signed bytes under its issuer's algorithm, which its chain link
+is checked with. These are pure functions of bytes, so nothing in them
+goes stale; CRL and root state are read on every chain walk.
 """
 
 from __future__ import annotations
@@ -27,10 +38,11 @@ import hashlib
 import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .crypto import POINT_BYTES, GroupElement, KeyPair, Scalar, sign, verify
-from .encoding import Reader, within
+from .encoding import Reader, require_bytes, within
 from .errors import ParseError
 from .linkage import LV_BYTES, LinkageRevocation, expand_revocation_entry
 
@@ -43,6 +55,12 @@ CERT_ID_BYTES = 8
 SIG_BYTES = 64
 NO_REGION = 0xFF  # region byte of a CRL entry without a region hint
 U32_MAX = 0xFFFF_FFFF  # largest validity period or PSID a certificate holds
+# Encodings whose certificates the decoder keeps. Every receiver in range
+# decodes the certificate inside each copy of a broadcast, and the copies
+# arrive back to back: on v2x_traffic seed 1, 10,940 decodes of 431
+# distinct certificates hit the memo 9,469 times at 16 or 64 entries,
+# 10,379 at 256 and 10,509 at 1024.
+CERT_MEMO_SIZE = 256
 
 # magic "SC" | version | ctype | alg | flags | subject_key | valid_from |
 # valid_to | psid | craca_id | crl_series | issuer_id
@@ -119,7 +137,9 @@ class Certificate:
     Binary layout (version 1): the 69-byte ``_CERT_HEADER``, then
     [enc_key (33)] [linkage_value (9)] [subject_info: len (2) + UTF-8],
     then signature (64).
-    flags: bit0 enc_key, bit1 linkage, bit2 subject_info, bit3 self-signed.
+    alg: ``ALG_DEFAULT`` or ``ALG_DOMAIN_SEP``.
+    flags: bit0 enc_key, bit1 linkage, bit2 subject_info, bit3 self-signed;
+    the higher bits are zero.
     """
 
     ctype: CertType
@@ -136,10 +156,14 @@ class Certificate:
     self_signed: bool = False
     alg: int = ALG_DEFAULT
     signature: bytes | None = None
-    # tbs_bytes() and cert_id(), filled on first use; replace() starts a
-    # copy with None, so a signed copy never inherits the unsigned bytes
+    # tbs_bytes(), digest(), cert_id() and the last tbs_digest() as
+    # (alg, digest), filled on first use; replace() starts a copy with
+    # None, so a signed copy never inherits the unsigned bytes
     _tbs: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _id: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _tbs_digest: tuple[int, bytes] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ctype == CertType.OBE_PSEUDONYM:
@@ -202,46 +226,75 @@ class Certificate:
 
     @classmethod
     def decode(cls, data: bytes) -> "Certificate":
-        r = Reader(data)
-        (magic, version, ctype, alg, flags, subject_key, valid_from, valid_to,
-         psid, craca_id, crl_series, issuer_id) = r.unpack(
-            _CERT_HEADER, "certificate header")
-        if magic != CERT_MAGIC:
-            raise ParseError("bad certificate magic", 0)
-        if version != 1:
-            raise ParseError(f"unsupported certificate version {version}", 2)
-        try:
-            ctype = CertType(ctype)
-        except ValueError:
-            raise ParseError(f"unknown certificate type {ctype}", 3) from None
-        subject_key = within(GroupElement.decode, subject_key, 6)  # after flags
-        enc_key = linkage_value = subject_info = None
-        if flags & 1:
-            enc_key = within(GroupElement.decode, r.take(POINT_BYTES, "encryption key"),
-                             _CERT_HEADER.size)
-        if flags & 2:
-            linkage_value = r.take(LV_BYTES, "linkage value")
-        if flags & 4:
-            subject_info = r.text(r.u16("subject info length"), "subject info")
-        signature = r.take(SIG_BYTES, "certificate signature")
-        r.done("certificate")
-        try:
-            return cls(
-                ctype, subject_key, valid_from, valid_to, psid, craca_id,
-                crl_series, issuer_id, enc_key, linkage_value, subject_info,
-                bool(flags & 8), alg, signature,
-            )
-        except ValueError as exc:  # feature-flag rules of __post_init__
-            raise ParseError(f"nonconforming certificate: {exc}", 0) from None
+        """The certificate ``data`` encodes, shared by every decode of the
+        same bytes while it stays in the memo; ``ParseError`` otherwise."""
+        require_bytes(data)
+        return _decode_certificate(data)
+
+    def tbs_digest(self, alg: int) -> bytes:
+        """Digest of the to-be-signed bytes under the issuer's ``alg``."""
+        cached = self._tbs_digest
+        if cached is None or cached[0] != alg:
+            cached = (alg, digest_for_alg(alg, self.tbs_bytes()))
+            object.__setattr__(self, "_tbs_digest", cached)
+        return cached[1]
+
+    def digest(self) -> bytes:
+        """SHA-256 of the full encoding."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hashlib.sha256(self.encode()).digest())
+        return self._hash
 
     def cert_id(self) -> bytes:
         if self._id is None:
-            object.__setattr__(
-                self, "_id", hashlib.sha256(self.encode()).digest()[:CERT_ID_BYTES])
+            object.__setattr__(self, "_id", self.digest()[:CERT_ID_BYTES])
         return self._id
 
     def valid_at(self, period: int) -> bool:
         return self.valid_from <= period <= self.valid_to
+
+
+@lru_cache(maxsize=CERT_MEMO_SIZE)
+def _decode_certificate(data: bytes) -> Certificate:
+    r = Reader(data)
+    (magic, version, ctype, alg, flags, subject_key, valid_from, valid_to,
+     psid, craca_id, crl_series, issuer_id) = r.unpack(
+        _CERT_HEADER, "certificate header")
+    if magic != CERT_MAGIC:
+        raise ParseError("bad certificate magic", 0)
+    if version != 1:
+        raise ParseError(f"unsupported certificate version {version}", 2)
+    try:
+        ctype = CertType(ctype)
+    except ValueError:
+        raise ParseError(f"unknown certificate type {ctype}", 3) from None
+    # an unknown algorithm or flag bit would not survive re-encoding
+    if alg not in (ALG_DEFAULT, ALG_DOMAIN_SEP):
+        raise ParseError(f"unknown signature algorithm tag {alg}", 4)
+    if flags > 0xF:
+        raise ParseError(f"unknown certificate flags {flags:#x}", 5)
+    subject_key = within(GroupElement.decode, subject_key, 6)  # after flags
+    enc_key = linkage_value = subject_info = None
+    if flags & 1:
+        enc_key = within(GroupElement.decode, r.take(POINT_BYTES, "encryption key"),
+                         _CERT_HEADER.size)
+    if flags & 2:
+        linkage_value = r.take(LV_BYTES, "linkage value")
+    if flags & 4:
+        subject_info = r.text(r.u16("subject info length"), "subject info")
+    signature = r.take(SIG_BYTES, "certificate signature")
+    r.done("certificate")
+    try:
+        cert = Certificate(
+            ctype, subject_key, valid_from, valid_to, psid, craca_id,
+            crl_series, issuer_id, enc_key, linkage_value, subject_info,
+            bool(flags & 8), alg, signature,
+        )
+    except ValueError as exc:  # feature-flag rules of __post_init__
+        raise ParseError(f"nonconforming certificate: {exc}", 0) from None
+    # canonical, so the bytes as received are the bytes tbs_bytes() builds
+    object.__setattr__(cert, "_tbs", data[:-SIG_BYTES])
+    return cert
 
 
 def issue_certificate(cert: Certificate, issuer_priv: Scalar, issuer_alg: int = ALG_DEFAULT) -> Certificate:
@@ -282,8 +335,7 @@ def issue_component_cert(
 def check_cert_signature(cert: Certificate, issuer: Certificate) -> bool:
     if cert.signature is None:
         return False
-    digest = digest_for_alg(issuer.alg, cert.tbs_bytes())
-    return verify(issuer.subject_key, digest, cert.signature)
+    return verify(issuer.subject_key, cert.tbs_digest(issuer.alg), cert.signature)
 
 
 # --- misbinding-resistant message signing ---
@@ -322,30 +374,27 @@ class SignedMessage:
         return cls(payload, cert_id, signature, cert_bytes)
 
 
-def message_digest(payload: bytes, cert_bytes: bytes, alg: int = ALG_DEFAULT) -> bytes:
-    bound = payload + hashlib.sha256(cert_bytes).digest()
-    return digest_for_alg(alg, bound)
+def message_digest(payload: bytes, cert: Certificate, alg: int = ALG_DEFAULT) -> bytes:
+    return digest_for_alg(alg, payload + cert.digest())
 
 
 def sign_message(
     priv: Scalar, cert: Certificate, payload: bytes, attach_cert: bool = True
 ) -> SignedMessage:
-    cert_bytes = cert.encode()
-    sig = sign(priv, message_digest(payload, cert_bytes, cert.alg))
+    sig = sign(priv, message_digest(payload, cert, cert.alg))
     return SignedMessage(
         payload=payload,
         cert_id=cert.cert_id(),
         signature=sig,
-        cert_bytes=cert_bytes if attach_cert else None,
+        cert_bytes=cert.encode() if attach_cert else None,
     )
 
 
 def verify_message(msg: SignedMessage, cert: Certificate) -> bool:
     """Check the signature against one specific certificate."""
-    cert_bytes = cert.encode()
-    if hashlib.sha256(cert_bytes).digest()[:CERT_ID_BYTES] != msg.cert_id:
+    if cert.cert_id() != msg.cert_id:
         return False
-    digest = message_digest(msg.payload, cert_bytes, cert.alg)
+    digest = message_digest(msg.payload, cert, cert.alg)
     return verify(cert.subject_key, digest, msg.signature)
 
 
@@ -456,7 +505,7 @@ class Crl:
 
 def sign_crl(crl: Crl, crlg_priv: Scalar, crlg_cert: Certificate) -> Crl:
     crl.crlg_cert_id = crlg_cert.cert_id()
-    digest = message_digest(crl.tbs_bytes(), crlg_cert.encode())
+    digest = message_digest(crl.tbs_bytes(), crlg_cert)
     crl.signature = sign(crlg_priv, digest)
     return crl
 
@@ -464,7 +513,7 @@ def sign_crl(crl: Crl, crlg_priv: Scalar, crlg_cert: Certificate) -> Crl:
 def check_crl_signature(crl: Crl, crlg_cert: Certificate) -> bool:
     if crl.signature is None or crl.crlg_cert_id != crlg_cert.cert_id():
         return False
-    digest = message_digest(crl.tbs_bytes(), crlg_cert.encode())
+    digest = message_digest(crl.tbs_bytes(), crlg_cert)
     return verify(crlg_cert.subject_key, digest, crl.signature)
 
 

@@ -67,14 +67,20 @@ def cmd_provision(args) -> int:
 
 
 def cmd_revoke(args) -> int:
-    config = _scenario(lambda: ScenarioConfig(
-        name="revoke", seed=args.seed, devices=max(4, args.devices),
-        periods=args.periods, batch_size=args.batch_size,
-        events=[{
-            "period": min(1, args.periods - 1), "action": "misbehavior",
-            "offender": 0, "reporters": [1, 2, 3],
-        }],
-    ))
+    def build() -> ScenarioConfig:
+        if args.devices < 4:
+            raise ScmsError("the revocation demo needs at least 4 devices, "
+                            "an offender and 3 reporters")
+        return ScenarioConfig(
+            name="revoke", seed=args.seed, devices=args.devices,
+            periods=args.periods, batch_size=args.batch_size,
+            events=[{
+                "period": min(1, args.periods - 1), "action": "misbehavior",
+                "offender": 0, "reporters": [1, 2, 3],
+            }],
+        )
+
+    config = _scenario(build)
     result = run_scenario(config)
     print(json.dumps({
         "revocations": result.metrics["revocations"],

@@ -40,6 +40,11 @@ POINT_BYTES = 33
 # seed 1, v2x_traffic misses 1,454 times at 1024 entries, as at 4096, and
 # 1,601 times at 256; fleet_revocation misses 5,241, 5,114 and 5,391 times.
 POINT_MEMO_SIZE = 1024
+# The one OpenSSL key cache; signature verification is its only reader.
+# An entry holds an OpenSSL key, so peak RSS bounds the size. After one
+# seed-1 perfbench run it holds 29 keys on provision, 425 on v2x_traffic
+# and 687 on fleet_revocation.
+KEY_MEMO_SIZE = 4096
 
 _CURVE = ec.SECP256R1()
 
@@ -166,11 +171,7 @@ def backend_key(point: GroupElement) -> ec.EllipticCurvePublicKey:
         raise ParseError("point is not on the curve", 0) from None
 
 
-# The one OpenSSL key cache; signature verification is its only reader.
-# An entry holds an OpenSSL key, so peak RSS bounds the size. After one
-# seed-1 perfbench run it holds 29 keys on provision, 425 on v2x_traffic
-# and 687 on fleet_revocation.
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=KEY_MEMO_SIZE)
 def backend_public(x: int, y: int) -> ec.EllipticCurvePublicKey:
     """``backend_key`` of the point (x, y), kept for the next signature."""
     return backend_key(GroupElement(x, y))

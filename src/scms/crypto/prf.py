@@ -15,9 +15,11 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 KEY_BYTES = 16
 BLOCK_BYTES = 16
+# AES keys whose cipher objects are kept for their next block
+CIPHER_MEMO_SIZE = 1024
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=CIPHER_MEMO_SIZE)
 def _cipher(key: bytes) -> Cipher:
     return Cipher(algorithms.AES(key), modes.ECB())
 

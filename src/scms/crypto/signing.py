@@ -9,7 +9,11 @@ signing produces standard ECDSA. The pure reference for both is
 the tests compare against. ``backend_verify`` is the one signature memo of
 the package: a pure function of (key coordinates, digest, signature), so
 message, certificate-chain, CRL and ballot signatures share it and it
-never goes stale. It is also the only reader of ``group.backend_public``,
+never goes stale. ``verify`` asks it after only the checks that keep an
+input from becoming a memo key (types, lengths, the identity), so a
+repeated signature costs one lookup; the split into (r, s) and its range
+check run on a miss, and a malformed signature is a cached False like any
+other verdict. It is also the only reader of ``group.backend_public``,
 the OpenSSL key cache, which builds each key from the decoded coordinates
 and keeps it for the key's next signature.
 
@@ -68,36 +72,26 @@ def sign(priv: Scalar, digest: bytes) -> bytes:
 
 def verify(pub: GroupElement, digest: bytes, signature: bytes) -> bool:
     """True iff the signature is valid; malformed input returns False.
-    The backend checks each distinct well-formed triple once while it
-    stays in the memo."""
+    The backend checks each distinct triple once while it stays in the
+    memo."""
     if type(digest) is not bytes or type(signature) is not bytes:
         return False
-    r, _ = _split(signature)
-    if r is None:
-        return False
-    if pub.is_identity or len(digest) != 32:
+    if pub.is_identity or len(digest) != 32 or len(signature) != SIGNATURE_BYTES:
         return False
     return backend_verify(pub.x, pub.y, digest, signature)
 
 
 @lru_cache(maxsize=VERIFY_MEMO_SIZE)
 def backend_verify(x: int, y: int, digest: bytes, signature: bytes) -> bool:
-    """OpenSSL verdict on a signature that ``verify`` found well formed,
-    under the key at (x, y); False if that point is not on the curve."""
-    r, s = _split(signature)
+    """OpenSSL verdict on a 64-byte signature under the key at (x, y);
+    False if r or s is out of range or the point is not on the curve."""
+    r = int.from_bytes(signature[:32], "big")
+    s = int.from_bytes(signature[32:], "big")
+    if not (1 <= r < ORDER and 1 <= s < ORDER):
+        return False
     try:
         key = backend_public(x, y)
         key.verify(encode_dss_signature(r, s), digest, _PREHASHED)
         return True
     except (InvalidSignature, ValueError, ParseError):
         return False
-
-
-def _split(signature: bytes):
-    if len(signature) != SIGNATURE_BYTES:
-        return None, None
-    r = int.from_bytes(signature[:32], "big")
-    s = int.from_bytes(signature[32:], "big")
-    if not (1 <= r < ORDER and 1 <= s < ORDER):
-        return None, None
-    return r, s

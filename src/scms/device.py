@@ -213,19 +213,23 @@ class Device:
     def _apply_policy_file(self, name: str, data: bytes) -> None:
         """Verify a signed policy ("gpf") or certificate chain ("gccf")
         file against the pinned policy generator and apply it if it is
-        that kind of file and newer than the held version."""
+        that kind of file and newer than the held version. A chain file
+        whose body does not decode raises ``ParseError`` before any state
+        changes."""
         artifact = check_policy_artifact(
             data, self.pg_cert, self.policy_versions.get(name, 0), name
         )
         if artifact is None:
             return
-        self.policy_versions[name] = artifact.version
         if name == "gpf":
+            self.policy_versions[name] = artifact.version
             self.policy = artifact.body
-        else:
-            for chain in artifact.body["chains"]:
-                for raw in chain:
-                    self.trust.add_cert(Certificate.decode(raw))
+            return
+        (chains,) = fields(artifact.body, chains=list[list])
+        certs = [Certificate.decode(raw) for chain in chains for raw in chain]
+        self.policy_versions[name] = artifact.version
+        for cert in certs:
+            self.trust.add_cert(cert)
 
     @property
     def bootstrapped(self) -> bool:

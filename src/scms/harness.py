@@ -111,6 +111,12 @@ class ScenarioConfig:
         fields(vars(self), **get_type_hints(type(self)))
         if self.periods < 1 or self.devices < 1:
             raise ScmsError("a scenario needs at least one period and one device")
+        negative = [name for name in ("batch_size", "detector_threshold",
+                                      "bsms_per_device_per_period",
+                                      "listeners_per_bsm", "crl_capacity")
+                    if getattr(self, name) < 0]
+        if negative:
+            raise ScmsError(f"{', '.join(negative)} must not be negative")
         fleet = range(self.devices)
         if any(i not in fleet for i in self.mitm_devices):
             raise ScmsError("mitm_devices names a device outside the fleet")

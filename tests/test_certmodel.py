@@ -5,11 +5,15 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scms.certmodel import (
+    CERT_MAGIC,
     SERIES_APPLICATION,
     SERIES_COMPONENT,
     SERIES_PSEUDONYM,
+    U32_MAX,
     CertIdRevocation,
     CertType,
     Certificate,
@@ -31,7 +35,7 @@ from scms.certmodel import (
     verify_chain,
     verify_message,
 )
-from scms.crypto import DeterministicRandom, KeyPair, sign
+from scms.crypto import G, DeterministicRandom, KeyPair, Scalar, mul_g, sign
 from scms.errors import ParseError
 from scms.linkage import LinkageSeed, linkage_value, pre_linkage_values, seed_at
 
@@ -185,6 +189,71 @@ def test_certificate_encoding_is_canonical(pki):
     assert cert.encode() == Certificate.decode(cert.encode()).encode()
     assert cert.cert_id() == Certificate.decode(cert.encode()).cert_id()
     assert len(cert.cert_id()) == 8
+
+
+_POINTS = [G.encode(), mul_g(Scalar(2)).encode(), b"\x00" * 33, b"\x04" + bytes(32)]
+# the optional parts (flag bits 0-2) that each certificate type may carry
+_PARTS = {0: (0,), 1: (2,), 2: (0, 4), 3: (0, 4), 4: (0, 1, 4, 5), 5: (0, 1, 4, 5),
+          6: (0, 1, 4, 5)}
+
+
+@st.composite
+def _certs(draw):
+    """Certificate-shaped bytes: a header of the right size around small
+    field values, mostly conforming, then the optional parts its flags
+    name, a signature and at times a trailing byte."""
+    ctype = draw(st.integers(0, 7))
+    alg = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 255)))
+    flags = draw(st.one_of(st.sampled_from(_PARTS.get(ctype, (0,))),
+                           st.integers(0, 255))) | draw(st.sampled_from([0, 8]))
+    out = CERT_MAGIC + bytes([1, ctype, alg, flags]) + draw(st.sampled_from(_POINTS))
+    for value in (draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                  draw(st.sampled_from([0, 32, U32_MAX]))):
+        out += value.to_bytes(4, "big")
+    out += draw(st.binary(min_size=18, max_size=18))  # craca, series, issuer
+    if flags & 1:
+        out += draw(st.sampled_from(_POINTS))
+    if flags & 2:
+        out += draw(st.binary(min_size=9, max_size=9))
+    if flags & 4:
+        info = draw(st.one_of(st.text(max_size=3).map(str.encode), st.binary(max_size=3)))
+        out += len(info).to_bytes(2, "big") + info
+    out += draw(st.binary(min_size=64, max_size=64))
+    return out + draw(st.one_of(st.just(b""), st.binary(max_size=1)))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_certs())
+def test_every_decodable_certificate_is_canonical(raw):
+    try:
+        cert = Certificate.decode(raw)
+    except ParseError:
+        return
+    # the bytes kept from the wire are the bytes a copy builds from its
+    # fields, so a certificate has one encoding, and one id
+    assert cert.tbs_bytes() == raw[:-64]
+    assert replace(cert).encode() == raw
+
+
+def test_same_bytes_decode_to_one_certificate(pki):
+    raw = pki.pca_cert.encode()
+    assert Certificate.decode(raw) is Certificate.decode(bytes(bytearray(raw)))
+
+
+@pytest.mark.parametrize("offset, value", [(0, 0), (4, 7), (5, 0x10), (6, 5)],
+                         ids=["magic", "unknown-alg", "unknown-flag", "point-tag"])
+def test_bad_certificate_raises_at_one_offset_and_is_not_kept(pki, offset, value):
+    from scms.certmodel import _decode_certificate
+
+    _decode_certificate.cache_clear()
+    Certificate.decode(pki.pca_cert.encode())
+    bad = bytearray(pki.pca_cert.encode())
+    bad[offset] = value
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            Certificate.decode(bytes(bad))
+        assert err.value.offset == offset
+    assert _decode_certificate.cache_info().currsize == 1
 
 
 def test_cached_certificate_bytes_leave_identity_alone(pki):
@@ -417,7 +486,7 @@ def test_crl_group_naming_one_la_twice_is_a_parse_error(pki):
     group = 31  # the CRL header's length; the group starts with la_id1
     assert tbs[group:group + 8] == LA1 + LA2
     forged = tbs[:group + 4] + LA1 + tbs[group + 8:]
-    digest = message_digest(forged, pki.crlg_cert.encode())
+    digest = message_digest(forged, pki.crlg_cert)
     with pytest.raises(ParseError) as info:
         Crl.decode(forged + sign(pki.crlg_key.private, digest))
     assert info.value.offset == group
@@ -548,4 +617,4 @@ def test_message_digest_binds_certificate(pki):
     lv2 = _lv_for(DeterministicRandom(82))
     c1 = _pseudonym(pki, key, lv1)
     c2 = _pseudonym(pki, key, lv2)
-    assert message_digest(b"m", c1.encode()) != message_digest(b"m", c2.encode())
+    assert message_digest(b"m", c1) != message_digest(b"m", c2)

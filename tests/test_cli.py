@@ -129,6 +129,8 @@ def test_run_malformed_scenario(tmp_path, capsys, monkeypatch, text, reason):
     (["revoke", "--periods", "0"], "one period"),
     (["bootstrap", "--devices", "0"], "one device"),
     (["provision", "--devices", "-1"], "one device"),
+    (["provision", "--batch-size", "-1"], "batch_size must not be negative"),
+    (["revoke", "--devices", "2"], "at least 4 devices"),
 ])
 def test_demo_refuses_bad_scale(capsys, argv, reason):
     # the demos build their scenario through the same checks as a file

@@ -1,6 +1,7 @@
 """Device-side tests: installation checks, rotation, BSM validation,
 reporting privacy, CRL storage caps and unlinkability of issued certs."""
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,11 +179,14 @@ def test_one_crl_check_path_in_bsm_validation(monkeypatch):
     walked = len(calls)
     assert walked >= 2  # the chain walk checks the leaf and its issuers
     misses = backend_verify.cache_info().misses
+    decoded = certmodel._decode_certificate.cache_info().misses
     assert listener.validate_bsm(honest_bsm) == (True, "ok")
-    # every walk reads the CRLs afresh; only signature verdicts are
-    # memoized, so the repeat reaches the backend for none of them
+    # every walk reads the CRLs afresh; only pure functions of bytes are
+    # memoized, so the repeat decodes no certificate and reaches the
+    # backend for no signature
     assert len(calls) == 2 * walked
     assert backend_verify.cache_info().misses == misses
+    assert certmodel._decode_certificate.cache_info().misses == decoded
 
     # a failed walk is "revoked" when the leaf itself is revoked, whatever
     # else is wrong with the chain, and "untrusted-chain" otherwise
@@ -192,6 +196,37 @@ def test_one_crl_check_path_in_bsm_validation(monkeypatch):
     listener.trust.revoke_root(world.pki["root"].cert.cert_id())
     assert listener.validate_bsm(offender.sign_bsm([0, 0], 30)) == (False, "revoked")
     assert listener.validate_bsm(honest_bsm) == (False, "untrusted-chain")
+
+
+def _with_inline_cert(bsm: bytes, offset: int, bits: int) -> bytes:
+    """``bsm`` with ``bits`` set in one byte of its inline certificate, and
+    the certificate id recomputed over the edited bytes."""
+    msg = SignedMessage.decode(bsm)
+    cert = bytearray(msg.cert_bytes)
+    cert[offset] |= bits
+    return replace(msg, cert_bytes=bytes(cert),
+                   cert_id=hashlib.sha256(cert).digest()[:8]).encode()
+
+
+@pytest.mark.parametrize("offset, bits", [(4, 7), (5, 0x10)],
+                         ids=["unknown-alg", "unknown-flag"])
+def test_inline_certificate_that_does_not_reencode_is_malformed(offset, bits):
+    world = make_world(devices=2, periods=2, batch_size=2)
+    provision_all(world)
+    sender, listener = world.devices
+    world.clock.set(1, 0)
+    bsm = sender.sign_bsm([0, 0], 30)
+    assert listener.validate_bsm(bsm) == (True, "ok")
+    forged = _with_inline_cert(bsm, offset, bits)
+    assert listener.validate_bsm(forged) == (False, "malformed-certificate")
+    # the same certificate bytes under the sender's own id and signature
+    msg = SignedMessage.decode(forged)
+    reused = replace(msg, cert_id=SignedMessage.decode(bsm).cert_id).encode()
+    assert listener.validate_bsm(reused) == (False, "malformed-certificate")
+    # and on the bus, the run goes on
+    world.bus.send(Envelope(sender.id, listener.id, "bsm", {"bsm": forged}))
+    world.bus.run()
+    assert world.bus.dead_letters == 0
 
 
 def test_policy_file_in_the_other_slot_is_refused():
@@ -226,6 +261,28 @@ def test_signed_policy_file_of_another_shape_is_refused(value):
     world.bus.run()
     assert device.policy == policy
     assert device.policy_versions == versions
+
+
+@pytest.mark.parametrize("body", [
+    {},
+    {"chains": [b"chain"]},
+    {"chains": [[b"SC junk"]]},
+], ids=["no-chains", "chain-bytes", "junk-cert"])
+def test_signed_chain_file_that_does_not_decode_changes_nothing(body):
+    # signed by the policy generator, so only its body can refuse it
+    world = make_world(devices=1)
+    device = world.devices[0]
+    versions = dict(device.policy_versions)
+    known = dict(device.trust.certs)
+    pg = world.pki["pg"]
+    signed = sign_message(pg.keypair.private, pg.cert,
+                          encode({"name": "gccf", "version": 5, "body": body}))
+    world.bus.send(Envelope("crlstore", device.id, "policy.files",
+                            {"files": {"gccf": signed.encode()}}))
+    world.bus.run()
+    assert world.bus.dead_letters == 1
+    assert device.policy_versions == versions
+    assert device.trust.certs == known
 
 
 def test_unrequested_app_certificates_are_a_dead_letter():

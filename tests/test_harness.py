@@ -157,6 +157,16 @@ def test_mitm_devices_all_detected():
     assert result.violations == []
 
 
+@pytest.mark.parametrize("name", [
+    "batch_size", "bsms_per_device_per_period", "listeners_per_bsm",
+    "detector_threshold", "crl_capacity",
+])
+def test_negative_size_is_refused(name):
+    with pytest.raises(ScmsError, match=f"{name} must not be negative"):
+        ScenarioConfig(**{name: -1})
+    assert getattr(ScenarioConfig(**{name: 0}), name) == 0
+
+
 def test_bad_event_action_raises():
     with pytest.raises(ScmsError):
         run_scenario(_small_config(events=[{"period": 0, "action": "warp"}]))

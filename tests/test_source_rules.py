@@ -86,18 +86,47 @@ def _decorator_name(node) -> str | None:
     return getattr(node, "id", None)
 
 
-def test_memos_live_in_crypto():
-    # a memo is a pure function of bytes in the crypto layer; no layer above
-    # keeps a verdict that later trust or CRL state could make stale
-    found = [
-        where for where, node in _nodes()
-        if isinstance(node, ast.FunctionDef)
-        and any(_decorator_name(d) in {"lru_cache", "cache"}
-                for d in node.decorator_list)
-    ]
-    assert found and all(w.startswith("crypto/") for w in found), found
-    # and signature verdicts have exactly one
-    assert sum(w.startswith("crypto/signing.py:") for w in found) == 1, found
+# Every memo in the package, by file and function. Each is a pure function
+# of bytes, so no entry can go stale: no layer keeps a verdict that later
+# trust or CRL state could change. The certificate decoder is the one memo
+# above the crypto layer.
+MEMOS = {
+    "certmodel.py:_decode_certificate",
+    "crypto/group.py:_affine",
+    "crypto/group.py:backend_public",
+    "crypto/prf.py:_cipher",
+    "crypto/signing.py:backend_verify",
+}
+
+
+def test_every_memo_is_listed_and_bounded():
+    bounds, constants = {}, set()  # memo -> its maxsize name, if a name
+    for path in sorted(ROOT.rglob("*.py")):
+        file = str(path.relative_to(ROOT))
+        tree = ast.parse(path.read_text(), str(path))
+        constants |= {
+            f"{file}:{target.id}" for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for d in node.decorator_list:
+                if _decorator_name(d) in {"lru_cache", "cache"}:
+                    size = ({k.arg: k.value for k in d.keywords}.get("maxsize")
+                            if isinstance(d, ast.Call) else None)
+                    bounds[f"{file}:{node.name}"] = (
+                        f"{file}:{size.id}" if isinstance(size, ast.Name) else None)
+    assert set(bounds) == MEMOS, set(bounds) ^ MEMOS
+    # signature verdicts have exactly one
+    assert sum(m.startswith("crypto/signing.py:") for m in bounds) == 1, bounds
+    # each bounded by an integer constant of its own module, *_MEMO_SIZE
+    unbounded = {memo: bound for memo, bound in bounds.items()
+                 if bound is None or not bound.endswith("_MEMO_SIZE")
+                 or bound not in constants}
+    assert unbounded == {}, unbounded
 
 
 def test_one_revocation_entry_type():
