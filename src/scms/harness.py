@@ -11,19 +11,19 @@ where the config is built, so a run applies only events that fit. Runs are
 fully deterministic under a seed; the trace digest is the replay
 fingerprint.
 
-Post-run audits enforce the separation-of-duties content rules on every
-authority store, reconcile the MA's signed-query log against the
-authorities' audit logs, and check request-hash traceability. Shuffle
-dispersion, the order in which the PCA sees requests, is checked by the
-tests, not by the audits.
+Post-run audits check every authority store against ``SEPARATION``, the
+content classes each holder may not hold, reconcile the MA's signed-query
+log against the authorities' audit logs, and check request-hash
+traceability. Shuffle dispersion, the order in which the PCA sees
+requests, is checked by the tests, not by the audits.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from collections import namedtuple
+from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -44,6 +44,8 @@ from .bus import (
 )
 from .certmodel import (
     ALG_DOMAIN_SEP,
+    CERT_MAGIC,
+    ENROLLMENT_TYPES,
     SERIES_COMPONENT,
     SERIES_ROOT_MANAGED,
     CertType,
@@ -55,7 +57,9 @@ from .crypto import DeterministicRandom, KeyPair
 from .device import CRL_CAPACITY, ROTATION_MINUTES, Device
 from .encoding import decode, encode, fields
 from .errors import ParseError, ScmsError
-from .linkage import LA1_ID, LA2_ID, LinkageSeed, pre_linkage_values, seed_at
+from .linkage import (
+    LA1_ID, LA2_ID, LV_BYTES, SEED_BYTES, LinkageSeed, pre_linkage_values, seed_at,
+)
 from .misbehavior import Crlg, Ma, ThresholdDetector
 from .persistence import StoreRegistry
 from .rootmgmt import (
@@ -122,7 +126,9 @@ class ScenarioConfig:
             raise ScmsError("mitm_devices names a device outside the fleet")
         known = {"period": range(self.periods), "action": EVENTS,
                  "ballot kind": BALLOTS, "device": fleet, "elector": range(ELECTORS),
-                 "component": {*COMPONENTS, *(f"obe{n}" for n in fleet)}}
+                 "component": {*COMPONENTS, *(f"obe{n}" for n in fleet)},
+                 # devices sent no certificate, or whose packages are all quarantined
+                 "certless": fleet if self.batch_size == 0 else self.mitm_devices}
         # in the order the events apply
         for event in sorted(self.events, key=lambda e: fields(e, period=int)):
             _check_row("scenario", event, EVENT, known)
@@ -350,6 +356,13 @@ def _misbehavior(world: World, event: dict, report_periods: dict) -> None:
     world.ra.flush_reports()
 
 
+def _check_misbehavior(event: dict, known: dict) -> None:
+    if event["offender"] in known["certless"]:
+        raise ScmsError("misbehavior event: offender has no certificate to misbehave with")
+    if any(i in known["certless"] for i in event["reporters"]):
+        raise ScmsError("misbehavior event: a reporter has no certificate to sign the report")
+
+
 def _ballot(world: World, event: dict, report_periods: dict) -> None:
     voters = [world.electors[i] for i in event["voters"]]
     kind, subject = BALLOTS[event["kind"]].apply(world, event)
@@ -423,7 +436,8 @@ EVENT = Row({"period": int, "action": str}, None, lambda event, known: _check_ro
 
 # each scenario action, applied by run_scenario through its row
 EVENTS = {
-    "misbehavior": Row({"offender": int, "reporters": list[int]}, _misbehavior),
+    "misbehavior": Row({"offender": int, "reporters": list[int]}, _misbehavior,
+                       _check_misbehavior),
     "ballot": Row({"kind": str, "voters": list[int]}, _ballot, lambda event, known:
                   _check_row(event["kind"], event, BALLOTS[event["kind"]], known)),
     "topoff": Row({"device": int, "start": int, "n_periods": int}, _topoff),
@@ -476,28 +490,22 @@ def collect_metrics(world: World, report_periods: dict) -> dict:
 
 # --- post-run audits (organizational separation and bookkeeping) ---
 
-def _walk_leaves(value):
-    """Yield every bytes/str leaf in a nested store record."""
-    if isinstance(value, dict):
-        for item in value.values():
-            yield from _walk_leaves(item)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _walk_leaves(item)
-    elif isinstance(value, (bytes, str)):
-        yield value
-
-
 def _namespace_leaves(namespace):
+    """(kind, leaf) for every bytes or str leaf of a namespace's records,
+    at any depth."""
     for kind in namespace.kinds():
-        for record in namespace.scan(kind):
-            for leaf in _walk_leaves(record):
-                yield kind, leaf
+        stack = list(namespace.scan(kind))
+        while stack:
+            value = stack.pop()
+            if isinstance(value, (bytes, str)):
+                yield kind, value
+            elif isinstance(value, dict):
+                stack += value.values()
+            elif isinstance(value, (list, tuple)):
+                stack += value
 
 
-def _parses_as_cert_type(leaf: bytes, ctypes: set[CertType]) -> bool:
-    from .certmodel import CERT_MAGIC
-
+def _parses_as_cert_type(leaf: bytes, ctypes: Container[CertType]) -> bool:
     # a certificate that decodes has ctype == leaf[3], so a leaf whose type
     # byte is outside ``ctypes`` gets the full decode's verdict without it
     if len(leaf) < 4 or leaf[:2] != CERT_MAGIC or leaf[3] not in ctypes:
@@ -509,38 +517,86 @@ def _parses_as_cert_type(leaf: bytes, ctypes: set[CertType]) -> bool:
     return cert.ctype in ctypes
 
 
-def _window_hits(leaf: bytes, needles: set[bytes], width: int) -> bool:
-    if len(leaf) < width or len(leaf) > 256:
-        return False
-    return any(
-        leaf[k : k + width] in needles for k in range(len(leaf) - width + 1)
-    )
+# A content class: its label in a violation, and its detector. An int width
+# finds a value of that many bytes anywhere in a leaf of at most 256 bytes
+# (larger ones are opaque ciphertext); CERT finds a certificate of a type
+# and STR a whole string. An LA's foreign classes are the other LA's values.
+Content = namedtuple("Content", "label width")
+CERT, STR = "certificate", "string"
+PSEUDONYM = Content("plaintext pseudonym certificate", CERT)
+ENROLLMENT = Content("enrollment certificate present", CERT)
+HANDLE = Content("device handle present", STR)
+PLV = Content("plaintext pre-linkage value", LV_BYTES)
+LV = Content("plaintext linkage value", LV_BYTES)
+FOREIGN_SEED = Content("foreign linkage seed", SEED_BYTES)
+FOREIGN_PLV = Content("foreign pre-linkage value", LV_BYTES)
+
+# the separation of duties: each holder and the content classes it may not
+# hold. The RA never sees a pseudonym certificate in the clear, the PCA and
+# the MA never learn which device they serve, and each LA holds only its half
+# of a linkage chain. When the MA may hold linkage seeds is its own check.
+SEPARATION = {
+    "ra": (PSEUDONYM, PLV, LV),
+    "pca": (ENROLLMENT, HANDLE),
+    **dict.fromkeys(["la1", "la2"], (FOREIGN_SEED, FOREIGN_PLV, HANDLE,
+                                     ENROLLMENT, PSEUDONYM, LV)),
+    "ma": (HANDLE, ENROLLMENT),
+}
+
+
+def _separation(world: World, la_plvs: dict, la_seeds: dict) -> list[str]:
+    """``<holder>:<kind>: <label>`` for each leaf of a holder's store that
+    holds a content class of its row in ``SEPARATION``. A holder's detector
+    maps each value of its classes to their labels, one dict per width, so a
+    leaf costs one pass per width however many classes share it."""
+    ra_ns, pca_ns = world.registry.audit_view("ra"), world.registry.audit_view("pca")
+    values = {
+        PSEUDONYM: {CertType.OBE_PSEUDONYM}, ENROLLMENT: ENROLLMENT_TYPES,
+        HANDLE: [r["handle"] for r in ra_ns.scan("enrollment")],
+        PLV: [*la_plvs["la1"], *la_plvs["la2"]],
+        LV: [r["lv"] for r in pca_ns.scan("issued")],
+    }
+    violations = []
+    for holder, row in SEPARATION.items():
+        other = {"la1": "la2", "la2": "la1"}.get(holder)
+        values.update({FOREIGN_SEED: la_seeds.get(other), FOREIGN_PLV: la_plvs.get(other)})
+        windows = {}
+        for content in row:
+            lookup, labels = windows.setdefault(content.width, {}), (content.label,)
+            for value in values[content]:
+                lookup[value] = lookup.get(value, ()) + labels
+        certs, strings = windows.pop(CERT, {}), windows.pop(STR, {})
+        for kind, leaf in _namespace_leaves(world.registry.audit_view(holder)):
+            if isinstance(leaf, str):
+                hits = strings.get(leaf, ())
+            else:
+                hits = certs[leaf[3]] if _parses_as_cert_type(leaf, certs) else ()
+                if len(leaf) <= 256:
+                    hits += tuple(label for width, lookup in windows.items()
+                                  for k in range(len(leaf) - width + 1)
+                                  if leaf[k:k + width] in lookup
+                                  for label in lookup[leaf[k:k + width]])
+            if hits:
+                violations += [f"{holder}:{kind}: {content.label}"
+                               for content in row if content.label in hits]
+    return violations
 
 
 def run_audits(world: World) -> list[str]:
-    violations: list[str] = []
     registry = world.registry
     config = world.config
 
     pca_ns = registry.audit_view("pca")
     ra_ns = registry.audit_view("ra")
-    la1_ns = registry.audit_view("la1")
-    la2_ns = registry.audit_view("la2")
     ma_ns = registry.audit_view("ma")
-
-    pseudo_certs = {r["cert"] for r in pca_ns.scan("issued")}
-    enrollment_certs = {
-        r["cert"] for r in ra_ns.scan("enrollment") if r["cert"] is not None
-    }
-    handles = {r["handle"] for r in ra_ns.scan("enrollment")}
 
     # plaintext pre-linkage values and seeds per LA, over the full horizon
     la_plvs: dict[str, set[bytes]] = {}
     la_seeds: dict[str, dict[bytes, tuple[str, int]]] = {}
-    for name, ns, la_id in (("la1", la1_ns, LA1_ID), ("la2", la2_ns, LA2_ID)):
-        plvs: set[bytes] = set()
-        seeds: dict[bytes, tuple[str, int]] = {}
-        for chain in ns.scan("chain"):
+    for name, la_id in (("la1", LA1_ID), ("la2", LA2_ID)):
+        plvs = la_plvs[name] = set()
+        seeds = la_seeds[name] = {}
+        for chain in registry.audit_view(name).scan("chain"):
             seed = LinkageSeed(chain["seed0"], chain["period0"])
             for period in range(chain["period0"],
                                 chain["period0"] + config.periods + 1):
@@ -548,68 +604,23 @@ def run_audits(world: World) -> list[str]:
                 seeds[evolved.value] = (chain["lci_digest"], period)
                 plvs.update(pre_linkage_values(la_id, evolved.value,
                                                config.batch_size))
-        la_plvs[name] = plvs
-        la_seeds[name] = seeds
 
-    # RA: no plaintext pseudonym certificates, no pre-linkage values
-    all_plvs = la_plvs["la1"] | la_plvs["la2"]
-    for kind, leaf in _namespace_leaves(ra_ns):
-        if isinstance(leaf, str):
-            continue
-        if leaf in pseudo_certs or _parses_as_cert_type(
-            leaf, {CertType.OBE_PSEUDONYM}
-        ):
-            violations.append(f"ra:{kind}: plaintext pseudonym certificate")
-        if leaf in all_plvs or _window_hits(leaf, all_plvs, 9):
-            violations.append(f"ra:{kind}: plaintext pre-linkage value")
-
-    # PCA: no enrollment certificates, no device identifiers
-    enrollment_types = {CertType.OBE_ENROLLMENT, CertType.RSE_ENROLLMENT}
-    for kind, leaf in _namespace_leaves(pca_ns):
-        if isinstance(leaf, str):
-            if leaf in handles:
-                violations.append(f"pca:{kind}: device handle present")
-            continue
-        if leaf in enrollment_certs or _parses_as_cert_type(
-            leaf, enrollment_types
-        ):
-            violations.append(f"pca:{kind}: enrollment certificate present")
-
-    # LA isolation: neither LA holds the other's seeds or pre-linkage values
-    for mine, theirs in (("la1", "la2"), ("la2", "la1")):
-        ns = registry.audit_view(mine)
-        other_seeds = set(la_seeds[theirs])
-        other_plvs = la_plvs[theirs]
-        for kind, leaf in _namespace_leaves(ns):
-            if isinstance(leaf, str):
-                continue
-            if leaf in other_seeds or _window_hits(leaf, other_seeds, 16):
-                violations.append(f"{mine}:{kind}: foreign linkage seed")
-            if leaf in other_plvs or _window_hits(leaf, other_plvs, 9):
-                violations.append(f"{mine}:{kind}: foreign pre-linkage value")
+    violations = _separation(world, la_plvs, la_seeds)
 
     # MA: linkage material only for investigated devices, current period on
-    investigated_chains: set[str] = set()
-    revocation_periods: dict[str, int] = {}
+    all_seeds = {**la_seeds["la1"], **la_seeds["la2"]}
+    revocation_periods: dict[str, int] = {}  # investigated chain -> period
     for record in ma_ns.scan("revocation"):
-        for name in ("la1", "la2"):
-            hit = la_seeds[name].get(record["ls1"]) or la_seeds[name].get(
-                record["ls2"]
-            )
-            if hit is not None:
-                investigated_chains.add(hit[0])
-                revocation_periods[hit[0]] = record["period"]
-    all_seed_maps = {**la_seeds["la1"], **la_seeds["la2"]}
+        for seed in (record["ls1"], record["ls2"]):
+            if seed in all_seeds:
+                revocation_periods[all_seeds[seed][0]] = record["period"]
     for kind, leaf in _namespace_leaves(ma_ns):
-        if isinstance(leaf, str) or len(leaf) != 16:
+        if leaf not in all_seeds:
             continue
-        hit = all_seed_maps.get(leaf)
-        if hit is None:
-            continue
-        chain, period = hit
-        if chain not in investigated_chains:
+        chain, period = all_seeds[leaf]
+        if chain not in revocation_periods:
             violations.append(f"ma:{kind}: seed for uninvestigated device")
-        elif period < revocation_periods.get(chain, 0):
+        elif period < revocation_periods[chain]:
             violations.append(f"ma:{kind}: pre-revocation seed (backward privacy)")
 
     # every issued certificate traces to exactly one enrollment record
@@ -649,15 +660,4 @@ def run_audits(world: World) -> list[str]:
                         f"distribution: {device.id} missing CRL series "
                         f"{crl.series}"
                     )
-
-    # quarantined packages must never yield usable certificates
-    for device in world.devices:
-        quarantined = {q["digest"] for q in device.quarantined}
-        if quarantined and world.ra.mitm_injected:
-            for per_period in device.certs.values():
-                for entry in per_period:
-                    if hashlib.sha256(entry["cert_bytes"]).digest() in quarantined:
-                        violations.append(
-                            f"{device.id}: quarantined certificate in use"
-                        )
     return violations

@@ -4,8 +4,8 @@ Every component keeps its records in the one namespace that its
 constructor creates under its component id, and holds no other: that
 structural isolation is the enforcement point for organizational
 separation. Only the post-run audits read across namespaces, through
-``StoreRegistry.audit_view``, and assert exactly which content classes
-each namespace holds.
+``StoreRegistry.audit_view``, and check each namespace against the content
+classes that ``harness.SEPARATION`` says its holder may not hold.
 
 Records are plain dicts restricted to the canonical value model of
 ``encoding``.

@@ -94,6 +94,9 @@ def test_run_scenario_and_trace(tmp_path, capsys):
     pytest.param('{"devices": 2, "events": [{"period": 0, "action": "topoff",'
                  ' "start": 1, "n_periods": 1}]}', "'device'",
                  id="topoff-without-device"),
+    pytest.param('{"devices": 2, "mitm_devices": [0], "events": [{"period": 0,'
+                 ' "action": "misbehavior", "offender": 0, "reporters": [1]}]}',
+                 "offender has no certificate", id="offender-certless"),
     pytest.param('{"devices": 2, "events": [{"period": 0, "action": "ballot",'
                  ' "kind": "endorse-root", "voters": [7]}]}', "elector",
                  id="voter-not-present"),

@@ -537,5 +537,8 @@ def test_quarantined_certs_never_sign():
     world.ra.mitm_handles.add(target.handle_id)
     provision_all(world)
     assert target.mitm_detected == 8
+    # a quarantined package installs no certificate at all
+    assert target.certs == {}
+    assert len(target.quarantined) == 8
     world.clock.set(0, 0)
     assert target.sign_bsm([0, 0], 10) is None  # nothing usable installed

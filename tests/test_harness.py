@@ -6,19 +6,37 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scms.certmodel import ENROLLMENT_TYPES, Certificate, CertType, issue_certificate
 from scms.crypto import DeterministicRandom, KeyPair
 from scms.encoding import decode
 from scms.errors import InvariantViolation, ParseError, ScmsError
 from scms.harness import (
+    BALLOTS,
+    CERT,
     COMPONENTS,
+    ELECTORS,
+    ENROLLMENT,
+    EVENT,
+    EVENTS,
+    FOREIGN_PLV,
+    FOREIGN_SEED,
+    HANDLE,
+    LV,
+    NAMED,
+    PLV,
+    PSEUDONYM,
+    SEPARATION,
+    STR,
     ScenarioConfig,
     _namespace_leaves,
     _parses_as_cert_type,
     run_audits,
     run_scenario,
 )
+from scms.linkage import LA1_ID, LA2_ID, pre_linkage_values
 from scms.persistence import StoreRegistry
 from tests.conftest import (
     make_world,
@@ -167,6 +185,56 @@ def test_negative_size_is_refused(name):
     assert getattr(ScenarioConfig(**{name: 0}), name) == 0
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(mitm_devices=[0]), dict(mitm_devices=[1]), dict(batch_size=0),
+], ids=["offender-mitm", "reporter-mitm", "batch-0"])
+def test_misbehavior_without_a_certificate_is_refused(overrides):
+    # a MITM device's packages are all quarantined, and batch size 0 issues
+    # none, so the event could only abort the run midway
+    event = {"period": 1, "action": "misbehavior", "offender": 0, "reporters": [1, 2]}
+    with pytest.raises(ScmsError, match="no certificate"):
+        _small_config(events=[event], **overrides)
+
+
+@st.composite
+def _scenario_fields(draw):
+    """ScenarioConfig fields with events of every action but inject, drawn
+    from the rows of EVENT, EVENTS and BALLOTS: a key that NAMED names takes
+    a value of that domain, and one that names a row draws its keys too."""
+    devices, periods = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    domains = {"period": range(periods), "device": range(devices),
+               "elector": range(ELECTORS + 1),
+               "action": sorted(set(EVENTS) - {"inject"}), "ballot kind": sorted(BALLOTS)}
+    rows = {"action": EVENTS, "ballot kind": BALLOTS}
+
+    def draw_keys(row, event):
+        for key, kind in row.keys.items():
+            one = (st.sampled_from(domains[NAMED[key]]) if key in NAMED
+                   else st.integers(0, periods))
+            event[key] = draw(st.lists(one, max_size=3) if kind == list[int] else one)
+            if NAMED.get(key) in rows:
+                draw_keys(rows[NAMED[key]][event[key]], event)
+        return event
+
+    return dict(
+        devices=devices, periods=periods, batch_size=draw(st.integers(0, 2)),
+        mitm_devices=draw(st.lists(st.sampled_from(range(devices)), max_size=1)),
+        events=[draw_keys(EVENT, {}) for _ in range(draw(st.integers(1, 3)))],
+    )
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_scenario_fields())
+def test_a_scenario_that_constructs_runs_to_its_end(fields):
+    try:
+        config = ScenarioConfig(**fields)
+    except ScmsError:
+        return
+    result = run_scenario(config)
+    assert result.violations == []
+    assert result.metrics["dead_letters"] == 0
+
+
 def test_bad_event_action_raises():
     with pytest.raises(ScmsError):
         run_scenario(_small_config(events=[{"period": 0, "action": "warp"}]))
@@ -214,19 +282,39 @@ def _unissued_cert(ctype: CertType, **extra) -> bytes:
     return issue_certificate(cert, key.private).encode()
 
 
-@pytest.mark.parametrize("owner, ctype, extra, violation", [
-    ("pca", CertType.OBE_ENROLLMENT, {},
-     "pca:planted: enrollment certificate present"),
-    ("ra", CertType.OBE_PSEUDONYM, {"linkage_value": b"\x03" * 9},
-     "ra:planted: plaintext pseudonym certificate"),
+def _plant(world, holder: str, content) -> bytes | str:
+    """A value of ``content`` for ``holder`` to hold. A certificate is one
+    no component issued, so the type probe is what finds it; a handle is a
+    real one; any other value is a real one inside a longer blob, so the
+    sliding window is what finds it. An LA's foreign values are the other
+    LA's, and the RA's pre-linkage value is LA1's."""
+    other = {"la1": "la2"}.get(holder, "la1")
+    chain = world.registry.audit_view(other).first("chain")
+    la_id = {"la1": LA1_ID, "la2": LA2_ID}[other]
+    plv = pre_linkage_values(la_id, chain["seed0"], 1)[0]
+    value = {
+        PSEUDONYM: _unissued_cert(CertType.OBE_PSEUDONYM, linkage_value=b"\x03" * 9),
+        ENROLLMENT: _unissued_cert(CertType.OBE_ENROLLMENT),
+        HANDLE: world.devices[0].handle_id,
+        PLV: plv,
+        FOREIGN_PLV: plv,
+        FOREIGN_SEED: chain["seed0"],
+        LV: world.registry.audit_view("pca").first("issued")["lv"],
+    }[content]
+    return value if content.width in (CERT, STR) else b"\xee" * 5 + value + b"\xee" * 5
+
+
+@pytest.mark.parametrize("holder, content", [
+    pytest.param(holder, content, id=f"{holder}-{content.label}")
+    for holder, row in SEPARATION.items() for content in row
 ])
-def test_audit_flags_planted_certificate(owner, ctype, extra, violation):
+def test_audit_flags_planted_value(holder, content):
     world = make_world(devices=2, periods=1, batch_size=2)
     provision_all(world)
     assert run_audits(world) == []
-    world.registry.audit_view(owner).put(
-        "planted", {"blob": _unissued_cert(ctype, **extra)})
-    assert run_audits(world) == [violation]
+    world.registry.audit_view(holder).put(
+        "planted", {"blob": _plant(world, holder, content)})
+    assert run_audits(world) == [f"{holder}:planted: {content.label}"]
 
 
 def test_cert_type_probe_matches_full_decode():

@@ -157,6 +157,25 @@ def test_one_scenario_schema():
     assert found == []
 
 
+def test_one_place_declares_each_separation_class():
+    # each content class's label is in one string constant of the package,
+    # its declaration in harness.py, so no check can report a class beside
+    # the SEPARATION table (docstrings emit nothing and are not counted)
+    from scms.harness import SEPARATION
+
+    labels = {content.label for row in SEPARATION.values() for content in row}
+    nodes = list(_nodes())
+    docstrings = {id(node.value) for _, node in nodes if isinstance(node, ast.Expr)}
+    found = sorted(
+        (label, where) for where, node in nodes
+        if isinstance(node, ast.Constant) and type(node.value) is str
+        and id(node) not in docstrings
+        for label in labels if label in node.value
+    )
+    assert [label for label, _ in found] == sorted(labels), found
+    assert all(where.startswith("harness.py:") for _, where in found), found
+
+
 REPO = Path(__file__).resolve().parent.parent
 # public names no run or CLI path calls yet, each with the ROADMAP item
 # that gives it a caller or removes it
