@@ -13,8 +13,8 @@ payload through ``encoding.fields`` before it writes or sends anything,
 so a malformed envelope is refused whole.
 
 ``ma_query`` is the one server side of the misbehavior authority's
-signed-query protocol: signature check, quota, audit log and reply, for
-every PCA, RA and LA query handler.
+signed-query protocol: signature check, quota, the query's declared
+fields, audit log and reply, for every PCA, RA and LA query handler.
 """
 
 from __future__ import annotations
@@ -105,32 +105,38 @@ class MaQueryServer(Authority):
         self._ma_queries: dict[int, int] = {}
 
 
-def ma_query(answer):
-    """Serve one signed MA query type with ``answer(self, request)``, whose
-    returned body goes back as ``<op>.resp``. A query with a bad signature
-    or over the quota is logged as ``<op>.refused`` and gets ``ma.refused``;
-    both replies echo the digest of the signed payload."""
+def ma_query(**kinds):
+    """Serve one signed MA query type with ``answer(self, *values)``, the
+    query's fields ``kinds`` as ``encoding.fields`` reads them; the body it
+    returns goes back as ``<op>.resp``. A query with a bad signature or over
+    the quota is logged as ``<op>.refused`` and gets ``ma.refused``; both
+    replies echo the digest of the signed payload. A signed query of the
+    wrong shape is a dead letter, neither counted nor logged."""
 
-    @functools.wraps(answer)
-    def serve(self, env) -> None:
-        (q,) = fields(env.payload, q=bytes)
-        msg = SignedMessage.decode(q)
-        digest = hashlib.sha256(msg.payload).hexdigest()
-        period = self.clock.period
-        served = self._ma_queries.get(period, 0)
-        if not verify_message(msg, self.ma_cert):
-            logged, reason = b"bad-signature", "bad signature"
-        elif served >= self.ma_query_limit:
-            logged, reason = b"over-quota", "rate limited"
-        else:
-            self._ma_queries = {period: served + 1}
-            self.audit_log(env.src, env.mtype, digest)
-            reply = answer(self, decode(msg.payload))
-            self.send(env.src, env.mtype + ".resp", {**reply, "echo": digest})
-            return
-        self.audit_log(env.src, env.mtype + ".refused", logged)
-        self.send(env.src, "ma.refused", {
-            "op": env.mtype, "reason": reason, "echo": digest,
-        })
+    def wrap(answer):
+        @functools.wraps(answer)
+        def serve(self, env) -> None:
+            (q,) = fields(env.payload, q=bytes)
+            msg = SignedMessage.decode(q)
+            digest = hashlib.sha256(msg.payload).hexdigest()
+            period = self.clock.period
+            served = self._ma_queries.get(period, 0)
+            if not verify_message(msg, self.ma_cert):
+                logged, reason = b"bad-signature", "bad signature"
+            elif served >= self.ma_query_limit:
+                logged, reason = b"over-quota", "rate limited"
+            else:
+                values = fields(decode(msg.payload), **kinds)
+                self._ma_queries = {period: served + 1}
+                self.audit_log(env.src, env.mtype, digest)
+                reply = answer(self, *values)
+                self.send(env.src, env.mtype + ".resp", {**reply, "echo": digest})
+                return
+            self.audit_log(env.src, env.mtype + ".refused", logged)
+            self.send(env.src, "ma.refused", {
+                "op": env.mtype, "reason": reason, "echo": digest,
+            })
 
-    return serve
+        return serve
+
+    return wrap

@@ -98,13 +98,13 @@ class LinkageAuthority(MaQueryServer):
 
     # --- misbehavior-authority queries ---
 
-    @ma_query
-    def on_ma_samedev(self, request) -> dict:
+    @ma_query(ct_a=bytes, ct_b=bytes)
+    def on_ma_samedev(self, ct_a, ct_b) -> dict:
         rec_a = self.store.first(
-            "plv_index", ct_digest=hashlib.sha256(request["ct_a"]).hexdigest()
+            "plv_index", ct_digest=hashlib.sha256(ct_a).hexdigest()
         )
         rec_b = self.store.first(
-            "plv_index", ct_digest=hashlib.sha256(request["ct_b"]).hexdigest()
+            "plv_index", ct_digest=hashlib.sha256(ct_b).hexdigest()
         )
         same = (
             rec_a is not None
@@ -113,11 +113,11 @@ class LinkageAuthority(MaQueryServer):
         )
         return {"same": same}
 
-    @ma_query
-    def on_ma_lci2seed(self, request) -> dict:
-        lci = request["lci"]
+    @ma_query(lci=bytes, period=int)
+    def on_ma_lci2seed(self, lci, period) -> dict:
         record = self._chain_record(hashlib.sha256(lci).hexdigest())
-        if record is None:
+        # the chain runs forward only: no seed before its first period
+        if record is None or period < record["period0"]:
             return {"found": False}
         # self-decryption sanity: the LCI must open to the stored seed
         opened = decode(
@@ -128,5 +128,5 @@ class LinkageAuthority(MaQueryServer):
         if opened["seed"] != record["seed0"]:
             raise InvariantViolation("linkage chain identifier does not "
                                      "open to the stored seed")
-        seed = self._seed_for(record, request["period"])
+        seed = self._seed_for(record, period)
         return {"found": True, "ls": seed.value, "la_id": self.la_id}

@@ -170,9 +170,9 @@ class Pca(MaQueryServer):
 
     # --- misbehavior-authority queries ---
 
-    @ma_query
-    def on_ma_lv2plv(self, request) -> dict:
-        record = self.store.first("issued", lv=request["lv"])
+    @ma_query(lv=bytes)
+    def on_ma_lv2plv(self, lv) -> dict:
+        record = self.store.first("issued", lv=lv)
         if record is None:
             return {"found": False}
         return {
@@ -183,24 +183,24 @@ class Pca(MaQueryServer):
             "j": record["j"],
         }
 
-    @ma_query
-    def on_ma_lv2rh(self, request) -> dict:
-        record = self.store.first("issued", lv=request["lv"])
+    @ma_query(lv=bytes)
+    def on_ma_lv2rh(self, lv) -> dict:
+        record = self.store.first("issued", lv=lv)
         if record is None:
             return {"found": False}
         return {"found": True, "rh": record["rh"], "ra_host": record["ra_host"]}
 
-    @ma_query
-    def on_ma_cert2rh(self, request) -> dict:
-        record = self.store.first("issued_plain", cert_id=request["cert_id"])
+    @ma_query(cert_id=bytes)
+    def on_ma_cert2rh(self, cert_id) -> dict:
+        record = self.store.first("issued_plain", cert_id=cert_id)
         if record is None:
             return {"found": False}
         return {"found": True, "rh": record["rh"], "ra_host": record["ra_host"]}
 
-    @ma_query
-    def on_ma_certsbyrh(self, request) -> dict:
+    @ma_query(rhs=list[bytes])
+    def on_ma_certsbyrh(self, rhs) -> dict:
         certs = []
-        for rh in request["rhs"]:
+        for rh in rhs:
             record = self.store.first("issued_plain", rh=rh)
             if record is not None:
                 certs.append(record["cert"])

@@ -481,9 +481,9 @@ class Ra(MaQueryServer):
 
     # --- revocation step 4: blacklist without revealing the certificate ---
 
-    @ma_query
-    def on_ma_blacklist(self, request) -> dict:
-        index = self.store.first("request_index", rh=request["rh"])
+    @ma_query(rh=bytes)
+    def on_ma_blacklist(self, rh) -> dict:
+        index = self.store.first("request_index", rh=rh)
         if index is None:
             return {"found": False}
         record = self._enrollment_record(index["handle"])
@@ -498,9 +498,9 @@ class Ra(MaQueryServer):
             "j_max": j_max,
         }
 
-    @ma_query
-    def on_ma_blacklist_nonpseudo(self, request) -> dict:
-        index = self.store.first("app_index", rh=request["rh"])
+    @ma_query(rh=bytes)
+    def on_ma_blacklist_nonpseudo(self, rh) -> dict:
+        index = self.store.first("app_index", rh=rh)
         if index is None:
             return {"found": False}
         record = self._enrollment_record(index["handle"])

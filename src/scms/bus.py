@@ -31,16 +31,22 @@ The bus collects the jobs of consecutive deliveries with one
 index in chunks of ``POOL_CHUNK``, in turn to each worker of a pool of
 one process per CPU but one and to this process; a worker gets its chunks
 while the handlers go on, and this process computes its own at the end of
-the run. The deal depends on nothing but the index, so this process runs
-the same kernels on every run. Then the bus runs the commits in delivery
-order, before any other send, before a delivery with another
-``(dst, mtype)`` and before ``run()`` returns. A handler that defers makes
-its deferral its last act and routes every write and send through a
-commit, the refusal branches included, so the queue, the trace digest,
-every store and every RNG stream come out as with serial handling. The
-kernels run inline on one CPU, outside ``run()`` and for a run of fewer
-than ``POOL_CHUNK`` jobs, where the hand-off would cost about what it
-saves.
+the run. The deal depends on nothing but the index, so while no worker
+fails this process runs the same kernels on every run. Then the bus runs
+the commits in delivery order, before any other send, before a delivery
+with another ``(dst, mtype)`` and before ``run()`` returns. A handler
+that defers makes its deferral its last act and routes every write and
+send through a commit, the refusal branches included, so the queue, the
+trace digest, every store and every RNG stream come out as with serial
+handling. The kernels run inline on one CPU, outside ``run()`` and for a
+run of fewer than ``POOL_CHUNK`` jobs, where the hand-off would cost
+about what it saves.
+
+The pool keeps no account of its replies. When a worker's pipe fails, or
+a run ends with tasks in flight, the bus closes the pool, computes every
+slice dealt to a worker and not answered here, and starts new workers on
+next use. Kernels are pure, so who computes a slice changes no result; a
+kernel that raises in a live worker is a bug (``InvariantViolation``).
 """
 
 from __future__ import annotations
@@ -72,10 +78,8 @@ POOL_WORKERS = len(os.sched_getaffinity(0)) - 1
 # jobs per chunk of the deal (on the benchmark workloads with 2 CPUs, 8
 # was as fast as 4 and 16 or faster)
 POOL_CHUNK = 8
-_pool = None
-# replies that no run waits for, per worker: the note that it has
-# started, or the results of tasks whose run aborted
-_owed: dict = {}
+# this process's end of each worker's pipe
+_pool: list = []
 
 
 class Clock:
@@ -203,25 +207,22 @@ class MessageBus:
                     self._flush()
         finally:
             self._running = False
-            for conn, out in zip(_pool or [], self._out):
-                _owed[conn] += len(out)  # left by a run that aborted
+            if any(self._out):  # left busy by a run that aborted
+                self._drop()
             self._reset()
         return n
 
     def _reset(self) -> None:
         # (kernel, args, commit) and result of each job of the pending run
-        # of deliveries; per worker, the slices of jobs dealt to it and not
-        # sent yet, and those sent and not answered yet; this process
-        # computes the slices in _own
+        # of deliveries; per worker, the slices dealt to it and not sent
+        # yet, and those sent and not answered; this process's slices
         self._jobs, self._results, self._own = [], [], []
         self._waiting = [deque() for _ in range(POOL_WORKERS)]
         self._out = [deque() for _ in range(POOL_WORKERS)]
 
     def _deal(self, start: int) -> None:
         """Deal the slice of jobs from ``start`` to the next chunk boundary
-        by its index: in turn to each worker, then to this process. The
-        deal depends on nothing but the index, so which kernels this
-        process runs is the same on every run."""
+        by its index: in turn to each worker, then to this process."""
         stop = min(start + POOL_CHUNK, len(self._jobs))
         owner = start // POOL_CHUNK % (POOL_WORKERS + 1)
         if owner < POOL_WORKERS:
@@ -232,25 +233,31 @@ class MessageBus:
     def _pump(self) -> None:
         """Take in every reply that has come, then send each worker its
         next dealt slices, keeping two in flight."""
-        for conn, waiting, out in zip(_workers(), self._waiting, self._out):
-            while _owed[conn] and conn.poll():
-                conn.recv()
-                _owed[conn] -= 1
-            if _owed[conn]:
-                continue
-            while out and conn.poll():
-                self._take(conn, out)
-            while waiting and len(out) < 2:
-                start, stop = waiting.popleft()
-                conn.send([job[:2] for job in self._jobs[start:stop]])
-                out.append((start, stop))
+        try:
+            for conn, waiting, out in zip(_workers(), self._waiting, self._out):
+                while out and conn.poll():
+                    done, value = conn.recv()
+                    start, stop = out.popleft()
+                    if not done:  # a kernel that raises is a bug, wherever it runs
+                        raise InvariantViolation(
+                            f"a kernel in a pool worker raised:\n{value}")
+                    self._results[start:stop] = value
+                while waiting and len(out) < 2:
+                    start, stop = waiting[0]
+                    conn.send([job[:2] for job in self._jobs[start:stop]])
+                    out.append(waiting.popleft())
+        except (EOFError, OSError):
+            self._drop()
 
-    def _take(self, conn, out) -> None:
-        start, stop = out.popleft()
-        done, value = conn.recv()
-        if not done:  # a kernel that raises is a bug, wherever it runs
-            raise InvariantViolation(f"a kernel in a pool worker raised:\n{value}")
-        self._results[start:stop] = value
+    def _drop(self) -> None:
+        """Close the pool; every slice dealt to a worker and not answered
+        becomes this process's to compute."""
+        for conn in _pool:
+            conn.close()
+        _pool.clear()
+        for slices in self._out + self._waiting:
+            self._own += slices
+            slices.clear()
 
     def _flush(self) -> None:
         """Finish the pending kernels, then run every commit in order."""
@@ -275,18 +282,17 @@ class MessageBus:
             return run_kernels([job[:2] for job in jobs])
         if len(jobs) % POOL_CHUNK:
             self._deal(len(jobs) - len(jobs) % POOL_CHUNK)
-        for start, stop in self._own:
-            for n in range(start, stop):
-                kernel, args, _ = jobs[n]
-                if kernel is not None:
-                    self._results[n] = kernel(*args)
-                self._pump()
-        for conn, waiting, out in zip(_workers(), self._waiting, self._out):
+        from multiprocessing.connection import wait
+        while True:
             self._pump()
-            while waiting or out:
-                conn.poll(None)
-                self._pump()
-        return self._results
+            if self._own:
+                start, stop = self._own.pop(0)
+                self._results[start:stop] = run_kernels(
+                    [job[:2] for job in jobs[start:stop]])
+            elif any(self._out):
+                wait([conn for conn, out in zip(_pool, self._out) if out])
+            else:
+                return self._results
 
     def _deliver(self, env: Envelope) -> None:
         if self.trace is not None:
@@ -322,21 +328,19 @@ def run_kernels(jobs: list[tuple]) -> list:
 
 
 def _serve(conn, parent_end, modules: list[str]) -> None:
-    """A pool worker: import ``modules`` and say so, then run each list of
-    jobs it is sent and send back (True, results) or (False, the traceback
-    of the exception a kernel raised), until this process's end of its
-    pipe closes."""
+    """A pool worker: import ``modules``, then answer each list of jobs
+    with (True, results) or (False, the traceback of the exception a
+    kernel raised), until this process's end of its pipe closes."""
     import importlib
     import traceback
 
     # a forked worker holds copies of this process's pipe ends, which
     # would keep its own pipe open after this process is gone
-    for end in [parent_end, *(_pool or [])]:
+    for end in [parent_end, *_pool]:
         end.close()
     for name in modules:
         importlib.import_module(name)
     try:
-        conn.send(None)
         while True:
             jobs = conn.recv()
             try:
@@ -352,12 +356,10 @@ def _workers() -> list:
     """Connections to the package's one process pool, started on first
     use. A process that runs threads of its own spawns its workers, fresh
     interpreters that import each kernel by name, as forking it would not
-    be safe; a worker gets its first task once it has imported the
-    package's modules that this process holds. This process feeds every
-    worker itself, over the worker's own pipe, so no helper thread waits
-    for the interpreter lock while handlers run."""
-    global _pool
-    if _pool is None or len(_pool) < POOL_WORKERS:
+    be safe; a task sent to a worker still importing waits in its pipe.
+    This process feeds every worker itself, over the worker's own pipe, so
+    no helper thread waits for the interpreter lock while handlers run."""
+    if len(_pool) < POOL_WORKERS:
         import multiprocessing
         import threading
 
@@ -367,12 +369,10 @@ def _workers() -> list:
         context = multiprocessing.get_context(method)
         modules = sorted(name for name in sys.modules
                          if name.partition(".")[0] == "scms")
-        _pool = _pool or []
         while len(_pool) < POOL_WORKERS:
             here, there = context.Pipe()
             context.Process(target=_serve, args=(there, here, modules),
                             daemon=True).start()
             there.close()
             _pool.append(here)
-            _owed[here] = 1
     return _pool

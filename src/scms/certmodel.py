@@ -378,15 +378,13 @@ def message_digest(payload: bytes, cert: Certificate, alg: int = ALG_DEFAULT) ->
     return digest_for_alg(alg, payload + cert.digest())
 
 
-def sign_message(
-    priv: Scalar, cert: Certificate, payload: bytes, attach_cert: bool = True
-) -> SignedMessage:
+def sign_message(priv: Scalar, cert: Certificate, payload: bytes) -> SignedMessage:
     sig = sign(priv, message_digest(payload, cert, cert.alg))
     return SignedMessage(
         payload=payload,
         cert_id=cert.cert_id(),
         signature=sig,
-        cert_bytes=cert.encode() if attach_cert else None,
+        cert_bytes=cert.encode(),
     )
 
 

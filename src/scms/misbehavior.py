@@ -210,20 +210,22 @@ class Ma(Authority):
             )
             report = decode(plain)
             if isinstance(report, dict) and report.get("kind") == "install-failure":
+                evidence, reason = fields(report, evidence=bytes, reason=str)
                 self.store.put("install_failure", {
-                    "evidence": report["evidence"],
-                    "reason": report["reason"],
+                    "evidence": evidence,
+                    "reason": reason,
                     "period": self.clock.period,
                 })
                 return
-            evidence = report["evidence"]
-            reported = Certificate.decode(report["reported_cert"])
-            reporter_msg = SignedMessage.decode(report["reporter"])
+            evidence, reported_cert, reporter = fields(
+                report, evidence=bytes, reported_cert=bytes, reporter=bytes)
+            reported = Certificate.decode(reported_cert)
+            reporter_msg = SignedMessage.decode(reporter)
             reporter_cert = (
                 None if reporter_msg.cert_bytes is None
                 else Certificate.decode(reporter_msg.cert_bytes)
             )
-        except (DecryptionError, ParseError, KeyError, TypeError):
+        except (DecryptionError, ParseError):
             self.store.put("bad_report", {"reason": "undecryptable or malformed"})
             return
         if reporter_cert is None:
@@ -234,7 +236,7 @@ class Ma(Authority):
             return
         self.store.put("report", {
             "lv": reported.linkage_value or b"",
-            "reported_cert": report["reported_cert"],
+            "reported_cert": reported_cert,
             "reported_cert_id": reported.cert_id(),
             "ctype": int(reported.ctype),
             "reporter_cert_id": reporter_cert.cert_id(),

@@ -107,15 +107,11 @@ class Ballot:
 def _decode_action(item) -> Action:
     """One ballot action; ParseError unless it has a known kind, a bytes
     object and votes whose elector and signature are bytes."""
-    try:
-        votes = [Vote(v["elector"], v["sig"]) for v in item["votes"]]
-        action = Action(item["kind"], item["object"], votes)
-        raw = [action.object_cert] + [x for v in votes for x in (v.elector_id, v.signature)]
-        if action.kind in _ACTIONS and all(isinstance(x, bytes) for x in raw):
-            return action
-    except (TypeError, KeyError):
-        pass
-    raise ParseError("malformed ballot action", 0)
+    kind, object_cert, votes = fields(item, kind=str, object=bytes, votes=list)
+    if kind not in _ACTIONS:
+        raise ParseError(f"unknown ballot action {kind!r}", 0)
+    return Action(kind, object_cert,
+                  [Vote(*fields(v, elector=bytes, sig=bytes)) for v in votes])
 
 
 def cast_vote(elector_key: KeyPair, elector_cert: Certificate, action: Action) -> Vote:

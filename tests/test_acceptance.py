@@ -359,6 +359,41 @@ def test_a_process_with_threads_spawns_the_same_trace():
     assert worker.startswith("SpawnProcess")
 
 
+def test_a_worker_killed_during_provisioning_changes_no_trace():
+    # its slices are computed in the bus process; the next run in the same
+    # process gets a new worker and the same trace
+    script = (
+        "import json, multiprocessing, os, signal, sys\n"
+        "from scms import bus\n"
+        "from scms.device import Device\n"
+        "from scms.harness import ScenarioConfig, run_scenario\n"
+        "bus.POOL_WORKERS = 1\n"
+        "install, killed = Device._install, []\n"
+        "def kill_then_install(self, *args):\n"
+        "    if not killed:\n"
+        "        killed.extend(p.pid for p in multiprocessing.active_children())\n"
+        "        for pid in killed:\n"
+        "            os.kill(pid, signal.SIGKILL)\n"
+        "    install(self, *args)\n"
+        "Device._install = kill_then_install\n"
+        "config = ScenarioConfig.from_json(open(sys.argv[1]).read())\n"
+        "runs = [run_scenario(config) for _ in range(2)]\n"
+        "print(json.dumps({\n"
+        "    'killed': len(killed),\n"
+        "    'digests': [run.trace_digest[:16] for run in runs],\n"
+        "    'faults': [[len(run.violations), run.metrics['dead_letters']]\n"
+        "               for run in runs],\n"
+        "    'workers': len(multiprocessing.active_children()),\n"
+        "}))\n"
+    )
+    out = json.loads(
+        fresh_python("-c", script, str(SCENARIO_DIR / "mitm_drill.json")))
+    assert out == {
+        "killed": 1, "digests": [REFERENCE_DIGESTS["mitm_drill"]] * 2,
+        "faults": [[0, 0], [0, 0]], "workers": 1,
+    }
+
+
 def test_garbage_drill_dead_letters_without_violations(scenario_runs):
     # malformed envelopes are refused one by one; the run and its audits
     # stay whole

@@ -417,17 +417,24 @@ def test_la_grid_other_than_requested_is_a_dead_letter(plvs):
     assert world.registry.audit_view("ra").count("request_index") == 2
 
 
-def test_lci_not_opening_to_stored_seed_raises_invariant_violation():
-    world = make_world(devices=1)
-    la = world.la1
+def _plant_chain(la, sealed: bytes, stored: bytes, period0: int = 0) -> bytes:
+    """An LCI that seals the seed ``sealed`` at ``period0``, for which the
+    LA holds a chain record with the seed ``stored``."""
     lci = hybrid_encrypt(
-        la.enc_keypair.public, encode({"seed": b"\x01" * 16, "period": 0}),
+        la.enc_keypair.public, encode({"seed": sealed, "period": period0}),
         DeterministicRandom(7),
     ).encode()
     la.store.put("chain", {
-        "lci_digest": hashlib.sha256(lci).hexdigest(), "seed0": b"\x02" * 16,
-        "period0": 0, "la_id": la.la_id,
+        "lci_digest": hashlib.sha256(lci).hexdigest(), "seed0": stored,
+        "period0": period0, "la_id": la.la_id,
     })
+    return lci
+
+
+def test_lci_not_opening_to_stored_seed_raises_invariant_violation():
+    world = make_world(devices=1)
+    la = world.la1
+    lci = _plant_chain(la, b"\x01" * 16, b"\x02" * 16)
     query = sign_message(world.ma.keypair.private, world.pki["ma"].cert,
                          encode({"lci": lci, "period": 0}))
     with pytest.raises(InvariantViolation):
@@ -453,10 +460,9 @@ UNKNOWN_OBJECT_QUERIES = {
 }
 
 
-@pytest.mark.parametrize("op", sorted(UNKNOWN_OBJECT_QUERIES))
-def test_ma_query_for_unknown_object_answers_not_found(op):
-    world = make_world(devices=1)
-    server, request, body = UNKNOWN_OBJECT_QUERIES[op]
+def _signed_query(world, server: str, op: str, request) -> tuple[list, str]:
+    """Deliver ``request``, signed by the MA, to ``server`` from a sink;
+    returns the envelopes the sink got and the digest of the request."""
     seen = []
 
     class Sink:
@@ -468,7 +474,14 @@ def test_ma_query_for_unknown_object_answers_not_found(op):
     query = sign_message(world.ma.keypair.private, world.pki["ma"].cert, raw)
     world.bus.send(Envelope("sink", server, op, {"q": query.encode()}))
     world.bus.run()
-    digest = hashlib.sha256(raw).hexdigest()
+    return seen, hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("op", sorted(UNKNOWN_OBJECT_QUERIES))
+def test_ma_query_for_unknown_object_answers_not_found(op):
+    world = make_world(devices=1)
+    server, request, body = UNKNOWN_OBJECT_QUERIES[op]
+    seen, digest = _signed_query(world, server, op, request)
     assert [(env.src, env.mtype) for env in seen] == [(server, op + ".resp")]
     assert seen[0].payload == {**body, "echo": digest}
     audit = world.registry.audit_view(server).scan("audit")
@@ -477,9 +490,43 @@ def test_ma_query_for_unknown_object_answers_not_found(op):
     ]
 
 
+# op -> (server, a signed request of the wrong shape, given the LA)
+MALFORMED_QUERIES = {
+    "ma.lv2plv": ("pca", lambda la: {}),
+    "ma.lv2rh": ("pca", lambda la: {"lv": 5}),
+    "ma.cert2rh": ("pca", lambda la: {"cert_id": "00" * 8}),
+    "ma.certsbyrh": ("pca", lambda la: {"rhs": 5}),
+    "ma.blacklist": ("ra", lambda la: [1]),
+    "ma.blacklist_nonpseudo": ("ra", lambda la: {"rh": [b"\x03" * 32]}),
+    "ma.samedev": ("la1", lambda la: {"ct_a": b"\x04" * 40}),
+    "ma.lci2seed": ("la1", lambda la: {
+        "lci": _plant_chain(la, b"\x01" * 16, b"\x01" * 16)}),
+}
+
+
+@pytest.mark.parametrize("op", sorted(MALFORMED_QUERIES))
+def test_malformed_signed_ma_query_is_a_dead_letter_that_writes_nothing(op):
+    world = make_world(devices=1)
+    server, request = MALFORMED_QUERIES[op]
+    component = {"pca": world.pca, "ra": world.ra, "la1": world.la1}[server]
+    seen, _ = _signed_query(world, server, op, request(world.la1))
+    assert seen == [] and world.bus.dead_letters == 1
+    assert world.registry.audit_view(server).scan("audit") == []
+    assert component._ma_queries == {}
+
+
+def test_lci2seed_before_the_chains_first_period_answers_not_found():
+    # the chain runs forward only; the MA fails its case at "seeds"
+    world = make_world(devices=1)
+    lci = _plant_chain(world.la1, b"\x01" * 16, b"\x01" * 16, period0=2)
+    seen, digest = _signed_query(world, "la1", "ma.lci2seed",
+                                 {"lci": lci, "period": 1})
+    assert [env.payload for env in seen] == [{"found": False, "echo": digest}]
+
+
 def test_every_ma_query_handler_goes_through_ma_query():
     # a new handler cannot skip the signature, quota and audit steps
-    serve = ma_query(lambda self, request: {}).__code__
+    serve = ma_query()(lambda self: {}).__code__
     handlers = [
         value
         for cls in (Pca, Ra, LinkageAuthority)

@@ -1,5 +1,10 @@
 """Bus, clock and trace tests: FIFO determinism, proxy enforcement, the
-fault boundary, deferred jobs."""
+fault boundary, deferred jobs, the kernel pool."""
+
+import functools
+import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -149,6 +154,19 @@ def square(x: int) -> int:
     return x * x
 
 
+def square_or_die(marker: str, x: int) -> int:
+    """``square``, except that its first call in a pool worker, the one
+    that makes the file ``marker``, ends the worker."""
+    if multiprocessing.parent_process() is not None:
+        try:
+            open(marker, "x").close()
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)
+    return x * x
+
+
 class Squarer:
     """Toy component that squares ``x`` in a kernel. Its handler draws a
     salt, refuses a negative ``x`` (a ``refused`` reply, written and sent
@@ -156,8 +174,9 @@ class Squarer:
     stores and sends the answer. ``deferring=False`` runs kernel and
     commit in the handler, as serial handling would."""
 
-    def __init__(self, bus, own_id, deferring):
+    def __init__(self, bus, own_id, deferring, kernel=square):
         self.id, self.bus, self.deferring = own_id, bus, deferring
+        self.kernel = kernel
         self.store = []
         self.rng = DeterministicRandom(7, own_id)
         bus.register(own_id, self)
@@ -168,7 +187,8 @@ class Squarer:
         if x < 0:
             self._job(None, (), lambda _: self._commit(env, "refused", x, salt))
         else:
-            self._job(square, (x,), lambda y: self._commit(env, "square", y, salt))
+            self._job(self.kernel, (x,),
+                      lambda y: self._commit(env, "square", y, salt))
 
     def _job(self, kernel, args, commit):
         if self.deferring:
@@ -181,13 +201,13 @@ class Squarer:
         self.bus.send(Envelope(self.id, env.src, kind, {"v": value, "s": salt}))
 
 
-def _drive(deferring: bool):
+def _drive(deferring: bool, kernel=square, count: int = 12):
     trace = Trace()
     bus = MessageBus(trace=trace)
-    squarer = Squarer(bus, "sq", deferring)
+    squarer = Squarer(bus, "sq", deferring, kernel)
     client = Echo(bus, "client")
     other = Echo(bus, "other")
-    payloads = [{"x": n} for n in range(12)]
+    payloads = [{"x": n} for n in range(count)]
     payloads[3] = {"x": -3}        # refused in the handler phase
     payloads[7] = {"x": "seven"}   # a dead letter
     for payload in payloads:
@@ -257,3 +277,31 @@ def test_a_kernel_that_raises_in_a_worker_aborts_the_run(monkeypatch):
     with pytest.raises((InvariantViolation, ValueError), match="kernel bug"):
         bus.run()
     assert bus.dead_letters == 0
+    # the pool the aborted run left busy is dropped; the next run works
+    assert _drive(True) == _drive(False)
+    assert _pool_processes() <= bus_module.POOL_WORKERS
+
+
+def _pool_processes() -> int:
+    """The live child processes, once the workers of a dropped pool, which
+    exit when they find their pipe closed, are gone (at most 10 s)."""
+    deadline = time.monotonic() + 10
+    while (len(multiprocessing.active_children()) > bus_module.POOL_WORKERS
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return len(multiprocessing.active_children())
+
+
+def test_a_worker_that_dies_changes_no_result(tmp_path, monkeypatch):
+    # its slices are computed in this process, and a new worker serves the
+    # next run
+    monkeypatch.setattr(bus_module, "POOL_WORKERS", 1)
+    marker = tmp_path / "killed"
+    kernel = functools.partial(square_or_die, str(marker))
+    serial = _drive(False, kernel, count=40)
+    assert _drive(True, kernel, count=40) == serial
+    assert marker.exists()
+    (worker,) = bus_module._pool
+    assert _drive(True, kernel, count=40) == serial
+    assert bus_module._pool == [worker] and not worker.closed
+    assert _pool_processes() <= bus_module.POOL_WORKERS

@@ -7,6 +7,8 @@ that is not bytes at all is a ``ParseError`` at offset 0. The runs are
 derandomized, so a failure reproduces on every run.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,7 +78,8 @@ def _samples() -> dict[str, list[bytes]]:
         "Certificate.decode": [pseudonym.encode(), pki.pca_cert.encode()],
         "SignedMessage.decode": [
             sign_message(key.private, pseudonym, payload).encode(),
-            sign_message(key.private, pseudonym, payload, False).encode(),
+            replace(sign_message(key.private, pseudonym, payload),
+                    cert_bytes=None).encode(),
         ],
         "Crl.decode": [crl.encode() for crl in crls],
         "decode_composite": [encode_composite(crls)],

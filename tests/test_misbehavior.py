@@ -135,6 +135,28 @@ def test_malformed_reporter_certificate_recorded_not_crash():
     assert world.registry.audit_view("ma").count("report") == 0
 
 
+@pytest.mark.parametrize("evidence, stored", [
+    (b"\x01" * 32, "report"), ("01" * 32, "bad_report"),
+], ids=["bytes", "text"])
+def test_report_evidence_must_be_bytes(evidence, stored):
+    from scms.crypto import hybrid_encrypt
+
+    world = make_world()
+    ma = world.pki["ma"]
+    report = {
+        "kind": "bsm", "reported_cert": ma.cert.encode(), "evidence": evidence,
+        "reporter": sign_message(ma.keypair.private, ma.cert, b"\x01").encode(),
+    }
+    blob = hybrid_encrypt(ma.enc_keypair.public, encode(report), world.rng)
+    world.bus.send(Envelope("ra", "ma", "mb.batch", {"reports": [blob.encode()]}))
+    world.bus.run()
+    view = world.registry.audit_view("ma")
+    assert [view.count(kind) for kind in ("report", "bad_report")] == [
+        stored == "report", stored == "bad_report"]
+    if stored == "bad_report":
+        assert view.scan("bad_report") == [{"reason": "undecryptable or malformed"}]
+
+
 def test_report_batch_order_decorrelated_from_filing_order():
     # reporter-path privacy: the MA's arrival order is a shuffle of the
     # filing order, so report position does not identify the reporter

@@ -267,6 +267,21 @@ def test_stores_are_isolated_by_construction():
     assert holders == ["harness.py:World.registry"], holders
 
 
+def test_no_handler_catches_lookup_or_type_errors():
+    # input is read through encoding.fields and the decoders, which raise
+    # ParseError, so a KeyError, IndexError or TypeError is a bug to see,
+    # not one to catch; the one catch is of the codec's documented
+    # TypeError for a value it cannot encode
+    names = {"KeyError", "IndexError", "LookupError", "TypeError"}
+    found = []
+    for file, scope, node in _scoped_nodes():
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = getattr(node.type, "elts", [node.type])
+            found += [f"{file}:{'.'.join(scope)}:{name.id}" for name in caught
+                      if isinstance(name, ast.Name) and name.id in names]
+    assert found == ["harness.py:_check_inject:TypeError"], found
+
+
 def test_vector_oracle_is_standalone():
     # the tests compare the package against scripts/make_vectors.py, so the
     # script must not reach the package by any import
