@@ -168,6 +168,10 @@ class Ra(MaQueryServer):
                 and 0 <= psid <= U32_MAX):
             self._deny(env.src, reply_ref, "malformed caterpillar request")
             return
+        if not cert.valid_from <= start <= end <= cert.valid_to:
+            self._deny(env.src, reply_ref,
+                       "time span outside the enrollment certificate")
+            return
         for span in self.store.where("span", handle=handle):
             if span["start"] <= end and start <= span["end"]:
                 self._deny(env.src, reply_ref,

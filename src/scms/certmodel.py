@@ -20,16 +20,20 @@ encoding. CRLs carry linkage-seed entries grouped by LA-id pair plus flat
 CertId entries, are signed by the CRL generator, and are distributed per
 (CRACA, series) so a receiver checks exactly one sequence per certificate.
 
-Certificate decoding is canonical: every input that decodes is the
-encoding of the certificate it decodes to, so a decoded certificate keeps
-its to-be-signed bytes as they arrived. ``Certificate.decode`` answers
-from a bounded memo keyed by the encoding, so the copies of one broadcast
-share one frozen certificate; a ``ParseError`` is never kept. A
-certificate hashes itself once: it keeps the SHA-256 of its encoding,
-which gives its CertId and binds signed messages to it, and the digest of
-its to-be-signed bytes under its issuer's algorithm, which its chain link
-is checked with. These are pure functions of bytes, so nothing in them
-goes stale; CRL and root state are read on every chain walk.
+Certificate and CRL decoding are canonical: every input that decodes is
+the encoding of the value it decodes to, so a decoded certificate or CRL
+keeps its to-be-signed bytes as they arrived. ``Certificate.decode`` and
+``Crl.decode`` answer from bounded memos keyed by the encoding, so the
+copies of one broadcast share one frozen certificate, and the CRL store
+and every device that decode one composite share one frozen CRL; a
+``ParseError`` is never kept. A certificate hashes itself once: it keeps
+the SHA-256 of its encoding, which gives its CertId and binds signed
+messages to it, and the digest of its to-be-signed bytes under its
+issuer's algorithm, which its chain link is checked with. A CRL expands
+its linkage entries once per period and keeps the revoked sets. These are
+pure functions of bytes, so nothing in them goes stale and nothing is
+ever emptied; a ``CrlSet`` holds only the latest CRL per (CRACA, series),
+and CRL and root state are read on every chain walk.
 """
 
 from __future__ import annotations
@@ -61,6 +65,13 @@ U32_MAX = 0xFFFF_FFFF  # largest validity period or PSID a certificate holds
 # distinct certificates hit the memo 9,469 times at 16 or 64 entries,
 # 10,379 at 256 and 10,509 at 1024.
 CERT_MEMO_SIZE = 256
+# Encodings whose CRLs the decoder keeps. The CRL store and every device
+# decode the same composite, and a superseded version is never decoded
+# again: on fleet_revocation seed 1, 300 decodes of 20 distinct CRLs hit
+# the memo 280 times at 1, 2, 4, 8 or 64 entries. A composite holds one
+# CRL per series (five), and decoding it in order through a smaller memo
+# would miss every time; a 10,000-entry CRL is about 400 KB.
+CRL_MEMO_SIZE = 8
 
 # magic "SC" | version | ctype | alg | flags | subject_key | valid_from |
 # valid_to | psid | craca_id | crl_series | issuer_id
@@ -412,14 +423,20 @@ class CertIdRevocation:
     region: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Crl:
     """Signed revocation list for one (CRACA, series) sequence.
 
     Binary layout (version 1): ``_CRL_HEADER``, then n_groups groups of
     one ``_CRL_GROUP`` followed by n_devices ``_CRL_LINKAGE`` entries, then
     n_certids (4) and that many ``_CRL_CERTID`` entries, then
-    signature (64). Region byte ``NO_REGION`` means no hint.
+    signature (64). Region byte ``NO_REGION`` means no hint. Each group
+    holds at least one device, and no two groups share a key, so every
+    input that decodes is the encoding of the CRL it decodes to.
+
+    A CRL is a value: its entries are tuples, and what is derived from
+    them (its to-be-signed bytes, the linkage values it revokes in each
+    period, the certificate ids it revokes) is kept on it on first use.
     """
 
     series: int
@@ -427,9 +444,20 @@ class Crl:
     issue_period: int
     sequence: int
     crlg_cert_id: bytes
-    linkage_entries: list[LinkageRevocation] = field(default_factory=list)
-    certid_entries: list[CertIdRevocation] = field(default_factory=list)
+    linkage_entries: tuple[LinkageRevocation, ...] = ()
+    certid_entries: tuple[CertIdRevocation, ...] = ()
     signature: bytes | None = None
+    # tbs_bytes(), revoked_lvs(period) per period and revoked_cert_ids(),
+    # filled on first use; replace() starts a copy with none of them
+    _tbs: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _lvs: dict[int, frozenset[bytes]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _ids: frozenset[bytes] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "linkage_entries", tuple(self.linkage_entries))
+        object.__setattr__(self, "certid_entries", tuple(self.certid_entries))
 
     def entry_count(self) -> int:
         return len(self.linkage_entries) + len(self.certid_entries)
@@ -444,6 +472,8 @@ class Crl:
         return groups
 
     def tbs_bytes(self) -> bytes:
+        if self._tbs is not None:
+            return self._tbs
         groups = self.linkage_groups()
         out = bytearray(_CRL_HEADER.pack(
             CRL_MAGIC, 1, self.series, self.craca_id, self.issue_period,
@@ -458,7 +488,8 @@ class Crl:
         for c in self.certid_entries:
             region = NO_REGION if c.region is None else c.region
             out += _CRL_CERTID.pack(c.cert_id, c.priority, region)
-        return bytes(out)
+        object.__setattr__(self, "_tbs", bytes(out))
+        return self._tbs
 
     def encode(self) -> bytes:
         if self.signature is None:
@@ -467,45 +498,81 @@ class Crl:
 
     @classmethod
     def decode(cls, data: bytes) -> "Crl":
-        r = Reader(data)
-        (magic, version, series, craca_id, issue_period, sequence,
-         crlg_cert_id, n_groups) = r.unpack(_CRL_HEADER, "CRL header")
-        if magic != CRL_MAGIC:
-            raise ParseError("bad CRL magic", 0)
-        if version != 1:
-            raise ParseError(f"unsupported CRL version {version}", 2)
-        linkage_entries = []
-        for _ in range(n_groups):
-            start = r.pos
-            la1, la2, i, j_max, n_dev = r.unpack(_CRL_GROUP, "CRL group header")
-            block = r.take(n_dev * _CRL_LINKAGE.size, "CRL linkage entries")
-            try:
-                linkage_entries += [
-                    LinkageRevocation(i, ls1, ls2, la1, la2, j_max, priority,
-                                      None if region == NO_REGION else region)
-                    for ls1, ls2, priority, region
-                    in _CRL_LINKAGE.iter_unpack(block)
-                ]
-            except ValueError as exc:  # the entry's own checks
-                raise ParseError(f"bad CRL group: {exc}", start) from None
-        n_certids = r.u32("CRL certid count")
-        block = r.take(n_certids * _CRL_CERTID.size, "CRL certid entries")
-        certid_entries = [
-            CertIdRevocation(cert_id, priority,
-                             None if region == NO_REGION else region)
-            for cert_id, priority, region in _CRL_CERTID.iter_unpack(block)
-        ]
-        signature = r.take(SIG_BYTES, "CRL signature")
-        r.done("CRL")
-        return cls(series, craca_id, issue_period, sequence, crlg_cert_id,
-                   linkage_entries, certid_entries, signature)
+        """The CRL ``data`` encodes, shared by every decode of the same
+        bytes while it stays in the memo; ``ParseError`` otherwise."""
+        require_bytes(data)
+        return _decode_crl(data)
+
+    def revoked_lvs(self, period: int) -> frozenset[bytes]:
+        """Linkage values revoked at ``period``: each linkage entry revokes
+        its device's values from its own period on."""
+        lvs = self._lvs.get(period)
+        if lvs is None:
+            lvs = self._lvs[period] = frozenset().union(*(
+                expand_revocation_entry(entry, period)
+                for entry in self.linkage_entries if entry.i <= period
+            ))
+        return lvs
+
+    def revoked_cert_ids(self) -> frozenset[bytes]:
+        if self._ids is None:
+            object.__setattr__(self, "_ids", frozenset(
+                c.cert_id for c in self.certid_entries))
+        return self._ids
+
+
+@lru_cache(maxsize=CRL_MEMO_SIZE)
+def _decode_crl(data: bytes) -> Crl:
+    r = Reader(data)
+    (magic, version, series, craca_id, issue_period, sequence,
+     crlg_cert_id, n_groups) = r.unpack(_CRL_HEADER, "CRL header")
+    if magic != CRL_MAGIC:
+        raise ParseError("bad CRL magic", 0)
+    if version != 1:
+        raise ParseError(f"unsupported CRL version {version}", 2)
+    linkage_entries = []
+    keys = set()
+    for _ in range(n_groups):
+        start = r.pos
+        la1, la2, i, j_max, n_dev = r.unpack(_CRL_GROUP, "CRL group header")
+        # an empty or repeated group would not survive re-encoding
+        if n_dev == 0:
+            raise ParseError("empty CRL group", start)
+        if (la1, la2, i, j_max) in keys:
+            raise ParseError("repeated CRL group", start)
+        keys.add((la1, la2, i, j_max))
+        block = r.take(n_dev * _CRL_LINKAGE.size, "CRL linkage entries")
+        try:
+            linkage_entries += [
+                LinkageRevocation(i, ls1, ls2, la1, la2, j_max, priority,
+                                  None if region == NO_REGION else region)
+                for ls1, ls2, priority, region
+                in _CRL_LINKAGE.iter_unpack(block)
+            ]
+        except ValueError as exc:  # the entry's own checks
+            raise ParseError(f"bad CRL group: {exc}", start) from None
+    n_certids = r.u32("CRL certid count")
+    block = r.take(n_certids * _CRL_CERTID.size, "CRL certid entries")
+    certid_entries = [
+        CertIdRevocation(cert_id, priority,
+                         None if region == NO_REGION else region)
+        for cert_id, priority, region in _CRL_CERTID.iter_unpack(block)
+    ]
+    signature = r.take(SIG_BYTES, "CRL signature")
+    r.done("CRL")
+    crl = Crl(series, craca_id, issue_period, sequence, crlg_cert_id,
+              linkage_entries, certid_entries, signature)
+    # canonical, so the bytes as received are the bytes tbs_bytes() builds
+    object.__setattr__(crl, "_tbs", data[:-SIG_BYTES])
+    return crl
 
 
 def sign_crl(crl: Crl, crlg_priv: Scalar, crlg_cert: Certificate) -> Crl:
-    crl.crlg_cert_id = crlg_cert.cert_id()
-    digest = message_digest(crl.tbs_bytes(), crlg_cert)
-    crl.signature = sign(crlg_priv, digest)
-    return crl
+    """A copy of ``crl`` that names ``crlg_cert`` as its generator, signed
+    with the generator's key; ``crl`` itself is left as it is."""
+    unsigned = replace(crl, crlg_cert_id=crlg_cert.cert_id(), signature=None)
+    digest = message_digest(unsigned.tbs_bytes(), crlg_cert)
+    return replace(unsigned, signature=sign(crlg_priv, digest))
 
 
 def check_crl_signature(crl: Crl, crlg_cert: Certificate) -> bool:
@@ -516,19 +583,16 @@ def check_crl_signature(crl: Crl, crlg_cert: Certificate) -> bool:
 
 
 class CrlSet:
-    """Latest CRL per (craca_id, series), with one cache of expanded
-    revocations.
+    """Latest CRL per (craca_id, series), in arrival order: a newer CRL
+    for a key replaces the old one and moves to the end.
 
-    CRLs are kept in arrival order: a newer CRL for a key replaces the old
-    one and moves to the end. The cache holds the revoked linkage values
-    per (craca_id, series, period) and the revoked certificate ids per
-    (craca_id, series, None); any change to the set empties it, so no
-    cached value outlives the CRL it came from.
+    The set keeps nothing derived from its CRLs. Each CRL keeps its own
+    revoked sets, so a CRL that arrives leaves every other CRL's sets as
+    they are, and the holders of one decoded CRL share them.
     """
 
     def __init__(self):
         self._crls: dict[tuple[bytes, int], Crl] = {}
-        self._cache: dict[tuple, frozenset[bytes]] = {}
 
     def add(self, crl: Crl) -> bool:
         """Keep only the highest sequence number per series; returns True
@@ -539,7 +603,6 @@ class CrlSet:
             return False
         self._crls.pop(key, None)  # re-insert last: dict order is arrival order
         self._crls[key] = crl
-        self._cache.clear()
         return True
 
     def get(self, craca_id: bytes, series: int) -> Crl | None:
@@ -553,29 +616,11 @@ class CrlSet:
 
     def revoked_lvs(self, craca_id: bytes, series: int, period: int) -> frozenset[bytes]:
         crl = self.get(craca_id, series)
-        if crl is None:
-            return frozenset()
-        key = (craca_id, series, period)
-        cached = self._cache.get(key)
-        if cached is None:
-            values = set()
-            for entry in crl.linkage_entries:
-                if entry.i <= period:
-                    values |= expand_revocation_entry(entry, period)
-            cached = self._cache[key] = frozenset(values)
-        return cached
+        return frozenset() if crl is None else crl.revoked_lvs(period)
 
     def revoked_cert_ids(self, craca_id: bytes, series: int) -> frozenset[bytes]:
         crl = self.get(craca_id, series)
-        if crl is None:
-            return frozenset()
-        key = (craca_id, series, None)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = frozenset(
-                c.cert_id for c in crl.certid_entries
-            )
-        return cached
+        return frozenset() if crl is None else crl.revoked_cert_ids()
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,9 @@ class DeviceCrlStore(CrlSet):
     the signature verifies. When the retained entries exceed the capacity
     the lowest-priority entries are dropped first (oldest first within a
     priority class), and each stored CRL is replaced by an unsigned copy
-    holding only its retained entries.
+    holding only its retained entries. Until the cap binds, the store holds
+    each CRL as decoded, whose revoked sets every holder of the same bytes
+    shares; a copy is this device's own and expands its sets afresh.
 
     The device passes this store to its ``TrustState`` as ``crls``, so
     chain validation and BSM validation both read it through ``crl_check``,

@@ -182,7 +182,7 @@ def test_criterion_4_crl_size_10k_entries(pki):
                 for _ in range(10_000)
             ],
         )
-        sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
+        crl = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
         raw = crl.encode()
         assert len(raw) <= 400 * 1024
         assert len(raw) / 10_000 <= 40

@@ -15,6 +15,7 @@ from scms.authorities import (
     device_handle,
 )
 from scms.authorities.base import ma_query
+from scms.authorities.enrollment import ENROLLMENT_VALIDITY
 from scms.butterfly import CaterpillarRequest
 from scms.bus import Envelope, MessageBus
 from scms.certmodel import (
@@ -524,6 +525,19 @@ def test_lci2seed_before_the_chains_first_period_answers_not_found():
     assert [env.payload for env in seen] == [{"found": False, "echo": digest}]
 
 
+def test_lci2seed_past_the_chains_last_period_answers_not_found():
+    # a chain serves an enrollment validity from its first period and no
+    # further, so no query walks it for long
+    answers = []
+    for period in (2 + ENROLLMENT_VALIDITY, 3 + ENROLLMENT_VALIDITY):
+        world = make_world(devices=1)
+        lci = _plant_chain(world.la1, b"\x01" * 16, b"\x01" * 16, period0=2)
+        seen, _ = _signed_query(world, "la1", "ma.lci2seed",
+                                {"lci": lci, "period": period})
+        answers.append(seen[0].payload["found"])
+    assert answers == [True, False]
+
+
 def test_every_ma_query_handler_goes_through_ma_query():
     # a new handler cannot skip the signature, quota and audit steps
     serve = ma_query()(lambda self: {}).__code__
@@ -759,6 +773,56 @@ def test_topoff_reuses_linkage_chain():
     plv2 = decode(channel_decrypt(k2, issued_p3[0]["eplv2"]))
     lv = bytes(a ^ b for a, b in zip(expect, plv2["plv"]))
     assert cert.linkage_value == lv
+
+
+def test_request_before_the_chains_first_period_is_refused_by_the_las():
+    # the seed chain runs forward only: a request before its first period
+    # is refused, never walked backward
+    world = make_world(devices=1, periods=2, batch_size=2)
+    device = world.devices[0]
+    device.request_certs(10, 2, j_max=2)
+    world.bus.run()
+    plvs = [world.registry.audit_view(la).count("plv_index")
+            for la in ("la1", "la2")]
+    assert plvs == [4, 4]
+    device.request_certs(0, 2, j_max=2)  # disjoint, so the RA accepts it
+    world.bus.run()
+    assert device.provision_status == "acknowledged"
+    assert world.ra._pending == {} and world.bus.dead_letters == 0
+    assert [world.registry.audit_view(la).count("plv_index")
+            for la in ("la1", "la2")] == plvs
+
+
+def test_request_past_the_enrollment_certificate_is_denied_before_any_write():
+    world = make_world(devices=1, periods=2, batch_size=2)
+    device = world.devices[0]
+    provision_all(world)
+    before = store_fingerprint(world.registry)
+    device.request_certs(400_000, 1, j_max=1)  # far past valid_to
+    world.bus.run()
+    assert device.provision_status == "denied"
+    assert device.last_deny_reason == "time span outside the enrollment certificate"
+    assert store_fingerprint(world.registry) == before
+
+
+def test_plv_request_past_the_chains_last_period_is_a_chain_error():
+    world = make_world(devices=1)
+    lci = _plant_chain(world.la1, b"\x01" * 16, b"\x01" * 16)
+    seen = []
+
+    class Sink:
+        def handle(self, env):
+            seen.append(env)
+
+    world.bus.register("sink", Sink())
+    for start in (ENROLLMENT_VALIDITY, ENROLLMENT_VALIDITY + 1):
+        world.bus.send(Envelope("sink", "la1", "plv.request", {
+            "ref": "r", "lci": lci, "start": start, "n_periods": 1, "j_max": 1,
+        }))
+    world.bus.run()
+    assert [env.mtype for env in seen] == ["chain.plvs", "chain.error"]
+    assert seen[1].payload == {"ref": "r", "reason": "periods outside the chain"}
+    assert world.registry.audit_view("la1").count("plv_index") == 1
 
 
 # --- MITM detection ---

@@ -396,7 +396,7 @@ def test_chain_fails_with_revoked_intermediate(pki):
         crlg_cert_id=pki.crlg_cert.cert_id(),
         certid_entries=[CertIdRevocation(pki.ica_cert.cert_id())],
     )
-    sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
+    crl = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
     pki.trust.crls.add(crl)
     result = verify_chain(cert, pki.trust)
     assert not result.ok
@@ -444,7 +444,7 @@ def test_crl_roundtrip_and_signature(pki):
         linkage_entries=[_make_linkage_entry(rng) for _ in range(5)],
         certid_entries=[CertIdRevocation(rng.randbytes(8), Priority.HIGH, 2)],
     )
-    sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
+    crl = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
     decoded = Crl.decode(crl.encode())
     assert decoded.linkage_entries == crl.linkage_entries
     assert decoded.certid_entries == crl.certid_entries
@@ -481,7 +481,7 @@ def test_crl_group_naming_one_la_twice_is_a_parse_error(pki):
     crl = Crl(series=SERIES_PSEUDONYM, craca_id=pki.root_cert.cert_id(),
               issue_period=3, sequence=1, crlg_cert_id=b"\x00" * 8,
               linkage_entries=[_make_linkage_entry(rng)])
-    sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
+    crl = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
     tbs = crl.tbs_bytes()
     group = 31  # the CRL header's length; the group starts with la_id1
     assert tbs[group:group + 8] == LA1 + LA2
@@ -490,6 +490,41 @@ def test_crl_group_naming_one_la_twice_is_a_parse_error(pki):
     with pytest.raises(ParseError) as info:
         Crl.decode(forged + sign(pki.crlg_key.private, digest))
     assert info.value.offset == group
+
+
+def _resigned(pki, tbs: bytes) -> bytes:
+    return tbs + sign(pki.crlg_key.private, message_digest(tbs, pki.crlg_cert))
+
+
+def test_crl_group_repeating_a_key_is_a_parse_error(pki):
+    # one group split in two would decode to the CRL that encodes as one
+    rng = DeterministicRandom(85)
+    crl = Crl(series=SERIES_PSEUDONYM, craca_id=pki.root_cert.cert_id(),
+              issue_period=3, sequence=1, crlg_cert_id=b"\x00" * 8,
+              linkage_entries=[_make_linkage_entry(rng) for _ in range(2)])
+    tbs = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert).tbs_bytes()
+    # CRL header (31), one group header (16), two entries (34 each)
+    header, group, entries, rest = tbs[:29], tbs[31:45], tbs[47:115], tbs[115:]
+    one = (1).to_bytes(2, "big")
+    split = (header + (2).to_bytes(2, "big") + group + one + entries[:34]
+             + group + one + entries[34:] + rest)
+    with pytest.raises(ParseError) as info:
+        Crl.decode(_resigned(pki, split))
+    assert info.value.offset == 31 + 16 + 34
+
+
+def test_crl_group_with_no_device_is_a_parse_error(pki):
+    rng = DeterministicRandom(86)
+    crl = Crl(series=SERIES_PSEUDONYM, craca_id=pki.root_cert.cert_id(),
+              issue_period=3, sequence=1, crlg_cert_id=b"\x00" * 8,
+              linkage_entries=[_make_linkage_entry(rng)])
+    tbs = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert).tbs_bytes()
+    # an empty group for another period ahead of the real one
+    empty = tbs[31:39] + (9).to_bytes(4, "big") + tbs[43:45] + bytes(2)
+    padded = tbs[:29] + (2).to_bytes(2, "big") + empty + tbs[31:]
+    with pytest.raises(ParseError) as info:
+        Crl.decode(_resigned(pki, padded))
+    assert info.value.offset == 31
 
 
 def test_crl_10k_entries_within_size_budget(pki):
@@ -502,7 +537,7 @@ def test_crl_10k_entries_within_size_budget(pki):
         crlg_cert_id=b"\x00" * 8,
         linkage_entries=[_make_linkage_entry(rng) for _ in range(10_000)],
     )
-    sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
+    crl = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
     raw = crl.encode()
     assert len(raw) <= 400 * 1024
     assert len(raw) / 10_000 <= 40  # amortized bytes per entry
@@ -521,6 +556,34 @@ def test_crl_set_keeps_highest_sequence(pki):
     assert crl_set.add(newer)
     assert not crl_set.add(older)
     assert crl_set.get(pki.root_cert.cert_id(), 1).sequence == 2
+
+
+def test_a_series_revoked_set_outlives_another_series_crl(pki, monkeypatch):
+    # a CRL keeps its own revoked sets, so another series' CRL arriving
+    # leaves them as they are
+    import scms.certmodel as certmodel
+
+    calls = []
+    real = certmodel.expand_revocation_entry
+
+    def counted(entry, period):
+        calls.append(entry)
+        return real(entry, period)
+
+    monkeypatch.setattr(certmodel, "expand_revocation_entry", counted)
+    rng = DeterministicRandom(84)
+    craca = pki.root_cert.cert_id()
+    crl_set = CrlSet()
+    crl_set.add(Crl(series=SERIES_PSEUDONYM, craca_id=craca, issue_period=3,
+                    sequence=1, crlg_cert_id=b"\x00" * 8,
+                    linkage_entries=[_make_linkage_entry(rng) for _ in range(2)]))
+    revoked = crl_set.revoked_lvs(craca, SERIES_PSEUDONYM, 4)
+    assert len(calls) == 2
+    crl_set.add(Crl(series=SERIES_APPLICATION, craca_id=craca, issue_period=4,
+                    sequence=1, crlg_cert_id=b"\x00" * 8,
+                    certid_entries=[CertIdRevocation(rng.randbytes(8))]))
+    assert crl_set.revoked_lvs(craca, SERIES_PSEUDONYM, 4) is revoked
+    assert len(calls) == 2
 
 
 def test_crl_check_pseudonym_revocation_and_backward_privacy(pki):
@@ -556,7 +619,7 @@ def test_crl_check_pseudonym_revocation_and_backward_privacy(pki):
             )
         ],
     )
-    sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
+    crl = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
     crl_set.add(crl)
 
     assert crl_check(cert_at(3), crl_set).is_revoked
@@ -589,7 +652,7 @@ def test_crl_check_certid(pki):
     crl = Crl(series=SERIES_APPLICATION, craca_id=pki.root_cert.cert_id(),
               issue_period=0, sequence=1, crlg_cert_id=b"\x00" * 8,
               certid_entries=[CertIdRevocation(cert.cert_id())])
-    sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
+    crl = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
     crl_set.add(crl)
     assert crl_check(cert, crl_set).is_revoked
     assert len(cert.cert_id()) == 8
@@ -602,7 +665,7 @@ def test_composite_file_roundtrip(pki):
         crl = Crl(series=series, craca_id=pki.root_cert.cert_id(),
                   issue_period=0, sequence=1, crlg_cert_id=b"\x00" * 8,
                   linkage_entries=[_make_linkage_entry(rng)] if series == 1 else [])
-        sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
+        crl = sign_crl(crl, pki.crlg_key.private, pki.crlg_cert)
         crls.append(crl)
     raw = encode_composite(crls)
     back = decode_composite(raw)

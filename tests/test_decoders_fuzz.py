@@ -161,6 +161,45 @@ def test_non_bytes_input_is_a_parse_error_at_offset_0(name, value):
     assert err.value.offset == 0
 
 
+# the two LA-id orders a CRL group may name
+_LA_PAIRS = [b"\x00\x00\x00\x01\x00\x00\x00\x02",
+             b"\x00\x00\x00\x02\x00\x00\x00\x01"]
+
+
+@st.composite
+def crl_layouts(draw) -> bytes:
+    """CRL encodings built field by field, so that a group may repeat an
+    earlier group's (la_id1, la_id2, i, j_max) or hold no device."""
+    groups = draw(st.lists(st.tuples(
+        st.sampled_from(_LA_PAIRS), st.integers(0, 1), st.integers(1, 2),
+        st.integers(0, 2)), max_size=3))
+    out = bytearray(b"CR\x01" + (1).to_bytes(2, "big") + bytes(8)
+                    + (3).to_bytes(4, "big") + (1).to_bytes(4, "big")
+                    + bytes(8) + len(groups).to_bytes(2, "big"))
+    for la_ids, i, j_max, n_devices in groups:
+        out += la_ids + i.to_bytes(4, "big") + j_max.to_bytes(2, "big")
+        out += n_devices.to_bytes(2, "big")
+        for _ in range(n_devices):
+            out += draw(st.binary(min_size=32, max_size=32))
+            out += bytes([draw(st.integers(0, 2)), draw(st.sampled_from([0, 7, 0xFF]))])
+    n_certids = draw(st.integers(0, 2))
+    out += n_certids.to_bytes(4, "big")
+    for _ in range(n_certids):
+        out += draw(st.binary(min_size=8, max_size=8)) + b"\x01\xff"
+    return bytes(out) + draw(st.binary(min_size=64, max_size=64))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(raw=st.one_of(crl_layouts(), mutated(SAMPLES["Crl.decode"])))
+def test_every_crl_that_decodes_re_encodes_to_its_own_bytes(raw):
+    try:
+        crl = Crl.decode(raw)
+    except ParseError:
+        return
+    # a copy keeps no bytes from the wire: it encodes its fields afresh
+    assert replace(crl).encode() == raw
+
+
 def test_nested_parse_error_offset_is_in_the_outer_input():
     off_curve = b"\x02" + b"\x11" * 32
     cert = SAMPLES["Certificate.decode"][1]  # a component type may encrypt

@@ -10,6 +10,7 @@ import pytest
 from scms.bus import Envelope
 from scms.butterfly import ENCRYPTION, TimeIndex, cocoon_private
 from scms.certmodel import (
+    SERIES_PSEUDONYM,
     CertIdRevocation,
     Crl,
     LinkageRevocation,
@@ -26,6 +27,7 @@ from scms.device import DeviceCrlStore
 from scms.encoding import decode, encode
 from scms.errors import DecryptionError, ScmsError
 from scms.harness import ScenarioConfig, run_scenario
+from scms.linkage import LA1_ID, LA2_ID
 from tests.conftest import make_world, provision_all
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -440,7 +442,7 @@ def test_key_compromise_entries_survive_eviction(pki):
     assert sum(1 for e in kept if e.priority == Priority.KEY_COMPROMISE) == 20
     # within the normal class the ten oldest entries go
     kept_normal = [e for e in kept if e.priority == Priority.NORMAL]
-    assert kept_normal == normal.linkage_entries[10:]
+    assert kept_normal == list(normal.linkage_entries[10:])
 
 
 def test_crl_capacity_binds_bsm_validation():
@@ -454,11 +456,47 @@ def test_crl_capacity_binds_bsm_validation():
     assert unstored.metrics["bsms_rejected"] == {}
 
 
+def test_a_fleet_expands_each_crl_entry_once_whatever_its_size(monkeypatch):
+    # every device that decodes one composite shares one CRL and its
+    # revoked sets, so the fleet's size does not change the count
+    from scms import certmodel
+
+    calls = []
+    real = certmodel.expand_revocation_entry
+
+    def counted(entry, period):
+        calls.append(entry)
+        return real(entry, period)
+
+    monkeypatch.setattr(certmodel, "expand_revocation_entry", counted)
+    counts = {}
+    for devices in (2, 10):
+        world = make_world(devices=devices, periods=1, batch_size=1,
+                           seed=9000 + devices)
+        rng = DeterministicRandom(devices, "fleet-crl")
+        world.ma.crlg.add_entries(SERIES_PSEUDONYM, linkage=[
+            LinkageRevocation(i=0, ls1=rng.randbytes(16), ls2=rng.randbytes(16),
+                              la_id1=LA1_ID, la_id2=LA2_ID, j_max=2)
+            for _ in range(3)
+        ])
+        world.ma.publish_crl(SERIES_PSEUDONYM)
+        for device in world.devices:
+            device.fetch_crl()
+        world.bus.run()
+        calls.clear()
+        craca = world.pki["root"].cert.cert_id()
+        for device in world.devices:
+            revoked = device.crl_store.revoked_lvs(craca, SERIES_PSEUDONYM, 0)
+            assert len(revoked) == 3 * 2
+        counts[devices] = len(calls)
+    assert counts == {2: 3, 10: 3}
+
+
 def test_bad_signature_discards_whole_crl(pki):
     store = DeviceCrlStore(capacity=100)
     store.pin_generator(pki.crlg_cert, [1])
     crl = _crl_with_entries(pki, 5)
-    crl.signature = b"\x11" * 64
+    crl = replace(crl, signature=b"\x11" * 64)
     assert not store.add(crl)
     assert store.entry_count() == 0
 

@@ -88,10 +88,11 @@ def _decorator_name(node) -> str | None:
 
 # Every memo in the package, by file and function. Each is a pure function
 # of bytes, so no entry can go stale: no layer keeps a verdict that later
-# trust or CRL state could change. The certificate decoder is the one memo
-# above the crypto layer.
+# trust or CRL state could change. The certificate and CRL decoders are the
+# memos above the crypto layer.
 MEMOS = {
     "certmodel.py:_decode_certificate",
+    "certmodel.py:_decode_crl",
     "crypto/group.py:_affine",
     "crypto/group.py:backend_public",
     "crypto/prf.py:_cipher",
