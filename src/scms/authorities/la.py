@@ -148,12 +148,12 @@ class LinkageAuthority(MaQueryServer):
         if record is None or not self._serves(record["period0"], period, 1):
             return {"found": False}
         # self-decryption sanity: the LCI must open to the stored seed
-        opened = decode(
+        (seed0,) = fields(decode(
             hybrid_decrypt(
                 self.enc_keypair.private, HybridCiphertext.decode(lci)
             )
-        )
-        if opened["seed"] != record["seed0"]:
+        ), seed=bytes)
+        if seed0 != record["seed0"]:
             raise InvariantViolation("linkage chain identifier does not "
                                      "open to the stored seed")
         seed = self._seed_for(record, period)

@@ -84,15 +84,20 @@ class Pca(MaQueryServer):
             refuse("unknown linkage authority")
             return
         try:
-            plv1 = decode(channel_decrypt(channel1, eplv1))
-            plv2 = decode(channel_decrypt(channel2, eplv2))
+            plv1, i1, j1 = fields(decode(channel_decrypt(channel1, eplv1)),
+                                  plv=bytes, i=int, j=int)
+            plv2, i2, j2 = fields(decode(channel_decrypt(channel2, eplv2)),
+                                  plv=bytes, i=int, j=int)
         except DecryptionError:
             refuse("pre-linkage value decryption failed")
             return
-        if (plv1["i"], plv1["j"]) != (i, j) or (plv2["i"], plv2["j"]) != (i, j):
+        except ParseError:
+            refuse("malformed pre-linkage value")
+            return
+        if (i1, j1) != (i, j) or (i2, j2) != (i, j):
             refuse("pre-linkage index mismatch")
             return
-        lv = linkage_value(plv1["plv"], plv2["plv"])
+        lv = linkage_value(plv1, plv2)
 
         c = self.rng.scalar()
         try:

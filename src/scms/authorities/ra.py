@@ -345,17 +345,16 @@ class Ra(MaQueryServer):
         from ..crypto import Scalar, hybrid_encrypt
 
         package = SignedMessage.decode(package_bytes)
-        wrapper = decode(package.payload)
+        i, j, ct = fields(decode(package.payload), i=int, j=int, ct=bytes)
         plain = hybrid_decrypt(
             Scalar.from_bytes(attack["attack_priv"]),
-            HybridCiphertext.decode(wrapper["ct"]),
+            HybridCiphertext.decode(ct),
         )
         resealed = hybrid_encrypt(
             GroupElement.decode(attack["true_key"]), plain, self.rng
         ).encode()
         forged = SignedMessage(
-            payload=encode({"i": wrapper["i"], "j": wrapper["j"],
-                            "ct": resealed}),
+            payload=encode({"i": i, "j": j, "ct": resealed}),
             cert_id=package.cert_id,
             signature=package.signature,
             cert_bytes=package.cert_bytes,

@@ -4,7 +4,8 @@ Scalars are integers mod the group order; group elements are curve points
 with a representable identity. Point addition is affine Python, and so is
 ``scalar_mult``, which no run calls; every other curve operation runs in
 the OpenSSL backend, whose keys are all built here. The point decoder
-keeps only affine coordinates, memoized per encoding. ``backend_key``
+keeps only affine coordinates and memoizes nothing: a certificate decoded
+again comes whole from the certificate memo, keys included. ``backend_key``
 builds a key from a point's coordinates for one call (ECDH peers);
 ``backend_public`` caches the keys of signature verification, the only
 keys that are used again, so the one-shot butterfly, response and
@@ -36,10 +37,6 @@ ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 SCALAR_BYTES = 32
 POINT_BYTES = 33
-# Encodings whose affine coordinates the point decoder keeps. On perfbench
-# seed 1, v2x_traffic misses 1,454 times at 1024 entries, as at 4096, and
-# 1,601 times at 256; fleet_revocation misses 5,241, 5,114 and 5,391 times.
-POINT_MEMO_SIZE = 1024
 # The one OpenSSL key cache; signature verification is its only reader.
 # An entry holds an OpenSSL key, so peak RSS bounds the size. After one
 # seed-1 perfbench run it holds 29 keys on provision, 425 on v2x_traffic
@@ -118,7 +115,16 @@ class GroupElement:
         require_bytes(data)
         if data == _IDENTITY_BYTES:
             return IDENTITY
-        return cls(*_affine(data))
+        if len(data) != POINT_BYTES:
+            raise ParseError(f"point must be {POINT_BYTES} bytes, got {len(data)}", 0)
+        if data[0] not in (2, 3):
+            raise ParseError(f"bad point compression tag {data[0]:#x}", 0)
+        try:
+            key = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, data)
+        except ValueError:
+            raise ParseError("point is not on the curve", 1) from None
+        nums = key.public_numbers()
+        return cls(nums.x, nums.y)
 
     def __eq__(self, other) -> bool:
         return (
@@ -137,26 +143,6 @@ class GroupElement:
 
 
 _IDENTITY_BYTES = b"\x00" * POINT_BYTES
-
-
-# Encodings decoded again (certificates, CA and enrollment keys) skip the
-# decompression on a hit. An entry is two ints, not an OpenSSL key, so the
-# one-shot points that also pass through cost little room.
-@lru_cache(maxsize=POINT_MEMO_SIZE)
-def _affine(encoded: bytes) -> tuple[int, int]:
-    """Affine x, y of a compressed non-identity point; raises
-    ``ParseError`` on a wrong length, a bad tag, x >= p or an off-curve
-    point."""
-    if len(encoded) != POINT_BYTES:
-        raise ParseError(f"point must be {POINT_BYTES} bytes, got {len(encoded)}", 0)
-    if encoded[0] not in (2, 3):
-        raise ParseError(f"bad point compression tag {encoded[0]:#x}", 0)
-    try:
-        key = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, encoded)
-    except ValueError:
-        raise ParseError("point is not on the curve", 1) from None
-    nums = key.public_numbers()
-    return nums.x, nums.y
 
 
 def backend_key(point: GroupElement) -> ec.EllipticCurvePublicKey:

@@ -336,10 +336,9 @@ class Device:
                 self.mitm_detected += 1
             self._quarantine(package_bytes, opened)
             return
-        i, j, cert, cert_bytes, b_prime = opened
+        i, j, cert, b_prime = opened
         self.certs.setdefault(i, []).append({
             "cert": cert,
-            "cert_bytes": cert_bytes,
             "priv": Scalar(b_prime),
             "j": j,
         })
@@ -378,10 +377,9 @@ class Device:
         if self._pending_app_key is None:
             raise ScmsError("no application certificate request is pending")
         decoded = [Certificate.decode(raw) for raw in certs]
-        for cert, raw in zip(decoded, certs):
+        for cert in decoded:
             self.app_certs.append({
-                "cert": cert, "cert_bytes": raw,
-                "priv": self._pending_app_key.private,
+                "cert": cert, "priv": self._pending_app_key.private,
             })
         self._pending_app_key = None
 
@@ -546,7 +544,7 @@ def open_package(package_bytes: bytes, pca_cert: Certificate,
     k_enc), a pure kernel: check the issuer's signature, decrypt with the
     slot's cocoon key, decode the certificate, reconstruct the private key
     and check it against the certificate's key. Returns (i, j, certificate,
-    certificate bytes, private key value), or the reason to quarantine."""
+    private key value), or the reason to quarantine."""
     try:
         package = SignedMessage.decode(package_bytes)
     except ParseError:
@@ -581,4 +579,4 @@ def open_package(package_bytes: bytes, pca_cert: Certificate,
         return "reconstructed key mismatch"
     if cert.valid_from != index.i or cert.linkage_value is None:
         return "certificate content mismatch"
-    return i, j, cert, cert_bytes, b_prime.value
+    return i, j, cert, b_prime.value

@@ -220,7 +220,8 @@ class World:
         self.ra = Ra("ra", *args, pki["ra"], *ma_quota, self._authority_trust())
         crlg = Crlg(pki["crlg"].keypair, pki["crlg"].cert, craca)
         self.ma = Ma("ma", *args, pki["ma"], crlg,
-                     ThresholdDetector(threshold=config.detector_threshold))
+                     ThresholdDetector(threshold=config.detector_threshold),
+                     self._authority_trust())
         self.pg = Pg("pg", *args, pki["pg"])
         gpf = self.pg.publish_gpf({
             "batch_size": config.batch_size,

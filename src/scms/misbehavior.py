@@ -3,7 +3,9 @@
 Intake: encrypted reports arrive in shuffled batches from the RA, are
 decrypted, attributed to a linkage value and fed to a pluggable global
 detector (default: a threshold of distinct reporters against the same
-linkage value within a period window). A flagged linkage value starts an
+linkage value within a period window). A report counts only when its
+reporter signed it under a pseudonym certificate that chains to the PKI;
+any other is kept as a ``bad_report``. A flagged linkage value starts an
 automatic pipeline over signed queries:
 
   pseudonym:   lv -> encrypted plv pair (PCA, investigation)
@@ -42,6 +44,7 @@ from .certmodel import (
     SignedMessage,
     sign_crl,
     sign_message,
+    verify_chain,
     verify_message,
 )
 from .crypto import KeyPair, hybrid_decrypt
@@ -49,6 +52,7 @@ from .crypto.hybrid import HybridCiphertext
 from .encoding import decode, encode, fields
 from .errors import DecryptionError, ParseError, ScmsError
 from .linkage import J_MAX
+from .rootmgmt import TrustState
 
 
 @dataclass
@@ -152,10 +156,12 @@ class Ma(Authority):
     crl_store_host = "crlstore"
 
     def __init__(self, component_id, bus, registry, rng, identity,
-                 crlg: Crlg, detector: ThresholdDetector):
+                 crlg: Crlg, detector: ThresholdDetector, trust: TrustState):
         super().__init__(component_id, bus, registry, rng, identity)
         self.crlg = crlg
         self.detector = detector
+        # the PKI a reporter's pseudonym certificate must chain to
+        self.trust = trust
         self._cases: dict[str, dict] = {}
         # query digest -> (case key, step, server asked); a step is named
         # by its stage, plus ":<detail>" where a stage sends several queries
@@ -233,6 +239,12 @@ class Ma(Authority):
             return
         if not verify_message(reporter_msg, reporter_cert):
             self.store.put("bad_report", {"reason": "bad reporter signature"})
+            return
+        # a reporter counts only under a pseudonym certificate of this PKI,
+        # or anyone could mint the distinct reporters the detector counts
+        if (reporter_cert.ctype != CertType.OBE_PSEUDONYM
+                or not verify_chain(reporter_cert, self.trust).ok):
+            self.store.put("bad_report", {"reason": "reporter outside the PKI"})
             return
         self.store.put("report", {
             "lv": reported.linkage_value or b"",

@@ -33,6 +33,7 @@ from scms.crypto import (
     DeterministicRandom,
     KeyPair,
     channel_decrypt,
+    channel_encrypt,
     channel_key,
     hybrid_encrypt,
     mul_g,
@@ -1078,6 +1079,27 @@ def test_pca_rejects_an_identity_response_key():
     deferred = world.registry.audit_view("ra").scan("deferred")
     assert deferred == [{"rh": single["rh"],
                          "reason": "response key is the identity"}]
+    assert world.registry.audit_view("pca").count("issued") == 0
+
+
+@pytest.mark.parametrize("plaintext", [
+    {"plv": b"\x00" * 9, "j": 0}, ["plv", "i", "j"],
+], ids=["no-i", "list"])
+def test_pca_rejects_a_malformed_pre_linkage_plaintext(plaintext):
+    # the LA's channel plaintext is read through fields; before, one
+    # without "i" aborted the run with KeyError and a list with TypeError
+    world = make_world(devices=1)
+    world.devices[0].request_certs(0, 1, j_max=2)
+    world.bus.run()
+    eplv1 = channel_encrypt(world.la1._pca_channel, encode(plaintext),
+                            DeterministicRandom(9))
+    single = {**world.ra._buffer[0], "eplv1": eplv1}
+    world.bus.send(Envelope("ra", "pca", "cert.request", single))
+    world.bus.run()
+    assert world.bus.dead_letters == 0
+    deferred = world.registry.audit_view("ra").scan("deferred")
+    assert deferred == [{"rh": single["rh"],
+                         "reason": "malformed pre-linkage value"}]
     assert world.registry.audit_view("pca").count("issued") == 0
 
 

@@ -338,7 +338,7 @@ def test_malformed_pca_signed_package_is_quarantined(payload):
     device = world.devices[0]
     (batch,) = world.registry.audit_view("ra").where(
         "batch", handle=device.handle_id)
-    cert_bytes = device.certs[0][0]["cert_bytes"]
+    cert_bytes = device.certs[0][0]["cert"].encode()
     contents = {
         "sealed:no-c": {"cert": cert_bytes},
         "sealed:junk-cert": {"cert": b"SC junk", "c": b"\x01" * 32},

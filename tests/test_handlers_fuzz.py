@@ -87,7 +87,7 @@ def _recorded_run():
         rse.request_app_certs(CertType.RSE_APPLICATION, [[0, 5], [6, 9]],
                               psid=130, with_enc_key=True)
         world.bus.run()
-        world.ma.start_certificate_revocation(rse.app_certs[0]["cert_bytes"])
+        world.ma.start_certificate_revocation(rse.app_certs[0]["cert"].encode())
         world.bus.run()
     assert result.violations == []
     assert world.bus.dead_letters == 0

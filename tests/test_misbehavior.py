@@ -1,6 +1,8 @@
 """MA pipeline tests: detection thresholds, boolean investigation,
 pseudonym and non-pseudonym revocation, rate limits, audit trails."""
 
+import hashlib
+
 import pytest
 
 from scms.bus import Envelope
@@ -11,6 +13,7 @@ from scms.certmodel import (
     check_crl_signature,
     crl_check,
     CrlSet,
+    issue_certificate,
     sign_message,
     verify_chain,
 )
@@ -141,11 +144,13 @@ def test_malformed_reporter_certificate_recorded_not_crash():
 def test_report_evidence_must_be_bytes(evidence, stored):
     from scms.crypto import hybrid_encrypt
 
-    world = make_world()
+    world = make_world(devices=1, periods=1, batch_size=1)
+    provision_all(world)
     ma = world.pki["ma"]
+    signer = world.devices[0].signing_cert()
     report = {
         "kind": "bsm", "reported_cert": ma.cert.encode(), "evidence": evidence,
-        "reporter": sign_message(ma.keypair.private, ma.cert, b"\x01").encode(),
+        "reporter": sign_message(signer["priv"], signer["cert"], b"\x01").encode(),
     }
     blob = hybrid_encrypt(ma.enc_keypair.public, encode(report), world.rng)
     world.bus.send(Envelope("ra", "ma", "mb.batch", {"reports": [blob.encode()]}))
@@ -155,6 +160,50 @@ def test_report_evidence_must_be_bytes(evidence, stored):
         stored == "report", stored == "bad_report"]
     if stored == "bad_report":
         assert view.scan("bad_report") == [{"reason": "undecryptable or malformed"}]
+
+
+def _pseudonym_outside_the_pki(rng) -> tuple[KeyPair, Certificate]:
+    """A well-formed pseudonym certificate that no PCA issued: self-signed
+    under a random issuer id."""
+    key = KeyPair.generate(rng)
+    cert = Certificate(ctype=CertType.OBE_PSEUDONYM, subject_key=key.public,
+                       valid_from=0, valid_to=3, psid=0x20,
+                       craca_id=rng.randbytes(8), crl_series=1,
+                       issuer_id=rng.randbytes(8), linkage_value=rng.randbytes(9))
+    return key, issue_certificate(cert, key.private)
+
+
+@pytest.mark.parametrize("signer", ["self-issued pseudonym", "component"])
+def test_reporters_outside_the_pki_are_not_counted(signer):
+    # three distinct reporters meet the threshold, but none holds a
+    # pseudonym certificate of this PKI: each is self-issued, or is a
+    # component's certificate, which chains but names no vehicle
+    from scms.crypto import hybrid_encrypt
+
+    world = _revocation_world()
+    world.clock.set(1, 0)
+    bsm = world.devices[0].broadcast_bsm([world.devices[1].id],
+                                         position=[-3, 0], speed=50)
+    world.bus.run()
+    evidence = hashlib.sha256(bsm).digest()
+    if signer == "component":
+        keys = [(world.pki[role].keypair, world.pki[role].cert)
+                for role in ("pca", "ra", "la1")]
+    else:
+        rng = DeterministicRandom(5)
+        keys = [_pseudonym_outside_the_pki(rng) for _ in range(3)]
+    ma = world.pki["ma"]
+    reports = [hybrid_encrypt(ma.enc_keypair.public, encode({
+        "kind": "bsm", "evidence": evidence,
+        "reported_cert": SignedMessage.decode(bsm).cert_bytes,
+        "reporter": sign_message(key.private, cert, evidence).encode(),
+    }), world.rng).encode() for key, cert in keys]
+    world.bus.send(Envelope("ra", "ma", "mb.batch", {"reports": reports}))
+    world.bus.run()
+    view = world.registry.audit_view("ma")
+    assert view.count("report") == 0
+    assert view.scan("bad_report") == [{"reason": "reporter outside the PKI"}] * 3
+    assert world.ma.revocations_completed == 0
 
 
 def test_report_batch_order_decorrelated_from_filing_order():
@@ -442,7 +491,7 @@ def test_rse_application_issuance_and_revocation():
         assert cert.enc_key is not None
         assert verify_chain(cert, rse.trust).ok
 
-    world.ma.start_certificate_revocation(rse.app_certs[0]["cert_bytes"])
+    world.ma.start_certificate_revocation(rse.app_certs[0]["cert"].encode())
     world.bus.run()
     crl = world.crl_store.crls.get(world.pki["root"].cert.cert_id(), 3)
     assert crl is not None
@@ -462,7 +511,7 @@ def test_expired_only_device_blacklist_without_crl_delta():
     rse.request_app_certs(CertType.RSE_APPLICATION, [[0, 1]], psid=130)
     world.bus.run()
     world.clock.set(2, 0)  # the only cert is now expired
-    world.ma.start_certificate_revocation(rse.app_certs[0]["cert_bytes"])
+    world.ma.start_certificate_revocation(rse.app_certs[0]["cert"].encode())
     world.bus.run()
     assert world.crl_store.crls.get(world.pki["root"].cert.cert_id(), 3) is None
     record = world.registry.audit_view("ma").scan("revocation_nonpseudo")[0]

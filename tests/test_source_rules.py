@@ -54,6 +54,34 @@ def test_no_unchecked_payload_subscripts():
     assert found == []
 
 
+def _is_decode_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "decode")
+
+
+def test_no_unchecked_decoded_subscripts():
+    # a decoded value is outside input like a payload: it is read through
+    # encoding.fields, never subscripted, whether directly or by a name
+    # that a function bound to it
+    found = set()
+    for where, node in _nodes():
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        file = where.split(":")[0]
+        decoded = {
+            target.id for n in ast.walk(node)
+            if isinstance(n, ast.Assign) and _is_decode_call(n.value)
+            for target in n.targets if isinstance(target, ast.Name)
+        }
+        found |= {
+            f"{file}:{n.lineno}" for n in ast.walk(node)
+            if isinstance(n, ast.Subscript) and (
+                _is_decode_call(n.value)
+                or isinstance(n.value, ast.Name) and n.value.id in decoded)
+        }
+    assert found == set(), sorted(found)
+
+
 def test_one_openssl_key_adapter():
     # every backend key is built in crypto/group.py, behind one key cache
     names = {"derive_private_key", "from_encoded_point",
@@ -93,7 +121,6 @@ def _decorator_name(node) -> str | None:
 MEMOS = {
     "certmodel.py:_decode_certificate",
     "certmodel.py:_decode_crl",
-    "crypto/group.py:_affine",
     "crypto/group.py:backend_public",
     "crypto/prf.py:_cipher",
     "crypto/signing.py:backend_verify",
