@@ -633,20 +633,25 @@ class CrlStatus:
         return self.state == "revoked"
 
 
+# every verdict crl_check gives, built once: a chain walk checks each link
+_NO_CRL = CrlStatus("valid-no-crl", "no CRL for this series")
+_VALID = CrlStatus("valid")
+_LV_REVOKED = CrlStatus("revoked", "linkage value on CRL")
+_ID_REVOKED = CrlStatus("revoked", "certificate id on CRL")
+
+
 def crl_check(cert: Certificate, crl_set: CrlSet) -> CrlStatus:
     """Check one certificate against the relevant CRL sequence only."""
     if not crl_set.has_crl(cert.craca_id, cert.crl_series):
-        return CrlStatus("valid-no-crl", "no CRL for this series")
+        return _NO_CRL
     if cert.ctype == CertType.OBE_PSEUDONYM:
         revoked = crl_set.revoked_lvs(
             cert.craca_id, cert.crl_series, cert.valid_from
         )
-        if cert.linkage_value in revoked:
-            return CrlStatus("revoked", "linkage value on CRL")
-        return CrlStatus("valid")
+        return _LV_REVOKED if cert.linkage_value in revoked else _VALID
     if cert.cert_id() in crl_set.revoked_cert_ids(cert.craca_id, cert.crl_series):
-        return CrlStatus("revoked", "certificate id on CRL")
-    return CrlStatus("valid")
+        return _ID_REVOKED
+    return _VALID
 
 
 # --- chain validation ---
@@ -656,6 +661,12 @@ def crl_check(cert: Certificate, crl_set: CrlSet) -> CrlStatus:
 class ChainResult:
     ok: bool
     reason: str | None = None
+
+
+_CHAIN_OK = ChainResult(True)
+# the reason verify_chain gives when any link is on its CRL
+REVOKED_IN_CHAIN = "revoked certificate in chain"
+_CHAIN_REVOKED = ChainResult(False, REVOKED_IN_CHAIN)
 
 
 def verify_chain(
@@ -673,9 +684,8 @@ def verify_chain(
             return ChainResult(False, "chain too deep")
         if at_period is not None and not current.valid_at(at_period):
             return ChainResult(False, "certificate outside validity period")
-        status = crl_check(current, trust.crls)
-        if status.is_revoked:
-            return ChainResult(False, "revoked certificate in chain")
+        if crl_check(current, trust.crls).is_revoked:
+            return _CHAIN_REVOKED
         if current.self_signed:
             if current.ctype == CertType.ELECTOR:
                 return ChainResult(False, "elector certificate in a chain")
@@ -683,7 +693,7 @@ def verify_chain(
                 return ChainResult(False, "root not endorsed by elector quorum")
             if not check_cert_signature(current, current):
                 return ChainResult(False, "bad self-signature on root")
-            return ChainResult(True)
+            return _CHAIN_OK
         issuer = trust.resolve(current.issuer_id)
         if issuer is None:
             return ChainResult(False, "unknown issuer")

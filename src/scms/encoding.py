@@ -79,6 +79,19 @@ def _encode_into(value, out: bytearray) -> None:
         raise TypeError(f"cannot canonically encode {type(value).__name__}")
 
 
+def dict_layout(*keys: str) -> tuple[bytes, ...]:
+    """The bytes that ``encode`` writes before each value of a dict with
+    exactly ``keys``, given in the codec's sorted order, the first with the
+    dict's header, so that joining each part with the encoding of its value
+    gives ``encode`` of the dict."""
+    raws = [key.encode() for key in keys]
+    if raws != sorted(set(raws)):
+        raise ValueError("keys must be distinct and in sorted order")
+    parts = [len(raw).to_bytes(4, "big") + raw for raw in raws]
+    parts[0] = bytes([_DICT]) + len(raws).to_bytes(4, "big") + parts[0]
+    return tuple(parts)
+
+
 def decode(data: bytes):
     require_bytes(data)
     try:

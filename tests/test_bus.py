@@ -2,9 +2,11 @@
 fault boundary, deferred jobs, the kernel pool."""
 
 import functools
+import hashlib
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from scms.bus import Clock, Envelope, MessageBus, Trace
 from scms.crypto import DeterministicRandom
 from scms.encoding import fields
 from scms.errors import InvariantViolation, ParseError, ScmsError
+from scms.harness import ScenarioConfig, run_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class Echo:
@@ -76,6 +81,41 @@ def test_trace_digest_is_order_sensitive():
     t3.record("a", x=1)
     t3.record("b", x=2)
     assert t3.digest() == t1.digest()
+
+
+@pytest.mark.parametrize("name", ["revocation_demo", "mitm_drill"])
+def test_spliced_envelope_hash_is_the_hash_of_the_encoding(name, monkeypatch):
+    spliced = MessageBus._envelope_hash
+    seen, wrong = [], []
+
+    def checked(bus, env):
+        h = spliced(bus, env)
+        seen.append(env.mtype)
+        if h != hashlib.sha256(env.encode()).hexdigest()[:16]:
+            wrong.append(env)
+        return h
+
+    monkeypatch.setattr(MessageBus, "_envelope_hash", checked)
+    config = ScenarioConfig.from_json((SCENARIOS / f"{name}.json").read_text())
+    result = run_scenario(config)
+    assert len(seen) == result.world.bus.delivered
+    assert "bsm" in seen and wrong == []
+
+
+def test_a_payload_changed_between_runs_is_hashed_afresh():
+    bus = MessageBus(trace=Trace())
+    Echo(bus, "a")
+    payload = {"n": 1}
+    hashes = []
+    for n in (1, 2):
+        payload["n"] = n
+        bus.send(Envelope("x", "a", "m", payload))
+        bus.run()
+        env = Envelope("x", "a", "m", dict(payload))
+        hashes.append((bus.trace.events[-1]["h"],
+                       hashlib.sha256(env.encode()).hexdigest()[:16]))
+    assert hashes[0][0] != hashes[1][0]
+    assert all(got == want for got, want in hashes)
 
 
 def test_trace_ndjson(tmp_path):

@@ -10,20 +10,23 @@ import pytest
 from scms.bus import Envelope
 from scms.butterfly import ENCRYPTION, TimeIndex, cocoon_private
 from scms.certmodel import (
+    BSM_PSID,
     SERIES_PSEUDONYM,
     CertIdRevocation,
+    Certificate,
     Crl,
     LinkageRevocation,
     Priority,
     SignedMessage,
     crl_check,
+    issue_certificate,
     sign_crl,
     sign_message,
 )
 from scms.crypto import DeterministicRandom, hybrid_decrypt, hybrid_encrypt, mul_g
 from scms.crypto.hybrid import HybridCiphertext
 from scms.crypto.signing import backend_verify
-from scms.device import DeviceCrlStore
+from scms.device import DeviceCrlStore, _signed_bsm
 from scms.encoding import decode, encode
 from scms.errors import DecryptionError, ScmsError
 from scms.harness import ScenarioConfig, run_scenario
@@ -190,8 +193,9 @@ def test_one_crl_check_path_in_bsm_validation(monkeypatch):
     assert backend_verify.cache_info().misses == misses
     assert certmodel._decode_certificate.cache_info().misses == decoded
 
-    # a failed walk is "revoked" when the leaf itself is revoked, whatever
-    # else is wrong with the chain, and "untrusted-chain" otherwise
+    # a failed walk is "revoked" when it stops at a revoked link, as it
+    # does at a revoked leaf whatever else is wrong with the chain, and
+    # "untrusted-chain" otherwise
     assert listener.validate_bsm(offender.sign_bsm([0, 0], 30)) == (False, "revoked")
     # a root revocation takes effect on the next message, with nothing to
     # invalidate
@@ -229,6 +233,121 @@ def test_inline_certificate_that_does_not_reencode_is_malformed(offset, bits):
     world.bus.send(Envelope(sender.id, listener.id, "bsm", {"bsm": forged}))
     world.bus.run()
     assert world.bus.dead_letters == 0
+
+
+def _bsm_variants(world, sender) -> dict[str, bytes]:
+    """BSMs from ``sender`` at the clock's period, by name: its honest one,
+    and variants that each differ from it in one respect."""
+    period = world.clock.period
+    chosen = sender.signing_cert()
+    cert, priv = chosen["cert"], chosen["priv"]
+
+    def payload(**changes) -> bytes:
+        return encode({"p": period, "m": 0, "pos": [0, 0], "speed": 30,
+                       "seq": 1, **changes})
+
+    honest = sign_message(priv, cert, payload()).encode()
+    flipped = bytearray(honest)
+    flipped[-1] ^= 1
+    other = world.devices[-1].signing_cert()["cert"]
+    # a pseudonym certificate the PCA issued for another application
+    wrong_psid = issue_certificate(replace(cert, psid=BSM_PSID + 1, signature=None),
+                                   world.pca.keypair.private)
+    enrollment = Certificate.decode(sender.enrollment_cert_bytes)
+    return {
+        "honest": honest,
+        "truncated": honest[:-1],
+        "flipped-signature": bytes(flipped),
+        "swapped-certificate": replace(
+            SignedMessage.decode(honest), cert_id=other.cert_id(),
+            cert_bytes=other.encode()).encode(),
+        "enrollment": sign_message(sender.enrollment_key.private, enrollment,
+                                   payload()).encode(),
+        "wrong-psid": sign_message(priv, wrong_psid, payload()).encode(),
+        "undecodable-payload": sign_message(priv, cert, b"\xff").encode(),
+        "payload-without-seq": sign_message(
+            priv, cert, encode({"p": period, "m": 0, "pos": [0, 0],
+                                "speed": 30})).encode(),
+        "period-minus-5": sign_message(priv, cert, payload(p=-5)).encode(),
+    }
+
+
+@pytest.mark.parametrize("variant, verdict", [
+    ("honest", (True, "ok")),
+    ("truncated", (False, "malformed")),
+    ("flipped-signature", (False, "bad-signature")),
+    ("swapped-certificate", (False, "bad-signature")),
+    ("enrollment", (False, "not-pseudonym")),
+    ("wrong-psid", (False, "wrong-psid")),
+    ("undecodable-payload", (False, "malformed-payload")),
+    ("payload-without-seq", (False, "malformed-payload")),
+    ("period-minus-5", (False, "wrong-period")),
+])
+def test_a_bsm_is_accepted_only_as_a_pseudonym_bsm_of_this_period(variant, verdict):
+    world = make_world(devices=3, periods=2, batch_size=2)
+    provision_all(world)
+    world.clock.set(1, 0)
+    bsm = _bsm_variants(world, world.devices[0])[variant]
+    assert world.devices[1].validate_bsm(bsm) == verdict
+
+
+def _revoke_pca(world) -> None:
+    """List the PCA's certificate id on its series-2 CRL and publish it."""
+    pca_cert = world.pki["pca"].cert
+    world.ma.crlg.add_entries(pca_cert.crl_series,
+                              certid=[CertIdRevocation(pca_cert.cert_id())])
+    world.ma.publish_crl(pca_cert.crl_series)
+
+
+def test_a_revoked_issuer_in_the_chain_is_reported_as_revoked():
+    world = make_world(devices=2, periods=2, batch_size=2)
+    provision_all(world)
+    sender, listener = world.devices
+    world.clock.set(1, 0)
+    bsm = sender.sign_bsm([0, 0], 30)
+    assert listener.validate_bsm(bsm) == (True, "ok")
+    _revoke_pca(world)
+    listener.fetch_crl()
+    world.bus.run()
+    # the leaf is on no CRL; its issuer is
+    leaf = Certificate.decode(SignedMessage.decode(bsm).cert_bytes)
+    assert not crl_check(leaf, listener.crl_store).is_revoked
+    assert listener.validate_bsm(bsm) == (False, "revoked")
+
+
+def test_memoized_bsm_checks_give_every_receiver_its_own_verdict():
+    # differential: each variant at two receivers in different CRL states,
+    # at the same and at another period, with the memo warm and emptied
+    # before each call, gives the same verdict
+    world = make_world(devices=4, periods=2, batch_size=2)
+    provision_all(world)
+    sender, revoking, trusting = world.devices[0], world.devices[1], world.devices[2]
+    world.clock.set(0, 0)
+    variants = {f"{name}@0": bsm for name, bsm
+                in _bsm_variants(world, sender).items()}
+    world.clock.set(1, 0)
+    variants.update(_bsm_variants(world, sender))
+    _revoke_pca(world)
+    revoking.fetch_crl()
+    world.bus.run()
+
+    def verdicts() -> list[tuple]:
+        return [receiver.validate_bsm(bsm) for bsm in variants.values()
+                for receiver in (revoking, trusting)]
+
+    _signed_bsm.cache_clear()
+    warm = verdicts()
+    assert _signed_bsm.cache_info().hits == len(variants)
+    cold = []
+    for bsm in variants.values():
+        for receiver in (revoking, trusting):
+            _signed_bsm.cache_clear()
+            cold.append(receiver.validate_bsm(bsm))
+    assert warm == cold
+    by_name = dict(zip(variants, zip(warm[::2], warm[1::2])))
+    assert by_name["honest"] == ((False, "revoked"), (True, "ok"))
+    assert by_name["honest@0"] == ((False, "expired-period"),) * 2
+    assert by_name["wrong-psid"] == ((False, "wrong-psid"),) * 2
 
 
 def test_policy_file_in_the_other_slot_is_refused():

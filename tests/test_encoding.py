@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scms.encoding import decode, encode
+from scms.encoding import decode, dict_layout, encode
 from scms.errors import ParseError
 
 
@@ -29,6 +29,16 @@ def test_dict_key_order_is_canonical():
     a = encode({"x": 1, "y": 2, "z": [3]})
     b = encode({"z": [3], "y": 2, "x": 1})
     assert a == b
+
+
+def test_dict_layout_splices_the_encodings_of_the_values():
+    values = {"ab": b"\x00" * 300, "b": {"z": [1]}, "é": None}
+    parts = dict_layout(*values)
+    assert b"".join(p + encode(v) for p, v in zip(parts, values.values())) \
+        == encode(values)
+    for keys in (("b", "ab"), ("a", "a")):
+        with pytest.raises(ValueError):
+            dict_layout(*keys)
 
 
 def test_int_encoding_minimal_width():

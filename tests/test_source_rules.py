@@ -54,6 +54,63 @@ def test_no_unchecked_payload_subscripts():
     assert found == []
 
 
+# methods that change a dict or a list in place
+_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update",
+             "append", "extend", "insert", "remove", "reverse", "sort"}
+
+
+def _root(node):
+    """``node`` without its subscripts, and ``fields(x, ...)`` as ``x``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "fields" and node.args):
+        node = node.args[0]
+    return node
+
+
+def _is_payload(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "payload"
+
+
+def test_no_code_mutates_a_payload():
+    # the bus hashes a payload shared by consecutive envelopes once, so no
+    # code changes a delivered payload or a part of it, whether through
+    # env.payload or through a name that a function bound to it
+    found = set()
+    for where, node in _nodes():
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        file = where.split(":")[0]
+        bound = {
+            name.id for n in ast.walk(node)
+            if isinstance(n, ast.Assign) and _is_payload(_root(n.value))
+            for target in n.targets
+            for name in (target.elts if isinstance(target, ast.Tuple)
+                         else [target])
+            if isinstance(name, ast.Name)
+        }
+
+        def is_payload(expr):
+            expr = _root(expr)
+            return (_is_payload(expr)
+                    or isinstance(expr, ast.Name) and expr.id in bound)
+
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                hit = n.func.attr in _MUTATORS and is_payload(n.func.value)
+            elif isinstance(n, (ast.Assign, ast.Delete)):
+                hit = any(isinstance(t, ast.Subscript) and is_payload(t)
+                          for t in n.targets)
+            elif isinstance(n, ast.AugAssign):
+                hit = is_payload(n.target)
+            else:
+                continue
+            if hit:
+                found.add(f"{file}:{n.lineno}")
+    assert found == set(), sorted(found)
+
+
 def _is_decode_call(node) -> bool:
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "decode")
@@ -115,15 +172,18 @@ def _decorator_name(node) -> str | None:
 
 
 # Every memo in the package, by file and function. Each is a pure function
-# of bytes, so no entry can go stale: no layer keeps a verdict that later
-# trust or CRL state could change. The certificate and CRL decoders are the
-# memos above the crypto layer.
+# of bytes or text, so no entry can go stale: no layer keeps a verdict that
+# later trust or CRL state could change. Above the crypto layer, the memos
+# are the certificate and CRL decoders, the checks of a BSM's bytes and the
+# encodings of the strings of an envelope.
 MEMOS = {
+    "bus.py:_text",
     "certmodel.py:_decode_certificate",
     "certmodel.py:_decode_crl",
     "crypto/group.py:backend_public",
     "crypto/prf.py:_cipher",
     "crypto/signing.py:backend_verify",
+    "device.py:_signed_bsm",
 }
 
 
