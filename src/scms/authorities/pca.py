@@ -5,15 +5,20 @@ two pre-linkage values, XORs them into the linkage value, randomizes the
 cocoon key into the butterfly key, signs the certificate, encrypts the
 certificate plus reconstruction value to the response key, and signs the
 encrypted packet (so a registration-side key substitution is detectable by
-the device). Also issues plain application/identification certificates and
-answers the misbehavior authority's mapping queries under signature check,
-rate limit and audit log.
+the device). The ``cert.request`` handler only checks the payload's field
+types and draws the two scalars of the issuance; the ``issue_pseudonym``
+kernel makes every other check and does the crypto, on the pool (see
+``scms.bus``), and its commit records and sends the certificate or the
+refusal. A request that the kernel refuses has still consumed its draws.
+
+Also issues plain application/identification certificates and answers
+the misbehavior authority's mapping queries under signature check, rate
+limit and audit log.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 
 from ..butterfly import butterfly_finalize
 from ..certmodel import (
@@ -52,82 +57,33 @@ class Pca(MaQueryServer):
         self.audit_log(env.src, "cert.request.rejected", rh)
         self.send(env.src, "cert.reject", {"rh": rh, "reason": reason})
 
-    def _requested(self, content: dict) -> Certificate:
-        """The unsigned certificate with this PCA as issuer; raises
-        ``ValueError`` if the content does not make a conforming one."""
-        return Certificate(
-            craca_id=self.craca_id, issuer_id=self.cert.cert_id(), **content
-        )
-
     def on_cert_request(self, env) -> None:
-        # the checks and both draws run here, in delivery order; the
-        # kernel does the crypto and the commit every write and send
+        # the field checks and both draws run here, in delivery order; the
+        # kernel makes every other check and does the crypto, and the
+        # commit does every write and send
         rh, la1, la2, eplv1, eplv2, i, j, cocoon, resp_key, psid = fields(
             env.payload, rh=bytes, la1=bytes, la2=bytes, eplv1=bytes,
             eplv2=bytes, i=int, j=int, cocoon=bytes, resp_key=bytes, psid=int,
         )
-        cocoon = GroupElement.decode(cocoon)
-        response_key = GroupElement.decode(resp_key)
-
-        def refuse(reason: str) -> None:
-            self.bus.defer(None, (), lambda _: self._reject(env, rh, reason))
-
-        if cocoon.is_identity:
-            refuse("cocoon key is the identity")
-            return
-        if response_key.is_identity:
-            refuse("response key is the identity")
-            return
-        channel1 = self._la_channels.get(la1)
-        channel2 = self._la_channels.get(la2)
-        if channel1 is None or channel2 is None:
-            refuse("unknown linkage authority")
-            return
-        try:
-            plv1, i1, j1 = fields(decode(channel_decrypt(channel1, eplv1)),
-                                  plv=bytes, i=int, j=int)
-            plv2, i2, j2 = fields(decode(channel_decrypt(channel2, eplv2)),
-                                  plv=bytes, i=int, j=int)
-        except DecryptionError:
-            refuse("pre-linkage value decryption failed")
-            return
-        except ParseError:
-            refuse("malformed pre-linkage value")
-            return
-        if (i1, j1) != (i, j) or (i2, j2) != (i, j):
-            refuse("pre-linkage index mismatch")
-            return
-        lv = linkage_value(plv1, plv2)
-
         c = self.rng.scalar()
-        try:
-            # the cocoon key stands in for the butterfly key, which only
-            # the kernel computes; conformance does not read the key
-            requested = self._requested(dict(
-                ctype=CertType.OBE_PSEUDONYM,
-                subject_key=cocoon,
-                valid_from=i,
-                valid_to=i,
-                psid=psid,
-                crl_series=SERIES_PSEUDONYM,
-                linkage_value=lv,
-            ))
-        except ValueError as exc:
-            refuse(f"non-conforming certificate: {exc}")
-            return
         ephemeral = self.rng.scalar()
-        record = {"rh": rh, "eplv1": eplv1, "eplv2": eplv2, "i": i, "j": j,
-                  "lv": lv}
 
-        def commit(result: tuple[bytes, bytes]) -> None:
-            cert_bytes, package = result
-            self.store.put("issued", {**record, "cert": cert_bytes,
-                                      "ra_host": env.src})
+        def commit(result: tuple[bytes, bytes, bytes] | str) -> None:
+            if type(result) is str:
+                self._reject(env, rh, result)
+                return
+            cert_bytes, package, lv = result
+            self.store.put("issued", {
+                "rh": rh, "eplv1": eplv1, "eplv2": eplv2, "i": i, "j": j,
+                "lv": lv, "cert": cert_bytes, "ra_host": env.src,
+            })
             self.send(env.src, "cert.response", {"rh": rh, "package": package})
 
         self.bus.defer(issue_pseudonym, (
-            self.keypair.private.value, self.cert, requested, j, c.value,
-            ephemeral.value, response_key,
+            self.keypair.private.value, self.cert, self.craca_id,
+            self._la_channels,
+            (la1, la2, eplv1, eplv2, i, j, cocoon, resp_key, psid),
+            c.value, ephemeral.value,
         ), commit)
 
     # --- plain issuance (identification / RSE application) ---
@@ -144,7 +100,8 @@ class Pca(MaQueryServer):
         except ValueError:
             raise ParseError(f"unknown certificate type {ctype}", 0) from None
         try:
-            requested = self._requested(dict(
+            requested = _requested(
+                self.craca_id, self.cert,
                 ctype=ctype,
                 subject_key=GroupElement.decode(pubkey),
                 valid_from=valid_from,
@@ -154,7 +111,7 @@ class Pca(MaQueryServer):
                 enc_key=(None if enc_pubkey is None
                          else GroupElement.decode(enc_pubkey)),
                 subject_info=subject_info,
-            ))
+            )
         except ValueError as exc:
             self._reject(env, rh, f"non-conforming certificate: {exc}")
             return
@@ -212,18 +169,71 @@ class Pca(MaQueryServer):
         return {"certs": certs}
 
 
-def issue_pseudonym(pca_priv: int, pca_cert: Certificate,
-                    requested: Certificate, j: int, c: int, ephemeral: int,
-                    response_key: GroupElement) -> tuple[bytes, bytes]:
-    """The crypto of one pseudonym issuance, a pure kernel: butterfly key
-    ``cocoon + c*G`` (the cocoon stands as ``requested``'s subject key),
-    the certificate signature, the seal of certificate and ``c`` to the
-    response key with the ephemeral scalar, and the PCA's signature over
-    the sealed package. Returns (certificate bytes, package bytes)."""
+def _requested(craca_id: bytes, issuer: Certificate,
+               **content) -> Certificate:
+    """The unsigned certificate that ``issuer`` would issue; raises
+    ``ValueError`` if the content does not make a conforming one."""
+    return Certificate(craca_id=craca_id, issuer_id=issuer.cert_id(), **content)
+
+
+def issue_pseudonym(pca_priv: int, pca_cert: Certificate, craca_id: bytes,
+                    la_channels: dict[bytes, bytes], request: tuple,
+                    c: int, ephemeral: int) -> tuple[bytes, bytes, bytes] | str:
+    """One pseudonym issuance, a pure kernel. ``request`` holds the fields
+    of a ``cert.request`` after its type checks: (la1, la2, eplv1, eplv2,
+    i, j, cocoon, resp_key, psid). Checks both keys, opens both pre-linkage
+    values on the LA channels and checks their slot, then computes the
+    butterfly key ``cocoon + c*G``, signs the certificate, seals it and
+    ``c`` to the response key with the ephemeral scalar, and signs the
+    sealed package. Returns (certificate bytes, package bytes, linkage
+    value), or the reason of the first check that fails."""
+    la1, la2, eplv1, eplv2, i, j, cocoon, resp_key, psid = request
+    try:
+        cocoon = GroupElement.decode(cocoon)
+    except ParseError:
+        return "malformed cocoon key"
+    try:
+        response_key = GroupElement.decode(resp_key)
+    except ParseError:
+        return "malformed response key"
+    if cocoon.is_identity:
+        return "cocoon key is the identity"
+    if response_key.is_identity:
+        return "response key is the identity"
+    channel1 = la_channels.get(la1)
+    channel2 = la_channels.get(la2)
+    if channel1 is None or channel2 is None:
+        return "unknown linkage authority"
+    try:
+        plv1, i1, j1 = fields(decode(channel_decrypt(channel1, eplv1)),
+                              plv=bytes, i=int, j=int)
+        plv2, i2, j2 = fields(decode(channel_decrypt(channel2, eplv2)),
+                              plv=bytes, i=int, j=int)
+    except DecryptionError:
+        return "pre-linkage value decryption failed"
+    except ParseError:
+        return "malformed pre-linkage value"
+    if (i1, j1) != (i, j) or (i2, j2) != (i, j):
+        return "pre-linkage index mismatch"
+    lv = linkage_value(plv1, plv2)
+    # conformance does not read the subject key, so checking it on the
+    # butterfly key refuses exactly what the cocoon key would
+    butterfly_pub, recon = butterfly_finalize(cocoon, Scalar(c))
+    try:
+        requested = _requested(
+            craca_id, pca_cert,
+            ctype=CertType.OBE_PSEUDONYM,
+            subject_key=butterfly_pub,
+            valid_from=i,
+            valid_to=i,
+            psid=psid,
+            crl_series=SERIES_PSEUDONYM,
+            linkage_value=lv,
+        )
+    except ValueError as exc:
+        return f"non-conforming certificate: {exc}"
     priv = Scalar(pca_priv)
-    butterfly_pub, recon = butterfly_finalize(requested.subject_key, Scalar(c))
-    cert = issue_certificate(replace(requested, subject_key=butterfly_pub), priv)
-    cert_bytes = cert.encode()
+    cert_bytes = issue_certificate(requested, priv).encode()
     sealed = hybrid_seal(
         response_key,
         encode({"cert": cert_bytes, "c": recon.c.to_bytes()}),
@@ -232,10 +242,8 @@ def issue_pseudonym(pca_priv: int, pca_cert: Certificate,
     # the slot index rides outside the encryption (the RA knows it from
     # its own request anyway) so the device can pick its cocoon key;
     # the signature covers index and ciphertext together
-    package = sign_message(
-        priv, pca_cert, encode({"i": requested.valid_from, "j": j, "ct": sealed})
-    )
-    return cert_bytes, package.encode()
+    package = sign_message(priv, pca_cert, encode({"i": i, "j": j, "ct": sealed}))
+    return cert_bytes, package.encode(), lv
 
 
 def request_hash(single: dict) -> bytes:

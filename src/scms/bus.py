@@ -17,30 +17,35 @@ An ``InvariantViolation`` or any other exception is a bug and aborts it.
 A handler may split its work into three parts so that the expensive
 crypto of many deliveries runs on every core (``MessageBus.defer``):
 
-- the *handler* proper checks the payload and makes every RNG draw, in
-  delivery order, and refuses a bad envelope with ``ScmsError`` at its own
-  place in the trace;
+- the *handler* proper checks the payload and refuses a bad envelope with
+  ``ScmsError`` at its own place in the trace;
 - a *kernel* is a module-level pure function of picklable arguments
   (bytes, ints, frozen values) that does the expensive work and returns a
   picklable result; it never raises ``ScmsError`` but returns an outcome;
 - a *commit* takes the kernel's result and does every write and every
   send of the delivery, in delivery order.
 
+A handler's RNG draws are all made in the handler, or all in its commits:
+either way they come in delivery order. A handler that drew while an
+earlier delivery's commit still had to draw would reorder the stream.
+
 The bus collects the jobs of consecutive deliveries with one
 ``(dst, mtype)`` and runs their kernels on every CPU. It deals them by
 index in chunks of ``POOL_CHUNK``, in turn to each worker of a pool of
-one process per CPU but one and to this process; a worker gets its chunks
-while the handlers go on, and this process computes its own at the end of
-the run. The deal depends on nothing but the index, so while no worker
-fails this process runs the same kernels on every run. Then the bus runs
-the commits in delivery order, before any other send, before a delivery
-with another ``(dst, mtype)`` and before ``run()`` returns. A handler
-that defers makes its deferral its last act and routes every write and
-send through a commit, the refusal branches included, so the queue, the
-trace digest, every store and every RNG stream come out as with serial
-handling. The kernels run inline on one CPU, outside ``run()`` and for a
-run of fewer than ``POOL_CHUNK`` jobs, where the hand-off would cost
-about what it saves.
+one process per CPU but one and to this process. A worker gets its chunks
+while the handlers go on: each time it deals a chunk, the bus takes in
+the replies that have come and sends each worker its next chunks, and
+between deals it leaves the pool alone. This process computes its own
+chunks when the run of deliveries ends. The deal depends on nothing but
+the index, so while no worker fails this process runs the same kernels
+on every run. Then the bus runs the commits in delivery order, before
+any other send, before a delivery with another ``(dst, mtype)`` and
+before ``run()`` returns. A handler that defers makes its deferral its
+last act and routes every write and send through a commit, the refusal
+branches included, so the queue, the trace digest, every store and every
+RNG stream come out as with serial handling. The kernels run inline on
+one CPU, outside ``run()`` and for a run of fewer than ``POOL_CHUNK``
+jobs, where the hand-off would cost about what it saves.
 
 The pool keeps no account of its replies. When a worker's pipe fails, or
 a run ends with tasks in flight, the bus closes the pool, computes every
@@ -206,9 +211,8 @@ class MessageBus:
             return
         self._jobs.append((kernel, args, commit))
         self._results.append(None)
-        if POOL_WORKERS and len(self._jobs) >= POOL_CHUNK:
-            if len(self._jobs) % POOL_CHUNK == 0:
-                self._deal(len(self._jobs) - POOL_CHUNK)
+        if POOL_WORKERS and len(self._jobs) % POOL_CHUNK == 0:
+            self._deal(len(self._jobs) - POOL_CHUNK)
             self._pump()
 
     def run(self) -> int:

@@ -16,6 +16,10 @@ The expansion function f is three AES Davies-Meyer blocks on successive
 increments of a time-indexed input block, read as a 384-bit big-endian
 integer and reduced mod the group order. The same construction with a
 distinct input prefix expands encryption keys (J = H + f_e(i,j) * G).
+
+``cocoon_expand`` takes a list of time indices, so that the RA can hand a
+slice of its grid to one pool job, and makes all of the slice's 2n point
+additions with one modular inversion (``crypto.group.add_pairs``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto import GroupElement, Scalar, mul_g, prf_blocks
-from .crypto.group import ORDER
+from .crypto.group import ORDER, add_pairs
 
 SIGNING = "sign"
 ENCRYPTION = "enc"
@@ -102,11 +106,20 @@ def expand_f(key: bytes, kind: str, index: TimeIndex) -> Scalar:
     return Scalar(int.from_bytes(out, "big") % ORDER)
 
 
-def cocoon_expand(req: CaterpillarRequest, index: TimeIndex) -> CocoonKeys:
-    """Registration-side expansion of one request to one time index."""
-    b = req.signing_seed + mul_g(expand_f(req.signing_key, SIGNING, index))
-    j = req.encryption_seed + mul_g(expand_f(req.encryption_key, ENCRYPTION, index))
-    return CocoonKeys(index=index, signing=b, encryption=j)
+def cocoon_expand(req: CaterpillarRequest,
+                  indices: list[TimeIndex]) -> list[CocoonKeys]:
+    """Registration-side expansion of one request to each time index, in
+    order; all the point additions share one field inversion."""
+    pairs = []
+    for index in indices:
+        pairs.append((req.signing_seed,
+                      mul_g(expand_f(req.signing_key, SIGNING, index))))
+        pairs.append((req.encryption_seed,
+                      mul_g(expand_f(req.encryption_key, ENCRYPTION, index))))
+    points = add_pairs(pairs)
+    return [CocoonKeys(index=index, signing=points[2 * n],
+                       encryption=points[2 * n + 1])
+            for n, index in enumerate(indices)]
 
 
 def butterfly_finalize(

@@ -1,12 +1,14 @@
 """Prime-order group arithmetic on NIST P-256.
 
 Scalars are integers mod the group order; group elements are curve points
-with a representable identity. Point addition is affine Python, and so is
-``scalar_mult``, which no run calls; every other curve operation runs in
-the OpenSSL backend, whose keys are all built here. The point decoder
-keeps only affine coordinates and memoizes nothing: a certificate decoded
-again comes whole from the certificate memo, keys included. ``backend_key``
-builds a key from a point's coordinates for one call (ECDH peers);
+with a representable identity. Point addition is affine Python, one pair
+at a time (``GroupElement.__add__``) or many pairs with one field
+inversion (``add_pairs``); so is ``scalar_mult``, which no run calls;
+every other curve operation runs in the OpenSSL backend, whose keys are
+all built here. The point decoder keeps only affine coordinates and
+memoizes nothing: a certificate decoded again comes whole from the
+certificate memo, keys included. ``backend_key`` builds a key from a
+point's coordinates for one call (ECDH peers);
 ``backend_public`` caches the keys of signature verification, the only
 keys that are used again, so the one-shot butterfly, response and
 ephemeral points never reach it; ``backend_private`` serves ``mul_g`` and
@@ -180,6 +182,30 @@ def mul_g(k: Scalar) -> GroupElement:
         return IDENTITY
     nums = backend_private(kv).public_key().public_numbers()
     return GroupElement(nums.x, nums.y)
+
+
+def add_pairs(pairs: list[tuple[GroupElement, GroupElement]]) -> list[GroupElement]:
+    """``p + q`` for each pair (p, q), in order. Every pair of two points
+    with distinct x shares one ``pow`` inversion (Montgomery's trick); a
+    pair with equal x or the identity goes through ``GroupElement.__add__``."""
+    sums = [None] * len(pairs)
+    distinct = [n for n, (p, q) in enumerate(pairs)
+                if p.x is not None and q.x is not None and p.x != q.x]
+    # prefixes[k] is the product of the first k denominators x2 - x1
+    prefixes, product = [], 1
+    for n in distinct:
+        p, q = pairs[n]
+        prefixes.append(product)
+        product = product * (q.x - p.x) % CURVE_P
+    inverse = pow(product, -1, CURVE_P)  # of every denominator not yet used
+    for n, prefix in zip(reversed(distinct), reversed(prefixes)):
+        p, q = pairs[n]
+        lam = (q.y - p.y) * inverse * prefix % CURVE_P
+        inverse = inverse * (q.x - p.x) % CURVE_P
+        x3 = (lam * lam - p.x - q.x) % CURVE_P
+        sums[n] = GroupElement(x3, (lam * (p.x - x3) - p.y) % CURVE_P)
+    return [p + q if total is None else total
+            for (p, q), total in zip(pairs, sums)]
 
 
 # no protocol path multiplies an arbitrary base; defined only because the

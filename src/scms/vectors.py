@@ -66,7 +66,8 @@ def _compute(entry: list[str]) -> bytes:
             encryption_seed=mul_g(Scalar(2)),
             encryption_key=b"\x00" * 16,
         )
-        cocoon = cocoon_expand(req, TimeIndex(int(entry[4]), int(entry[5])))
+        (cocoon,) = cocoon_expand(
+            req, [TimeIndex(int(entry[4]), int(entry[5]))])
         return cocoon.signing.encode()
     raise ValueError(f"unknown vector kind {kind!r}")
 

@@ -106,7 +106,7 @@ def test_criterion_1_butterfly_identity_1000_sessions():
         )
         for n in range(1000):
             index = TimeIndex(n // 20, n % 20)
-            cocoon = cocoon_expand(request, index)
+            (cocoon,) = cocoon_expand(request, [index])
             cert_key, recon = butterfly_finalize(cocoon.signing, rng.scalar())
             b_prime = reconstruct_private(
                 sign_kp.private, request.signing_key, index, recon

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from scms import bus as bus_module
 from scms.authorities import (
     LinkageAuthority,
     Lop,
@@ -17,7 +18,7 @@ from scms.authorities import (
 from scms.authorities.base import ma_query
 from scms.authorities.enrollment import ENROLLMENT_VALIDITY
 from scms.butterfly import CaterpillarRequest
-from scms.bus import Envelope, MessageBus
+from scms.bus import MINUTES_PER_DAY, Envelope, MessageBus
 from scms.certmodel import (
     SERIES_COMPONENT,
     SERIES_PSEUDONYM,
@@ -843,6 +844,72 @@ def test_response_key_substitution_detected_100_percent():
     assert sum(len(v) for v in world.devices[0].certs.values()) == 8
 
 
+def _expand_a_mitm_grid(workers, chunk, monkeypatch):
+    """The RA's state after it expanded one 120-slot grid of a device in
+    ``mitm_handles``, in one run of the bus."""
+    monkeypatch.setattr(bus_module, "POOL_WORKERS", workers)
+    monkeypatch.setattr(bus_module, "POOL_CHUNK", chunk)
+    world = make_world(devices=2, periods=6, batch_size=20)
+    target = world.devices[1]
+    world.ra.mitm_handles.add(target.handle_id)
+    target.request_certs(0, 6, j_max=20)
+    world.bus.run()
+    ra = world.ra
+    return (ra._buffer, world.registry.audit_view("ra").scan("request_index"),
+            ra._mitm_state, ra.mitm_injected)
+
+
+def test_deferred_expansion_matches_inline_expansion(monkeypatch):
+    pooled = _expand_a_mitm_grid(1, 2, monkeypatch)
+    inline = _expand_a_mitm_grid(0, 8, monkeypatch)
+    assert pooled == inline
+    singles, index, mitm_state, injected = pooled
+    assert len(singles) == len(index) == len(mitm_state) == injected == 120
+    assert [(s["i"], s["j"]) for s in singles] == [
+        (i, j) for i in range(6) for j in range(20)]
+
+
+def _two_grids_in_one_run(deliver_in_run: bool):
+    """Two MITM devices' grids completed by consecutive ``chain.plvs``
+    deliveries, a day after other singles entered the shuffle buffer, so
+    that the first grid's commit shuffles the buffer (an RNG draw) before
+    the second grid's attack keys are drawn."""
+    world = make_world(devices=3, periods=6, batch_size=20)
+    bus, ra = world.bus, world.ra
+    ra.mitm_handles.update(d.handle_id for d in world.devices[:2])
+    world.devices[2].request_certs(0, 1, j_max=2)
+    bus.run()
+    for device in world.devices[:2]:
+        device.request_certs(0, 6, j_max=20)
+    replies = []
+    while bus._queue:
+        env = bus._queue.popleft()
+        if env.mtype == "chain.plvs":
+            replies.append(env)
+        else:
+            bus._deliver(env)
+    replies.sort(key=lambda env: env.src)  # la1, la1, la2, la2
+    world.clock.advance_minutes(MINUTES_PER_DAY)
+    for env in replies:
+        if deliver_in_run:
+            bus.send(env)
+        else:
+            bus._deliver(env)  # outside run(): every commit runs at once
+    bus.run()
+    return (world.trace.digest(), store_fingerprint(world.registry),
+            ra.mitm_injected, ra.rng.randbytes(8))
+
+
+@pytest.mark.parametrize("workers, chunk", [(0, 8), (1, 2)],
+                         ids=["inline", "one-worker"])
+def test_expansion_commits_keep_serial_rng_order(workers, chunk, monkeypatch):
+    serial = _two_grids_in_one_run(deliver_in_run=False)
+    monkeypatch.setattr(bus_module, "POOL_WORKERS", workers)
+    monkeypatch.setattr(bus_module, "POOL_CHUNK", chunk)
+    assert _two_grids_in_one_run(deliver_in_run=True) == serial
+    assert serial[2] == 240
+
+
 # --- re-enrollment ---
 
 def test_reenroll_rollover_and_continue():
@@ -1100,6 +1167,27 @@ def test_pca_rejects_a_malformed_pre_linkage_plaintext(plaintext):
     deferred = world.registry.audit_view("ra").scan("deferred")
     assert deferred == [{"rh": single["rh"],
                          "reason": "malformed pre-linkage value"}]
+    assert world.registry.audit_view("pca").count("issued") == 0
+
+
+@pytest.mark.parametrize("key, reason", [
+    ("cocoon", "malformed cocoon key"),
+    ("resp_key", "malformed response key"),
+])
+def test_pca_refuses_an_off_curve_key(key, reason):
+    # before, the handler's decode raised ParseError: a dead letter that
+    # left neither an audit record nor a deferred request
+    world = make_world(devices=1)
+    world.devices[0].request_certs(0, 1, j_max=2)
+    world.bus.run()
+    single = {**world.ra._buffer[0], key: b"\x02" + b"\x11" * 32}
+    world.bus.send(Envelope("ra", "pca", "cert.request", single))
+    world.bus.run()
+    assert world.bus.dead_letters == 0
+    deferred = world.registry.audit_view("ra").scan("deferred")
+    assert deferred == [{"rh": single["rh"], "reason": reason}]
+    audit = world.registry.audit_view("pca").scan("audit")
+    assert [r["op"] for r in audit] == ["cert.request.rejected"]
     assert world.registry.audit_view("pca").count("issued") == 0
 
 

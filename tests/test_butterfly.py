@@ -119,19 +119,41 @@ def test_expand_f_kinds_differ():
 
 # --- cocoon expansion ---
 
-def test_cocoon_golden():
-    # frozen from scripts/make_vectors.py: B for fixed (a, k, i=3, j=5)
-    a = Scalar(0x1E4C8A7C39B1D0E2F5A6B3C4D5E6F70819293A4B5C6D7E8F9A0B1C2D3E4F5061)
-    req = CaterpillarRequest(
-        signing_seed=mul_g(a),
+# frozen from scripts/make_vectors.py: B for fixed (a, k, i=3, j=5)
+GOLDEN_A = Scalar(
+    0x1E4C8A7C39B1D0E2F5A6B3C4D5E6F70819293A4B5C6D7E8F9A0B1C2D3E4F5061)
+GOLDEN_B = "02ed5d6e6b859cbb91565d8bb4a3cf88540f4a78aa9996aa994dc8e35eea4461ca"
+
+
+def _golden_request():
+    return CaterpillarRequest(
+        signing_seed=mul_g(GOLDEN_A),
         signing_key=SEQ_KEY,
         encryption_seed=mul_g(Scalar(2)),
         encryption_key=ZERO_KEY,
     )
-    cocoon = cocoon_expand(req, TimeIndex(3, 5))
-    assert cocoon.signing.encode().hex() == (
-        "02ed5d6e6b859cbb91565d8bb4a3cf88540f4a78aa9996aa994dc8e35eea4461ca"
-    )
+
+
+def test_cocoon_golden():
+    (cocoon,) = cocoon_expand(_golden_request(), [TimeIndex(3, 5)])
+    assert cocoon.signing.encode().hex() == GOLDEN_B
+
+
+def test_cocoon_expand_of_a_list_matches_each_index():
+    # one call over a grid, with one inversion, gives for every index what
+    # a call on that index alone and the one-pair addition give
+    req = _golden_request()
+    grid = [TimeIndex(i, j) for i in range(2, 5) for j in range(8)]
+    batched = cocoon_expand(req, grid)
+    assert batched == [cocoon_expand(req, [index])[0] for index in grid]
+    assert batched == [CocoonKeys(
+        index=index,
+        signing=req.signing_seed + mul_g(expand_f(SEQ_KEY, SIGNING, index)),
+        encryption=req.encryption_seed
+        + mul_g(expand_f(ZERO_KEY, ENCRYPTION, index)),
+    ) for index in grid]
+    assert batched[grid.index(TimeIndex(3, 5))].signing.encode().hex() == GOLDEN_B
+    assert cocoon_expand(req, []) == []
 
 
 def test_cocoon_private_matches_public_keys():
@@ -139,7 +161,7 @@ def test_cocoon_private_matches_public_keys():
     req, a, h = _request(rng)
     for n in range(100):
         idx = TimeIndex(n % 7, n)
-        cocoon = cocoon_expand(req, idx)
+        (cocoon,) = cocoon_expand(req, [idx])
         assert mul_g(cocoon_private(a, req.signing_key, SIGNING, idx)) == cocoon.signing
         assert (
             mul_g(cocoon_private(h, req.encryption_key, ENCRYPTION, idx))
@@ -191,7 +213,7 @@ def test_wrong_reconstruction_value_detected():
     rng = DeterministicRandom(35)
     req, a, _ = _request(rng)
     idx = TimeIndex(0, 0)
-    cocoon = cocoon_expand(req, idx)
+    (cocoon,) = cocoon_expand(req, [idx])
     pub, c = butterfly_finalize(cocoon.signing, rng.scalar())
     wrong = ReconstructionValue(c.c + Scalar(1))
     b_bad = reconstruct_private(a, req.signing_key, idx, wrong)
@@ -206,7 +228,7 @@ def test_end_to_end_key_identity_1000():
     ra_visible_equal_final = 0
     for n in range(1000):
         idx = TimeIndex(n // 20, n % 20)
-        cocoon = cocoon_expand(req, idx)
+        (cocoon,) = cocoon_expand(req, [idx])
         pub, c = butterfly_finalize(cocoon.signing, rng.scalar())
         b = reconstruct_private(a, req.signing_key, idx, c)
         if mul_g(b) != pub:
@@ -224,7 +246,7 @@ def test_encryption_path_decrypts():
     rng = DeterministicRandom(37)
     req, _, h = _request(rng)
     idx = TimeIndex(4, 11)
-    cocoon = cocoon_expand(req, idx)
+    (cocoon,) = cocoon_expand(req, [idx])
     ct = hybrid_encrypt(cocoon.encryption, b"response payload", rng)
     priv = cocoon_private(h, req.encryption_key, ENCRYPTION, idx)
     assert hybrid_decrypt(priv, ct) == b"response payload"
@@ -233,6 +255,6 @@ def test_encryption_path_decrypts():
 def test_cocoon_keys_carry_index():
     rng = DeterministicRandom(38)
     req, _, _ = _request(rng)
-    cocoon = cocoon_expand(req, TimeIndex(7, 3))
+    (cocoon,) = cocoon_expand(req, [TimeIndex(7, 3)])
     assert isinstance(cocoon, CocoonKeys)
     assert cocoon.index == TimeIndex(7, 3)

@@ -32,7 +32,7 @@ from scms.crypto import (
     sign,
     verify,
 )
-from scms.crypto.group import CURVE_P, backend_public
+from scms.crypto.group import CURVE_P, add_pairs, backend_public
 from scms.crypto.signing import backend_verify
 from scms.errors import DecryptionError, ParseError
 
@@ -125,6 +125,21 @@ def test_group_algebra_against_random_base():
     assert scalar_mult(Scalar(0), p).is_identity
     assert (p + GroupElement(p.x, CURVE_P - p.y)).is_identity
     assert p + IDENTITY == IDENTITY + p == p
+
+
+def test_add_pairs_matches_the_oracle():
+    # pairs of distinct x share one inversion; a doubling, an inverse pair
+    # and the identity on either side take the one-pair addition
+    rng = DeterministicRandom(61)
+    a, b, c, d = (mul_g(rng.scalar()) for _ in range(4))
+    pairs = [
+        (a, b), (c, c), (b, d), (a, GroupElement(a.x, CURVE_P - a.y)),
+        (IDENTITY, c), (d, IDENTITY), (d, a), (IDENTITY, IDENTITY), (b, a),
+    ]
+    assert [_affine(s) for s in add_pairs(pairs)] == [
+        oracle.ec_add(_affine(p), _affine(q)) for p, q in pairs
+    ]
+    assert add_pairs([]) == []
 
 
 def test_scalar_reduction_and_inverse():
