@@ -3,16 +3,16 @@
 The CRL store keeps the latest CRL per (CRACA, series) and serves the
 composite single-file download; devices pull it whenever they have
 connectivity (the stand-in for collaborative distribution). The policy
-generator component publishes its signed global policy and certificate
-chain files into the same public store.
+generator signs and versions the global policy file (GPF, the settings
+every device applies) and the global certificate chain file (GCCF), and
+publishes them into the same public store.
 """
 
 from __future__ import annotations
 
-from ..certmodel import Crl, CrlSet, encode_composite
-from ..encoding import fields
+from ..certmodel import Crl, CrlSet, encode_composite, sign_message
+from ..encoding import encode, fields
 from ..errors import ScmsError
-from ..rootmgmt import PolicyGenerator
 from .base import Authority, Component
 
 
@@ -58,22 +58,23 @@ class CrlStore(Component):
 
 
 class Pg(Authority):
-    """Policy generator as a bus component wrapping the signing logic."""
+    """Policy generator: each file it publishes is signed and one version
+    newer than the last file of its kind."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.generator = PolicyGenerator(self.keypair, self.cert)
+        self._versions: dict[str, int] = {}
 
-    def publish_gpf(self, params: dict):
-        artifact = self.generator.publish_gpf(params)
-        self.send("crlstore", "policy.publish", {
-            "name": "gpf", "data": artifact.encode(),
-        })
-        return artifact
+    def _publish(self, name: str, body: dict) -> bytes:
+        version = self._versions.get(name, 0) + 1
+        self._versions[name] = version
+        payload = encode({"name": name, "version": version, "body": body})
+        data = sign_message(self.keypair.private, self.cert, payload).encode()
+        self.send("crlstore", "policy.publish", {"name": name, "data": data})
+        return data
 
-    def publish_gccf(self, chains: list[list[bytes]]):
-        artifact = self.generator.publish_gccf(chains)
-        self.send("crlstore", "policy.publish", {
-            "name": "gccf", "data": artifact.encode(),
-        })
-        return artifact
+    def publish_gpf(self, settings: dict) -> bytes:
+        return self._publish("gpf", settings)
+
+    def publish_gccf(self, chains: list[list[bytes]]) -> bytes:
+        return self._publish("gccf", {"chains": chains})

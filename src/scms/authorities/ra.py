@@ -34,7 +34,7 @@ from ..certmodel import (
 from ..crypto import GroupElement, KeyPair, hybrid_decrypt
 from ..crypto.hybrid import HybridCiphertext
 from ..encoding import decode, encode, fields, rows
-from ..errors import DecryptionError, InvariantViolation, ParseError, ScmsError
+from ..errors import DecryptionError, ParseError, ScmsError
 from ..linkage import J_MAX, LA1_ID, LA2_ID
 from ..rootmgmt import Ballot, TrustState
 from .base import MaQueryServer, ma_query
@@ -253,17 +253,12 @@ class Ra(MaQueryServer):
 
     def _expand(self, state: dict) -> None:
         """Defer the cocoon expansion of the grid, ``EXPAND_SLICE`` slots
-        to a job; the commits queue the singles in slot order."""
-        slots = []
-        for (i1, j1, ct1), (i2, j2, ct2) in zip(
+        to a job; the commits queue the singles in slot order. Both LAs'
+        grids are the requested one (``on_chain_plvs``), so they align."""
+        slots = [(TimeIndex(i, j), ct1, ct2) for (i, j, ct1), (_, _, ct2) in zip(
             state["plvs"][self.la_hosts[0]]["plvs"],
             state["plvs"][self.la_hosts[1]]["plvs"],
-        ):
-            if (i1, j1) != (i2, j2):
-                raise InvariantViolation(
-                    f"LA grids must align: ({i1},{j1}) vs ({i2},{j2})"
-                )
-            slots.append((TimeIndex(i1, j1), ct1, ct2))
+        )]
         for start in range(0, len(slots), EXPAND_SLICE):
             part = slots[start:start + EXPAND_SLICE]
             last = start + EXPAND_SLICE >= len(slots)

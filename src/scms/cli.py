@@ -50,7 +50,11 @@ def cmd_bootstrap(args) -> int:
         "enrollment_cert_bytes": len(device.enrollment_cert_bytes),
         "trusted_roots": len(device.trust.endorsed_roots),
         "electors": device.trust.valid_elector_count(),
-        "policy": device.policy,
+        "policy": {
+            "batch_size": device.batch_size,
+            "rotation_minutes": device.rotation_minutes,
+            "crl_capacity": device.crl_store.capacity,
+        },
     }, indent=2))
     return 0
 

@@ -7,6 +7,11 @@ with fresh caterpillar seeds, downloads weekly batches, verifies the
 issuer's signature over each encrypted packet (catching response-key
 substitution), reconstructs each private key and rejects any certificate
 whose key check fails; failed packages are quarantined and reported.
+Each request's caterpillar secrets are kept by the periods it spans, so
+a top-off leaves earlier batches openable. The settings (batch size,
+rotation minutes, CRL capacity) come only from the signed global policy
+file: the bootstrap bundle carries the first, and a newer one fetched
+over the air applies at once.
 
 Operationally it signs basic safety messages under a rotating pseudonym
 certificate, validates received messages (what depends on a BSM's bytes
@@ -62,23 +67,18 @@ from .encoding import decode, encode, fields
 from .errors import DecryptionError, ParseError, ScmsError
 from .rootmgmt import Ballot, TrustState, check_policy_artifact
 
-
-# a device changes its signing certificate every this many simulated minutes
-ROTATION_MINUTES = 5
-CRL_CAPACITY = 10_000  # revocation entries a device keeps, unless configured
-
-
 class DeviceCrlStore(CrlSet):
     """A device's CRL memory: a ``CrlSet`` with generator pinning and a
-    capacity cap.
+    capacity cap, which the device's policy file sets.
 
     A CRL is accepted only if its generator is pinned for that series and
-    the signature verifies. When the retained entries exceed the capacity
-    the lowest-priority entries are dropped first (oldest first within a
-    priority class), and each stored CRL is replaced by an unsigned copy
-    holding only its retained entries. Until the cap binds, the store holds
-    each CRL as decoded, whose revoked sets every holder of the same bytes
-    shares; a copy is this device's own and expands its sets afresh.
+    the signature verifies. When the retained entries exceed the capacity,
+    after an add or when the cap is set, ``trim`` drops the lowest-priority
+    entries first (oldest first within a priority class), and each stored
+    CRL is replaced by an unsigned copy holding only its retained entries.
+    Until the cap binds, the store holds each CRL as decoded, whose revoked
+    sets every holder of the same bytes shares; a copy is this device's own
+    and expands its sets afresh.
 
     The device passes this store to its ``TrustState`` as ``crls``, so
     chain validation and BSM validation both read it through ``crl_check``,
@@ -103,20 +103,25 @@ class DeviceCrlStore(CrlSet):
             return False  # generator outside its jurisdiction
         if not check_crl_signature(crl, crlg_cert) or not super().add(crl):
             return False
-        if self.entry_count() > self.capacity:
-            entries = self.entries()
-            ranked = sorted(range(len(entries)),
-                            key=lambda n: (-entries[n].priority, -n))
-            keep = set(ranked[: self.capacity])
-            # consumed in entries() order: per CRL, linkage then certid
-            kept = (n in keep for n in range(len(entries)))
-            for key, held in self._crls.items():
-                self._crls[key] = replace(
-                    held, signature=None,
-                    linkage_entries=[e for e in held.linkage_entries if next(kept)],
-                    certid_entries=[e for e in held.certid_entries if next(kept)],
-                )
+        self.trim()
         return True
+
+    def trim(self) -> None:
+        """Drop the lowest-priority, oldest entries past the capacity."""
+        if self.entry_count() <= self.capacity:
+            return
+        entries = self.entries()
+        ranked = sorted(range(len(entries)),
+                        key=lambda n: (-entries[n].priority, -n))
+        keep = set(ranked[: self.capacity])
+        # consumed in entries() order: per CRL, linkage then certid
+        kept = (n in keep for n in range(len(entries)))
+        for key, held in self._crls.items():
+            self._crls[key] = replace(
+                held, signature=None,
+                linkage_entries=[e for e in held.linkage_entries if next(kept)],
+                certid_entries=[e for e in held.certid_entries if next(kept)],
+            )
 
     def revoked_lvs(self, craca_id: bytes, series: int, period: int) -> frozenset[bytes]:
         # defined here so the traced benchmark can wrap it on this class
@@ -144,7 +149,6 @@ class Device:
         bus: MessageBus,
         rng: DeterministicRandom,
         model: str = "obe-model-a",
-        crl_capacity: int = CRL_CAPACITY,
     ):
         self.id = device_id
         self.bus = bus
@@ -157,15 +161,18 @@ class Device:
         self.enrollment_cert_bytes: bytes | None = None
         self.handle_id: str | None = None
         self.trust: TrustState | None = None
-        self.crl_store = DeviceCrlStore(capacity=crl_capacity)
+        # the settings, set by the policy file the bootstrap bundle carries
+        self.batch_size: int | None = None
+        self.rotation_minutes: int | None = None
+        self.crl_store = DeviceCrlStore(capacity=0)
         self.pca_cert: Certificate | None = None
         self.ma_enc_key = None
         self.ra_enc_key = None
         self.pg_cert: Certificate | None = None
         self.policy_versions: dict[str, int] = {}
-        self.policy: dict = {}
 
-        self.caterpillar: dict | None = None
+        # periods a request spans -> its secrets (a, h, k_sign, k_enc)
+        self.caterpillars: dict[range, tuple[int, int, bytes, bytes]] = {}
         self.certs: dict[int, list[dict]] = {}
         self.quarantined: list[dict] = []
         self.app_certs: list[dict] = []
@@ -210,27 +217,36 @@ class Device:
         crlg_cert = Certificate.decode(bundle["crlg"])
         self.crl_store.pin_generator(crlg_cert, bundle["crlg_series"])
         for name in ("gpf", "gccf"):
-            if name in bundle:
-                self._apply_policy_file(name, bundle[name])
+            self._apply_policy_file(name, bundle[name])
+        if self.rotation_minutes is None:
+            raise ScmsError("the bundle's policy file does not verify")
 
     def _apply_policy_file(self, name: str, data: bytes) -> None:
         """Verify a signed policy ("gpf") or certificate chain ("gccf")
         file against the pinned policy generator and apply it if it is
-        that kind of file and newer than the held version. A chain file
-        whose body does not decode raises ``ParseError`` before any state
-        changes."""
-        artifact = check_policy_artifact(
+        that kind of file and newer than the held version; a policy file's
+        CRL cap binds at once. A body without its chains or its settings
+        (each an int, none negative, rotation at least one minute) raises
+        ``ParseError`` before any state changes."""
+        checked = check_policy_artifact(
             data, self.pg_cert, self.policy_versions.get(name, 0), name
         )
-        if artifact is None:
+        if checked is None:
             return
+        version, body = checked
         if name == "gpf":
-            self.policy_versions[name] = artifact.version
-            self.policy = artifact.body
+            batch_size, rotation, capacity = fields(
+                body, batch_size=int, rotation_minutes=int, crl_capacity=int)
+            if batch_size < 0 or capacity < 0 or rotation < 1:
+                raise ParseError("policy file setting out of range", 0)
+            self.policy_versions[name] = version
+            self.batch_size, self.rotation_minutes = batch_size, rotation
+            self.crl_store.capacity = capacity
+            self.crl_store.trim()
             return
-        (chains,) = fields(artifact.body, chains=list[list])
+        (chains,) = fields(body, chains=list[list])
         certs = [Certificate.decode(raw) for chain in chains for raw in chain]
-        self.policy_versions[name] = artifact.version
+        self.policy_versions[name] = version
         for cert in certs:
             self.trust.add_cert(cert)
 
@@ -267,25 +283,27 @@ class Device:
 
     # --- certificate request (step 1) ---
 
-    def request_certs(self, start: int, n_periods: int, j_max: int = 20) -> None:
+    def request_certs(self, start: int, n_periods: int,
+                      j_max: int | None = None) -> None:
+        """``j_max`` certificates a period, by default the batch size."""
         if not self.bootstrapped:
             raise ScmsError("device is not bootstrapped")
+        if j_max is None:
+            j_max = self.batch_size
         a = self.rng.scalar()
         h = self.rng.scalar()
-        self.caterpillar = {
-            "a": a,
-            "h": h,
-            "k_sign": self.rng.randbytes(16),
-            "k_enc": self.rng.randbytes(16),
-            "start": start,
-            "n_periods": n_periods,
-            "j_max": j_max,
-        }
+        k_sign, k_enc = self.rng.randbytes(16), self.rng.randbytes(16)
+        # a span the clock has passed is dropped; one requested again moves last
+        span, period = range(start, start + n_periods), self.clock.period
+        self.caterpillars = {held: secrets for held, secrets
+                             in self.caterpillars.items()
+                             if held.stop > period and held != span}
+        self.caterpillars[span] = (a.value, h.value, k_sign, k_enc)
         request = {
             "A": mul_g(a).encode(),
             "H": mul_g(h).encode(),
-            "k_sign": self.caterpillar["k_sign"],
-            "k_enc": self.caterpillar["k_enc"],
+            "k_sign": k_sign,
+            "k_enc": k_enc,
             "start": start,
             "n_periods": n_periods,
             "j_max": j_max,
@@ -320,11 +338,13 @@ class Device:
             self.bus.defer(None, (), lambda _: setattr(
                 self, "provision_status", status))
             return
-        (items,) = fields(env.payload, items=list[bytes])
-        if self.caterpillar is None:
-            raise ScmsError("no certificate request is pending")
-        cat = self.caterpillar
-        secrets = (cat["a"].value, cat["h"].value, cat["k_sign"], cat["k_enc"])
+        period, items = fields(env.payload, period=int, items=list[bytes])
+        # the latest request that spans the batch's period
+        secrets = next((secrets for span, secrets
+                        in reversed(self.caterpillars.items())
+                        if period in span), None)
+        if secrets is None:
+            raise ScmsError("no certificate request spans this period")
         for item in items:
             self.bus.defer(open_package, (item, self.pca_cert, secrets),
                            functools.partial(self._install, item))
@@ -398,7 +418,7 @@ class Device:
         available = self.current_certs()
         if not available:
             return None
-        slot = self.clock.minute // ROTATION_MINUTES
+        slot = self.clock.minute // self.rotation_minutes
         return available[slot % len(available)]
 
     def sign_bsm(self, position: list[int], speed: int) -> bytes | None:
@@ -529,7 +549,7 @@ class Device:
 
     def rebootstrap(self, dcm) -> None:
         """Factory reset followed by a fresh bootstrap."""
-        self.caterpillar = None
+        self.caterpillars.clear()
         self.certs.clear()
         self.quarantined.clear()
         self.app_certs.clear()

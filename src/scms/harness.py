@@ -54,7 +54,7 @@ from .certmodel import (
     issue_component_cert,
 )
 from .crypto import DeterministicRandom, KeyPair
-from .device import CRL_CAPACITY, ROTATION_MINUTES, Device
+from .device import Device
 from .encoding import decode, encode, fields
 from .errors import ParseError, ScmsError
 from .linkage import (
@@ -74,6 +74,10 @@ from .rootmgmt import (
 
 CRLG_SERIES = [1, 2, 3, 4, 256]
 ELECTORS = 3  # at the start of a run; each add-elector ballot adds one
+
+# a device changes its signing certificate every this many simulated
+# minutes; the policy file carries it beside the config's settings
+ROTATION_MINUTES = 5
 
 # the ids World registers besides its devices, obe0, obe1, ...
 COMPONENTS = ("lop", "crlstore", "eca", "pca", "la1", "la2", "ra", "ma", "pg")
@@ -104,7 +108,7 @@ class ScenarioConfig:
     detector_threshold: int = 3
     bsms_per_device_per_period: int = 2
     listeners_per_bsm: int = 2
-    crl_capacity: int = CRL_CAPACITY
+    crl_capacity: int = 10_000  # revocation entries a device keeps
     mitm_devices: list[int] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     keep_trace_events: bool = False
@@ -223,32 +227,28 @@ class World:
                      ThresholdDetector(threshold=config.detector_threshold),
                      self._authority_trust())
         self.pg = Pg("pg", *args, pki["pg"])
-        gpf = self.pg.publish_gpf({
-            "batch_size": config.batch_size,
-            "rotation_minutes": ROTATION_MINUTES,
-            "crl_capacity": config.crl_capacity,
-        })
-        gccf = self.pg.publish_gccf(
-            [self._chain(role) for role in ("pca", "eca", "ma", "crlg")]
-        )
-        self.bus.run()
-
         self.bundle = {
             "electors": [cert.encode() for _, cert in self.electors],
             "roots": [pki["root"].cert.encode()],
             **{role: pki[role].cert.encode()
                for role in ("ica", "pca", "eca", "ra", "ma", "pg", "crlg")},
             "crlg_series": CRLG_SERIES,
-            "gpf": gpf.encode(),
-            "gccf": gccf.encode(),
+            # every device's settings, and the trust chains
+            "gpf": self.pg.publish_gpf({
+                "batch_size": config.batch_size,
+                "rotation_minutes": ROTATION_MINUTES,
+                "crl_capacity": config.crl_capacity,
+            }),
+            "gccf": self.pg.publish_gccf(
+                [self._chain(role) for role in ("pca", "eca", "ma", "crlg")]),
         }
+        self.bus.run()
         self.dcm = Dcm({"obe-model-a", "rse-model-a"}, self.eca, self.bundle)
 
     def _build_devices(self) -> None:
         self.devices: list[Device] = []
         for n in range(self.config.devices):
-            device = Device(f"obe{n}", self.bus, self.rng,
-                            crl_capacity=self.config.crl_capacity)
+            device = Device(f"obe{n}", self.bus, self.rng)
             device.bootstrap(self.dcm)
             self.devices.append(device)
 
@@ -311,7 +311,7 @@ def provision_fleet(world: World) -> None:
     certificates, which is the point of linkage values)."""
     config, bus = world.config, world.bus
     for device in world.devices:
-        device.request_certs(0, config.periods, j_max=config.batch_size)
+        device.request_certs(0, config.periods)
         bus.run()
     world.clock.advance_minutes(MINUTES_PER_DAY)
     world.ra.maybe_flush()
@@ -379,8 +379,7 @@ def _add_elector(world: World, event: dict) -> tuple:
 
 
 def _topoff(world: World, event: dict, report_periods: dict) -> None:
-    world.devices[event["device"]].request_certs(
-        event["start"], event["n_periods"], j_max=world.config.batch_size)
+    world.devices[event["device"]].request_certs(event["start"], event["n_periods"])
     world.bus.run()
     world.ra.flush()
 

@@ -39,6 +39,7 @@ from .certmodel import (
     Certificate,
     Crl,
     LinkageRevocation,
+    REVOKED_IN_CHAIN,
     SERIES_PSEUDONYM,
     Priority,
     SignedMessage,
@@ -240,11 +241,15 @@ class Ma(Authority):
         if not verify_message(reporter_msg, reporter_cert):
             self.store.put("bad_report", {"reason": "bad reporter signature"})
             return
-        # a reporter counts only under a pseudonym certificate of this PKI,
-        # or anyone could mint the distinct reporters the detector counts
-        if (reporter_cert.ctype != CertType.OBE_PSEUDONYM
-                or not verify_chain(reporter_cert, self.trust).ok):
-            self.store.put("bad_report", {"reason": "reporter outside the PKI"})
+        # a reporter counts only under a pseudonym certificate of this PKI
+        # that no CRL of this MA revokes, or anyone could mint the distinct
+        # reporters the detector counts
+        chain = (None if reporter_cert.ctype != CertType.OBE_PSEUDONYM
+                 else verify_chain(reporter_cert, self.trust))
+        if chain is None or not chain.ok:
+            revoked = chain is not None and chain.reason == REVOKED_IN_CHAIN
+            reason = "reporter revoked" if revoked else "reporter outside the PKI"
+            self.store.put("bad_report", {"reason": reason})
             return
         self.store.put("report", {
             "lv": reported.linkage_value or b"",
@@ -489,6 +494,8 @@ class Ma(Authority):
     # --- CRLG publication ---
 
     def publish_crl(self, series: int) -> Crl:
-        crl = self.crlg.build(series, self.clock.period)
-        self.send(self.crl_store_host, "crl.publish", {"crl": crl.encode()})
+        raw = self.crlg.build(series, self.clock.period).encode()
+        crl = Crl.decode(raw)  # the one decoded value every holder shares
+        self.trust.crls.add(crl)
+        self.send(self.crl_store_host, "crl.publish", {"crl": raw})
         return crl

@@ -8,9 +8,11 @@ quorum of distinct, non-revoked electors has signed it. With 2n+1
 electors and quorum n+1 the system heals itself: one elector can be
 revoked and replaced by ballot without interrupting any end entity.
 
-The policy generator signs two versioned artifacts: the global policy
-file (configuration) and the global certificate chain file (all trust
-chains); consumers reject stale versions and bad signatures.
+The policy generator (``authorities.Pg``) signs two versioned files: the
+global policy file (GPF, the settings every device applies) and the
+global certificate chain file (GCCF, all trust chains).
+``check_policy_artifact`` is the consumer's check: it rejects a file of
+the wrong kind, a stale version and a bad signature.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .certmodel import (
     SignedMessage,
     digest_for_alg,
     issue_certificate,
-    sign_message,
     verify_message,
 )
 from .crypto import KeyPair, sign, verify
@@ -218,47 +219,15 @@ def build_ballot(
     return Ballot([action])
 
 
-# --- policy generator ---
-
-
-@dataclass(frozen=True)
-class PolicyArtifact:
-    """A signed, versioned file from the policy generator."""
-
-    name: str  # "gpf" | "gccf"
-    version: int
-    body: dict
-    signed: SignedMessage
-
-    def encode(self) -> bytes:
-        return self.signed.encode()
-
-
-class PolicyGenerator:
-    def __init__(self, key: KeyPair, cert: Certificate):
-        self.key = key
-        self.cert = cert
-        self._versions: dict[str, int] = {}
-
-    def _publish(self, name: str, body: dict) -> PolicyArtifact:
-        version = self._versions.get(name, 0) + 1
-        self._versions[name] = version
-        payload = encode({"name": name, "version": version, "body": body})
-        signed = sign_message(self.key.private, self.cert, payload)
-        return PolicyArtifact(name=name, version=version, body=body, signed=signed)
-
-    def publish_gpf(self, params: dict) -> PolicyArtifact:
-        return self._publish("gpf", params)
-
-    def publish_gccf(self, chains: list[list[bytes]]) -> PolicyArtifact:
-        return self._publish("gccf", {"chains": chains})
+# --- policy files ---
 
 
 def check_policy_artifact(
     data: bytes, pg_cert: Certificate, last_version: int, name: str
-) -> PolicyArtifact | None:
-    """Verify signature, kind (``name``, "gpf" or "gccf") and version
-    monotonicity; None if rejected."""
+) -> tuple[int, dict] | None:
+    """(version, body) of a policy generator's file if it verifies against
+    ``pg_cert``, is of kind ``name`` ("gpf" or "gccf") and is newer than
+    ``last_version``; None if rejected."""
     try:
         signed = SignedMessage.decode(data)
         if not verify_message(signed, pg_cert):
@@ -269,4 +238,4 @@ def check_policy_artifact(
         return None
     if kind != name or version <= last_version:
         return None
-    return PolicyArtifact(name=name, version=version, body=body, signed=signed)
+    return version, body

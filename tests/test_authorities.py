@@ -17,7 +17,6 @@ from scms.authorities import (
 )
 from scms.authorities.base import ma_query
 from scms.authorities.enrollment import ENROLLMENT_VALIDITY
-from scms.butterfly import CaterpillarRequest
 from scms.bus import MINUTES_PER_DAY, Envelope, MessageBus
 from scms.certmodel import (
     SERIES_COMPONENT,
@@ -61,7 +60,7 @@ def test_bootstrap_bundle_chain_verifies():
     assert cert.ctype == CertType.OBE_ENROLLMENT
     assert verify_chain(cert, device.trust).ok
     assert device.trust.valid_elector_count() == 3
-    assert device.policy["batch_size"] == world.config.batch_size
+    assert device.batch_size == world.config.batch_size
 
 
 def test_uncertified_model_rejected():
@@ -350,24 +349,6 @@ def test_la_unavailable_defers_requests():
     world.ra.on_chain_error(Envelope("la1", "ra", "chain.error",
                                      {"ref": ref, "reason": "unavailable"}))
     assert ref not in world.ra._pending
-
-
-def test_misaligned_la_grids_raise_invariant_violation():
-    # a raised error, not an assert, so the check survives python -O
-    world = make_world(devices=1)
-    rng = DeterministicRandom(7)
-    la1, la2 = world.ra.la_hosts
-    state = {
-        "handle": "00" * 8,
-        "request": {},
-        "caterpillar": CaterpillarRequest(
-            mul_g(rng.scalar()), b"\x00" * 16, mul_g(rng.scalar()), b"\x00" * 16,
-        ),
-        "plvs": {la1: {"plvs": [[0, 0, b"ct1"]]},
-                 la2: {"plvs": [[0, 1, b"ct2"]]}},
-    }
-    with pytest.raises(InvariantViolation):
-        world.ra._expand(state)
 
 
 def _until_queued(world, mtype: str) -> None:

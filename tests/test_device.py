@@ -23,13 +23,19 @@ from scms.certmodel import (
     sign_crl,
     sign_message,
 )
-from scms.crypto import DeterministicRandom, hybrid_decrypt, hybrid_encrypt, mul_g
+from scms.crypto import (
+    DeterministicRandom,
+    Scalar,
+    hybrid_decrypt,
+    hybrid_encrypt,
+    mul_g,
+)
 from scms.crypto.hybrid import HybridCiphertext
 from scms.crypto.signing import backend_verify
 from scms.device import DeviceCrlStore, _signed_bsm
 from scms.encoding import decode, encode
 from scms.errors import DecryptionError, ScmsError
-from scms.harness import ScenarioConfig, run_scenario
+from scms.harness import ROTATION_MINUTES, ScenarioConfig, run_scenario
 from scms.linkage import LA1_ID, LA2_ID
 from tests.conftest import make_world, provision_all
 
@@ -43,6 +49,16 @@ def test_unbootstrapped_request_is_local_error():
     blank = Device("obe55", world.bus, world.rng)
     with pytest.raises(ScmsError):
         blank.request_certs(0, 1)
+
+
+def test_a_bundle_whose_policy_file_does_not_verify_is_refused():
+    # a device gets its settings from no other place
+    world = make_world(devices=1)
+    from scms.device import Device
+
+    world.dcm.trust_bundle = {**world.dcm.trust_bundle, "gpf": b"junk"}
+    with pytest.raises(ScmsError):
+        Device("obe55", world.bus, world.rng).bootstrap(world.dcm)
 
 
 def test_clean_batch_yields_usable_keypairs():
@@ -350,18 +366,39 @@ def test_memoized_bsm_checks_give_every_receiver_its_own_verdict():
     assert by_name["wrong-psid"] == ((False, "wrong-psid"),) * 2
 
 
+def _settings(device) -> tuple:
+    """What the policy files set on a device: its settings and versions."""
+    return (device.batch_size, device.rotation_minutes,
+            device.crl_store.capacity, dict(device.policy_versions))
+
+
+def _gpf_body(world, **changes) -> dict:
+    """The world's policy settings with ``changes``."""
+    return {"batch_size": world.config.batch_size,
+            "rotation_minutes": ROTATION_MINUTES,
+            "crl_capacity": world.config.crl_capacity, **changes}
+
+
+def _fetch_gpf(world, device, **changes) -> None:
+    """Publish a newer policy file with ``changes`` and let ``device`` fetch
+    it over the air."""
+    world.pg.publish_gpf(_gpf_body(world, **changes))
+    world.bus.run()
+    device.fetch_policy()
+    world.bus.run()
+
+
 def test_policy_file_in_the_other_slot_is_refused():
     world = make_world(devices=1)
     device = world.devices[0]
-    policy, versions = dict(device.policy), dict(device.policy_versions)
-    gpf = world.pg.publish_gpf({"batch_size": 7}).encode()
-    gccf = world.pg.publish_gccf([]).encode()
+    settings = _settings(device)
+    gpf = world.pg.publish_gpf(_gpf_body(world, batch_size=7))
+    gccf = world.pg.publish_gccf([])
     for files in ({"gccf": gpf}, {"gpf": gccf}):
         world.bus.send(Envelope("crlstore", device.id, "policy.files",
                                 {"files": files}))
         world.bus.run()
-        assert device.policy == policy
-        assert device.policy_versions == versions
+        assert _settings(device) == settings
 
 
 @pytest.mark.parametrize("value", [
@@ -369,19 +406,83 @@ def test_policy_file_in_the_other_slot_is_refused():
     {"name": "gpf", "version": "2", "body": {}},
     {"name": "gpf", "version": 2},
     {"name": "gpf", "version": 2, "body": [1]},
-], ids=["list", "version-str", "no-body", "body-list"])
+    {"name": "gpf", "version": 2, "body": {}},
+    {"name": "gpf", "version": 2, "body": {
+        "batch_size": 5, "rotation_minutes": 0, "crl_capacity": 10}},
+    {"name": "gpf", "version": 2, "body": {
+        "batch_size": 5, "rotation_minutes": 5, "crl_capacity": -1}},
+    {"name": "gpf", "version": 2, "body": {
+        "batch_size": "5", "rotation_minutes": 5, "crl_capacity": 10}},
+], ids=["list", "version-str", "no-body", "body-list", "body-empty",
+        "rotation-zero", "capacity-negative", "batch-size-str"])
 def test_signed_policy_file_of_another_shape_is_refused(value):
     # signed by the policy generator, so only its shape can refuse it
     world = make_world(devices=1)
     device = world.devices[0]
-    policy, versions = dict(device.policy), dict(device.policy_versions)
+    settings = _settings(device)
     pg = world.pki["pg"]
     signed = sign_message(pg.keypair.private, pg.cert, encode(value))
     world.bus.send(Envelope("crlstore", device.id, "policy.files",
                             {"files": {"gpf": signed.encode()}}))
     world.bus.run()
-    assert device.policy == policy
-    assert device.policy_versions == versions
+    assert _settings(device) == settings
+
+
+def test_a_newer_policy_file_binds_the_crl_cap_at_once():
+    world = make_world(devices=2, periods=2, batch_size=2)
+    provision_all(world)
+    sender, listener = world.devices
+    world.clock.set(1, 0)
+    bsm = sender.sign_bsm([0, 0], 30)
+    _revoke_pca(world)
+    listener.fetch_crl()
+    world.bus.run()
+    assert listener.validate_bsm(bsm) == (False, "revoked")
+    _fetch_gpf(world, listener, crl_capacity=0)
+    assert listener.crl_store.entry_count() == 0
+    # with no room for an entry, nothing revokes on that device
+    assert listener.validate_bsm(bsm) == (True, "ok")
+
+
+def test_a_newer_policy_file_changes_which_certificate_signs():
+    world = make_world(devices=1, periods=1, batch_size=5)
+    provision_all(world)
+    device = world.devices[0]
+
+    def signer(minute: int) -> bytes:
+        world.clock.set(0, minute)
+        return SignedMessage.decode(device.sign_bsm([0, 0], 40)).cert_id
+
+    assert signer(0) != signer(ROTATION_MINUTES)
+    _fetch_gpf(world, device, rotation_minutes=2 * ROTATION_MINUTES)
+    assert device.rotation_minutes == 2 * ROTATION_MINUTES
+    assert signer(0) == signer(ROTATION_MINUTES)
+    assert signer(0) != signer(2 * ROTATION_MINUTES)
+
+
+def test_a_top_off_request_leaves_the_earlier_batches_openable():
+    world = make_world(devices=1, periods=4, batch_size=2)
+    device = world.devices[0]
+
+    def request(start: int, n_periods: int) -> None:
+        device.request_certs(start, n_periods)
+        world.bus.run()
+        world.ra.flush()
+        world.bus.run()
+
+    request(0, 2)
+    device.download_batch(0)
+    world.bus.run()
+    request(2, 2)  # a top-off
+    for period in (1, 2):
+        device.download_batch(period)
+    world.bus.run()
+    assert device.quarantined == []
+    assert {i: len(certs) for i, certs in device.certs.items()} == {0: 2, 1: 2, 2: 2}
+    # a span the clock has passed is dropped at the next request
+    world.clock.set(2, 0)
+    device.request_certs(4, 1)
+    assert list(device.caterpillars) == [range(2, 4), range(4, 5)]
 
 
 @pytest.mark.parametrize("body", [
@@ -435,8 +536,8 @@ def _pca_signed(world, payload) -> bytes:
 
 def _sealed_to_slot(device, i, j, content) -> dict:
     """A package envelope whose ciphertext the device can open for (i, j)."""
-    cat = device.caterpillar
-    key = cocoon_private(cat["h"], cat["k_enc"], ENCRYPTION, TimeIndex(i, j))
+    ((_, h, _, k_enc),) = device.caterpillars.values()
+    key = cocoon_private(Scalar(h), k_enc, ENCRYPTION, TimeIndex(i, j))
     ct = hybrid_encrypt(mul_g(key), encode(content), DeterministicRandom(5))
     return {"i": i, "j": j, "ct": ct.encode()}
 

@@ -206,6 +206,19 @@ def test_reporters_outside_the_pki_are_not_counted(signer):
     assert world.ma.revocations_completed == 0
 
 
+def test_a_reporter_the_ma_revoked_is_not_counted():
+    # obe0 is revoked in period 1; in period 2 it and two honest devices
+    # report obe4, and only two reporters count against the threshold of 3
+    world = _revocation_world()
+    _file_reports(world, 0, [1, 2, 3], period=1)
+    assert world.ma.revocations_completed == 1
+    _file_reports(world, 4, [0, 1, 2], period=2)
+    view = world.registry.audit_view("ma")
+    assert view.scan("bad_report") == [{"reason": "reporter revoked"}]
+    assert view.count("report") == 5
+    assert world.ma.revocations_completed == 1
+
+
 def test_report_batch_order_decorrelated_from_filing_order():
     # reporter-path privacy: the MA's arrival order is a shuffle of the
     # filing order, so report position does not identify the reporter

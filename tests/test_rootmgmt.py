@@ -3,6 +3,8 @@ the root-management impact table."""
 
 import pytest
 
+from scms.authorities import CrlStore, Identity, Pg
+from scms.bus import MessageBus
 from scms.certmodel import (
     ALG_DEFAULT,
     ALG_DOMAIN_SEP,
@@ -14,6 +16,7 @@ from scms.certmodel import (
 from scms.crypto import DeterministicRandom, KeyPair
 from scms.encoding import encode
 from scms.errors import ParseError
+from scms.persistence import StoreRegistry
 from scms.rootmgmt import (
     ENDORSE_ELECTOR,
     ENDORSE_ROOT,
@@ -21,7 +24,6 @@ from scms.rootmgmt import (
     REVOKE_ROOT,
     Action,
     Ballot,
-    PolicyGenerator,
     TrustState,
     build_ballot,
     cast_vote,
@@ -187,32 +189,33 @@ def test_ballot_validation_is_pure(pki):
 # --- policy generator ---
 
 def _pg(pki):
+    """A policy generator and a CRL store on a bus of their own; what the
+    generator publishes stays queued until the bus runs."""
+    bus, registry = MessageBus(), StoreRegistry()
     rng = DeterministicRandom(91, "pg")
     key = KeyPair.generate(rng)
     cert = issue_component_cert(key, "pg", pki.root_cert, pki.root_key,
                                 pki.root_cert.cert_id(), SERIES_ROOT_MANAGED,
                                 (0, 10000), None)
-    return PolicyGenerator(key, cert)
+    CrlStore("crlstore", bus, registry, rng)
+    return Pg("pg", bus, registry, rng, Identity(key, cert, None))
 
 
 def test_policy_versions_monotone(pki):
     pg = _pg(pki)
     v1 = pg.publish_gpf({"batch_size": 20})
     v2 = pg.publish_gpf({"batch_size": 24})
-    assert (v1.version, v2.version) == (1, 2)
     # a device at version 2 rejects a replayed version-1 file
-    assert check_policy_artifact(v1.encode(), pg.cert, last_version=2,
-                                 name="gpf") is None
-    accepted = check_policy_artifact(v2.encode(), pg.cert, last_version=1,
-                                     name="gpf")
-    assert accepted is not None
-    assert accepted.body == {"batch_size": 24}
+    assert check_policy_artifact(v1, pg.cert, last_version=2, name="gpf") is None
+    assert check_policy_artifact(v2, pg.cert, last_version=1,
+                                 name="gpf") == (2, {"batch_size": 24})
+    assert check_policy_artifact(v1, pg.cert, last_version=0,
+                                 name="gpf") == (1, {"batch_size": 20})
 
 
 def test_tampered_policy_rejected(pki):
     pg = _pg(pki)
-    artifact = pg.publish_gpf({"rotation_minutes": 5})
-    raw = bytearray(artifact.encode())
+    raw = bytearray(pg.publish_gpf({"rotation_minutes": 5}))
     raw[10] ^= 1
     assert check_policy_artifact(bytes(raw), pg.cert, last_version=0,
                                  name="gpf") is None
@@ -222,11 +225,12 @@ def test_gccf_carries_chains(pki):
     pg = _pg(pki)
     chains = [[pki.pca_cert.encode(), pki.ica_cert.encode(),
                pki.root_cert.encode()]]
-    artifact = pg.publish_gccf(chains)
-    accepted = check_policy_artifact(artifact.encode(), pg.cert, last_version=0,
-                                     name="gccf")
-    assert accepted is not None
-    assert accepted.body["chains"] == chains
+    data = pg.publish_gccf(chains)
+    assert check_policy_artifact(data, pg.cert, last_version=0,
+                                 name="gccf") == (1, {"chains": chains})
+    # the published file is the one the CRL store is sent
+    (sent,) = pg.bus._queue
+    assert sent.payload == {"name": "gccf", "data": data}
 
 
 @pytest.mark.parametrize("value", [
