@@ -3,19 +3,23 @@
 Scalars are integers mod the group order; group elements are curve points
 with a representable identity. Point addition is affine Python, one pair
 at a time (``GroupElement.__add__``) or many pairs with one field
-inversion (``add_pairs``); so is ``scalar_mult``, which no run calls;
-every other curve operation runs in the OpenSSL backend, whose keys are
-all built here. The point decoder keeps only affine coordinates and
-memoizes nothing: a certificate decoded again comes whole from the
-certificate memo, keys included. ``backend_key`` builds a key from a
-point's coordinates for one call (ECDH peers);
-``backend_public`` caches the keys of signature verification, the only
-keys that are used again, so the one-shot butterfly, response and
-ephemeral points never reach it; ``backend_private`` serves ``mul_g`` and
-ECDH. The pure reference is ``scripts/make_vectors.py``, which imports
-nothing from this package; the test suite cross-checks the decoder,
-``mul_g`` and point addition against it. Any discrete-log group with
-~256-bit order could be substituted behind these types.
+inversion (``add_pairs``); so is ``scalar_mult``, which no run calls.
+Fixed-base multiplication (``mul_g``, ``ecdh_public``), ECDH
+(``ecdh_x``) and point decompression (``GroupElement.decode``) call the
+``EC_POINT`` API of the system libcrypto that Python's own ``hashlib``
+loads, through ``ctypes``, with no key objects: this module is the one
+adapter to that library, and every function it calls is declared in
+``_SIGNATURES``. ECDSA verification stays in ``cryptography``, whose
+keys are built only here: ``backend_public`` caches the keys of
+signature verification, the only keys that are used again. The point
+decoder reads the coordinates of the Z = 1 point that libcrypto
+decompresses, so it makes no field inversion; it keeps only affine
+coordinates and memoizes nothing: a certificate decoded again comes
+whole from the certificate memo, keys included. The pure reference is
+``scripts/make_vectors.py``, which imports nothing from this package;
+the test suite cross-checks the decoder, ``mul_g``, ``ecdh_x`` and point
+addition against it. Any discrete-log group with ~256-bit order could be
+substituted behind these types.
 
 Normative encodings: Scalar = 32 bytes big-endian; GroupElement = 33 bytes
 SEC1 compressed, identity = 33 zero bytes. The decoder raises
@@ -24,6 +28,11 @@ SEC1 compressed, identity = 33 zero bytes. The decoder raises
 
 from __future__ import annotations
 
+import _hashlib
+import ctypes
+import threading
+import weakref
+from ctypes import c_char_p, c_int, c_size_t, c_ulong, c_void_p
 from functools import lru_cache
 
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -46,6 +55,144 @@ POINT_BYTES = 33
 KEY_MEMO_SIZE = 4096
 
 _CURVE = ec.SECP256R1()
+
+# --- the libcrypto EC_POINT adapter ---
+
+# name -> (restype, argtypes) of every libcrypto function called here (and
+# ERR_peek_error, which the tests read); an undeclared call would return a
+# C int and truncate a 64-bit pointer. Each failed call is followed by
+# ERR_clear_error, so the thread's error queue, which ssl and hashlib
+# share, stays empty.
+_SIGNATURES = {
+    "OpenSSL_version_num": (c_ulong, []),
+    "EC_GROUP_new_by_curve_name": (c_void_p, [c_int]),
+    "EC_POINT_new": (c_void_p, [c_void_p]),
+    "EC_POINT_free": (None, [c_void_p]),
+    "EC_POINT_mul": (c_int, [c_void_p, c_void_p, c_void_p, c_void_p,
+                             c_void_p, c_void_p]),
+    "EC_POINT_oct2point": (c_int, [c_void_p, c_void_p, c_char_p, c_size_t,
+                                   c_void_p]),
+    "EC_POINT_point2oct": (c_size_t, [c_void_p, c_void_p, c_int, c_char_p,
+                                      c_size_t, c_void_p]),
+    # deprecated since OpenSSL 3.0, and still exported by its builds
+    "EC_POINT_get_Jprojective_coordinates_GFp": (c_int, [c_void_p] * 6),
+    "BN_CTX_new": (c_void_p, []),
+    "BN_CTX_free": (None, [c_void_p]),
+    "BN_new": (c_void_p, []),
+    "BN_free": (None, [c_void_p]),
+    "BN_bin2bn": (c_void_p, [c_char_p, c_int, c_void_p]),
+    "BN_bn2binpad": (c_int, [c_void_p, c_char_p, c_int]),
+    "ERR_clear_error": (None, []),
+    "ERR_peek_error": (c_ulong, []),
+}
+# The libcrypto that hashlib links, so the process holds one: a symbol
+# looked up through the handle of hashlib's extension module resolves in
+# the libraries it links. (ctypes.util.find_library would import
+# subprocess and run ldconfig, about 5 ms of every start-up.)
+_LIBCRYPTO = f"the libcrypto that {getattr(_hashlib, '__file__', '_hashlib')} links"
+try:
+    _lib = ctypes.CDLL(_hashlib.__file__)
+    for _name, (_restype, _argtypes) in _SIGNATURES.items():
+        _fn = getattr(_lib, _name)
+        _fn.restype, _fn.argtypes = _restype, _argtypes
+except (AttributeError, OSError) as exc:
+    raise ImportError(f"scms.crypto needs OpenSSL >= 3.0; {_LIBCRYPTO} "
+                      f"lacks its EC_POINT API") from exc
+if _lib.OpenSSL_version_num() < 0x30000000:
+    raise ImportError(f"scms.crypto needs OpenSSL >= 3.0; {_LIBCRYPTO} is "
+                      f"version {_lib.OpenSSL_version_num():#x}")
+_NID_P256 = 415  # NID_X9_62_prime256v1
+_UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED
+_GROUP = _lib.EC_GROUP_new_by_curve_name(_NID_P256)  # read-only, shared
+if not _GROUP:
+    raise ImportError(f"{_LIBCRYPTO} has no P-256 group")
+
+
+class _Scratch:
+    """One thread's native working set: a BN_CTX, a result and a peer
+    point, a scalar, the two coordinates of a decoded point and the
+    65-byte uncompressed output, freed with it."""
+
+    def __init__(self):
+        self.ctx = _lib.BN_CTX_new()
+        self.point = _lib.EC_POINT_new(_GROUP)
+        self.peer = _lib.EC_POINT_new(_GROUP)
+        numbers = [_lib.BN_new() for _ in range(3)]
+        self.scalar, self.x, self.y = numbers
+        self.out = ctypes.create_string_buffer(1 + 2 * 32)
+        weakref.finalize(self, _release, self.ctx, (self.point, self.peer),
+                         numbers)
+        if not (self.ctx and self.point and self.peer and all(numbers)):
+            raise MemoryError("libcrypto could not allocate EC scratch")
+
+
+def _release(ctx, points, numbers) -> None:
+    _lib.BN_CTX_free(ctx)
+    for point in points:
+        _lib.EC_POINT_free(point)
+    for number in numbers:
+        _lib.BN_free(number)
+
+
+_local = threading.local()
+
+
+def _scratch() -> _Scratch:
+    try:
+        return _local.scratch
+    except AttributeError:
+        _local.scratch = _Scratch()
+        return _local.scratch
+
+
+def _affine_of(s: _Scratch) -> tuple[int, int]:
+    """(x, y) of ``s.point``, which is never the identity here."""
+    if _lib.EC_POINT_point2oct(_GROUP, s.point, _UNCOMPRESSED, s.out, 65,
+                               s.ctx) != 65:
+        _lib.ERR_clear_error()
+        raise ArithmeticError("libcrypto returned the identity")
+    raw = s.out.raw
+    return int.from_bytes(raw[1:33], "big"), int.from_bytes(raw[33:], "big")
+
+
+def _decoded_coordinates(s: _Scratch) -> tuple[int, int]:
+    """(x, y) of ``s.point`` as ``EC_POINT_oct2point`` leaves it: it sets
+    the affine coordinates with Z = 1, so the Jacobian X and Y are x and
+    y, read without the field inversion that the P-256 method's affine
+    conversion (``_affine_of``) makes even when Z is 1. Only a decoded
+    point has Z = 1; a product of ``EC_POINT_mul`` does not."""
+    if not _lib.EC_POINT_get_Jprojective_coordinates_GFp(
+            _GROUP, s.point, s.x, s.y, None, s.ctx):
+        _lib.ERR_clear_error()
+        raise MemoryError("libcrypto could not read the decoded point")
+    _lib.BN_bn2binpad(s.x, s.out, 32)
+    x = int.from_bytes(s.out.raw[:32], "big")
+    _lib.BN_bn2binpad(s.y, s.out, 32)
+    return x, int.from_bytes(s.out.raw[:32], "big")
+
+
+def _multiply(k: int, peer: GroupElement | None) -> tuple[int, int]:
+    """(x, y) of k * peer, or of k * G if ``peer`` is None, for
+    0 < k < ORDER; raises ``ParseError`` if ``peer`` is the identity or
+    not a curve point."""
+    if not 0 < k < ORDER:
+        raise ValueError("scalar must be in [1, ORDER)")
+    s = _scratch()
+    _lib.BN_bin2bn(k.to_bytes(SCALAR_BYTES, "big"), SCALAR_BYTES, s.scalar)
+    if peer is None:
+        ok = _lib.EC_POINT_mul(_GROUP, s.point, s.scalar, None, None, s.ctx)
+    else:
+        if peer.is_identity:
+            raise ParseError("the identity is not an ECDH peer", 0)
+        raw = b"\x04" + peer.x.to_bytes(32, "big") + peer.y.to_bytes(32, "big")
+        if not _lib.EC_POINT_oct2point(_GROUP, s.peer, raw, 65, s.ctx):
+            _lib.ERR_clear_error()
+            raise ParseError("point is not on the curve", 0)
+        ok = _lib.EC_POINT_mul(_GROUP, s.point, None, s.peer, s.scalar, s.ctx)
+    if not ok:
+        _lib.ERR_clear_error()
+        raise MemoryError("libcrypto EC_POINT_mul failed")
+    return _affine_of(s)
 
 
 class Scalar:
@@ -121,12 +268,13 @@ class GroupElement:
             raise ParseError(f"point must be {POINT_BYTES} bytes, got {len(data)}", 0)
         if data[0] not in (2, 3):
             raise ParseError(f"bad point compression tag {data[0]:#x}", 0)
-        try:
-            key = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, data)
-        except ValueError:
-            raise ParseError("point is not on the curve", 1) from None
-        nums = key.public_numbers()
-        return cls(nums.x, nums.y)
+        # libcrypto refuses x >= p and an x with no square root
+        s = _scratch()
+        if not _lib.EC_POINT_oct2point(_GROUP, s.point, data, POINT_BYTES,
+                                       s.ctx):
+            _lib.ERR_clear_error()
+            raise ParseError("point is not on the curve", 1)
+        return cls(*_decoded_coordinates(s))
 
     def __eq__(self, other) -> bool:
         return (
@@ -147,27 +295,15 @@ class GroupElement:
 _IDENTITY_BYTES = b"\x00" * POINT_BYTES
 
 
-def backend_key(point: GroupElement) -> ec.EllipticCurvePublicKey:
-    """Backend key of ``point``, built from its coordinates and not kept;
-    raises ``ParseError`` if the point is the identity or (x, y) is not
-    on the curve."""
-    if point.is_identity:
-        raise ParseError("the identity has no backend key", 0)
-    try:
-        return ec.EllipticCurvePublicNumbers(point.x, point.y, _CURVE).public_key()
-    except ValueError:
-        raise ParseError("point is not on the curve", 0) from None
-
-
 @lru_cache(maxsize=KEY_MEMO_SIZE)
 def backend_public(x: int, y: int) -> ec.EllipticCurvePublicKey:
-    """``backend_key`` of the point (x, y), kept for the next signature."""
-    return backend_key(GroupElement(x, y))
-
-
-def backend_private(k: int) -> ec.EllipticCurvePrivateKey:
-    """Backend private key for the scalar value k, 0 < k < ORDER."""
-    return ec.derive_private_key(k, _CURVE)
+    """``cryptography`` verification key of the point (x, y), kept for the
+    key's next signature; raises ``ParseError`` if (x, y) is not on the
+    curve."""
+    try:
+        return ec.EllipticCurvePublicNumbers(x, y, _CURVE).public_key()
+    except ValueError:
+        raise ParseError("point is not on the curve", 0) from None
 
 
 IDENTITY = GroupElement(None, None)
@@ -175,13 +311,25 @@ G = GroupElement(GEN_X, GEN_Y)
 
 
 def mul_g(k: Scalar) -> GroupElement:
-    """k * G via the OpenSSL backend (pure reference: ``ec_mul`` in
+    """k * G via libcrypto (pure reference: ``ec_mul`` in
     scripts/make_vectors.py)."""
     kv = k.value if isinstance(k, Scalar) else int(k) % ORDER
     if kv == 0:
         return IDENTITY
-    nums = backend_private(kv).public_key().public_numbers()
-    return GroupElement(nums.x, nums.y)
+    return GroupElement(*_multiply(kv, None))
+
+
+def ecdh_public(k: Scalar) -> GroupElement:
+    """k * G for a nonzero ECDH scalar, like ``mul_g`` but refusing zero
+    with ``ValueError``: the ephemeral point of ``hybrid_seal``."""
+    return GroupElement(*_multiply(k.value, None))
+
+
+def ecdh_x(k: Scalar, peer: GroupElement) -> bytes:
+    """The 32-byte x-coordinate of k * peer, the ECDH shared secret; raises
+    ``ValueError`` on a zero k and ``ParseError`` if ``peer`` is the
+    identity or off the curve."""
+    return _multiply(k.value, peer)[0].to_bytes(32, "big")
 
 
 def add_pairs(pairs: list[tuple[GroupElement, GroupElement]]) -> list[GroupElement]:

@@ -9,12 +9,13 @@ or a wrong private key fails the GCM tag check.
 Also provides static channel keys for fixed component pairs (LA -> PCA
 application-layer encryption routed opaquely through the RA).
 
-Both derive their AES key in ``_shared_key``: ECDH in the OpenSSL backend,
-between a private key from ``group.backend_private`` and a peer key that
-``group.backend_key`` builds from the peer point's coordinates for this one
-exchange (ephemeral and response keys are used once, so no key is kept),
-then SHA-256 over the secret and a label. A peer that is the identity or
-off the curve raises ``ParseError``.
+Both derive their AES key in ``_shared_key``: the ECDH x-coordinate from
+``group.ecdh_x``, then SHA-256 over it and a label. The curve arithmetic
+(the seal's ephemeral point from ``group.ecdh_public`` and the exchange)
+runs in libcrypto through ``scms.crypto.group``, with no key objects;
+AES-GCM stays in ``cryptography``. A peer that is the identity or off
+the curve raises ``ParseError``, and a zero private or ephemeral scalar
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ import hashlib
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from ..encoding import Reader
 from ..errors import DecryptionError
-from .group import POINT_BYTES, GroupElement, Scalar, backend_key, backend_private
+from .group import POINT_BYTES, GroupElement, Scalar, ecdh_public, ecdh_x
 
 _ZERO_NONCE = b"\x00" * 12
 TAG_BYTES = 16
@@ -51,10 +51,8 @@ class HybridCiphertext:
         return cls(eph, r.rest(), tag)
 
 
-def _shared_key(own: ec.EllipticCurvePrivateKey, peer: GroupElement,
-                label: bytes) -> bytes:
-    secret = own.exchange(ec.ECDH(), backend_key(peer))
-    return hashlib.sha256(secret + label).digest()[:16]
+def _shared_key(own: Scalar, peer: GroupElement, label: bytes) -> bytes:
+    return hashlib.sha256(ecdh_x(own, peer) + label).digest()[:16]
 
 
 def hybrid_encrypt(to: GroupElement, plaintext: bytes, rng) -> HybridCiphertext:
@@ -66,10 +64,8 @@ def hybrid_seal(to: GroupElement, plaintext: bytes,
                 ephemeral_priv: Scalar) -> HybridCiphertext:
     """Seal to ``to`` with a given ephemeral scalar, so that the caller can
     draw it in one place and seal in another."""
-    eph_key = backend_private(ephemeral_priv.value)
-    nums = eph_key.public_key().public_numbers()
-    ephemeral = GroupElement(nums.x, nums.y)
-    key = _shared_key(eph_key, to, ephemeral.encode())
+    ephemeral = ecdh_public(ephemeral_priv)
+    key = _shared_key(ephemeral_priv, to, ephemeral.encode())
     sealed = AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None)
     return HybridCiphertext(ephemeral, sealed[:-TAG_BYTES], sealed[-TAG_BYTES:])
 
@@ -77,8 +73,7 @@ def hybrid_seal(to: GroupElement, plaintext: bytes,
 def hybrid_decrypt(priv: Scalar, ct: HybridCiphertext) -> bytes:
     if ct.ephemeral.is_identity:
         raise DecryptionError("identity ephemeral key")
-    key = _shared_key(backend_private(priv.value), ct.ephemeral,
-                      ct.ephemeral.encode())
+    key = _shared_key(priv, ct.ephemeral, ct.ephemeral.encode())
     try:
         return AESGCM(key).decrypt(_ZERO_NONCE, ct.payload + ct.tag, None)
     except InvalidTag as exc:
@@ -88,7 +83,7 @@ def hybrid_decrypt(priv: Scalar, ct: HybridCiphertext) -> bytes:
 def channel_key(own_priv: Scalar, peer_pub: GroupElement, label: bytes) -> bytes:
     """Static-DH symmetric key for a fixed component pair; both sides derive
     the same key from their own private half."""
-    return _shared_key(backend_private(own_priv.value), peer_pub, label)
+    return _shared_key(own_priv, peer_pub, label)
 
 
 def channel_encrypt(key: bytes, plaintext: bytes, rng) -> bytes:

@@ -8,7 +8,9 @@ issuer's signature over each encrypted packet (catching response-key
 substitution), reconstructs each private key and rejects any certificate
 whose key check fails; failed packages are quarantined and reported.
 Each request's caterpillar secrets are kept by the periods it spans, so
-a top-off leaves earlier batches openable. The settings (batch size,
+a top-off leaves earlier batches openable; a ``provision.deny`` drops
+the secrets of the request whose reply reference it carries, so a
+refused top-off shadows no accepted batch. The settings (batch size,
 rotation minutes, CRL capacity) come only from the signed global policy
 file: the bootstrap bundle carries the first, and a newer one fetched
 over the air applies at once.
@@ -173,6 +175,9 @@ class Device:
 
         # periods a request spans -> its secrets (a, h, k_sign, k_enc)
         self.caterpillars: dict[range, tuple[int, int, bytes, bytes]] = {}
+        # reply reference of each unanswered certificate request -> its
+        # span and secrets, so that a denial drops the secrets it refused
+        self._awaiting: dict[bytes, tuple[range, tuple]] = {}
         self.certs: dict[int, list[dict]] = {}
         self.quarantined: list[dict] = []
         self.app_certs: list[dict] = []
@@ -261,19 +266,20 @@ class Device:
             "dst": dst, "mtype": mtype, "body": body,
         }))
 
-    def _send_signed(self, mtype: str, payload: bytes) -> None:
+    def _send_signed(self, mtype: str, payload: bytes) -> bytes:
         """Sign ``payload`` with the enrollment key and send it to the RA,
-        sealed to the RA's encryption key, with a fresh reply reference."""
+        sealed to the RA's encryption key, with a fresh reply reference,
+        which it returns."""
         msg = sign_message(
             self.enrollment_key.private,
             Certificate.decode(self.enrollment_cert_bytes), payload,
         )
-        self._via_lop("ra", mtype, {
-            "blob": hybrid_encrypt(
-                self.ra_enc_key, encode({"req": msg.encode()}), self.rng
-            ).encode(),
-            "reply_ref": self.rng.randbytes(8),
-        })
+        blob = hybrid_encrypt(
+            self.ra_enc_key, encode({"req": msg.encode()}), self.rng
+        ).encode()
+        reply_ref = self.rng.randbytes(8)
+        self._via_lop("ra", mtype, {"blob": blob, "reply_ref": reply_ref})
+        return reply_ref
 
     def _report_to_ma(self, report: dict) -> None:
         """Seal a misbehavior report to the MA; the RA that relays it only
@@ -298,7 +304,9 @@ class Device:
         self.caterpillars = {held: secrets for held, secrets
                              in self.caterpillars.items()
                              if held.stop > period and held != span}
-        self.caterpillars[span] = (a.value, h.value, k_sign, k_enc)
+        secrets = self.caterpillars[span] = (a.value, h.value, k_sign, k_enc)
+        self._awaiting = {ref: held for ref, held in self._awaiting.items()
+                          if self.caterpillars.get(held[0]) is held[1]}
         request = {
             "A": mul_g(a).encode(),
             "H": mul_g(h).encode(),
@@ -309,13 +317,21 @@ class Device:
             "j_max": j_max,
             "psid": BSM_PSID,
         }
-        self._send_signed("provision.request", encode(request))
+        reply_ref = self._send_signed("provision.request", encode(request))
+        self._awaiting[reply_ref] = (span, secrets)
 
     def on_provision_ack(self, env) -> None:
+        (reply_ref,) = fields(env.payload, reply_ref=bytes)
+        self._awaiting.pop(reply_ref, None)
         self.provision_status = "acknowledged"
 
     def on_provision_deny(self, env) -> None:
-        (reason,) = fields(env.payload, reason=str)
+        reply_ref, reason = fields(env.payload, reply_ref=bytes, reason=str)
+        # a refused request's secrets would shadow an accepted request's
+        # batches for the periods both spans hold
+        span, secrets = self._awaiting.pop(reply_ref, (None, None))
+        if span is not None and self.caterpillars.get(span) is secrets:
+            del self.caterpillars[span]
         self.provision_status = "denied"
         self.last_deny_reason = reason
 
@@ -550,6 +566,7 @@ class Device:
     def rebootstrap(self, dcm) -> None:
         """Factory reset followed by a fresh bootstrap."""
         self.caterpillars.clear()
+        self._awaiting.clear()
         self.certs.clear()
         self.quarantined.clear()
         self.app_certs.clear()

@@ -7,7 +7,11 @@ package.
 
 import hashlib
 import importlib.util
+import multiprocessing
+import os
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,7 @@ from scms.crypto import (
     hash_truncated,
     hybrid_decrypt,
     hybrid_encrypt,
+    hybrid_seal,
     mul_g,
     prf_block,
     prf_blocks,
@@ -32,7 +37,10 @@ from scms.crypto import (
     sign,
     verify,
 )
-from scms.crypto.group import CURVE_P, add_pairs, backend_public
+from scms import bus
+from scms.butterfly import CaterpillarRequest, TimeIndex, cocoon_expand
+from scms.crypto import group
+from scms.crypto.group import CURVE_P, add_pairs, backend_public, ecdh_x
 from scms.crypto.signing import backend_verify
 from scms.errors import DecryptionError, ParseError
 
@@ -110,6 +118,95 @@ def test_mul_g_matches_pure_scalar_mult():
     for _ in range(50):
         s = rng.scalar()
         assert _affine(mul_g(s)) == oracle.ec_mul(s.value, (G.x, G.y))
+
+
+def test_ecdh_x_matches_the_oracle():
+    # libcrypto's variable-base multiplication vs the oracle's double-and-add
+    rng = DeterministicRandom(62)
+    cases = [(rng.scalar(), mul_g(rng.scalar())) for _ in range(10)]
+    p = mul_g(rng.scalar())
+    cases += [(Scalar(1), p), (Scalar(ORDER - 1), p), (Scalar(2), G)]
+    for k, peer in cases:
+        x, _ = oracle.ec_mul(k.value, _affine(peer))
+        assert ecdh_x(k, peer) == x.to_bytes(32, "big")
+
+
+def test_decode_matches_the_oracle_on_both_parities():
+    # 500 x-coordinates on the curve, each with both of its points: the
+    # coordinates read from libcrypto's Z = 1 point are the oracle's
+    rnd = random.Random(66)
+    decoded = 0
+    while decoded < 1000:
+        x = rnd.randbytes(32)
+        try:
+            oracle.decompress(b"\x02" + x)
+        except ValueError:
+            continue  # no point has this x
+        for tag in (2, 3):
+            raw = bytes([tag]) + x
+            point = GroupElement.decode(raw)
+            assert _affine(point) == oracle.decompress(raw)
+            assert point.encode() == raw
+            decoded += 1
+
+
+@pytest.mark.parametrize("raw, reason, offset", [
+    (G.encode()[:-1], "point must be 33 bytes, got 32", 0),
+    (G.encode() + b"\x00", "point must be 33 bytes, got 34", 0),
+    (b"\x04" + G.encode()[1:], "bad point compression tag 0x4", 0),
+    (b"\x00" + G.encode()[1:], "bad point compression tag 0x0", 0),
+    (b"\x02" + CURVE_P.to_bytes(32, "big"), "point is not on the curve", 1),
+    (b"\x03" + (2**256 - 1).to_bytes(32, "big"), "point is not on the curve", 1),
+    (b"\x02" + b"\x11" * 32, "point is not on the curve", 1),  # no square root
+], ids=["short", "long", "tag-4", "tag-0", "x-is-p", "x-above-p", "non-residue"])
+def test_each_decoder_refusal_keeps_its_reason_and_offset(raw, reason, offset):
+    with pytest.raises(ParseError) as refused:
+        GroupElement.decode(raw)
+    assert (refused.value.reason, refused.value.offset) == (reason, offset)
+    with pytest.raises(ValueError):
+        oracle.decompress(raw)
+    # the error queue of a thread is shared with ssl and hashlib
+    assert group._lib.ERR_peek_error() == 0
+
+
+def test_ecdh_refusals_keep_their_reasons_and_an_empty_error_queue():
+    kp = KeyPair.generate(DeterministicRandom(63))
+    identity = GroupElement.decode(b"\x00" * 33)
+    assert identity is IDENTITY
+    off_curve = GroupElement(kp.public.x, (kp.public.y + 1) % CURVE_P)
+    for peer, reason in ((identity, "the identity is not an ECDH peer"),
+                         (off_curve, "point is not on the curve")):
+        with pytest.raises(ParseError) as refused:
+            ecdh_x(kp.private, peer)
+        assert (refused.value.reason, refused.value.offset) == (reason, 0)
+        assert group._lib.ERR_peek_error() == 0
+
+
+def test_threads_share_no_native_scratch():
+    # each thread multiplies and decodes in its own libcrypto working set;
+    # a native call releases the GIL, so the threads' calls interleave
+    rng = DeterministicRandom(64)
+    jobs = [[rng.scalar() for _ in range(25)] for _ in range(4)]
+    results = [None] * len(jobs)
+
+    def work(n):
+        results[n] = [[_affine(GroupElement.decode(mul_g(k).encode()))
+                       for k in jobs[n]] for _ in range(8)]
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for scalars, rounds in zip(jobs, results):
+        expected = [oracle.ec_mul(k.value, (G.x, G.y)) for k in scalars]
+        assert rounds == [expected] * 8
 
 
 def test_group_algebra_against_random_base():
@@ -358,6 +455,50 @@ def test_hybrid_encoding_roundtrip():
     ct = hybrid_encrypt(kp.public, b"wire format", rng)
     decoded = HybridCiphertext.decode(ct.encode())
     assert hybrid_decrypt(kp.private, decoded) == b"wire format"
+
+
+def test_a_spawned_pool_worker_gives_the_inline_results():
+    # a process running threads spawns its pool workers (bus._workers):
+    # fresh interpreters, which load the libcrypto adapter anew
+    rng = DeterministicRandom(67)
+    kp, k = KeyPair.generate(rng), rng.scalar()
+    req = CaterpillarRequest(mul_g(rng.scalar()), rng.randbytes(16),
+                             mul_g(rng.scalar()), rng.randbytes(16))
+    grid = [TimeIndex(i, j) for i in range(2) for j in range(4)]
+    jobs = [
+        (mul_g, (k,)),
+        (GroupElement.decode, (kp.public.encode(),)),
+        (ecdh_x, (k, kp.public)),
+        (hybrid_seal, (kp.public, b"spawned", k)),
+        (hybrid_decrypt, (kp.private, hybrid_seal(kp.public, b"spawned", k))),
+        (cocoon_expand, (req, grid)),
+        (os.getpid, ()),
+    ]
+    context = multiprocessing.get_context("spawn")
+    here, there = context.Pipe()
+    worker = context.Process(target=bus._serve, daemon=True, args=(
+        there, here, ["scms.butterfly", "scms.crypto.hybrid"]))
+    worker.start()
+    there.close()
+    try:
+        here.send(jobs)
+        assert here.poll(120), "the spawned worker did not answer"
+        ok, results = here.recv()
+    finally:
+        here.close()
+        worker.join(timeout=10)
+    assert ok, results
+    *kernels, pid = results
+    assert pid != os.getpid()
+    assert kernels == bus.run_kernels(jobs[:-1])
+
+
+def test_zero_ephemeral_scalar_is_refused():
+    kp = KeyPair.generate(DeterministicRandom(65))
+    with pytest.raises(ValueError):
+        hybrid_seal(kp.public, b"x", Scalar(0))
+    with pytest.raises(ValueError):
+        ecdh_x(Scalar(0), kp.public)
 
 
 # --- which keys the OpenSSL key cache keeps ---

@@ -485,6 +485,26 @@ def test_a_top_off_request_leaves_the_earlier_batches_openable():
     assert list(device.caterpillars) == [range(2, 4), range(4, 5)]
 
 
+def test_a_denied_top_off_leaves_the_accepted_batches_openable():
+    world = make_world(devices=1, periods=4, batch_size=2)
+    device = world.devices[0]
+    device.request_certs(0, 3)
+    world.bus.run()
+    world.ra.flush()
+    world.bus.run()
+    assert device.provision_status == "acknowledged"
+    device.request_certs(2, 3)  # overlaps period 2, so the RA refuses it
+    world.bus.run()
+    assert device.last_deny_reason == "duplicate request for covered time span"
+    assert list(device.caterpillars) == [range(0, 3)]
+    assert device._awaiting == {}  # both requests are answered
+    for period in range(3):
+        device.download_batch(period)
+        world.bus.run()
+    assert device.quarantined == []
+    assert [len(device.certs[period]) for period in range(3)] == [2, 2, 2]
+
+
 @pytest.mark.parametrize("body", [
     {},
     {"chains": [b"chain"]},

@@ -2,6 +2,9 @@
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import scms
@@ -139,17 +142,72 @@ def test_no_unchecked_decoded_subscripts():
     assert found == set(), sorted(found)
 
 
+def _mentions(node, names) -> bool:
+    return ((isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.alias) and node.name in names))
+
+
+def _imported_packages(node) -> set[str]:
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return {node.module.split(".")[0]}
+    return set()
+
+
 def test_one_openssl_key_adapter():
-    # every backend key is built in crypto/group.py, behind one key cache
-    names = {"derive_private_key", "from_encoded_point",
-             "EllipticCurvePublicNumbers", "SECP256R1"}
+    # every backend key is built in crypto/group.py, behind one key cache,
+    # and only that module loads libcrypto and calls it
+    names = {"from_encoded_point", "EllipticCurvePublicNumbers", "SECP256R1",
+             "CDLL", "_lib"}
     found = [
-        where for where, node in _nodes()
-        if (isinstance(node, ast.Attribute) and node.attr in names)
-        or (isinstance(node, ast.Name) and node.id in names)
-        or (isinstance(node, ast.alias) and node.name in names)
+        where for where, node in _nodes() if _mentions(node, names)
+        or "ctypes" in _imported_packages(node)
     ]
     assert found and all(w.startswith("crypto/group.py:") for w in found), found
+    assert not any(_mentions(node, {"derive_private_key", "exchange"})
+                   for _, node in _nodes())
+    assert _undeclared_native_calls(ROOT / "crypto" / "group.py") == set()
+
+
+def _undeclared_native_calls(path: Path) -> set[str]:
+    """Each ``_lib.<name>`` of ``path`` that is not a key of its
+    ``_SIGNATURES`` table, which sets every native function's argtypes
+    and restype; an undeclared call returns a C int, which truncates a
+    64-bit pointer."""
+    tree = ast.parse(path.read_text(), str(path))
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_SIGNATURES"]]
+    declared = {key.value for key in table.keys}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "_lib"} - declared
+
+
+def test_an_undeclared_native_call_breaks_the_adapter_rule(tmp_path):
+    # the rule above sees a call that its signature table does not declare
+    source = (ROOT / "crypto" / "group.py").read_text()
+    anchor = "\n_local = threading.local()\n"
+    assert anchor in source
+    planted = tmp_path / "group.py"
+    planted.write_text(source.replace(
+        anchor, "\n_lib.EC_POINT_is_at_infinity(_GROUP, None)" + anchor))
+    assert _undeclared_native_calls(planted) == {"EC_POINT_is_at_infinity"}
+
+
+def test_start_up_loads_no_subprocess_machinery():
+    # ctypes.util.find_library would import subprocess and run ldconfig on
+    # every start-up; the adapter reaches libcrypto through hashlib instead
+    pythonpath = os.pathsep.join(
+        filter(None, [str(ROOT.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, scms.harness; print("
+         "sorted({'subprocess', 'ctypes.util'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_one_trust_model():
