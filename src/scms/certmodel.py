@@ -30,16 +30,19 @@ and every device that decode one composite share one frozen CRL; a
 the SHA-256 of its encoding, which gives its CertId and binds signed
 messages to it, and the digest of its to-be-signed bytes under its
 issuer's algorithm, which its chain link is checked with. A CRL expands
-its linkage entries once per period and keeps the revoked sets. These are
-pure functions of bytes, so nothing in them goes stale and nothing is
-ever emptied; a ``CrlSet`` holds only the latest CRL per (CRACA, series),
-and CRL and root state are read on every chain walk.
+its linkage entries once per period and keeps, for each revoked value,
+the entry that revokes it. These are pure functions of bytes, so nothing
+in them goes stale and nothing is ever emptied; a ``CrlSet`` holds only
+the latest CRL per (CRACA, series) and the entries it ``evicted`` (a
+device's capacity cap), and CRL and root state are read on every chain
+walk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import lru_cache
@@ -59,16 +62,15 @@ CERT_ID_BYTES = 8
 SIG_BYTES = 64
 NO_REGION = 0xFF  # region byte of a CRL entry without a region hint
 U32_MAX = 0xFFFF_FFFF  # largest validity period or PSID a certificate holds
-# Encodings whose certificates the decoder keeps. Every receiver in range
-# decodes the certificate inside each copy of a broadcast, and the copies
-# arrive back to back: on v2x_traffic seed 1, 10,940 decodes of 431
-# distinct certificates hit the memo 9,469 times at 16 or 64 entries,
-# 10,379 at 256 and 10,509 at 1024.
+# Encodings whose certificates the decoder keeps: a certificate comes back
+# inside later BSMs, packages and chains. Hits/misses over one seed-1
+# perfbench run, in the bus process only (pool workers keep their own):
+# provision 613/1,379, v2x_traffic 1,419/561, fleet_revocation 1,202/1,318.
 CERT_MEMO_SIZE = 256
 # Encodings whose CRLs the decoder keeps. The CRL store and every device
 # decode the same composite, and a superseded version is never decoded
-# again: on fleet_revocation seed 1, 300 decodes of 20 distinct CRLs hit
-# the memo 280 times at 1, 2, 4, 8 or 64 entries. A composite holds one
+# again: over one seed-1 fleet_revocation run, in the bus process only,
+# 320 decodes of 20 distinct CRLs hit the memo 300 times. A composite holds one
 # CRL per series (five), and decoding it in order through a smaller memo
 # would miss every time; a 10,000-entry CRL is about 400 KB.
 CRL_MEMO_SIZE = 8
@@ -436,7 +438,8 @@ class Crl:
 
     A CRL is a value: its entries are tuples, and what is derived from
     them (its to-be-signed bytes, the linkage values it revokes in each
-    period, the certificate ids it revokes) is kept on it on first use.
+    period, the certificate ids it revokes, each mapped to its entry) is
+    kept on it on first use.
     """
 
     series: int
@@ -450,17 +453,14 @@ class Crl:
     # tbs_bytes(), revoked_lvs(period) per period and revoked_cert_ids(),
     # filled on first use; replace() starts a copy with none of them
     _tbs: bytes | None = field(default=None, init=False, repr=False, compare=False)
-    _lvs: dict[int, frozenset[bytes]] = field(
+    _lvs: dict[int, dict[bytes, LinkageRevocation]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _ids: frozenset[bytes] | None = field(
+    _ids: dict[bytes, CertIdRevocation] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "linkage_entries", tuple(self.linkage_entries))
         object.__setattr__(self, "certid_entries", tuple(self.certid_entries))
-
-    def entry_count(self) -> int:
-        return len(self.linkage_entries) + len(self.certid_entries)
 
     def linkage_groups(self) -> dict[tuple, list[LinkageRevocation]]:
         """Linkage entries grouped by (la_id1, la_id2, i, j_max), in first
@@ -503,22 +503,32 @@ class Crl:
         require_bytes(data)
         return _decode_crl(data)
 
-    def revoked_lvs(self, period: int) -> frozenset[bytes]:
-        """Linkage values revoked at ``period``: each linkage entry revokes
-        its device's values from its own period on."""
+    def revoked_lvs(self, period: int) -> Mapping[bytes, LinkageRevocation]:
+        """Each linkage value revoked at ``period``, mapped to the entry
+        that revokes it: each linkage entry revokes its device's values
+        from its own period on. Shared by every holder; never mutate it."""
         lvs = self._lvs.get(period)
         if lvs is None:
-            lvs = self._lvs[period] = frozenset().union(*(
-                expand_revocation_entry(entry, period)
-                for entry in self.linkage_entries if entry.i <= period
-            ))
+            lvs = self._lvs[period] = {
+                lv: entry for entry in _by_rank(self.linkage_entries)
+                if entry.i <= period
+                for lv in expand_revocation_entry(entry, period)
+            }
         return lvs
 
-    def revoked_cert_ids(self) -> frozenset[bytes]:
+    def revoked_cert_ids(self) -> Mapping[bytes, CertIdRevocation]:
+        """Each revoked certificate id, mapped to the entry that revokes it."""
         if self._ids is None:
-            object.__setattr__(self, "_ids", frozenset(
-                c.cert_id for c in self.certid_entries))
+            object.__setattr__(self, "_ids", {
+                c.cert_id: c for c in _by_rank(self.certid_entries)})
         return self._ids
+
+
+def _by_rank(entries):
+    """``entries`` from the first a capacity cap evicts to the last (lowest
+    priority first, oldest first within a priority), so that a value that
+    several entries revoke maps to the one evicted last."""
+    return sorted(entries, key=lambda entry: entry.priority)
 
 
 @lru_cache(maxsize=CRL_MEMO_SIZE)
@@ -587,9 +597,13 @@ class CrlSet:
     for a key replaces the old one and moves to the end.
 
     The set keeps nothing derived from its CRLs. Each CRL keeps its own
-    revoked sets, so a CRL that arrives leaves every other CRL's sets as
-    they are, and the holders of one decoded CRL share them.
+    revoked values, so a CRL that arrives leaves every other CRL's values
+    as they are, and the holders of one decoded CRL share them. An entry
+    in ``evicted`` revokes nothing: a set evicts none, and a device's
+    capped store (``device.DeviceCrlStore``) sets it.
     """
+
+    evicted: frozenset[LinkageRevocation | CertIdRevocation] = frozenset()
 
     def __init__(self):
         self._crls: dict[tuple[bytes, int], Crl] = {}
@@ -614,44 +628,33 @@ class CrlSet:
     def all_crls(self) -> list[Crl]:
         return [self._crls[k] for k in sorted(self._crls, key=str)]
 
-    def revoked_lvs(self, craca_id: bytes, series: int, period: int) -> frozenset[bytes]:
+    def revoked_lvs(self, craca_id: bytes, series: int,
+                    period: int) -> Mapping[bytes, LinkageRevocation]:
         crl = self.get(craca_id, series)
-        return frozenset() if crl is None else crl.revoked_lvs(period)
+        return {} if crl is None else crl.revoked_lvs(period)
 
-    def revoked_cert_ids(self, craca_id: bytes, series: int) -> frozenset[bytes]:
+    def revoked_cert_ids(self, craca_id: bytes,
+                         series: int) -> Mapping[bytes, CertIdRevocation]:
         crl = self.get(craca_id, series)
-        return frozenset() if crl is None else crl.revoked_cert_ids()
+        return {} if crl is None else crl.revoked_cert_ids()
 
 
-@dataclass(frozen=True)
-class CrlStatus:
-    state: str  # "valid" | "revoked" | "valid-no-crl"
-    reason: str | None = None
-
-    @property
-    def is_revoked(self) -> bool:
-        return self.state == "revoked"
-
-
-# every verdict crl_check gives, built once: a chain walk checks each link
-_NO_CRL = CrlStatus("valid-no-crl", "no CRL for this series")
-_VALID = CrlStatus("valid")
-_LV_REVOKED = CrlStatus("revoked", "linkage value on CRL")
-_ID_REVOKED = CrlStatus("revoked", "certificate id on CRL")
-
-
-def crl_check(cert: Certificate, crl_set: CrlSet) -> CrlStatus:
-    """Check one certificate against the relevant CRL sequence only."""
+def crl_check(cert: Certificate, crl_set: CrlSet) -> bool:
+    """True if the one CRL of the certificate's (CRACA, series) revokes it
+    with an entry that ``crl_set`` has not evicted."""
+    # asks no revoked values where no CRL is held: perfbench's traced
+    # self-test expects no DeviceCrlStore.revoked_lvs call on a workload
+    # without revocation
     if not crl_set.has_crl(cert.craca_id, cert.crl_series):
-        return _NO_CRL
+        return False
     if cert.ctype == CertType.OBE_PSEUDONYM:
-        revoked = crl_set.revoked_lvs(
+        entry = crl_set.revoked_lvs(
             cert.craca_id, cert.crl_series, cert.valid_from
-        )
-        return _LV_REVOKED if cert.linkage_value in revoked else _VALID
-    if cert.cert_id() in crl_set.revoked_cert_ids(cert.craca_id, cert.crl_series):
-        return _ID_REVOKED
-    return _VALID
+        ).get(cert.linkage_value)
+    else:
+        entry = crl_set.revoked_cert_ids(
+            cert.craca_id, cert.crl_series).get(cert.cert_id())
+    return entry is not None and entry not in crl_set.evicted
 
 
 # --- chain validation ---
@@ -684,7 +687,7 @@ def verify_chain(
             return ChainResult(False, "chain too deep")
         if at_period is not None and not current.valid_at(at_period):
             return ChainResult(False, "certificate outside validity period")
-        if crl_check(current, trust.crls).is_revoked:
+        if crl_check(current, trust.crls):
             return _CHAIN_REVOKED
         if current.self_signed:
             if current.ctype == CertType.ELECTOR:

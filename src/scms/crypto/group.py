@@ -4,7 +4,7 @@ Scalars are integers mod the group order; group elements are curve points
 with a representable identity. Point addition is affine Python, one pair
 at a time (``GroupElement.__add__``) or many pairs with one field
 inversion (``add_pairs``); so is ``scalar_mult``, which no run calls.
-Fixed-base multiplication (``mul_g``, ``ecdh_public``), ECDH
+Fixed-base multiplication (``mul_g``), ECDH
 (``ecdh_x``) and point decompression (``GroupElement.decode``) call the
 ``EC_POINT`` API of the system libcrypto that Python's own ``hashlib``
 loads, through ``ctypes``, with no key objects: this module is the one
@@ -317,12 +317,6 @@ def mul_g(k: Scalar) -> GroupElement:
     if kv == 0:
         return IDENTITY
     return GroupElement(*_multiply(kv, None))
-
-
-def ecdh_public(k: Scalar) -> GroupElement:
-    """k * G for a nonzero ECDH scalar, like ``mul_g`` but refusing zero
-    with ``ValueError``: the ephemeral point of ``hybrid_seal``."""
-    return GroupElement(*_multiply(k.value, None))
 
 
 def ecdh_x(k: Scalar, peer: GroupElement) -> bytes:

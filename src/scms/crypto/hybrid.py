@@ -11,7 +11,7 @@ application-layer encryption routed opaquely through the RA).
 
 Both derive their AES key in ``_shared_key``: the ECDH x-coordinate from
 ``group.ecdh_x``, then SHA-256 over it and a label. The curve arithmetic
-(the seal's ephemeral point from ``group.ecdh_public`` and the exchange)
+(the seal's ephemeral point from ``group.mul_g`` and the exchange)
 runs in libcrypto through ``scms.crypto.group``, with no key objects;
 AES-GCM stays in ``cryptography``. A peer that is the identity or off
 the curve raises ``ParseError``, and a zero private or ephemeral scalar
@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from ..encoding import Reader
 from ..errors import DecryptionError
-from .group import POINT_BYTES, GroupElement, Scalar, ecdh_public, ecdh_x
+from .group import POINT_BYTES, GroupElement, Scalar, ecdh_x, mul_g
 
 _ZERO_NONCE = b"\x00" * 12
 TAG_BYTES = 16
@@ -64,7 +64,7 @@ def hybrid_seal(to: GroupElement, plaintext: bytes,
                 ephemeral_priv: Scalar) -> HybridCiphertext:
     """Seal to ``to`` with a given ephemeral scalar, so that the caller can
     draw it in one place and seal in another."""
-    ephemeral = ecdh_public(ephemeral_priv)
+    ephemeral = mul_g(ephemeral_priv)  # a zero scalar: ValueError in ecdh_x
     key = _shared_key(ephemeral_priv, to, ephemeral.encode())
     sealed = AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None)
     return HybridCiphertext(ephemeral, sealed[:-TAG_BYTES], sealed[-TAG_BYTES:])

@@ -7,10 +7,12 @@ with fresh caterpillar seeds, downloads weekly batches, verifies the
 issuer's signature over each encrypted packet (catching response-key
 substitution), reconstructs each private key and rejects any certificate
 whose key check fails; failed packages are quarantined and reported.
-Each request's caterpillar secrets are kept by the periods it spans, so
-a top-off leaves earlier batches openable; a ``provision.deny`` drops
-the secrets of the request whose reply reference it carries, so a
-refused top-off shadows no accepted batch. The settings (batch size,
+Each request's caterpillar secrets are kept under its reply reference
+with the periods it spans, and a batch opens with the latest request
+that spans its period, so a top-off leaves earlier batches openable; a
+``provision.deny`` drops only the unanswered request whose reply
+reference it carries, so a refused request, a duplicate too, shadows no
+accepted batch. The settings (batch size,
 rotation minutes, CRL capacity) come only from the signed global policy
 file: the bootstrap bundle carries the first, and a newer one fetched
 over the air applies at once.
@@ -18,16 +20,16 @@ over the air applies at once.
 Operationally it signs basic safety messages under a rotating pseudonym
 certificate, validates received messages (what depends on a BSM's bytes
 once per broadcast; periods, trust chain and CRL state on every copy),
-files encrypted misbehavior reports, and maintains a capacity-capped CRL
-store with priority eviction plus jurisdiction checks on which generator
-may revoke which series.
+files encrypted misbehavior reports, and keeps the signed CRLs it
+verified, under a capacity cap that evicts entries by priority, with
+jurisdiction checks on which generator may revoke which series.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import replace
+from collections.abc import Mapping
 
 from .authorities.base import Component
 from .authorities.enrollment import device_handle
@@ -74,17 +76,15 @@ class DeviceCrlStore(CrlSet):
     capacity cap, which the device's policy file sets.
 
     A CRL is accepted only if its generator is pinned for that series and
-    the signature verifies. When the retained entries exceed the capacity,
-    after an add or when the cap is set, ``trim`` drops the lowest-priority
-    entries first (oldest first within a priority class), and each stored
-    CRL is replaced by an unsigned copy holding only its retained entries.
-    Until the cap binds, the store holds each CRL as decoded, whose revoked
-    sets every holder of the same bytes shares; a copy is this device's own
-    and expands its sets afresh.
+    the signature verifies. The store keeps each CRL as it verified it,
+    signed and decoded, so every holder of the same bytes shares its
+    revoked values. When the held entries exceed the capacity, after an
+    add or when the cap is set, ``trim`` evicts the lowest-priority entries
+    first (oldest first within a priority class); an evicted entry revokes
+    nothing, and a raised cap re-applies it at once.
 
     The device passes this store to its ``TrustState`` as ``crls``, so
-    chain validation and BSM validation both read it through ``crl_check``,
-    and an evicted entry no longer revokes.
+    chain validation and BSM validation both read it through ``crl_check``.
     """
 
     def __init__(self, capacity: int):
@@ -109,33 +109,26 @@ class DeviceCrlStore(CrlSet):
         return True
 
     def trim(self) -> None:
-        """Drop the lowest-priority, oldest entries past the capacity."""
-        if self.entry_count() <= self.capacity:
-            return
+        """Evict the lowest-priority, oldest entries past the capacity."""
         entries = self.entries()
-        ranked = sorted(range(len(entries)),
-                        key=lambda n: (-entries[n].priority, -n))
-        keep = set(ranked[: self.capacity])
-        # consumed in entries() order: per CRL, linkage then certid
-        kept = (n in keep for n in range(len(entries)))
-        for key, held in self._crls.items():
-            self._crls[key] = replace(
-                held, signature=None,
-                linkage_entries=[e for e in held.linkage_entries if next(kept)],
-                certid_entries=[e for e in held.certid_entries if next(kept)],
-            )
+        if len(entries) <= self.capacity:
+            self.evicted = frozenset()
+            return
+        # newest first, then stably by priority
+        ranked = sorted(reversed(entries), key=lambda e: -e.priority)
+        kept = ranked[: self.capacity]
+        # equal entries are one revocation, which a kept copy keeps
+        self.evicted = frozenset(ranked[self.capacity:]).difference(kept)
 
-    def revoked_lvs(self, craca_id: bytes, series: int, period: int) -> frozenset[bytes]:
+    def revoked_lvs(self, craca_id: bytes, series: int,
+                    period: int) -> Mapping[bytes, LinkageRevocation]:
         # defined here so the traced benchmark can wrap it on this class
         return super().revoked_lvs(craca_id, series, period)
 
     def entries(self) -> list[LinkageRevocation | CertIdRevocation]:
-        """Retained entries in arrival order."""
+        """Every held entry in arrival order: per CRL, linkage then certid."""
         return [e for crl in self._crls.values()
                 for e in crl.linkage_entries + crl.certid_entries]
-
-    def entry_count(self) -> int:
-        return sum(crl.entry_count() for crl in self._crls.values())
 
 
 class Device:
@@ -173,11 +166,11 @@ class Device:
         self.pg_cert: Certificate | None = None
         self.policy_versions: dict[str, int] = {}
 
-        # periods a request spans -> its secrets (a, h, k_sign, k_enc)
-        self.caterpillars: dict[range, tuple[int, int, bytes, bytes]] = {}
-        # reply reference of each unanswered certificate request -> its
-        # span and secrets, so that a denial drops the secrets it refused
-        self._awaiting: dict[bytes, tuple[range, tuple]] = {}
+        # reply reference of each certificate request -> the periods it
+        # spans, its secrets (a, h, k_sign, k_enc) and whether the RA has
+        # acknowledged it
+        self.cert_requests: dict[
+            bytes, tuple[range, tuple[int, int, bytes, bytes], bool]] = {}
         self.certs: dict[int, list[dict]] = {}
         self.quarantined: list[dict] = []
         self.app_certs: list[dict] = []
@@ -299,14 +292,11 @@ class Device:
         a = self.rng.scalar()
         h = self.rng.scalar()
         k_sign, k_enc = self.rng.randbytes(16), self.rng.randbytes(16)
-        # a span the clock has passed is dropped; one requested again moves last
-        span, period = range(start, start + n_periods), self.clock.period
-        self.caterpillars = {held: secrets for held, secrets
-                             in self.caterpillars.items()
-                             if held.stop > period and held != span}
-        secrets = self.caterpillars[span] = (a.value, h.value, k_sign, k_enc)
-        self._awaiting = {ref: held for ref, held in self._awaiting.items()
-                          if self.caterpillars.get(held[0]) is held[1]}
+        # a request whose span the clock has passed is dropped
+        period = self.clock.period
+        self.cert_requests = {ref: held for ref, held
+                              in self.cert_requests.items()
+                              if held[0].stop > period}
         request = {
             "A": mul_g(a).encode(),
             "H": mul_g(h).encode(),
@@ -318,20 +308,26 @@ class Device:
             "psid": BSM_PSID,
         }
         reply_ref = self._send_signed("provision.request", encode(request))
-        self._awaiting[reply_ref] = (span, secrets)
+        self.cert_requests[reply_ref] = (
+            range(start, start + n_periods),
+            (a.value, h.value, k_sign, k_enc), False)
 
     def on_provision_ack(self, env) -> None:
         (reply_ref,) = fields(env.payload, reply_ref=bytes)
-        self._awaiting.pop(reply_ref, None)
+        held = self.cert_requests.get(reply_ref)
+        if held is not None:
+            span, secrets, _ = held
+            self.cert_requests[reply_ref] = (span, secrets, True)
         self.provision_status = "acknowledged"
 
     def on_provision_deny(self, env) -> None:
         reply_ref, reason = fields(env.payload, reply_ref=bytes, reason=str)
         # a refused request's secrets would shadow an accepted request's
-        # batches for the periods both spans hold
-        span, secrets = self._awaiting.pop(reply_ref, (None, None))
-        if span is not None and self.caterpillars.get(span) is secrets:
-            del self.caterpillars[span]
+        # batches for the periods both spans hold; an acknowledged request
+        # stays
+        held = self.cert_requests.get(reply_ref)
+        if held is not None and not held[2]:
+            del self.cert_requests[reply_ref]
         self.provision_status = "denied"
         self.last_deny_reason = reason
 
@@ -356,8 +352,8 @@ class Device:
             return
         period, items = fields(env.payload, period=int, items=list[bytes])
         # the latest request that spans the batch's period
-        secrets = next((secrets for span, secrets
-                        in reversed(self.caterpillars.items())
+        secrets = next((secrets for span, secrets, _
+                        in reversed(self.cert_requests.values())
                         if period in span), None)
         if secrets is None:
             raise ScmsError("no certificate request spans this period")
@@ -565,8 +561,7 @@ class Device:
 
     def rebootstrap(self, dcm) -> None:
         """Factory reset followed by a fresh bootstrap."""
-        self.caterpillars.clear()
-        self._awaiting.clear()
+        self.cert_requests.clear()
         self.certs.clear()
         self.quarantined.clear()
         self.app_certs.clear()

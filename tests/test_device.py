@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scms.bus import Envelope
 from scms.butterfly import ENCRYPTION, TimeIndex, cocoon_private
@@ -14,17 +16,23 @@ from scms.certmodel import (
     SERIES_PSEUDONYM,
     CertIdRevocation,
     Certificate,
+    CertType,
     Crl,
+    CrlSet,
     LinkageRevocation,
     Priority,
     SignedMessage,
+    check_crl_signature,
     crl_check,
+    encode_composite,
     issue_certificate,
+    issue_component_cert,
     sign_crl,
     sign_message,
 )
 from scms.crypto import (
     DeterministicRandom,
+    KeyPair,
     Scalar,
     hybrid_decrypt,
     hybrid_encrypt,
@@ -36,7 +44,7 @@ from scms.device import DeviceCrlStore, _signed_bsm
 from scms.encoding import decode, encode
 from scms.errors import DecryptionError, ScmsError
 from scms.harness import ROTATION_MINUTES, ScenarioConfig, run_scenario
-from scms.linkage import LA1_ID, LA2_ID
+from scms.linkage import LA1_ID, LA2_ID, expand_revocation_entry
 from tests.conftest import make_world, provision_all
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -162,7 +170,7 @@ def test_backward_privacy_of_replayed_pre_revocation_bsm():
     from scms.certmodel import Certificate
 
     early_cert = Certificate.decode(SignedMessage.decode(early_bsm).cert_bytes)
-    assert not crl_check(early_cert, listener.crl_store).is_revoked
+    assert not crl_check(early_cert, listener.crl_store)
     # replayed now it fails only because its week is over
     ok, reason = listener.validate_bsm(early_bsm)
     assert not ok and reason == "expired-period"
@@ -327,7 +335,7 @@ def test_a_revoked_issuer_in_the_chain_is_reported_as_revoked():
     world.bus.run()
     # the leaf is on no CRL; its issuer is
     leaf = Certificate.decode(SignedMessage.decode(bsm).cert_bytes)
-    assert not crl_check(leaf, listener.crl_store).is_revoked
+    assert not crl_check(leaf, listener.crl_store)
     assert listener.validate_bsm(bsm) == (False, "revoked")
 
 
@@ -439,9 +447,27 @@ def test_a_newer_policy_file_binds_the_crl_cap_at_once():
     world.bus.run()
     assert listener.validate_bsm(bsm) == (False, "revoked")
     _fetch_gpf(world, listener, crl_capacity=0)
-    assert listener.crl_store.entry_count() == 0
+    assert _retained(listener.crl_store) == []
     # with no room for an entry, nothing revokes on that device
     assert listener.validate_bsm(bsm) == (True, "ok")
+
+
+def test_a_raised_crl_cap_restores_the_evicted_entries_at_once():
+    # the device keeps the signed CRL it verified, so a newer policy file
+    # that raises the cap needs no new CRL
+    world = make_world(devices=2, periods=2, batch_size=2)
+    provision_all(world)
+    sender, listener = world.devices
+    world.clock.set(1, 0)
+    bsm = sender.sign_bsm([0, 0], 30)
+    _revoke_pca(world)
+    listener.fetch_crl()
+    world.bus.run()
+    _fetch_gpf(world, listener, crl_capacity=0)
+    assert listener.validate_bsm(bsm) == (True, "ok")
+    _fetch_gpf(world, listener, crl_capacity=10)
+    assert listener.validate_bsm(bsm) == (False, "revoked")
+    assert listener.crl_store.evicted == frozenset()
 
 
 def test_a_newer_policy_file_changes_which_certificate_signs():
@@ -482,7 +508,41 @@ def test_a_top_off_request_leaves_the_earlier_batches_openable():
     # a span the clock has passed is dropped at the next request
     world.clock.set(2, 0)
     device.request_certs(4, 1)
-    assert list(device.caterpillars) == [range(2, 4), range(4, 5)]
+    assert [span for span, _, _ in device.cert_requests.values()] == [
+        range(2, 4), range(4, 5)]
+
+
+def test_a_denied_duplicate_request_leaves_the_accepted_batches_openable():
+    # the same span requested twice: the RA refuses the second request,
+    # and the refusal must not take the first request's secrets with it
+    world = make_world(devices=1, periods=4, batch_size=2)
+    device = world.devices[0]
+    device.request_certs(0, 3)
+    world.bus.run()
+    assert device.provision_status == "acknowledged"
+    device.request_certs(0, 3)
+    world.bus.run()
+    assert device.last_deny_reason == "duplicate request for covered time span"
+    world.ra.flush()
+    world.bus.run()
+    for period in range(3):
+        device.download_batch(period)
+    world.bus.run()
+    assert world.bus.dead_letters == 0
+    assert device.quarantined == []
+    assert {i: len(certs) for i, certs in device.certs.items()} == {0: 2, 1: 2, 2: 2}
+
+
+def test_a_denial_after_the_acknowledgement_changes_nothing():
+    world = make_world(devices=1, periods=4, batch_size=2)
+    device = world.devices[0]
+    device.request_certs(0, 2)
+    world.bus.run()
+    ((reply_ref, held),) = device.cert_requests.items()
+    world.bus.send(Envelope("lop", device.id, "provision.deny", {
+        "reply_ref": reply_ref, "reason": "replayed"}))
+    world.bus.run()
+    assert device.cert_requests == {reply_ref: held}
 
 
 def test_a_denied_top_off_leaves_the_accepted_batches_openable():
@@ -496,8 +556,9 @@ def test_a_denied_top_off_leaves_the_accepted_batches_openable():
     device.request_certs(2, 3)  # overlaps period 2, so the RA refuses it
     world.bus.run()
     assert device.last_deny_reason == "duplicate request for covered time span"
-    assert list(device.caterpillars) == [range(0, 3)]
-    assert device._awaiting == {}  # both requests are answered
+    # the denied request is dropped, and the accepted one is answered
+    assert [(span, answered) for span, _, answered
+            in device.cert_requests.values()] == [(range(0, 3), True)]
     for period in range(3):
         device.download_batch(period)
         world.bus.run()
@@ -556,7 +617,7 @@ def _pca_signed(world, payload) -> bytes:
 
 def _sealed_to_slot(device, i, j, content) -> dict:
     """A package envelope whose ciphertext the device can open for (i, j)."""
-    ((_, h, _, k_enc),) = device.caterpillars.values()
+    ((_, (_, h, _, k_enc), _),) = device.cert_requests.values()
     key = cocoon_private(Scalar(h), k_enc, ENCRYPTION, TimeIndex(i, j))
     ct = hybrid_encrypt(mul_g(key), encode(content), DeterministicRandom(5))
     return {"i": i, "j": j, "ct": ct.encode()}
@@ -638,6 +699,11 @@ def test_report_encrypted_to_ma_only():
 
 # --- capped CRL store ---
 
+def _retained(store: DeviceCrlStore) -> list:
+    """The entries of ``store`` that still revoke, in arrival order."""
+    return [e for e in store.entries() if e not in store.evicted]
+
+
 def _crl_with_entries(pki, n, priority=Priority.NORMAL, series=1, seq=1,
                       kind="linkage"):
     rng = DeterministicRandom(4000 + n + seq, "crl-entries")
@@ -667,7 +733,7 @@ def test_capacity_evicts_lowest_priority(pki):
     store = DeviceCrlStore(capacity=10_000)
     store.pin_generator(pki.crlg_cert, [1, 2, 3, 4, 256])
     assert store.add(_crl_with_entries(pki, 10_001))
-    assert store.entry_count() == 10_000
+    assert len(_retained(store)) == 10_000
 
 
 def test_key_compromise_entries_survive_eviction(pki):
@@ -677,12 +743,126 @@ def test_key_compromise_entries_survive_eviction(pki):
     store.add(normal)
     store.add(_crl_with_entries(pki, 20, Priority.KEY_COMPROMISE,
                                     series=2, kind="certid"))
-    assert store.entry_count() == 100
-    kept = store.entries()
+    kept = _retained(store)
+    assert len(kept) == 100
     assert sum(1 for e in kept if e.priority == Priority.KEY_COMPROMISE) == 20
     # within the normal class the ten oldest entries go
     kept_normal = [e for e in kept if e.priority == Priority.NORMAL]
     assert kept_normal == list(normal.linkage_entries[10:])
+
+
+def test_a_trimmed_store_keeps_every_crl_signed(pki):
+    store = DeviceCrlStore(capacity=5)
+    store.pin_generator(pki.crlg_cert, [1, 2])
+    added = [_crl_with_entries(pki, 4, series=1),
+             _crl_with_entries(pki, 4, Priority.HIGH, series=2, kind="certid")]
+    for crl in added:
+        assert store.add(crl)
+    # the store holds the CRLs it verified, not copies of them
+    assert all(check_crl_signature(crl, pki.crlg_cert)
+               for crl in store.all_crls())
+    assert [store.get(crl.craca_id, crl.series) for crl in added] == added
+    assert len(_retained(store)) == 5
+
+
+# the capped-store property: a pool of revocations per series, each a
+# linkage entry and a certificate-id entry, that CRLs list at random, with
+# repeats and any priority. The pools are apart because the store treats
+# equal entries as one revocation, where rebuilt copies keep each series
+# apart.
+_SERIES = (1, 2, 3)
+_POOL = 3
+
+
+def _pool(pki) -> dict:
+    """(series, k) -> (linkage entry, certificate id, pseudonym certificate
+    that the entry revokes at period 0, certificate with that id)."""
+    craca = pki.root_cert.cert_id()
+    key = KeyPair.generate(DeterministicRandom(31, "crl-pool"))
+    pool = {}
+    for series in _SERIES:
+        for k in range(_POOL):
+            seed = hashlib.sha256(bytes([series, k])).digest()
+            entry = LinkageRevocation(i=0, ls1=seed[:16], ls2=seed[16:],
+                                      la_id1=LA1_ID, la_id2=LA2_ID, j_max=1)
+            (lv,) = expand_revocation_entry(entry, 0)
+            pseudonym = Certificate(
+                ctype=CertType.OBE_PSEUDONYM, subject_key=key.public,
+                valid_from=0, valid_to=0, psid=BSM_PSID, craca_id=craca,
+                crl_series=series, issuer_id=pki.pca_cert.cert_id(),
+                linkage_value=lv)
+            component = issue_component_cert(
+                key, f"c{series}.{k}", pki.ica_cert, pki.ica_key, craca,
+                series, (0, 10), None)
+            pool[series, k] = (entry, component.cert_id(), pseudonym, component)
+    return pool
+
+
+def _rebuilt(held: dict, capacity: int) -> CrlSet:
+    """The old design, kept as the oracle: a plain ``CrlSet`` of unsigned
+    copies of ``held`` (series -> CRL, in arrival order) that list only the
+    entries a cap of ``capacity`` keeps, ranked by priority, then newest
+    first."""
+    entries = [e for crl in held.values()
+               for e in crl.linkage_entries + crl.certid_entries]
+    ranked = sorted(range(len(entries)),
+                    key=lambda n: (-entries[n].priority, -n))
+    keep = set(ranked[:capacity])
+    kept = (n in keep for n in range(len(entries)))
+    rebuilt = CrlSet()
+    for crl in held.values():
+        rebuilt.add(replace(
+            crl, signature=None,
+            linkage_entries=[e for e in crl.linkage_entries if next(kept)],
+            certid_entries=[e for e in crl.certid_entries if next(kept)]))
+    return rebuilt
+
+
+_revocation = st.tuples(st.sampled_from(["linkage", "certid"]),
+                        st.integers(0, _POOL - 1), st.sampled_from(Priority))
+_step = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_SERIES),
+              st.lists(_revocation, max_size=5)),
+    st.tuples(st.just("cap"), st.integers(0, 8)),  # a newer policy file
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(capacity=st.integers(0, 8), steps=st.lists(_step, min_size=1, max_size=8))
+def test_a_capped_store_revokes_as_rebuilt_copies_would(pki, capacity, steps):
+    pool = _pool(pki)
+    craca = pki.root_cert.cert_id()
+    store = DeviceCrlStore(capacity=capacity)
+    store.pin_generator(pki.crlg_cert, list(_SERIES))
+    held: dict[int, Crl] = {}
+    for step in steps:
+        if step[0] == "cap":
+            capacity = store.capacity = step[1]
+            store.trim()
+        else:
+            _, series, listed = step
+            entries = {"linkage": [], "certid": []}
+            for kind, k, priority in listed:
+                entry, cert_id = pool[series, k][:2]
+                entries[kind].append(replace(entry, priority=priority)
+                                     if kind == "linkage"
+                                     else CertIdRevocation(cert_id, priority))
+            previous = held.pop(series, None)
+            crl = sign_crl(Crl(
+                series=series, craca_id=craca, issue_period=0,
+                sequence=1 if previous is None else previous.sequence + 1,
+                crlg_cert_id=b"\x00" * 8, linkage_entries=entries["linkage"],
+                certid_entries=entries["certid"]),
+                pki.crlg_key.private, pki.crlg_cert)
+            assert store.add(crl)
+            held[series] = crl
+        rebuilt = _rebuilt(held, capacity)
+        for _, _, pseudonym, component in pool.values():
+            for cert in (pseudonym, component):
+                assert crl_check(cert, store) == crl_check(cert, rebuilt)
+        assert all(check_crl_signature(crl, pki.crlg_cert)
+                   for crl in store.all_crls())
 
 
 def test_crl_capacity_binds_bsm_validation():
@@ -696,9 +876,12 @@ def test_crl_capacity_binds_bsm_validation():
     assert unstored.metrics["bsms_rejected"] == {}
 
 
-def test_a_fleet_expands_each_crl_entry_once_whatever_its_size(monkeypatch):
+@pytest.mark.parametrize("crl_capacity", [10_000, 2], ids=["uncapped", "capped"])
+def test_a_fleet_expands_each_crl_entry_once_whatever_its_size(
+        monkeypatch, crl_capacity):
     # every device that decodes one composite shares one CRL and its
-    # revoked sets, so the fleet's size does not change the count
+    # revoked values, so neither the fleet's size nor a cap that evicts
+    # entries changes the count
     from scms import certmodel
 
     calls = []
@@ -709,10 +892,11 @@ def test_a_fleet_expands_each_crl_entry_once_whatever_its_size(monkeypatch):
         return real(entry, period)
 
     monkeypatch.setattr(certmodel, "expand_revocation_entry", counted)
+    certmodel._decode_crl.cache_clear()  # CRLs another case expanded
     counts = {}
     for devices in (2, 10):
         world = make_world(devices=devices, periods=1, batch_size=1,
-                           seed=9000 + devices)
+                           seed=9000 + devices, crl_capacity=crl_capacity)
         rng = DeterministicRandom(devices, "fleet-crl")
         world.ma.crlg.add_entries(SERIES_PSEUDONYM, linkage=[
             LinkageRevocation(i=0, ls1=rng.randbytes(16), ls2=rng.randbytes(16),
@@ -726,8 +910,12 @@ def test_a_fleet_expands_each_crl_entry_once_whatever_its_size(monkeypatch):
         calls.clear()
         craca = world.pki["root"].cert.cert_id()
         for device in world.devices:
-            revoked = device.crl_store.revoked_lvs(craca, SERIES_PSEUDONYM, 0)
+            store = device.crl_store
+            revoked = store.revoked_lvs(craca, SERIES_PSEUDONYM, 0)
             assert len(revoked) == 3 * 2
+            still = [lv for lv, entry in revoked.items()
+                     if entry not in store.evicted]
+            assert len(still) == min(3, crl_capacity) * 2
         counts[devices] = len(calls)
     assert counts == {2: 3, 10: 3}
 
@@ -738,7 +926,7 @@ def test_bad_signature_discards_whole_crl(pki):
     crl = _crl_with_entries(pki, 5)
     crl = replace(crl, signature=b"\x11" * 64)
     assert not store.add(crl)
-    assert store.entry_count() == 0
+    assert store.entries() == []
 
 
 def test_jurisdiction_pinning_blocks_foreign_series(pki):
@@ -747,17 +935,15 @@ def test_jurisdiction_pinning_blocks_foreign_series(pki):
     store.pin_generator(pki.crlg_cert, [99])
     crl = _crl_with_entries(pki, 5, series=1)
     assert not store.add(crl)
-    assert store.entry_count() == 0
+    assert store.entries() == []
 
 
 def test_stored_file_within_budget_at_cap(pki):
     store = DeviceCrlStore(capacity=10_000)
     store.pin_generator(pki.crlg_cert, [1])
     store.add(_crl_with_entries(pki, 10_000))
-    # the retained entries re-serialized as a device stores them: one
-    # unsigned, length-prefixed list per (CRACA, series)
-    stored = sum(4 + len(replace(crl, crlg_cert_id=b"\x00" * 8).tbs_bytes())
-                 for crl in store.all_crls() if crl.entry_count())
+    # a device stores the signed CRLs it verified, as one composite file
+    stored = len(encode_composite(store.all_crls()))
     assert stored <= 400 * 1024
 
 
@@ -767,7 +953,7 @@ def test_newer_sequence_replaces_older(pki):
     assert store.add(_crl_with_entries(pki, 5, seq=2))
     assert not store.add(_crl_with_entries(pki, 9, seq=1))  # stale
     assert store.add(_crl_with_entries(pki, 7, seq=3))
-    assert store.entry_count() == 7
+    assert len(store.entries()) == 7
 
 
 # --- unlinkability of issued certificates ---
