@@ -622,7 +622,9 @@ class CrlSet:
     def get(self, craca_id: bytes, series: int) -> Crl | None:
         return self._crls.get((craca_id, series))
 
-    def has_crl(self, craca_id: bytes, series: int) -> bool:
+    def may_revoke(self, craca_id: bytes, series: int) -> bool:
+        """True if a CRL of (craca_id, series) is held whose entries may
+        revoke: every held CRL here, only some in a capped store."""
         return (craca_id, series) in self._crls
 
     def all_crls(self) -> list[Crl]:
@@ -642,10 +644,10 @@ class CrlSet:
 def crl_check(cert: Certificate, crl_set: CrlSet) -> bool:
     """True if the one CRL of the certificate's (CRACA, series) revokes it
     with an entry that ``crl_set`` has not evicted."""
-    # asks no revoked values where no CRL is held: perfbench's traced
+    # asks no revoked values where no CRL can revoke: perfbench's traced
     # self-test expects no DeviceCrlStore.revoked_lvs call on a workload
     # without revocation
-    if not crl_set.has_crl(cert.craca_id, cert.crl_series):
+    if not crl_set.may_revoke(cert.craca_id, cert.crl_series):
         return False
     if cert.ctype == CertType.OBE_PSEUDONYM:
         entry = crl_set.revoked_lvs(

@@ -1,25 +1,31 @@
-"""Prime-order group arithmetic on NIST P-256.
+"""Prime-order group arithmetic on NIST P-256; the one libcrypto adapter.
 
 Scalars are integers mod the group order; group elements are curve points
 with a representable identity. Point addition is affine Python, one pair
 at a time (``GroupElement.__add__``) or many pairs with one field
 inversion (``add_pairs``); so is ``scalar_mult``, which no run calls.
-Fixed-base multiplication (``mul_g``), ECDH
-(``ecdh_x``) and point decompression (``GroupElement.decode``) call the
-``EC_POINT`` API of the system libcrypto that Python's own ``hashlib``
-loads, through ``ctypes``, with no key objects: this module is the one
-adapter to that library, and every function it calls is declared in
-``_SIGNATURES``. ECDSA verification stays in ``cryptography``, whose
-keys are built only here: ``backend_public`` caches the keys of
-signature verification, the only keys that are used again. The point
-decoder reads the coordinates of the Z = 1 point that libcrypto
-decompresses, so it makes no field inversion; it keeps only affine
-coordinates and memoizes nothing: a certificate decoded again comes
-whole from the certificate memo, keys included. The pure reference is
-``scripts/make_vectors.py``, which imports nothing from this package;
-the test suite cross-checks the decoder, ``mul_g``, ``ecdh_x`` and point
-addition against it. Any discrete-log group with ~256-bit order could be
-substituted behind these types.
+
+Every native crypto call of the package is made here, into the system
+libcrypto that Python's own ``hashlib`` loads, through ``ctypes``; every
+function called is declared in ``_SIGNATURES``, and each refusal leaves
+OpenSSL's error queue empty. The ``EC_POINT`` API gives fixed-base
+multiplication (``mul_g``), ECDH (``ecdh_x``) and point decompression
+(``GroupElement.decode``), with no key objects. ECDSA verification
+(``ecdsa_verify``) is libcrypto's ``ECDSA_do_verify`` under an ``EC_KEY``
+that ``backend_public`` builds and caches per signer, the only native key
+objects of the package, each freed with its cache entry. AES-128-GCM
+(``gcm_seal``, ``gcm_open``) and the AES-128 block of the PRF
+(``aes_ecb``) run through ``EVP``, on cipher contexts that each thread
+initialises once. The point decoder reads the coordinates of the Z = 1
+point that libcrypto decompresses, so it makes no field inversion; it
+keeps only affine coordinates and memoizes nothing: a certificate decoded
+again comes whole from the certificate memo, keys included. The pure
+reference is ``scripts/make_vectors.py``, which imports nothing from this
+package; the test suite cross-checks the decoder, ``mul_g``, ``ecdh_x``,
+point addition and verification against it, and AES against
+``cryptography``, which only the tests and that script use. Any
+discrete-log group with ~256-bit order could be substituted behind these
+types.
 
 Normative encodings: Scalar = 32 bytes big-endian; GroupElement = 33 bytes
 SEC1 compressed, identity = 33 zero bytes. The decoder raises
@@ -32,13 +38,11 @@ import _hashlib
 import ctypes
 import threading
 import weakref
-from ctypes import c_char_p, c_int, c_size_t, c_ulong, c_void_p
+from ctypes import POINTER, c_char_p, c_int, c_size_t, c_ulong, c_void_p
 from functools import lru_cache
 
-from cryptography.hazmat.primitives.asymmetric import ec
-
 from ..encoding import require_bytes
-from ..errors import ParseError
+from ..errors import DecryptionError, ParseError
 
 CURVE_P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
 CURVE_A = CURVE_P - 3
@@ -48,15 +52,18 @@ ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 SCALAR_BYTES = 32
 POINT_BYTES = 33
-# The one OpenSSL key cache; signature verification is its only reader.
-# An entry holds an OpenSSL key, so peak RSS bounds the size. After one
+AES_KEY_BYTES = 16
+GCM_NONCE_BYTES = 12
+GCM_TAG_BYTES = 16
+# The one native key cache; signature verification is its only reader.
+# An entry holds a libcrypto EC_KEY (with its own copy of the group):
+# about 2.5 KB of resident memory a key, measured over 4,095 keys, so a
+# full cache holds about 10 MB and peak RSS bounds the size. After one
 # seed-1 perfbench run it holds 29 keys on provision, 425 on v2x_traffic
-# and 687 on fleet_revocation.
+# and 687 on fleet_revocation, in the bus process.
 KEY_MEMO_SIZE = 4096
 
-_CURVE = ec.SECP256R1()
-
-# --- the libcrypto EC_POINT adapter ---
+# --- the libcrypto adapter ---
 
 # name -> (restype, argtypes) of every libcrypto function called here (and
 # ERR_peek_error, which the tests read); an undeclared call would return a
@@ -82,6 +89,29 @@ _SIGNATURES = {
     "BN_free": (None, [c_void_p]),
     "BN_bin2bn": (c_void_p, [c_char_p, c_int, c_void_p]),
     "BN_bn2binpad": (c_int, [c_void_p, c_char_p, c_int]),
+    "EC_KEY_new_by_curve_name": (c_void_p, [c_int]),
+    "EC_KEY_set_public_key": (c_int, [c_void_p, c_void_p]),
+    "EC_KEY_free": (None, [c_void_p]),
+    "ECDSA_SIG_new": (c_void_p, []),
+    "ECDSA_SIG_set0": (c_int, [c_void_p, c_void_p, c_void_p]),
+    "ECDSA_SIG_free": (None, [c_void_p]),
+    "ECDSA_do_verify": (c_int, [c_char_p, c_int, c_void_p, c_void_p]),
+    "EVP_aes_128_gcm": (c_void_p, []),
+    "EVP_aes_128_ecb": (c_void_p, []),
+    "EVP_CIPHER_CTX_new": (c_void_p, []),
+    "EVP_CIPHER_CTX_free": (None, [c_void_p]),
+    "EVP_CIPHER_CTX_set_padding": (c_int, [c_void_p, c_int]),
+    "EVP_CIPHER_CTX_ctrl": (c_int, [c_void_p, c_int, c_int, c_void_p]),
+    "EVP_EncryptInit_ex": (c_int, [c_void_p, c_void_p, c_void_p, c_char_p,
+                                   c_char_p]),
+    "EVP_EncryptUpdate": (c_int, [c_void_p, c_void_p, POINTER(c_int),
+                                  c_char_p, c_int]),
+    "EVP_EncryptFinal_ex": (c_int, [c_void_p, c_void_p, POINTER(c_int)]),
+    "EVP_DecryptInit_ex": (c_int, [c_void_p, c_void_p, c_void_p, c_char_p,
+                                   c_char_p]),
+    "EVP_DecryptUpdate": (c_int, [c_void_p, c_void_p, POINTER(c_int),
+                                  c_char_p, c_int]),
+    "EVP_DecryptFinal_ex": (c_int, [c_void_p, c_void_p, POINTER(c_int)]),
     "ERR_clear_error": (None, []),
     "ERR_peek_error": (c_ulong, []),
 }
@@ -97,41 +127,63 @@ try:
         _fn.restype, _fn.argtypes = _restype, _argtypes
 except (AttributeError, OSError) as exc:
     raise ImportError(f"scms.crypto needs OpenSSL >= 3.0; {_LIBCRYPTO} "
-                      f"lacks its EC_POINT API") from exc
+                      f"lacks a function this adapter calls") from exc
 if _lib.OpenSSL_version_num() < 0x30000000:
     raise ImportError(f"scms.crypto needs OpenSSL >= 3.0; {_LIBCRYPTO} is "
                       f"version {_lib.OpenSSL_version_num():#x}")
 _NID_P256 = 415  # NID_X9_62_prime256v1
 _UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED
-_GROUP = _lib.EC_GROUP_new_by_curve_name(_NID_P256)  # read-only, shared
-if not _GROUP:
-    raise ImportError(f"{_LIBCRYPTO} has no P-256 group")
+_CTRL_GET_TAG, _CTRL_SET_TAG = 0x10, 0x11  # EVP_CTRL_AEAD_{GET,SET}_TAG
+# read-only, shared by every thread
+_GROUP = _lib.EC_GROUP_new_by_curve_name(_NID_P256)
+_AES_GCM, _AES_ECB = _lib.EVP_aes_128_gcm(), _lib.EVP_aes_128_ecb()
+if not (_GROUP and _AES_GCM and _AES_ECB):
+    raise ImportError(f"{_LIBCRYPTO} has no P-256 group or no AES-128")
 
 
 class _Scratch:
-    """One thread's native working set: a BN_CTX, a result and a peer
-    point, a scalar, the two coordinates of a decoded point and the
-    65-byte uncompressed output, freed with it."""
+    """One thread's native working set, freed with it: a BN_CTX, a result
+    and a peer point, a scalar, the two coordinates of a decoded point,
+    the 65-byte uncompressed output, an ECDSA_SIG that owns the numbers
+    r and s, and one cipher context per mode (GCM seal, GCM open, ECB),
+    each given its cipher once, so that a call passes only key and
+    nonce."""
 
     def __init__(self):
         self.ctx = _lib.BN_CTX_new()
         self.point = _lib.EC_POINT_new(_GROUP)
         self.peer = _lib.EC_POINT_new(_GROUP)
-        numbers = [_lib.BN_new() for _ in range(3)]
-        self.scalar, self.x, self.y = numbers
+        numbers = [_lib.BN_new() for _ in range(5)]
+        self.scalar, self.x, self.y, self.r, self.s = numbers
+        self.sig = _lib.ECDSA_SIG_new()
+        ciphers = [_lib.EVP_CIPHER_CTX_new() for _ in range(3)]
+        self.seal, self.open, self.block = ciphers
         self.out = ctypes.create_string_buffer(1 + 2 * 32)
+        self.length = c_int()  # the output length of an EVP call
+        owned = bool(self.ctx and self.point and self.peer and all(numbers)
+                     and all(ciphers) and self.sig
+                     and _lib.ECDSA_SIG_set0(self.sig, self.r, self.s))
         weakref.finalize(self, _release, self.ctx, (self.point, self.peer),
-                         numbers)
-        if not (self.ctx and self.point and self.peer and all(numbers)):
-            raise MemoryError("libcrypto could not allocate EC scratch")
+                         numbers[:3] if owned else numbers, self.sig, ciphers)
+        nothing = (None, None, None)  # no engine, key or nonce yet
+        if not (owned
+                and _lib.EVP_EncryptInit_ex(self.seal, _AES_GCM, *nothing)
+                and _lib.EVP_DecryptInit_ex(self.open, _AES_GCM, *nothing)
+                and _lib.EVP_EncryptInit_ex(self.block, _AES_ECB, *nothing)
+                and _lib.EVP_CIPHER_CTX_set_padding(self.block, 0)):
+            _lib.ERR_clear_error()
+            raise MemoryError("libcrypto could not allocate the scratch")
 
 
-def _release(ctx, points, numbers) -> None:
+def _release(ctx, points, numbers, sig, ciphers) -> None:
     _lib.BN_CTX_free(ctx)
     for point in points:
         _lib.EC_POINT_free(point)
     for number in numbers:
         _lib.BN_free(number)
+    _lib.ECDSA_SIG_free(sig)
+    for cipher in ciphers:
+        _lib.EVP_CIPHER_CTX_free(cipher)
 
 
 _local = threading.local()
@@ -171,6 +223,15 @@ def _decoded_coordinates(s: _Scratch) -> tuple[int, int]:
     return x, int.from_bytes(s.out.raw[:32], "big")
 
 
+def _load_peer(s: _Scratch, x: int, y: int) -> None:
+    """Set ``s.peer`` to (x, y); raises ``ParseError`` if it is not a
+    curve point."""
+    raw = b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
+    if not _lib.EC_POINT_oct2point(_GROUP, s.peer, raw, 65, s.ctx):
+        _lib.ERR_clear_error()
+        raise ParseError("point is not on the curve", 0)
+
+
 def _multiply(k: int, peer: GroupElement | None) -> tuple[int, int]:
     """(x, y) of k * peer, or of k * G if ``peer`` is None, for
     0 < k < ORDER; raises ``ParseError`` if ``peer`` is the identity or
@@ -184,10 +245,7 @@ def _multiply(k: int, peer: GroupElement | None) -> tuple[int, int]:
     else:
         if peer.is_identity:
             raise ParseError("the identity is not an ECDH peer", 0)
-        raw = b"\x04" + peer.x.to_bytes(32, "big") + peer.y.to_bytes(32, "big")
-        if not _lib.EC_POINT_oct2point(_GROUP, s.peer, raw, 65, s.ctx):
-            _lib.ERR_clear_error()
-            raise ParseError("point is not on the curve", 0)
+        _load_peer(s, peer.x, peer.y)
         ok = _lib.EC_POINT_mul(_GROUP, s.point, None, s.peer, s.scalar, s.ctx)
     if not ok:
         _lib.ERR_clear_error()
@@ -295,15 +353,107 @@ class GroupElement:
 _IDENTITY_BYTES = b"\x00" * POINT_BYTES
 
 
+class _VerificationKey:
+    """A libcrypto EC_KEY that holds one public point, freed with this
+    object."""
+
+    def __init__(self, point):
+        self.ec_key = _lib.EC_KEY_new_by_curve_name(_NID_P256)
+        weakref.finalize(self, _lib.EC_KEY_free, self.ec_key)
+        if not (self.ec_key and _lib.EC_KEY_set_public_key(self.ec_key, point)):
+            _lib.ERR_clear_error()
+            raise MemoryError("libcrypto could not build an EC_KEY")
+
+
 @lru_cache(maxsize=KEY_MEMO_SIZE)
-def backend_public(x: int, y: int) -> ec.EllipticCurvePublicKey:
-    """``cryptography`` verification key of the point (x, y), kept for the
-    key's next signature; raises ``ParseError`` if (x, y) is not on the
+def backend_public(x: int, y: int) -> _VerificationKey:
+    """Native verification key of the point (x, y), kept for the key's
+    next signature; raises ``ParseError`` if (x, y) is not on the
     curve."""
-    try:
-        return ec.EllipticCurvePublicNumbers(x, y, _CURVE).public_key()
-    except ValueError:
-        raise ParseError("point is not on the curve", 0) from None
+    s = _scratch()
+    _load_peer(s, x, y)
+    return _VerificationKey(s.peer)
+
+
+def ecdsa_verify(x: int, y: int, digest: bytes, signature: bytes) -> bool:
+    """libcrypto's verdict on the 64-byte signature r || s of a 32-byte
+    digest under the key at (x, y); raises ``ParseError`` if (x, y) is not
+    on the curve. An r or s of 0 or not below ORDER is refused."""
+    if len(digest) != 32 or len(signature) != 64:
+        raise ValueError("digest must be 32 bytes and signature 64")
+    # this reference keeps the EC_KEY alive if another thread evicts it
+    key = backend_public(x, y)
+    s = _scratch()
+    _lib.BN_bin2bn(signature, 32, s.r)
+    _lib.BN_bin2bn(signature[32:], 32, s.s)
+    verdict = _lib.ECDSA_do_verify(digest, 32, s.sig, key.ec_key)
+    if verdict == 1:
+        return True
+    _lib.ERR_clear_error()  # r or s out of range leaves an error queued
+    if verdict < 0:  # not a verdict: an allocation failed
+        raise MemoryError("libcrypto ECDSA_do_verify failed")
+    return False
+
+
+def _check_aes_key(key: bytes) -> None:
+    # libcrypto reads the key length of its cipher from the pointer
+    if len(key) != AES_KEY_BYTES:
+        raise ValueError(f"AES key must be {AES_KEY_BYTES} bytes")
+
+
+def aes_ecb(key: bytes, data: bytes) -> bytes:
+    """AES-128 encryption of each 16-byte block of ``data``."""
+    _check_aes_key(key)
+    if len(data) % 16:
+        raise ValueError("data must be whole 16-byte blocks")
+    s = _scratch()
+    out = ctypes.create_string_buffer(len(data))
+    if not (_lib.EVP_EncryptInit_ex(s.block, None, None, key, None)
+            and _lib.EVP_EncryptUpdate(s.block, out, s.length, data,
+                                       len(data))):
+        _lib.ERR_clear_error()
+        raise MemoryError("libcrypto AES-128-ECB failed")
+    return out.raw
+
+
+def _check_gcm(key: bytes, nonce: bytes) -> None:
+    _check_aes_key(key)
+    if len(nonce) != GCM_NONCE_BYTES:
+        raise ValueError(f"GCM nonce must be {GCM_NONCE_BYTES} bytes")
+
+
+def gcm_seal(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+    """AES-128-GCM ciphertext of ``plaintext``, with no associated data,
+    followed by its 16-byte tag."""
+    _check_gcm(key, nonce)
+    s, n = _scratch(), len(plaintext)
+    out = ctypes.create_string_buffer(n + GCM_TAG_BYTES)
+    if not (_lib.EVP_EncryptInit_ex(s.seal, None, None, key, nonce)
+            and _lib.EVP_EncryptUpdate(s.seal, out, s.length, plaintext, n)
+            and _lib.EVP_EncryptFinal_ex(s.seal, out, s.length)
+            and _lib.EVP_CIPHER_CTX_ctrl(s.seal, _CTRL_GET_TAG, GCM_TAG_BYTES,
+                                         ctypes.byref(out, n))):
+        _lib.ERR_clear_error()
+        raise MemoryError("libcrypto AES-128-GCM seal failed")
+    return out.raw
+
+
+def gcm_open(key: bytes, nonce: bytes, ciphertext: bytes, tag: bytes) -> bytes:
+    """The plaintext that ``gcm_seal`` sealed into ``ciphertext`` and
+    ``tag``; raises ``DecryptionError`` if the tag does not verify."""
+    _check_gcm(key, nonce)
+    if len(tag) != GCM_TAG_BYTES:
+        raise DecryptionError("authentication failed")
+    s, n = _scratch(), len(ciphertext)
+    out = ctypes.create_string_buffer(n)
+    if (_lib.EVP_DecryptInit_ex(s.open, None, None, key, nonce)
+            and _lib.EVP_CIPHER_CTX_ctrl(s.open, _CTRL_SET_TAG, GCM_TAG_BYTES,
+                                         tag)
+            and _lib.EVP_DecryptUpdate(s.open, out, s.length, ciphertext, n)
+            and _lib.EVP_DecryptFinal_ex(s.open, out, s.length) > 0):
+        return out.raw
+    _lib.ERR_clear_error()
+    raise DecryptionError("authentication failed")
 
 
 IDENTITY = GroupElement(None, None)

@@ -11,11 +11,11 @@ application-layer encryption routed opaquely through the RA).
 
 Both derive their AES key in ``_shared_key``: the ECDH x-coordinate from
 ``group.ecdh_x``, then SHA-256 over it and a label. The curve arithmetic
-(the seal's ephemeral point from ``group.mul_g`` and the exchange)
-runs in libcrypto through ``scms.crypto.group``, with no key objects;
-AES-GCM stays in ``cryptography``. A peer that is the identity or off
-the curve raises ``ParseError``, and a zero private or ephemeral scalar
-``ValueError``.
+(the seal's ephemeral point from ``group.mul_g`` and the exchange) and
+AES-128-GCM (``group.gcm_seal`` and ``group.gcm_open``) run in libcrypto
+through ``scms.crypto.group``. A peer that is the identity or off the
+curve raises ``ParseError``, a zero private or ephemeral scalar
+``ValueError``, and a tag that does not verify ``DecryptionError``.
 """
 
 from __future__ import annotations
@@ -23,15 +23,21 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
 from ..encoding import Reader
 from ..errors import DecryptionError
-from .group import POINT_BYTES, GroupElement, Scalar, ecdh_x, mul_g
+from .group import (
+    GCM_NONCE_BYTES,
+    GCM_TAG_BYTES,
+    POINT_BYTES,
+    GroupElement,
+    Scalar,
+    ecdh_x,
+    gcm_open,
+    gcm_seal,
+    mul_g,
+)
 
-_ZERO_NONCE = b"\x00" * 12
-TAG_BYTES = 16
+_ZERO_NONCE = b"\x00" * GCM_NONCE_BYTES
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,7 @@ class HybridCiphertext:
     def decode(cls, data: bytes) -> "HybridCiphertext":
         r = Reader(data)
         eph = GroupElement.decode(r.take(POINT_BYTES, "ephemeral key"))
-        tag = r.take(TAG_BYTES, "authentication tag")
+        tag = r.take(GCM_TAG_BYTES, "authentication tag")
         return cls(eph, r.rest(), tag)
 
 
@@ -66,18 +72,16 @@ def hybrid_seal(to: GroupElement, plaintext: bytes,
     draw it in one place and seal in another."""
     ephemeral = mul_g(ephemeral_priv)  # a zero scalar: ValueError in ecdh_x
     key = _shared_key(ephemeral_priv, to, ephemeral.encode())
-    sealed = AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None)
-    return HybridCiphertext(ephemeral, sealed[:-TAG_BYTES], sealed[-TAG_BYTES:])
+    sealed = gcm_seal(key, _ZERO_NONCE, plaintext)
+    return HybridCiphertext(ephemeral, sealed[:-GCM_TAG_BYTES],
+                            sealed[-GCM_TAG_BYTES:])
 
 
 def hybrid_decrypt(priv: Scalar, ct: HybridCiphertext) -> bytes:
     if ct.ephemeral.is_identity:
         raise DecryptionError("identity ephemeral key")
     key = _shared_key(priv, ct.ephemeral, ct.ephemeral.encode())
-    try:
-        return AESGCM(key).decrypt(_ZERO_NONCE, ct.payload + ct.tag, None)
-    except InvalidTag as exc:
-        raise DecryptionError("authentication failed") from exc
+    return gcm_open(key, _ZERO_NONCE, ct.payload, ct.tag)
 
 
 def channel_key(own_priv: Scalar, peer_pub: GroupElement, label: bytes) -> bytes:
@@ -87,14 +91,13 @@ def channel_key(own_priv: Scalar, peer_pub: GroupElement, label: bytes) -> bytes
 
 
 def channel_encrypt(key: bytes, plaintext: bytes, rng) -> bytes:
-    nonce = rng.randbytes(12)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+    nonce = rng.randbytes(GCM_NONCE_BYTES)
+    return nonce + gcm_seal(key, nonce, plaintext)
 
 
 def channel_decrypt(key: bytes, data: bytes) -> bytes:
-    if len(data) < 12 + TAG_BYTES:
+    if len(data) < GCM_NONCE_BYTES + GCM_TAG_BYTES:
         raise DecryptionError("channel ciphertext too short")
-    try:
-        return AESGCM(key).decrypt(data[:12], data[12:], None)
-    except InvalidTag as exc:
-        raise DecryptionError("authentication failed") from exc
+    nonce, sealed = data[:GCM_NONCE_BYTES], data[GCM_NONCE_BYTES:]
+    return gcm_open(key, nonce, sealed[:-GCM_TAG_BYTES],
+                    sealed[-GCM_TAG_BYTES:])

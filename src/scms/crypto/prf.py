@@ -4,27 +4,17 @@
 the one-way block function behind both key expansion and pre-linkage
 values. ``hash_truncated`` keeps the u most significant bytes of SHA-256.
 ``xor_bytes`` is the one byte-string XOR, shared with the linkage values.
+The AES block runs in libcrypto (``group.aes_ecb``), on the one ECB
+context of the calling thread, which each call re-keys.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from .group import aes_ecb
 
-KEY_BYTES = 16
 BLOCK_BYTES = 16
-# AES keys whose cipher objects are kept for their next block. Hits/misses
-# over one seed-1 perfbench run, in the bus process only (pool workers keep
-# their own): provision 5,616/384, v2x_traffic 1,240/240,
-# fleet_revocation 5,540/800.
-CIPHER_MEMO_SIZE = 1024
-
-
-@lru_cache(maxsize=CIPHER_MEMO_SIZE)
-def _cipher(key: bytes) -> Cipher:
-    return Cipher(algorithms.AES(key), modes.ECB())
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -41,12 +31,10 @@ def prf_block(key: bytes, block: bytes) -> bytes:
 
 def prf_blocks(key: bytes, blocks: list[bytes]) -> list[bytes]:
     """Davies-Meyer over several blocks under one key (one cipher pass)."""
-    if len(key) != KEY_BYTES:
-        raise ValueError(f"key must be {KEY_BYTES} bytes")
     joined = b"".join(blocks)
     if len(joined) != BLOCK_BYTES * len(blocks):
         raise ValueError(f"blocks must be {BLOCK_BYTES} bytes")
-    out = xor_bytes(_cipher(key).encryptor().update(joined), joined)
+    out = xor_bytes(aes_ecb(key, joined), joined)
     return [out[i : i + BLOCK_BYTES] for i in range(0, len(out), BLOCK_BYTES)]
 
 

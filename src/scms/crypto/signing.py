@@ -2,19 +2,20 @@
 
 Signing is pure Python with a deterministic nonce derived from the private
 key and digest, so identical inputs always yield identical signature bytes
-(required for replayable scenarios and golden vectors). Verification runs
-in the OpenSSL backend, which doubles as an independent check that
-signing produces standard ECDSA. The pure reference for both is
-``ecdsa_sign`` and ``ecdsa_verify`` in ``scripts/make_vectors.py``, which
-the tests compare against. ``backend_verify`` is the one signature memo of
-the package: a pure function of (key coordinates, digest, signature), so
-message, certificate-chain, CRL and ballot signatures share it and it
-never goes stale. ``verify`` asks it after only the checks that keep an
-input from becoming a memo key (types, lengths, the identity), so a
-repeated signature costs one lookup; the split into (r, s) and its range
-check run on a miss, and a malformed signature is a cached False like any
+(required for replayable scenarios and golden vectors). Verification is
+libcrypto's own ``ECDSA_do_verify``, called through ``group.ecdsa_verify``,
+which doubles as an independent check that signing produces standard
+ECDSA. The pure reference for both is ``ecdsa_sign`` and ``ecdsa_verify``
+in ``scripts/make_vectors.py``, which the tests compare against.
+``backend_verify`` is the one signature memo of the package: a pure
+function of (key coordinates, digest, signature), so message,
+certificate-chain, CRL and ballot signatures share it and it never goes
+stale. ``verify`` asks it after only the checks that keep an input from
+becoming a memo key (types, lengths, the identity), so a repeated
+signature costs one lookup; on a miss libcrypto checks the range of r and
+s and the signature, and a malformed signature is a cached False like any
 other verdict. It is also the only reader of ``group.backend_public``,
-the OpenSSL key cache, which builds each key from the decoded coordinates
+the native key cache, which builds each key from the decoded coordinates
 and keeps it for the key's next signature.
 
 Signature encoding: 64 bytes, r then s, each 32 bytes big-endian.
@@ -25,20 +26,11 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.asymmetric.utils import (
-    Prehashed,
-    encode_dss_signature,
-)
-
 from ..errors import ParseError
-from .group import ORDER, GroupElement, Scalar, backend_public, mul_g
+from .group import ORDER, GroupElement, Scalar, ecdsa_verify, mul_g
 
 SIGNATURE_BYTES = 64
 _NONCE_LABEL = b"scms-ecdsa-nonce-v1"
-_PREHASHED = ec.ECDSA(Prehashed(hashes.SHA256()))
 # Distinct (key, digest, signature) triples the verify memo holds: every
 # copy of a BSM walks the same issuer links. Hits/misses over one seed-1
 # perfbench run, in the bus process only (pool workers keep their own):
@@ -82,15 +74,9 @@ def verify(pub: GroupElement, digest: bytes, signature: bytes) -> bool:
 
 @lru_cache(maxsize=VERIFY_MEMO_SIZE)
 def backend_verify(x: int, y: int, digest: bytes, signature: bytes) -> bool:
-    """OpenSSL verdict on a 64-byte signature under the key at (x, y);
+    """libcrypto's verdict on a 64-byte signature under the key at (x, y);
     False if r or s is out of range or the point is not on the curve."""
-    r = int.from_bytes(signature[:32], "big")
-    s = int.from_bytes(signature[32:], "big")
-    if not (1 <= r < ORDER and 1 <= s < ORDER):
-        return False
     try:
-        key = backend_public(x, y)
-        key.verify(encode_dss_signature(r, s), digest, _PREHASHED)
-        return True
-    except (InvalidSignature, ValueError, ParseError):
+        return ecdsa_verify(x, y, digest, signature)
+    except ParseError:
         return False

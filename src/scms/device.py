@@ -81,7 +81,9 @@ class DeviceCrlStore(CrlSet):
     revoked values. When the held entries exceed the capacity, after an
     add or when the cap is set, ``trim`` evicts the lowest-priority entries
     first (oldest first within a priority class); an evicted entry revokes
-    nothing, and a raised cap re-applies it at once.
+    nothing, and a raised cap re-applies it at once. ``trim`` also notes
+    the CRLs that keep an entry, so a CRL whose every entry the cap
+    evicted is never asked, and never expanded.
 
     The device passes this store to its ``TrustState`` as ``crls``, so
     chain validation and BSM validation both read it through ``crl_check``.
@@ -92,6 +94,7 @@ class DeviceCrlStore(CrlSet):
         self.capacity = capacity
         self._jurisdiction: dict[bytes, set[int]] = {}
         self._crlg_certs: dict[bytes, Certificate] = {}
+        self._revoking: set[tuple[bytes, int]] = set()  # CRLs keeping an entry
 
     def pin_generator(self, crlg_cert: Certificate, series: list[int]) -> None:
         self._crlg_certs[crlg_cert.cert_id()] = crlg_cert
@@ -113,12 +116,20 @@ class DeviceCrlStore(CrlSet):
         entries = self.entries()
         if len(entries) <= self.capacity:
             self.evicted = frozenset()
-            return
-        # newest first, then stably by priority
-        ranked = sorted(reversed(entries), key=lambda e: -e.priority)
-        kept = ranked[: self.capacity]
-        # equal entries are one revocation, which a kept copy keeps
-        self.evicted = frozenset(ranked[self.capacity:]).difference(kept)
+        else:
+            # newest first, then stably by priority
+            ranked = sorted(reversed(entries), key=lambda e: -e.priority)
+            kept = ranked[: self.capacity]
+            # equal entries are one revocation, which a kept copy keeps
+            self.evicted = frozenset(ranked[self.capacity:]).difference(kept)
+        self._revoking = {
+            key for key, crl in self._crls.items()
+            if not self.evicted.issuperset(
+                crl.linkage_entries + crl.certid_entries)
+        }
+
+    def may_revoke(self, craca_id: bytes, series: int) -> bool:
+        return (craca_id, series) in self._revoking
 
     def revoked_lvs(self, craca_id: bytes, series: int,
                     period: int) -> Mapping[bytes, LinkageRevocation]:

@@ -2,7 +2,8 @@
 
 Golden values and the differential references come from
 scripts/make_vectors.py, a standalone oracle that imports nothing from the
-package.
+package; AES-GCM's reference is ``cryptography``'s ``AESGCM``, which only
+the tests and that script import.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import os
 import random
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,8 @@ from scms.crypto import (
     HybridCiphertext,
     KeyPair,
     Scalar,
+    channel_decrypt,
+    channel_encrypt,
     channel_key,
     hash_truncated,
     hybrid_decrypt,
@@ -39,8 +43,16 @@ from scms.crypto import (
 )
 from scms import bus
 from scms.butterfly import CaterpillarRequest, TimeIndex, cocoon_expand
-from scms.crypto import group
-from scms.crypto.group import CURVE_P, add_pairs, backend_public, ecdh_x
+from scms.crypto import group, hybrid
+from scms.crypto.group import (
+    CURVE_P,
+    add_pairs,
+    backend_public,
+    ecdh_x,
+    ecdsa_verify,
+    gcm_open,
+    gcm_seal,
+)
 from scms.crypto.signing import backend_verify
 from scms.errors import DecryptionError, ParseError
 
@@ -55,6 +67,20 @@ _spec.loader.exec_module(oracle)
 def _affine(point: GroupElement):
     """A package point in the oracle's form: None or (x, y)."""
     return None if point.is_identity else (point.x, point.y)
+
+
+def _aesgcm(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+    """AES-128-GCM by ``cryptography``, the test-side oracle for AES: the
+    package itself never imports it."""
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    return AESGCM(key).encrypt(nonce, plaintext, None)
+
+
+def _oracle_channel(key: bytes, plaintext: bytes, seed: bytes) -> bytes:
+    """What ``channel_encrypt`` seals under ``DeterministicRandom(seed)``."""
+    nonce = DeterministicRandom(seed).randbytes(12)
+    return nonce + _aesgcm(key, nonce, plaintext)
 
 
 # --- group ---
@@ -183,15 +209,26 @@ def test_ecdh_refusals_keep_their_reasons_and_an_empty_error_queue():
 
 
 def test_threads_share_no_native_scratch():
-    # each thread multiplies and decodes in its own libcrypto working set;
-    # a native call releases the GIL, so the threads' calls interleave
+    # each thread multiplies, decodes, verifies, seals and opens in its own
+    # libcrypto working set; a native call releases the GIL, so the
+    # threads' calls interleave
     rng = DeterministicRandom(64)
     jobs = [[rng.scalar() for _ in range(25)] for _ in range(4)]
+    signer, key = KeyPair.generate(rng), rng.randbytes(16)
+    x, y = signer.public.x, signer.public.y
+    signatures = {k: sign(signer.private, k.to_bytes())
+                  for scalars in jobs for k in scalars}
     results = [None] * len(jobs)
 
+    def one(k):
+        text = k.to_bytes()  # the signed digest and the channel plaintext
+        return (_affine(GroupElement.decode(mul_g(k).encode())),
+                ecdsa_verify(x, y, text, signatures[k]),
+                channel_encrypt(key, text, DeterministicRandom(text)),
+                channel_decrypt(key, _oracle_channel(key, text, text)))
+
     def work(n):
-        results[n] = [[_affine(GroupElement.decode(mul_g(k).encode()))
-                       for k in jobs[n]] for _ in range(8)]
+        results[n] = [[one(k) for k in jobs[n]] for _ in range(8)]
 
     threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
     interval = sys.getswitchinterval()
@@ -205,7 +242,9 @@ def test_threads_share_no_native_scratch():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for scalars, rounds in zip(jobs, results):
-        expected = [oracle.ec_mul(k.value, (G.x, G.y)) for k in scalars]
+        expected = [(oracle.ec_mul(k.value, (G.x, G.y)), True,
+                     _oracle_channel(key, k.to_bytes(), k.to_bytes()),
+                     k.to_bytes()) for k in scalars]
         assert rounds == [expected] * 8
 
 
@@ -375,6 +414,35 @@ def test_verify_backends_agree():
         )
 
 
+def test_native_verify_refuses_as_the_oracle_does():
+    # libcrypto's ECDSA_do_verify against the pure oracle, the memo cleared
+    # so that every case reaches libcrypto; a refusal leaves no error queued
+    rng = DeterministicRandom(68)
+    kp, other = KeyPair.generate(rng), KeyPair.generate(rng)
+    digest = hashlib.sha256(b"native verify").digest()
+    sig = sign(kp.private, digest)
+    r, s = sig[:32], sig[32:]
+    zero, n, top = bytes(32), ORDER.to_bytes(32, "big"), b"\xff" * 32
+    cases = [
+        (kp, digest, sig),
+        (kp, hashlib.sha256(b"tampered").digest(), sig),
+        (kp, digest, zero + s), (kp, digest, r + zero),
+        (kp, digest, n + s), (kp, digest, r + n),
+        (kp, digest, top + s), (kp, digest, r + top),
+        (kp, digest, sign(other.private, digest)),
+        (other, digest, sig),
+    ]
+    backend_verify.cache_clear()
+    verdicts = []
+    for signer, d, signature in cases:
+        verdicts.append(verify(signer.public, d, signature))
+        assert verdicts[-1] == oracle.ecdsa_verify(
+            _affine(signer.public), d, signature)
+        assert group._lib.ERR_peek_error() == 0
+    assert verdicts == [True] + [False] * (len(cases) - 1)
+    assert backend_verify.cache_info().misses == len(cases)
+
+
 def test_verify_memo_keeps_each_verdict_to_its_triple():
     rng = DeterministicRandom(17)
     kp, other = KeyPair.generate(rng), KeyPair.generate(rng)
@@ -422,6 +490,9 @@ def test_hybrid_roundtrip():
     pt = b"certificate and reconstruction value"
     ct = hybrid_encrypt(kp.public, pt, rng)
     assert hybrid_decrypt(kp.private, ct) == pt
+    # AES-GCM under the shared key and the zero nonce
+    key = hybrid._shared_key(kp.private, ct.ephemeral, ct.ephemeral.encode())
+    assert ct.payload + ct.tag == _aesgcm(key, bytes(12), pt)
 
 
 def test_hybrid_wrong_key_fails():
@@ -443,6 +514,45 @@ def test_hybrid_bit_flip_fails():
         hybrid_decrypt(kp.private, bad)
 
 
+def test_gcm_matches_cryptography_and_refuses_every_flipped_byte():
+    # seal and open through libcrypto against cryptography's AESGCM; a bit
+    # flipped anywhere in the nonce, ciphertext or tag is a DecryptionError
+    # that leaves no error queued
+    rnd = random.Random(69)
+    for size in (0, 1, 16, 17, 300):
+        key, nonce, plaintext = (rnd.randbytes(16), rnd.randbytes(12),
+                                 rnd.randbytes(size))
+        sealed = gcm_seal(key, nonce, plaintext)
+        assert sealed == _aesgcm(key, nonce, plaintext)
+        assert gcm_open(key, nonce, sealed[:-16], sealed[-16:]) == plaintext
+        channel = nonce + sealed
+        assert channel_decrypt(key, channel) == plaintext
+        for pos in range(len(channel)):
+            flipped = bytearray(channel)
+            flipped[pos] ^= 1 << rnd.randrange(8)
+            with pytest.raises(DecryptionError):
+                channel_decrypt(key, bytes(flipped))
+            assert group._lib.ERR_peek_error() == 0
+        with pytest.raises(DecryptionError):
+            channel_decrypt(rnd.randbytes(16), channel)
+        assert group._lib.ERR_peek_error() == 0
+    seed = b"channel nonce"
+    assert channel_encrypt(key, plaintext, DeterministicRandom(seed)) == (
+        _oracle_channel(key, plaintext, seed))
+
+
+def test_aes_keys_and_nonces_of_the_wrong_length_are_refused():
+    # libcrypto would read a key or nonce of its own length from the pointer
+    for key, nonce in ((bytes(15), bytes(12)), (bytes(32), bytes(12)),
+                       (bytes(16), bytes(11)), (bytes(16), bytes(16))):
+        with pytest.raises(ValueError):
+            gcm_seal(key, nonce, b"x")
+        with pytest.raises(ValueError):
+            gcm_open(key, nonce, b"x", bytes(16))
+    with pytest.raises(ValueError):
+        prf_block(bytes(15), bytes(16))
+
+
 def test_hybrid_decode_short_input_is_a_parse_error():
     for n in (0, 32, 48):
         with pytest.raises(ParseError):
@@ -462,6 +572,7 @@ def test_a_spawned_pool_worker_gives_the_inline_results():
     # fresh interpreters, which load the libcrypto adapter anew
     rng = DeterministicRandom(67)
     kp, k = KeyPair.generate(rng), rng.scalar()
+    key, digest = rng.randbytes(16), rng.randbytes(32)
     req = CaterpillarRequest(mul_g(rng.scalar()), rng.randbytes(16),
                              mul_g(rng.scalar()), rng.randbytes(16))
     grid = [TimeIndex(i, j) for i in range(2) for j in range(4)]
@@ -471,6 +582,10 @@ def test_a_spawned_pool_worker_gives_the_inline_results():
         (ecdh_x, (k, kp.public)),
         (hybrid_seal, (kp.public, b"spawned", k)),
         (hybrid_decrypt, (kp.private, hybrid_seal(kp.public, b"spawned", k))),
+        (ecdsa_verify, (kp.public.x, kp.public.y, digest,
+                        sign(kp.private, digest))),
+        (channel_encrypt, (key, b"spawned", DeterministicRandom(b"seal"))),
+        (channel_decrypt, (key, _oracle_channel(key, b"spawned", b"open"))),
         (cocoon_expand, (req, grid)),
         (os.getpid, ()),
     ]
@@ -491,6 +606,8 @@ def test_a_spawned_pool_worker_gives_the_inline_results():
     *kernels, pid = results
     assert pid != os.getpid()
     assert kernels == bus.run_kernels(jobs[:-1])
+    assert kernels[5:8] == [True, _oracle_channel(key, b"spawned", b"seal"),
+                            b"spawned"]
 
 
 def test_zero_ephemeral_scalar_is_refused():
@@ -527,6 +644,10 @@ def test_verify_caches_one_key_per_signer():
     for kp in signers:
         assert verify(kp.public, digests[1], sign(kp.private, digests[1]))
     assert backend_public.cache_info().currsize == len(signers)
+    # a native key leaves with its cache entry: nothing else holds it
+    held = weakref.ref(backend_public(signers[0].public.x, signers[0].public.y))
+    backend_public.cache_clear()
+    assert held() is None
 
 
 def test_ecdh_peer_must_be_a_curve_point():

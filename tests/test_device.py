@@ -920,6 +920,34 @@ def test_a_fleet_expands_each_crl_entry_once_whatever_its_size(
     assert counts == {2: 3, 10: 3}
 
 
+def test_a_store_that_keeps_no_entry_expands_no_crl(monkeypatch):
+    # a CRL whose every entry the cap evicted can revoke nothing, so a
+    # device with crl_capacity 0 never expands one: on the seed-1
+    # fleet_revocation workload only the other holders of CRLs expand
+    import importlib.util
+
+    from scms import certmodel
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = []
+    real = certmodel.expand_revocation_entry
+
+    def counted(entry, period):
+        calls.append(entry)
+        return real(entry, period)
+
+    monkeypatch.setattr(certmodel, "expand_revocation_entry", counted)
+    certmodel._decode_crl.cache_clear()  # CRLs another case expanded
+    config = workloads.build("fleet_revocation", 1)["config"]
+    result = run_scenario(ScenarioConfig(**config, crl_capacity=0))
+    assert result.metrics["bsms_rejected"] == {}
+    assert result.trace_digest[:16] == "56dc5633c4938ded"
+    assert len(calls) == 190
+
+
 def test_bad_signature_discards_whole_crl(pki):
     store = DeviceCrlStore(capacity=100)
     store.pin_generator(pki.crlg_cert, [1])

@@ -157,9 +157,11 @@ def _imported_packages(node) -> set[str]:
 
 
 def test_one_openssl_key_adapter():
-    # every backend key is built in crypto/group.py, behind one key cache,
-    # and only that module loads libcrypto and calls it
-    names = {"from_encoded_point", "EllipticCurvePublicNumbers", "SECP256R1",
+    # every native key and cipher context is built in crypto/group.py,
+    # the keys behind one key cache, and only that module loads libcrypto
+    # and calls it
+    names = {"EC_KEY_new_by_curve_name", "ECDSA_do_verify", "ECDSA_SIG_new",
+             "EVP_CIPHER_CTX_new", "EVP_aes_128_gcm", "EVP_aes_128_ecb",
              "CDLL", "_lib"}
     found = [
         where for where, node in _nodes() if _mentions(node, names)
@@ -169,6 +171,14 @@ def test_one_openssl_key_adapter():
     assert not any(_mentions(node, {"derive_private_key", "exchange"})
                    for _, node in _nodes())
     assert _undeclared_native_calls(ROOT / "crypto" / "group.py") == set()
+
+
+def test_no_module_imports_cryptography():
+    # libcrypto through crypto/group.py is the one crypto backend; the
+    # cryptography package is a test-side oracle only
+    found = [where for where, node in _nodes()
+             if "cryptography" in _imported_packages(node)]
+    assert found == [], found
 
 
 def _undeclared_native_calls(path: Path) -> set[str]:
@@ -196,18 +206,38 @@ def test_an_undeclared_native_call_breaks_the_adapter_rule(tmp_path):
     assert _undeclared_native_calls(planted) == {"EC_POINT_is_at_infinity"}
 
 
-def test_start_up_loads_no_subprocess_machinery():
-    # ctypes.util.find_library would import subprocess and run ldconfig on
-    # every start-up; the adapter reaches libcrypto through hashlib instead
+def _python(code: str, timeout: float = 60) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this
+    package."""
     pythonpath = os.pathsep.join(
         filter(None, [str(ROOT.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, scms.harness; print("
-         "sorted({'subprocess', 'ctypes.util'} & set(sys.modules)))"],
-        capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": pythonpath},
     ).stdout
+
+
+def test_start_up_loads_no_subprocess_machinery():
+    # ctypes.util.find_library would import subprocess and run ldconfig on
+    # every start-up; the adapter reaches libcrypto through hashlib instead,
+    # and it loads no second OpenSSL (the one linked into cryptography)
+    out = _python(
+        "import sys, scms.harness; print(sorted(name for name in sys.modules"
+        " if name in {'subprocess', 'ctypes.util'}"
+        " or name.split('.')[0] == 'cryptography'))")
     assert out.strip() == "[]"
+
+
+def test_a_run_needs_no_cryptography_package():
+    # with the package unimportable, a scenario replays to its digest
+    scenario = ROOT.parent.parent / "scenarios" / "revocation_demo.json"
+    out = _python(
+        "import sys; sys.modules['cryptography'] = None\n"
+        "from scms.harness import ScenarioConfig, run_scenario\n"
+        f"config = ScenarioConfig.from_json(open({str(scenario)!r}).read())\n"
+        "print(run_scenario(config).trace_digest[:16])", timeout=300)
+    assert out.strip() == "fd6dbf1d1ff0a145"
 
 
 def test_one_trust_model():
@@ -239,7 +269,6 @@ MEMOS = {
     "certmodel.py:_decode_certificate",
     "certmodel.py:_decode_crl",
     "crypto/group.py:backend_public",
-    "crypto/prf.py:_cipher",
     "crypto/signing.py:backend_verify",
     "device.py:_signed_bsm",
 }
