@@ -11,9 +11,9 @@ function called is declared in ``_SIGNATURES``, and each refusal leaves
 OpenSSL's error queue empty. The ``EC_POINT`` API gives fixed-base
 multiplication (``mul_g``), ECDH (``ecdh_x``) and point decompression
 (``GroupElement.decode``), with no key objects. ECDSA verification
-(``ecdsa_verify``) is libcrypto's ``ECDSA_do_verify`` under an ``EC_KEY``
-that ``backend_public`` builds and caches per signer, the only native key
-objects of the package, each freed with its cache entry. AES-128-GCM
+(``ecdsa_verify``) is libcrypto's ``ECDSA_do_verify`` under the one
+``EC_KEY`` of the calling thread, which takes each signer's point in turn:
+the package keeps no native key per signer. AES-128-GCM
 (``gcm_seal``, ``gcm_open``) and the AES-128 block of the PRF
 (``aes_ecb``) run through ``EVP``, on cipher contexts that each thread
 initialises once. The point decoder reads the coordinates of the Z = 1
@@ -39,7 +39,6 @@ import ctypes
 import threading
 import weakref
 from ctypes import POINTER, c_char_p, c_int, c_size_t, c_ulong, c_void_p
-from functools import lru_cache
 
 from ..encoding import require_bytes
 from ..errors import DecryptionError, ParseError
@@ -55,13 +54,6 @@ POINT_BYTES = 33
 AES_KEY_BYTES = 16
 GCM_NONCE_BYTES = 12
 GCM_TAG_BYTES = 16
-# The one native key cache; signature verification is its only reader.
-# An entry holds a libcrypto EC_KEY (with its own copy of the group):
-# about 2.5 KB of resident memory a key, measured over 4,095 keys, so a
-# full cache holds about 10 MB and peak RSS bounds the size. After one
-# seed-1 perfbench run it holds 29 keys on provision, 425 on v2x_traffic
-# and 687 on fleet_revocation, in the bus process.
-KEY_MEMO_SIZE = 4096
 
 # --- the libcrypto adapter ---
 
@@ -145,7 +137,8 @@ class _Scratch:
     """One thread's native working set, freed with it: a BN_CTX, a result
     and a peer point, a scalar, the two coordinates of a decoded point,
     the 65-byte uncompressed output, an ECDSA_SIG that owns the numbers
-    r and s, and one cipher context per mode (GCM seal, GCM open, ECB),
+    r and s, the EC_KEY that each verification sets to its signer's
+    point, and one cipher context per mode (GCM seal, GCM open, ECB),
     each given its cipher once, so that a call passes only key and
     nonce."""
 
@@ -156,15 +149,17 @@ class _Scratch:
         numbers = [_lib.BN_new() for _ in range(5)]
         self.scalar, self.x, self.y, self.r, self.s = numbers
         self.sig = _lib.ECDSA_SIG_new()
+        self.key = _lib.EC_KEY_new_by_curve_name(_NID_P256)
         ciphers = [_lib.EVP_CIPHER_CTX_new() for _ in range(3)]
         self.seal, self.open, self.block = ciphers
         self.out = ctypes.create_string_buffer(1 + 2 * 32)
         self.length = c_int()  # the output length of an EVP call
         owned = bool(self.ctx and self.point and self.peer and all(numbers)
-                     and all(ciphers) and self.sig
+                     and all(ciphers) and self.sig and self.key
                      and _lib.ECDSA_SIG_set0(self.sig, self.r, self.s))
         weakref.finalize(self, _release, self.ctx, (self.point, self.peer),
-                         numbers[:3] if owned else numbers, self.sig, ciphers)
+                         numbers[:3] if owned else numbers, self.sig,
+                         self.key, ciphers)
         nothing = (None, None, None)  # no engine, key or nonce yet
         if not (owned
                 and _lib.EVP_EncryptInit_ex(self.seal, _AES_GCM, *nothing)
@@ -175,13 +170,14 @@ class _Scratch:
             raise MemoryError("libcrypto could not allocate the scratch")
 
 
-def _release(ctx, points, numbers, sig, ciphers) -> None:
+def _release(ctx, points, numbers, sig, key, ciphers) -> None:
     _lib.BN_CTX_free(ctx)
     for point in points:
         _lib.EC_POINT_free(point)
     for number in numbers:
         _lib.BN_free(number)
     _lib.ECDSA_SIG_free(sig)
+    _lib.EC_KEY_free(key)
     for cipher in ciphers:
         _lib.EVP_CIPHER_CTX_free(cipher)
 
@@ -353,40 +349,20 @@ class GroupElement:
 _IDENTITY_BYTES = b"\x00" * POINT_BYTES
 
 
-class _VerificationKey:
-    """A libcrypto EC_KEY that holds one public point, freed with this
-    object."""
-
-    def __init__(self, point):
-        self.ec_key = _lib.EC_KEY_new_by_curve_name(_NID_P256)
-        weakref.finalize(self, _lib.EC_KEY_free, self.ec_key)
-        if not (self.ec_key and _lib.EC_KEY_set_public_key(self.ec_key, point)):
-            _lib.ERR_clear_error()
-            raise MemoryError("libcrypto could not build an EC_KEY")
-
-
-@lru_cache(maxsize=KEY_MEMO_SIZE)
-def backend_public(x: int, y: int) -> _VerificationKey:
-    """Native verification key of the point (x, y), kept for the key's
-    next signature; raises ``ParseError`` if (x, y) is not on the
-    curve."""
-    s = _scratch()
-    _load_peer(s, x, y)
-    return _VerificationKey(s.peer)
-
-
 def ecdsa_verify(x: int, y: int, digest: bytes, signature: bytes) -> bool:
     """libcrypto's verdict on the 64-byte signature r || s of a 32-byte
     digest under the key at (x, y); raises ``ParseError`` if (x, y) is not
     on the curve. An r or s of 0 or not below ORDER is refused."""
     if len(digest) != 32 or len(signature) != 64:
         raise ValueError("digest must be 32 bytes and signature 64")
-    # this reference keeps the EC_KEY alive if another thread evicts it
-    key = backend_public(x, y)
     s = _scratch()
+    _load_peer(s, x, y)
+    if not _lib.EC_KEY_set_public_key(s.key, s.peer):
+        _lib.ERR_clear_error()
+        raise MemoryError("libcrypto could not set the verification key")
     _lib.BN_bin2bn(signature, 32, s.r)
     _lib.BN_bin2bn(signature[32:], 32, s.s)
-    verdict = _lib.ECDSA_do_verify(digest, 32, s.sig, key.ec_key)
+    verdict = _lib.ECDSA_do_verify(digest, 32, s.sig, s.key)
     if verdict == 1:
         return True
     _lib.ERR_clear_error()  # r or s out of range leaves an error queued

@@ -14,9 +14,8 @@ stale. ``verify`` asks it after only the checks that keep an input from
 becoming a memo key (types, lengths, the identity), so a repeated
 signature costs one lookup; on a miss libcrypto checks the range of r and
 s and the signature, and a malformed signature is a cached False like any
-other verdict. It is also the only reader of ``group.backend_public``,
-the native key cache, which builds each key from the decoded coordinates
-and keeps it for the key's next signature.
+other verdict. Below it no layer keeps anything per signer: each miss sets
+the decoded coordinates on the calling thread's one native key.
 
 Signature encoding: 64 bytes, r then s, each 32 bytes big-endian.
 """

@@ -473,8 +473,8 @@ class Device:
 
     def on_bsm(self, env) -> None:
         (bsm,) = fields(env.payload, bsm=bytes)
-        ok, reason = self.validate_bsm(bsm)
-        self.received.append((ok, reason))
+        ok, reason = verdict = self.validate_bsm(bsm)
+        self.received.append(verdict)
         if not ok:
             self.reject_counts[reason] = self.reject_counts.get(reason, 0) + 1
 
@@ -482,10 +482,11 @@ class Device:
         """(True, "ok"), or False and the reject reason. The checks that
         depend only on the bytes run once per broadcast (``_signed_bsm``);
         the period checks and the chain walk, with its CRL and root state,
-        run on every copy."""
+        run on every copy. Each verdict is a constant tuple, so
+        ``received`` holds one shared tuple per outcome."""
         signed = _signed_bsm(bsm_bytes)
-        if type(signed) is str:
-            return False, signed
+        if signed[0] is False:
+            return signed
         cert, generated = signed
         period = self.clock.period
         if not cert.valid_at(period):
@@ -586,33 +587,35 @@ BSM_MEMO_SIZE = 64
 
 
 @functools.lru_cache(maxsize=BSM_MEMO_SIZE)
-def _signed_bsm(bsm_bytes: bytes) -> tuple[Certificate, int] | str:
+def _signed_bsm(
+    bsm_bytes: bytes
+) -> tuple[Certificate, int] | tuple[bool, str]:
     """The signing certificate of a BSM and the period its payload claims,
-    or the reason to reject it: every check that depends on the bytes
-    alone, so its verdict holds at every receiver."""
+    or the verdict (False, reason) that rejects it: every check that
+    depends on the bytes alone, so its verdict holds at every receiver."""
     try:
         msg = SignedMessage.decode(bsm_bytes)
     except ParseError:
-        return "malformed"
+        return False, "malformed"
     if msg.cert_bytes is None:
-        return "missing-certificate"
+        return False, "missing-certificate"
     try:
         cert = Certificate.decode(msg.cert_bytes)
     except ParseError:
-        return "malformed-certificate"
+        return False, "malformed-certificate"
     if not verify_message(msg, cert):
-        return "bad-signature"
+        return False, "bad-signature"
     # the enrollment certificate identifies its device, and no CRL entry
     # a receiver holds revokes it: a BSM is signed under a pseudonym
     if cert.ctype != CertType.OBE_PSEUDONYM:
-        return "not-pseudonym"
+        return False, "not-pseudonym"
     if cert.psid != BSM_PSID:
-        return "wrong-psid"
+        return False, "wrong-psid"
     try:
         generated = fields(decode(msg.payload), p=int, m=int,
                            pos=list[int], speed=int, seq=int)[0]
     except ParseError:
-        return "malformed-payload"
+        return False, "malformed-payload"
     return cert, generated
 
 

@@ -1,10 +1,15 @@
-"""Shared fixtures and helpers: a miniature CA hierarchy, small worlds and
-the cross-store joins that tests assert on."""
+"""Shared fixtures and helpers: a miniature CA hierarchy, small worlds, the
+cross-store joins that tests assert on and a run in a fresh interpreter."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import scms
 from scms.certmodel import (
     SERIES_COMPONENT,
     SERIES_ROOT_MANAGED,
@@ -14,6 +19,18 @@ from scms.certmodel import (
 from scms.crypto import DeterministicRandom, KeyPair
 from scms.encoding import encode
 from scms.rootmgmt import TrustState
+
+
+def fresh_python(code: str, timeout: float = 60) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this
+    package."""
+    pythonpath = os.pathsep.join(filter(None, [
+        str(Path(scms.__file__).parent.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    ).stdout
 
 
 @dataclass

@@ -13,7 +13,6 @@ import os
 import random
 import sys
 import threading
-import weakref
 from pathlib import Path
 
 import pytest
@@ -47,7 +46,6 @@ from scms.crypto import group, hybrid
 from scms.crypto.group import (
     CURVE_P,
     add_pairs,
-    backend_public,
     ecdh_x,
     ecdsa_verify,
     gcm_open,
@@ -55,6 +53,7 @@ from scms.crypto.group import (
 )
 from scms.crypto.signing import backend_verify
 from scms.errors import DecryptionError, ParseError
+from tests.conftest import fresh_python
 
 _spec = importlib.util.spec_from_file_location(
     "make_vectors",
@@ -211,24 +210,26 @@ def test_ecdh_refusals_keep_their_reasons_and_an_empty_error_queue():
 def test_threads_share_no_native_scratch():
     # each thread multiplies, decodes, verifies, seals and opens in its own
     # libcrypto working set; a native call releases the GIL, so the
-    # threads' calls interleave
+    # threads' calls interleave; each thread verifies under signers of its
+    # own, so a key set by another thread between set and verify shows
     rng = DeterministicRandom(64)
-    jobs = [[rng.scalar() for _ in range(25)] for _ in range(4)]
-    signer, key = KeyPair.generate(rng), rng.randbytes(16)
-    x, y = signer.public.x, signer.public.y
+    jobs = [[(rng.scalar(), KeyPair.generate(rng)) for _ in range(25)]
+            for _ in range(4)]
+    key = rng.randbytes(16)
     signatures = {k: sign(signer.private, k.to_bytes())
-                  for scalars in jobs for k in scalars}
+                  for pairs in jobs for k, signer in pairs}
     results = [None] * len(jobs)
 
-    def one(k):
+    def one(k, signer):
         text = k.to_bytes()  # the signed digest and the channel plaintext
         return (_affine(GroupElement.decode(mul_g(k).encode())),
-                ecdsa_verify(x, y, text, signatures[k]),
+                ecdsa_verify(signer.public.x, signer.public.y, text,
+                             signatures[k]),
                 channel_encrypt(key, text, DeterministicRandom(text)),
                 channel_decrypt(key, _oracle_channel(key, text, text)))
 
     def work(n):
-        results[n] = [[one(k) for k in jobs[n]] for _ in range(8)]
+        results[n] = [[one(*pair) for pair in jobs[n]] for _ in range(8)]
 
     threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
     interval = sys.getswitchinterval()
@@ -241,10 +242,13 @@ def test_threads_share_no_native_scratch():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for scalars, rounds in zip(jobs, results):
-        expected = [(oracle.ec_mul(k.value, (G.x, G.y)), True,
+    for pairs, rounds in zip(jobs, results):
+        expected = [(oracle.ec_mul(k.value, (G.x, G.y)),
+                     oracle.ecdsa_verify(_affine(signer.public), k.to_bytes(),
+                                         signatures[k]),
                      _oracle_channel(key, k.to_bytes(), k.to_bytes()),
-                     k.to_bytes()) for k in scalars]
+                     k.to_bytes()) for k, signer in pairs]
+        assert [verdict for _, verdict, *_ in expected] == [True] * len(pairs)
         assert rounds == [expected] * 8
 
 
@@ -443,6 +447,26 @@ def test_native_verify_refuses_as_the_oracle_does():
     assert backend_verify.cache_info().misses == len(cases)
 
 
+def test_a_refused_key_leaves_no_signer_behind():
+    # the thread's one native key still holds A after A's verification: a
+    # point refused next must not be checked against it, and B's must be
+    rng = DeterministicRandom(69)
+    a, b = KeyPair.generate(rng), KeyPair.generate(rng)
+    digest = hashlib.sha256(b"carry-over").digest()
+    sig = sign(a.private, digest)
+    off_curve = GroupElement(a.public.x, (a.public.y + 1) % CURVE_P)
+    backend_verify.cache_clear()
+    assert verify(a.public, digest, sig)
+    for refused in (off_curve, IDENTITY):
+        assert not verify(refused, digest, sig)
+        assert group._lib.ERR_peek_error() == 0
+    with pytest.raises(ParseError):
+        ecdsa_verify(off_curve.x, off_curve.y, digest, sig)
+    assert group._lib.ERR_peek_error() == 0
+    assert not verify(b.public, digest, sig)
+    assert verify(b.public, digest, sign(b.private, digest))
+
+
 def test_verify_memo_keeps_each_verdict_to_its_triple():
     rng = DeterministicRandom(17)
     kp, other = KeyPair.generate(rng), KeyPair.generate(rng)
@@ -618,36 +642,29 @@ def test_zero_ephemeral_scalar_is_refused():
         ecdh_x(Scalar(0), kp.public)
 
 
-# --- which keys the OpenSSL key cache keeps ---
+# --- what verification keeps ---
 
-def test_decode_seal_and_open_leave_the_key_cache_alone():
-    rng = DeterministicRandom(24)
-    kp = KeyPair.generate(rng)
-    before = backend_public.cache_info().currsize
-    fresh = [mul_g(rng.scalar()).encode() for _ in range(20)]
-    assert [GroupElement.decode(raw).encode() for raw in fresh] == fresh
-    ct = hybrid_encrypt(GroupElement.decode(kp.public.encode()), b"once", rng)
-    opened = HybridCiphertext.decode(ct.encode())
-    assert hybrid_decrypt(kp.private, opened) == b"once"
-    assert backend_public.cache_info().currsize == before
-
-
-def test_verify_caches_one_key_per_signer():
-    rng = DeterministicRandom(25)
-    signers = [KeyPair.generate(rng) for _ in range(3)]
-    digests = [hashlib.sha256(bytes([n])).digest() for n in range(2)]
-    backend_public.cache_clear()  # a full cache would not grow
-    for n, kp in enumerate(signers):
-        assert verify(kp.public, digests[0], sign(kp.private, digests[0]))
-        assert backend_public.cache_info().currsize == n + 1
-    # a second signature by the same key is a new memo entry, not a new key
-    for kp in signers:
-        assert verify(kp.public, digests[1], sign(kp.private, digests[1]))
-    assert backend_public.cache_info().currsize == len(signers)
-    # a native key leaves with its cache entry: nothing else holds it
-    held = weakref.ref(backend_public(signers[0].public.x, signers[0].public.y))
-    backend_public.cache_clear()
-    assert held() is None
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads resident memory from Linux's /proc")
+def test_verifying_many_signers_keeps_no_memory_per_signer():
+    # pseudonyms rotate, so a receiver hears ever new signers: verifying
+    # 2,000 of them holds at most the bounded verify memo (a native key
+    # kept per signer held about 4.6 MiB)
+    out = fresh_python(
+        "import hashlib, os\n"
+        "from scms.crypto import DeterministicRandom, KeyPair, sign, verify\n"
+        "rng = DeterministicRandom(27)\n"
+        "digest = hashlib.sha256(b'signers').digest()\n"
+        "signed = [(kp.public, sign(kp.private, digest)) for kp in\n"
+        "          (KeyPair.generate(rng) for _ in range(2000))]\n"
+        "def resident():\n"
+        "    with open('/proc/self/statm') as statm:\n"
+        "        return int(statm.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "assert verify(signed[0][0], digest, signed[0][1])\n"
+        "before = resident()\n"
+        "assert all(verify(public, digest, sig) for public, sig in signed)\n"
+        "print(resident() - before)")
+    assert int(out) < 2**20
 
 
 def test_ecdh_peer_must_be_a_curve_point():

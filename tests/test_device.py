@@ -259,6 +259,20 @@ def test_inline_certificate_that_does_not_reencode_is_malformed(offset, bits):
     assert world.bus.dead_letters == 0
 
 
+def test_received_verdicts_share_one_tuple_per_outcome():
+    # every copy of an outcome appends the same constant tuple, so a
+    # receiver's list of verdicts allocates none
+    world = run_scenario(ScenarioConfig(
+        name="verdicts", seed=9, devices=3, periods=2, batch_size=2)).world
+    listener = world.devices[0]
+    for junk in (b"junk", b"more junk"):  # two broadcasts, one outcome
+        world.bus.send(Envelope("pg", listener.id, "bsm", {"bsm": junk}))
+    world.bus.run()
+    verdicts = [v for d in world.devices for v in d.received]
+    assert {(True, "ok"), (False, "malformed")} <= set(verdicts)
+    assert len({id(v) for v in verdicts}) == len(set(verdicts))
+
+
 def _bsm_variants(world, sender) -> dict[str, bytes]:
     """BSMs from ``sender`` at the clock's period, by name: its honest one,
     and variants that each differ from it in one respect."""

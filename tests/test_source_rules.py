@@ -2,12 +2,10 @@
 
 import ast
 import builtins
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import scms
+from tests.conftest import fresh_python
 
 ROOT = Path(scms.__file__).parent
 
@@ -157,9 +155,8 @@ def _imported_packages(node) -> set[str]:
 
 
 def test_one_openssl_key_adapter():
-    # every native key and cipher context is built in crypto/group.py,
-    # the keys behind one key cache, and only that module loads libcrypto
-    # and calls it
+    # every native key and cipher context is built in crypto/group.py, and
+    # only that module loads libcrypto and calls it
     names = {"EC_KEY_new_by_curve_name", "ECDSA_do_verify", "ECDSA_SIG_new",
              "EVP_CIPHER_CTX_new", "EVP_aes_128_gcm", "EVP_aes_128_ecb",
              "CDLL", "_lib"}
@@ -171,6 +168,27 @@ def test_one_openssl_key_adapter():
     assert not any(_mentions(node, {"derive_private_key", "exchange"})
                    for _, node in _nodes())
     assert _undeclared_native_calls(ROOT / "crypto" / "group.py") == set()
+
+
+def _scoped(node, scope: str = ""):
+    """(enclosing Class.function, node) for every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def test_one_native_key_per_thread():
+    # verification sets each signer's point on the one EC_KEY of its
+    # thread's scratch, so the package keeps no native key per signer
+    found = {
+        f"{path.relative_to(ROOT)}:{scope}" for path in sorted(ROOT.rglob("*.py"))
+        for scope, node in _scoped(ast.parse(path.read_text(), str(path)))
+        if _mentions(node, {"EC_KEY_new_by_curve_name"})
+    }
+    assert found == {"crypto/group.py:_Scratch.__init__"}, found
 
 
 def test_no_module_imports_cryptography():
@@ -206,23 +224,11 @@ def test_an_undeclared_native_call_breaks_the_adapter_rule(tmp_path):
     assert _undeclared_native_calls(planted) == {"EC_POINT_is_at_infinity"}
 
 
-def _python(code: str, timeout: float = 60) -> str:
-    """The stdout of ``code`` run in a fresh interpreter that imports this
-    package."""
-    pythonpath = os.pathsep.join(
-        filter(None, [str(ROOT.parent), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        check=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    ).stdout
-
-
 def test_start_up_loads_no_subprocess_machinery():
     # ctypes.util.find_library would import subprocess and run ldconfig on
     # every start-up; the adapter reaches libcrypto through hashlib instead,
     # and it loads no second OpenSSL (the one linked into cryptography)
-    out = _python(
+    out = fresh_python(
         "import sys, scms.harness; print(sorted(name for name in sys.modules"
         " if name in {'subprocess', 'ctypes.util'}"
         " or name.split('.')[0] == 'cryptography'))")
@@ -232,7 +238,7 @@ def test_start_up_loads_no_subprocess_machinery():
 def test_a_run_needs_no_cryptography_package():
     # with the package unimportable, a scenario replays to its digest
     scenario = ROOT.parent.parent / "scenarios" / "revocation_demo.json"
-    out = _python(
+    out = fresh_python(
         "import sys; sys.modules['cryptography'] = None\n"
         "from scms.harness import ScenarioConfig, run_scenario\n"
         f"config = ScenarioConfig.from_json(open({str(scenario)!r}).read())\n"
@@ -268,7 +274,6 @@ MEMOS = {
     "bus.py:_text",
     "certmodel.py:_decode_certificate",
     "certmodel.py:_decode_crl",
-    "crypto/group.py:backend_public",
     "crypto/signing.py:backend_verify",
     "device.py:_signed_bsm",
 }
