@@ -62,7 +62,6 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .encoding import dict_layout, encode
 from .errors import InvariantViolation, ScmsError
@@ -81,9 +80,6 @@ _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # the bytes before each value in an envelope's encoding, whose keys the
 # codec sorts; the trace hashes that encoding spliced from its values
 _DST, _PAYLOAD, _SRC, _TYPE = dict_layout("dst", "payload", "src", "type")
-# component ids and message types whose encodings the splice keeps; the
-# seed-1 benchmark workloads use 40 to 72 distinct strings
-TEXT_MEMO_SIZE = 1024
 
 # worker processes of the kernel pool: one per CPU but the one this
 # process computes its own share on; with none every kernel runs inline
@@ -133,11 +129,6 @@ class Envelope:
 
 
 _UNSET = object()  # no payload hashed yet
-
-
-@lru_cache(maxsize=TEXT_MEMO_SIZE)
-def _text(value: str) -> bytes:
-    return encode(value)
 
 
 class Trace:
@@ -353,8 +344,8 @@ class MessageBus:
         if payload is not self._payload:
             self._payload, self._payload_bytes = payload, encode(payload)
         return hashlib.sha256(b"".join((
-            _DST, _text(env.dst), _PAYLOAD, self._payload_bytes,
-            _SRC, _text(env.src), _TYPE, _text(env.mtype),
+            _DST, encode(env.dst), _PAYLOAD, self._payload_bytes,
+            _SRC, encode(env.src), _TYPE, encode(env.mtype),
         ))).hexdigest()[:16]
 
 

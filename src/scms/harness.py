@@ -50,7 +50,6 @@ from .certmodel import (
     SERIES_ROOT_MANAGED,
     CertType,
     Certificate,
-    SignedMessage,
     issue_component_cert,
 )
 from .crypto import DeterministicRandom, KeyPair
@@ -60,7 +59,7 @@ from .errors import ParseError, ScmsError
 from .linkage import (
     LA1_ID, LA2_ID, LV_BYTES, SEED_BYTES, LinkageSeed, pre_linkage_values, seed_at,
 )
-from .misbehavior import Crlg, Ma, ThresholdDetector
+from .misbehavior import Crlg, Ma
 from .persistence import StoreRegistry
 from .rootmgmt import (
     ENDORSE_ELECTOR,
@@ -223,8 +222,7 @@ class World:
                                     LA2_ID, pca_enc)
         self.ra = Ra("ra", *args, pki["ra"], *ma_quota, self._authority_trust())
         crlg = Crlg(pki["crlg"].keypair, pki["crlg"].cert, craca)
-        self.ma = Ma("ma", *args, pki["ma"], crlg,
-                     ThresholdDetector(threshold=config.detector_threshold),
+        self.ma = Ma("ma", *args, pki["ma"], crlg, config.detector_threshold,
                      self._authority_trust())
         self.pg = Pg("pg", *args, pki["pg"])
         self.bundle = {
@@ -271,7 +269,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     }
     provision_fleet(world)
 
-    report_periods: dict[bytes, int] = {}
     for period in range(config.periods):
         clock.set(period, 0)
         for device in world.devices:
@@ -279,7 +276,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         bus.run()
 
         for event in (e for e in config.events if e["period"] == period):
-            EVENTS[event["action"]].apply(world, event, report_periods)
+            EVENTS[event["action"]].apply(world, event)
             bus.run()
 
         _bsm_traffic(world, period)
@@ -293,7 +290,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     bus.run()
 
     violations = run_audits(world)
-    metrics = collect_metrics(world, report_periods)
+    metrics = collect_metrics(world)
     metrics["elapsed_seconds"] = round(time.perf_counter() - started, 3)
     return ScenarioResult(
         trace_digest=world.trace.digest(),
@@ -342,15 +339,13 @@ def _bsm_traffic(world: World, period: int) -> None:
 
 # --- scenario events ---
 
-def _misbehavior(world: World, event: dict, report_periods: dict) -> None:
+def _misbehavior(world: World, event: dict) -> None:
     offender = world.devices[event["offender"]]
     reporters = [world.devices[i] for i in event["reporters"]]
     bsm = offender.broadcast_bsm([r.id for r in reporters], position=[-3, 0], speed=50)
     world.bus.run()
     if bsm is None:
         raise ScmsError("offender has no certificate to misbehave with")
-    lv = Certificate.decode(SignedMessage.decode(bsm).cert_bytes).linkage_value
-    report_periods.setdefault(lv, world.clock.period)
     for reporter in reporters:
         reporter.report_misbehavior(bsm)
     world.bus.run()
@@ -364,7 +359,7 @@ def _check_misbehavior(event: dict, known: dict) -> None:
         raise ScmsError("misbehavior event: a reporter has no certificate to sign the report")
 
 
-def _ballot(world: World, event: dict, report_periods: dict) -> None:
+def _ballot(world: World, event: dict) -> None:
     voters = [world.electors[i] for i in event["voters"]]
     kind, subject = BALLOTS[event["kind"]].apply(world, event)
     payload = {"ballot": build_ballot(kind, subject, voters).encode()}
@@ -378,13 +373,13 @@ def _add_elector(world: World, event: dict) -> tuple:
     return ENDORSE_ELECTOR, new[1]
 
 
-def _topoff(world: World, event: dict, report_periods: dict) -> None:
+def _topoff(world: World, event: dict) -> None:
     world.devices[event["device"]].request_certs(event["start"], event["n_periods"])
     world.bus.run()
     world.ra.flush()
 
 
-def _inject(world: World, event: dict, report_periods: dict) -> None:
+def _inject(world: World, event: dict) -> None:
     payload = _from_json(event.get("payload"))
     world.bus.send(Envelope(event["src"], event["dst"], event["type"], payload))
 
@@ -458,7 +453,7 @@ BALLOTS = {
 
 # --- metrics ---
 
-def collect_metrics(world: World, report_periods: dict) -> dict:
+def collect_metrics(world: World) -> dict:
     pca_store = world.registry.audit_view("pca")
     certs_issued = pca_store.count("issued") + pca_store.count("issued_plain")
     rejected = {}
@@ -468,11 +463,12 @@ def collect_metrics(world: World, report_periods: dict) -> dict:
         for reason, count in device.reject_counts.items():
             rejected[reason] = rejected.get(reason, 0) + count
     ma_store = world.registry.audit_view("ma")
+    # each revocation's periods since the MA accepted its first report
     latency = []
     for record in ma_store.scan("revocation"):
-        reported = report_periods.get(record["lv"])
+        reported = ma_store.first("report", lv=record["lv"])
         if reported is not None:
-            latency.append(record["period"] - reported)
+            latency.append(record["period"] - reported["period"])
     return {
         "certs_issued": certs_issued,
         "crl_composite_bytes": len(world.crl_store.composite()),

@@ -1,9 +1,10 @@
 """Misbehavior authority with CRL generator.
 
 Intake: encrypted reports arrive in shuffled batches from the RA, are
-decrypted, attributed to a linkage value and fed to a pluggable global
-detector (default: a threshold of distinct reporters against the same
-linkage value within a period window). A report counts only when its
+decrypted and attributed to a linkage value, or to a certificate id for a
+certificate without one. The MA flags a subject once ``threshold``
+distinct reporter certificates have accused it within the last
+``REPORT_WINDOW_PERIODS`` periods. A report counts only when its
 reporter signed it under a pseudonym certificate that chains to the PKI;
 any other is kept as a ``bad_report``. A flagged linkage value starts an
 automatic pipeline over signed queries:
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
 
 from .authorities.base import Authority
 from .certmodel import (
@@ -56,26 +56,8 @@ from .linkage import J_MAX
 from .rootmgmt import TrustState
 
 
-@dataclass
-class ThresholdDetector:
-    """Flag a linkage value once enough distinct reporters accuse it."""
-
-    threshold: int = 3
-    window_periods: int = 4
-
-    def __call__(self, reports: list[dict], period: int) -> set[bytes]:
-        reporters_by_lv: dict[bytes, set[bytes]] = {}
-        for report in reports:
-            if period - report["period"] > self.window_periods:
-                continue
-            reporters_by_lv.setdefault(report["lv"], set()).add(
-                report["reporter_cert_id"]
-            )
-        return {
-            lv
-            for lv, reporters in reporters_by_lv.items()
-            if len(reporters) >= self.threshold
-        }
+# the periods a report counts toward detection, after the one it arrived in
+REPORT_WINDOW_PERIODS = 4
 
 
 class Crlg:
@@ -157,10 +139,11 @@ class Ma(Authority):
     crl_store_host = "crlstore"
 
     def __init__(self, component_id, bus, registry, rng, identity,
-                 crlg: Crlg, detector: ThresholdDetector, trust: TrustState):
+                 crlg: Crlg, threshold: int, trust: TrustState):
         super().__init__(component_id, bus, registry, rng, identity)
         self.crlg = crlg
-        self.detector = detector
+        # distinct reporter certificates that flag a subject
+        self.threshold = threshold
         # the PKI a reporter's pseudonym certificate must chain to
         self.trust = trust
         self._cases: dict[str, dict] = {}
@@ -243,7 +226,7 @@ class Ma(Authority):
             return
         # a reporter counts only under a pseudonym certificate of this PKI
         # that no CRL of this MA revokes, or anyone could mint the distinct
-        # reporters the detector counts
+        # reporters that detection counts
         chain = (None if reporter_cert.ctype != CertType.OBE_PSEUDONYM
                  else verify_chain(reporter_cert, self.trust))
         if chain is None or not chain.ok:
@@ -262,23 +245,29 @@ class Ma(Authority):
         })
 
     def _run_detection(self) -> None:
-        pseudonym_reports = [
-            r for r in self.store.scan("report") if r["ctype"] == CertType.OBE_PSEUDONYM
-        ]
-        flagged = self.detector(pseudonym_reports, self.clock.period)
-        for lv in sorted(flagged - self._flagged):
-            self._flagged.add(lv)
-            self.start_pseudonym_revocation(lv)
-        # non-pseudonym certificates are flagged per cert id
-        other = [
-            {**r, "lv": r["reported_cert_id"]}
-            for r in self.store.scan("report")
-            if r["ctype"] != CertType.OBE_PSEUDONYM
-        ]
-        for cid in sorted(self.detector(other, self.clock.period) - self._flagged):
-            self._flagged.add(cid)
-            record = self.store.first("report", reported_cert_id=cid)
-            self.start_certificate_revocation(record["reported_cert"])
+        """Open a case for each subject that ``threshold`` distinct reporter
+        certificates accused within the window: a pseudonym by its linkage
+        value, any other certificate by its id. Pseudonym cases open first,
+        each kind in sorted order; a subject is flagged once."""
+        period = self.clock.period
+        reporters: dict[tuple[bool, bytes], set[bytes]] = {}
+        for report in self.store.scan("report"):
+            if period - report["period"] > REPORT_WINDOW_PERIODS:
+                continue
+            other = report["ctype"] != CertType.OBE_PSEUDONYM
+            subject = report["reported_cert_id"] if other else report["lv"]
+            reporters.setdefault((other, subject), set()).add(
+                report["reporter_cert_id"])
+        for other, subject in sorted(reporters):
+            if (len(reporters[other, subject]) < self.threshold
+                    or subject in self._flagged):
+                continue
+            self._flagged.add(subject)
+            if other:
+                record = self.store.first("report", reported_cert_id=subject)
+                self.start_certificate_revocation(record["reported_cert"])
+            else:
+                self.start_pseudonym_revocation(subject)
 
     # --- investigation (boolean only) ---
 

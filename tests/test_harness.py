@@ -33,6 +33,7 @@ from scms.harness import (
     ScenarioConfig,
     _namespace_leaves,
     _parses_as_cert_type,
+    collect_metrics,
     run_audits,
     run_scenario,
 )
@@ -83,6 +84,9 @@ def test_revocation_event_rejects_future_bsms():
     assert result.metrics["revocations"] == 1
     assert result.metrics["bsms_rejected"].get("revoked", 0) > 0
     assert result.metrics["revocation_latency_periods"] == [0]
+    # every metric comes from the world alone
+    metrics = {k: v for k, v in result.metrics.items() if k != "elapsed_seconds"}
+    assert collect_metrics(result.world) == metrics
 
 
 def test_scenario_json_roundtrip(tmp_path):

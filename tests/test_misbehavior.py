@@ -20,45 +20,53 @@ from scms.certmodel import (
 from scms.crypto import DeterministicRandom, KeyPair
 from scms.device import Device
 from scms.encoding import encode
-from scms.misbehavior import ThresholdDetector
+from scms.misbehavior import REPORT_WINDOW_PERIODS
 from tests.conftest import issued_certificates, make_world, provision_all
 
 
-def _report(lv, reporter, period=0):
-    return {"lv": lv, "reporter_cert_id": reporter, "period": period}
+def _flagged(reports, threshold=3, period=0):
+    """The subjects a one-device world's MA flags over planted ``report``
+    records, each (lv, reporter certificate id, period)."""
+    world = make_world(devices=1, detector_threshold=threshold)
+    world.clock.set(period)
+    for lv, reporter, at in reports:
+        world.ma.store.put("report", {
+            "lv": lv, "ctype": int(CertType.OBE_PSEUDONYM),
+            "reported_cert_id": lv[:8], "reporter_cert_id": reporter,
+            "period": at,
+        })
+    world.ma._run_detection()
+    return world.ma._flagged
 
 
-# --- detector ---
+# --- detection ---
 
 def test_detector_empty():
-    detector = ThresholdDetector(threshold=3)
-    assert detector([], period=0) == set()
+    assert _flagged([]) == set()
 
 
 def test_detector_threshold_met():
-    detector = ThresholdDetector(threshold=3)
-    reports = [_report(b"lv-a" * 2 + b"x", f"r{k}".encode()) for k in range(3)]
-    assert detector(reports, period=0) == {b"lv-a" * 2 + b"x"}
+    lv = b"lv-a" * 2 + b"x"
+    assert _flagged([(lv, f"r{k}".encode(), 0) for k in range(3)]) == {lv}
 
 
 def test_detector_below_threshold():
-    detector = ThresholdDetector(threshold=3)
-    reports = [_report(b"lv-b" * 2 + b"x", f"r{k}".encode()) for k in range(2)]
-    assert detector(reports, period=0) == set()
+    lv = b"lv-b" * 2 + b"x"
+    reports = [(lv, f"r{k}".encode(), 0) for k in range(2)]
+    assert _flagged(reports) == set()
     # duplicate reporters do not inflate the count
-    reports.append(_report(b"lv-b" * 2 + b"x", b"r0"))
-    assert detector(reports, period=0) == set()
+    assert _flagged([*reports, (lv, b"r0", 0)]) == set()
 
 
 def test_detector_window():
-    detector = ThresholdDetector(threshold=2, window_periods=1)
-    reports = [
-        _report(b"lv-old-old!", b"r0", period=0),
-        _report(b"lv-old-old!", b"r1", period=5),
-    ]
-    assert detector(reports, period=5) == set()  # r0 outside the window
-    reports.append(_report(b"lv-old-old!", b"r2", period=4))
-    assert detector(reports, period=5) == {b"lv-old-old!"}
+    lv = b"lv-old-old!"
+    now = REPORT_WINDOW_PERIODS + 1
+    reports = [(lv, b"r0", 0), (lv, b"r1", now)]
+    # r0 is outside the window
+    assert _flagged(reports, threshold=2, period=now) == set()
+    # r2 is at its edge
+    reports.append((lv, b"r2", 1))
+    assert _flagged(reports, threshold=2, period=now) == {lv}
 
 
 # --- full pipeline via scenario ---
@@ -516,6 +524,42 @@ def test_rse_application_issuance_and_revocation():
     rse.request_app_certs(CertType.RSE_APPLICATION, [[31, 40]], psid=130)
     world.bus.run()
     assert rse.provision_status == "denied"
+
+
+def test_detection_opens_pseudonym_cases_before_certificate_cases():
+    # one batch accuses an RSE application certificate and a pseudonym,
+    # each by threshold distinct reporter certificates
+    from scms.crypto import hybrid_encrypt
+
+    world = _rse_world()
+    provision_all(world)
+    rse = world.rse
+    rse.request_app_certs(CertType.RSE_APPLICATION, [[0, 10], [11, 20]],
+                          psid=130)
+    world.bus.run()
+    threshold = world.config.detector_threshold
+    reporters = world.devices[0].current_certs()[:threshold]
+    accused = [rse.app_certs[0]["cert"], world.devices[1].current_certs()[0]["cert"]]
+    ma = world.pki["ma"]
+    reports = []
+    for cert in accused:
+        evidence = hashlib.sha256(cert.encode()).digest()
+        reports += [hybrid_encrypt(ma.enc_keypair.public, encode({
+            "kind": "bsm", "evidence": evidence, "reported_cert": cert.encode(),
+            "reporter": sign_message(r["priv"], r["cert"], evidence).encode(),
+        }), world.rng).encode() for r in reporters]
+    world.bus.send(Envelope("ra", "ma", "mb.batch", {"reports": reports}))
+    world.bus.run()
+    view = world.registry.audit_view("ma")
+    assert view.count("report") == 2 * threshold
+    # each case's first query is sent as it opens
+    first_ops = [r["op"] for r in view.scan("audit_sent")
+                 if r["op"] in ("ma.lv2plv", "ma.cert2rh")]
+    assert first_ops == ["ma.lv2plv", "ma.cert2rh"]
+    assert world.ma.revocations_completed == 2
+    crl = world.crl_store.crls.get(world.pki["root"].cert.cert_id(), 3)
+    assert {e.cert_id for e in crl.certid_entries} == {
+        e["cert"].cert_id() for e in rse.app_certs}
 
 
 def test_expired_only_device_blacklist_without_crl_delta():

@@ -268,10 +268,8 @@ def _decorator_name(node) -> str | None:
 # Every memo in the package, by file and function. Each is a pure function
 # of bytes or text, so no entry can go stale: no layer keeps a verdict that
 # later trust or CRL state could change. Above the crypto layer, the memos
-# are the certificate and CRL decoders, the checks of a BSM's bytes and the
-# encodings of the strings of an envelope.
+# are the certificate and CRL decoders and the checks of a BSM's bytes.
 MEMOS = {
-    "bus.py:_text",
     "certmodel.py:_decode_certificate",
     "certmodel.py:_decode_crl",
     "crypto/signing.py:backend_verify",
