@@ -14,6 +14,15 @@ it into a dead letter: a ``dead_letter`` trace event naming the error
 class, never the payload, and one more ``dead_letters``; the run goes on.
 An ``InvariantViolation`` or any other exception is a bug and aborts it.
 
+The trace hashes one JSON line per event, and ``Trace.record`` is its one
+writer. A delivery's line names the envelope's hash: the first 16 hex
+digits of the SHA-256 of its canonical encoding, which the bus splices
+from the encodings of its parts, with the three header strings written
+inline and a payload encoded once for consecutive envelopes that share
+it. The line itself comes from a fixed template, the bytes the generic
+JSON encoder gives for that event; every other event goes through that
+encoder.
+
 A handler may split its work into three parts so that the expensive
 crypto of many deliveries runs on every core (``MessageBus.defer``):
 
@@ -63,7 +72,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
-from .encoding import dict_layout, encode
+from .encoding import dict_layout, encode, text_head
 from .errors import InvariantViolation, ScmsError
 
 MINUTES_PER_DAY = 24 * 60
@@ -76,6 +85,12 @@ _EE_PREFIXES = ("obe", "rse")
 # one encoder for every trace line: json.dumps with arguments builds a
 # new encoder per call
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# a delivery's trace line: the bytes _JSON writes for its event, whose keys
+# it sorts, whose strings it escapes with this escaper and whose ints (exact
+# ints, not bool) it writes as str() does
+_DELIVERY = '{"dst":%s,"h":%s,"kind":"deliver","n":%s,"p":%s,"src":%s,"t":%s}\n'
+_DELIVERY_FIELDS = {"dst", "h", "p", "src", "t"}
+_quote = json.encoder.encode_basestring_ascii
 
 # the bytes before each value in an envelope's encoding, whose keys the
 # codec sorts; the trace hashes that encoding spliced from its values
@@ -141,21 +156,34 @@ class Trace:
         self.count = 0
 
     def record(self, kind: str, **fields) -> None:
-        event = {"n": self.count, "kind": kind, **fields}
-        self._hash.update(_JSON.encode(event).encode())
-        self._hash.update(b"\n")
+        """Hash the event's line: the one writer of the digest. A delivery
+        as the bus records it, with str ids, type and hash and an int
+        period, is written from ``_DELIVERY`` without building its event."""
+        n = self.count
+        line = None
+        if kind == "deliver" and fields.keys() == _DELIVERY_FIELDS:
+            dst, h, p, src, t = (fields["dst"], fields["h"], fields["p"],
+                                 fields["src"], fields["t"])
+            if (type(p) is int
+                    and type(dst) is type(h) is type(src) is type(t) is str):
+                line = _DELIVERY % (_quote(dst), _quote(h), n, p,
+                                    _quote(src), _quote(t))
+        if line is None:
+            line = _JSON.encode({"n": n, "kind": kind, **fields}) + "\n"
+        self._hash.update(line.encode())
         if self.keep_events:
-            self.events.append(event)
-        self.count += 1
+            self.events.append({"n": n, "kind": kind, **fields})
+        self.count = n + 1
 
     def digest(self) -> str:
         return self._hash.hexdigest()
 
-    def write_ndjson(self, path) -> None:
-        with open(path, "w") as fh:
-            for event in self.events:
-                fh.write(_JSON.encode(event))
-                fh.write("\n")
+    def write_ndjson(self, out) -> None:
+        """Write the kept events to the text file ``out``, one line each:
+        the lines whose SHA-256 is the digest."""
+        for event in self.events:
+            out.write(_JSON.encode(event))
+            out.write("\n")
 
 
 def _is_end_entity(component_id: str) -> bool:
@@ -339,13 +367,15 @@ class MessageBus:
 
     def _envelope_hash(self, env: Envelope) -> str:
         """The first 16 hex digits of ``sha256(env.encode())``, with the
-        payload encoded once for consecutive envelopes that share it."""
+        header strings' encodings written inline and the payload encoded
+        once for consecutive envelopes that share it."""
         payload = env.payload
         if payload is not self._payload:
             self._payload, self._payload_bytes = payload, encode(payload)
+        dst, src, mtype = env.dst.encode(), env.src.encode(), env.mtype.encode()
         return hashlib.sha256(b"".join((
-            _DST, encode(env.dst), _PAYLOAD, self._payload_bytes,
-            _SRC, encode(env.src), _TYPE, encode(env.mtype),
+            _DST, text_head(dst), dst, _PAYLOAD, self._payload_bytes,
+            _SRC, text_head(src), src, _TYPE, text_head(mtype), mtype,
         ))).hexdigest()[:16]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import vectors as vectors_mod
@@ -151,11 +152,18 @@ def cmd_ballot_demo(args) -> int:
 def cmd_run(args) -> int:
     config = _scenario(
         lambda: ScenarioConfig.from_json(Path(args.scenario).read_text()))
+    trace = nullcontext()
     if args.trace:
         config.keep_trace_events = True
-    result = run_scenario(config)
-    if args.trace:
-        result.world.trace.write_ndjson(args.trace)
+        try:  # opened before the run, so that a bad path costs no run
+            trace = open(args.trace, "w")
+        except OSError as exc:
+            print(f"error: cannot write trace: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
+    with trace as out:
+        result = run_scenario(config)
+        if out is not None:
+            result.world.trace.write_ndjson(out)
     print(json.dumps({
         "scenario": config.name,
         "trace_digest": result.trace_digest,

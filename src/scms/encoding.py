@@ -7,10 +7,15 @@ their UTF-8 key bytes. The decoder accepts only these canonical bytes (an
 int of another width, or a repeated or out-of-order key, is a
 ``ParseError``), so ``encode(decode(b)) == b`` whenever ``decode(b)``
 succeeds. Used for message payloads and for bus envelopes, whose
-encodings the trace hashes. Certificate and CRL wire formats have
-their own fixed layouts in certmodel, read through ``Reader``. A decoded
-payload is read through ``fields``, which checks each field's presence
-and exact type, and a list of fixed-shape rows through ``rows``.
+encodings the trace hashes. The encoder checks exact types first, writes
+a bytes value inside a container in place, and sends every other value
+(None, bool, an int subclass, tuple, bytearray, a dict with a non-str
+key) to an ``isinstance`` chain, so both paths give the bytes of one
+value model; ``text_head`` lets the bus splice a str's encoding inline.
+Certificate and CRL wire formats have their own fixed layouts in
+certmodel, read through ``Reader``. A decoded payload is read through
+``fields``, which checks each field's presence and exact type, and a
+list of fixed-shape rows through ``rows``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,12 @@ _LIST = 0x06
 _DICT = 0x07
 
 
+# the tag and 4-byte length before a bytes, str, list or dict value, and
+# the length alone before a dict key
+_HEAD = struct.Struct(">BI").pack
+_LENGTH = struct.Struct(">I").pack
+
+
 def encode(value) -> bytes:
     out = bytearray()
     _encode_into(value, out)
@@ -37,6 +48,56 @@ def encode(value) -> bytes:
 
 
 def _encode_into(value, out: bytearray) -> None:
+    """Write ``value``, checking exact types first: a dict with str keys,
+    bytes, str, int, list. A bytes value inside a container is written in
+    place. Every other value goes to ``_encode_other``, which writes the
+    bytes the value model gives it or raises (tests/test_encoding.py holds
+    the isinstance-only oracle that both paths match)."""
+    kind = type(value)
+    if kind is dict:
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                _encode_other(value, out)
+                return
+            items.append((key.encode(), item))
+        items.sort()  # by key bytes, which differ, so no item is compared
+        out += _HEAD(_DICT, len(items))
+        for raw_key, item in items:
+            out += _LENGTH(len(raw_key))
+            out += raw_key
+            if type(item) is bytes:
+                out += _HEAD(_BYTES, len(item))
+                out += item
+            else:
+                _encode_into(item, out)
+    elif kind is bytes:
+        out += _HEAD(_BYTES, len(value))
+        out += value
+    elif kind is str:
+        raw = value.encode()
+        out += _HEAD(_STR, len(raw))
+        out += raw
+    elif kind is int:
+        width = (value.bit_length() + 8) // 8
+        out.append(_INT)
+        out.append(width)
+        out += value.to_bytes(width, "big", signed=True)
+    elif kind is list:
+        out += _HEAD(_LIST, len(value))
+        for item in value:
+            if type(item) is bytes:
+                out += _HEAD(_BYTES, len(item))
+                out += item
+            else:
+                _encode_into(item, out)
+    else:
+        _encode_other(value, out)
+
+
+def _encode_other(value, out: bytearray) -> None:
+    """The value model by ``isinstance``: None, bool, an int, bytes or
+    bytearray, str, list or tuple, dict (whose keys must be str)."""
     if value is None:
         out.append(_NONE)
     elif value is True:
@@ -90,6 +151,11 @@ def dict_layout(*keys: str) -> tuple[bytes, ...]:
     parts = [len(raw).to_bytes(4, "big") + raw for raw in raws]
     parts[0] = bytes([_DICT]) + len(raws).to_bytes(4, "big") + parts[0]
     return tuple(parts)
+
+
+def text_head(raw: bytes) -> bytes:
+    """The bytes that ``encode`` writes before a str whose UTF-8 is ``raw``."""
+    return _HEAD(_STR, len(raw))
 
 
 def decode(data: bytes):

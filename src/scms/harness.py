@@ -387,6 +387,10 @@ def _inject(world: World, event: dict) -> None:
 def _check_inject(event: dict, known: dict) -> None:
     if event["dst"] in _PROXIED and _is_end_entity(event["src"]):
         raise ScmsError("inject event: an end entity sends around the LOP")
+    try:  # JSON text may hold a lone surrogate, which the trace cannot hash
+        event["type"].encode()
+    except UnicodeEncodeError:
+        raise ScmsError("inject type is not UTF-8 text") from None
     try:
         encode(_from_json(event.get("payload")))
     except (TypeError, ValueError, RecursionError):

@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scms import bus as bus_module
 from scms.bus import Clock, Envelope, MessageBus, Trace
@@ -83,7 +85,7 @@ def test_trace_digest_is_order_sensitive():
     assert t3.digest() == t1.digest()
 
 
-@pytest.mark.parametrize("name", ["revocation_demo", "mitm_drill"])
+@pytest.mark.parametrize("name", ["revocation_demo", "mitm_drill", "garbage_drill"])
 def test_spliced_envelope_hash_is_the_hash_of_the_encoding(name, monkeypatch):
     spliced = MessageBus._envelope_hash
     seen, wrong = [], []
@@ -100,6 +102,48 @@ def test_spliced_envelope_hash_is_the_hash_of_the_encoding(name, monkeypatch):
     result = run_scenario(config)
     assert len(seen) == result.world.bus.delivered
     assert "bsm" in seen and wrong == []
+
+
+# quotes, backslashes, control characters, non-ASCII, astral and lone
+# surrogates: every kind of character the JSON escaper treats apart
+_AWKWARD = ['q"d', "b\\s", "\x00\x1f\x7f\n\t", "\u00e9\u2028",
+            "\U0001f600", "\ud800", ""]
+_ANY_TEXT = st.one_of(
+    st.sampled_from(_AWKWARD),
+    st.lists(st.integers(0, 0x10FFFF).map(chr), max_size=6).map("".join))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(dst=_ANY_TEXT, src=_ANY_TEXT, t=_ANY_TEXT,
+       h=st.one_of(_ANY_TEXT, st.integers()),
+       p=st.one_of(st.integers(0, 2**40), st.booleans()))
+def test_a_delivery_line_is_the_json_of_its_event(dst, src, t, h, p):
+    # a bool period or an int hash takes the generic line
+    trace = Trace(keep_events=False)
+    lines = []
+    for n in range(2):
+        trace.record("deliver", p=p, src=src, dst=dst, t=t, h=h)
+        event = {"n": n, "kind": "deliver", "p": p, "src": src, "dst": dst,
+                 "t": t, "h": h}
+        lines.append(bus_module._JSON.encode(event) + "\n")
+    assert trace.digest() == hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_an_awkward_inject_type_hashes_as_its_kept_event(tmp_path):
+    mtype = "".join(_AWKWARD[:-2])  # a lone surrogate is refused on load
+    config = ScenarioConfig(name="awkward", seed=3, devices=2, periods=1,
+                            batch_size=1, keep_trace_events=True, events=[
+        {"period": 0, "action": "inject", "src": "pg", "dst": "obe0",
+         "type": mtype, "payload": {}}])
+    kept = run_scenario(config)
+    config.keep_trace_events = False
+    digest = run_scenario(config).trace_digest
+    assert kept.trace_digest == digest
+    assert any(e.get("t") == mtype for e in kept.world.trace.events)
+    path = tmp_path / "trace.ndjson"
+    with open(path, "w") as out:
+        kept.world.trace.write_ndjson(out)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_a_payload_changed_between_runs_is_hashed_afresh():
@@ -122,7 +166,8 @@ def test_trace_ndjson(tmp_path):
     trace = Trace()
     trace.record("deliver", src="a", dst="b")
     path = tmp_path / "trace.ndjson"
-    trace.write_ndjson(path)
+    with open(path, "w") as out:
+        trace.write_ndjson(out)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert '"kind":"deliver"' in lines[0]

@@ -1,11 +1,12 @@
 """CLI smoke tests driven through main()."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from scms import harness
+from scms import cli, harness
 from scms.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -70,6 +71,26 @@ def test_run_scenario_and_trace(tmp_path, capsys):
     assert first["kind"] == "deliver"
 
 
+def test_trace_file_hashes_to_the_printed_digest(tmp_path, capsys):
+    trace_file = tmp_path / "trace.ndjson"
+    rc = main(["run", str(REPO / "scenarios/garbage_drill.json"),
+               "--trace", str(trace_file)])
+    digest = json.loads(capsys.readouterr().out)["trace_digest"]
+    assert rc == 0
+    assert digest.startswith("5915f328b040aadb")  # ROADMAP's table
+    assert hashlib.sha256(trace_file.read_bytes()).hexdigest() == digest
+
+
+def test_run_refuses_an_unwritable_trace_path_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", None)
+    with pytest.raises(SystemExit) as refused:
+        main(["run", str(REPO / "scenarios/smoke.json"),
+              "--trace", str(tmp_path / "no-such-dir" / "trace.ndjson")])
+    assert refused.value.code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write trace")
+
+
 @pytest.mark.parametrize("text, reason", [
     pytest.param("{not json", "Expecting property name", id="not-json"),
     pytest.param("[1, 2]", "JSON object", id="not-an-object"),
@@ -114,6 +135,9 @@ def test_run_scenario_and_trace(tmp_path, capsys):
                  "not a wire value", id="inject-bad-hex"),
     pytest.param(INJECT % '"src": "obe0", "dst": "ra", "payload": {}',
                  "around the LOP", id="inject-around-proxy"),
+    pytest.param(INJECT.replace('"bsm"', '"b\\ud800sm"')
+                 % '"src": "pg", "dst": "obe0", "payload": {}',
+                 "type is not UTF-8 text", id="inject-lone-surrogate-type"),
 ])
 def test_run_malformed_scenario(tmp_path, capsys, monkeypatch, text, reason):
     # refused on load with exit 2, before a world is built

@@ -1,6 +1,7 @@
 """Canonical codec tests: round trips, canonicity, malformed input."""
 
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,146 @@ def test_random_values_roundtrip():
     for _ in range(300):
         value = make()
         assert decode(encode(value)) == value
+
+
+# --- encode against an isinstance-only oracle ---
+
+def reference(value) -> bytes:
+    """The value model by ``isinstance`` alone, with keys sorted by their
+    UTF-8 bytes: the oracle that ``encode``'s exact-type checks and inline
+    bytes must match byte for byte and error for error."""
+    out = bytearray()
+    _reference_into(value, out)
+    return bytes(out)
+
+
+def _reference_into(value, out: bytearray) -> None:
+    if value is None:
+        out.append(0x00)
+    elif value is True:
+        out.append(0x02)
+    elif value is False:
+        out.append(0x01)
+    elif isinstance(value, int):
+        width = (value.bit_length() + 8) // 8
+        out.append(0x03)
+        out.append(width)
+        out += value.to_bytes(width, "big", signed=True)
+    elif isinstance(value, (bytes, bytearray)):
+        out.append(0x04)
+        out += len(value).to_bytes(4, "big")
+        out += value
+    elif isinstance(value, str):
+        raw = value.encode()
+        out.append(0x05)
+        out += len(raw).to_bytes(4, "big")
+        out += raw
+    elif isinstance(value, (list, tuple)):
+        out.append(0x06)
+        out += len(value).to_bytes(4, "big")
+        for item in value:
+            _reference_into(item, out)
+    elif isinstance(value, dict):
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"dict keys must be str, got {type(key).__name__}")
+            items.append((key.encode(), item))
+        items.sort(key=lambda kv: kv[0])
+        out.append(0x07)
+        out += len(items).to_bytes(4, "big")
+        for raw_key, item in items:
+            out += len(raw_key).to_bytes(4, "big")
+            out += raw_key
+            _reference_into(item, out)
+    else:
+        raise TypeError(f"cannot canonically encode {type(value).__name__}")
+
+
+class Kind(IntEnum):
+    SMALL = 1
+    WIDE = -300
+
+
+# non-ASCII and astral keys, whose UTF-8 order is their str order
+_TEXT_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(
+    ["", "a", "ab", "b", "\u00e9", "\uffff", "\U00010000", "\U0001f600"]))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**80), 2**80),
+    st.sampled_from(Kind), st.binary(max_size=8), st.binary().map(bytearray),
+    st.text(max_size=6))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT_KEYS, children, max_size=4))
+
+
+_VALUES = st.recursive(_LEAVES, _containers, max_leaves=16)
+
+_SURROGATE = st.integers(0xD800, 0xDFFF).map(chr)
+# each of these the oracle refuses
+_FAULTS = st.one_of(
+    st.floats(), st.sets(st.integers(), max_size=2), st.builds(object),
+    st.dictionaries(st.one_of(st.integers(), st.binary(), st.none(),
+                              st.tuples(st.text())), _VALUES,
+                    min_size=1, max_size=2),
+    st.builds(lambda s, a, b: a + s + b, _SURROGATE, st.text(max_size=2),
+              st.text(max_size=2)),
+    st.builds(lambda k, v: {k: v}, _SURROGATE, _VALUES),
+)
+
+
+def _holding(faulty):
+    """A container holding a faulty value (or key) among good ones."""
+    return st.one_of(
+        st.builds(lambda a, f, b: a + [f] + b, st.lists(_VALUES, max_size=2),
+                  faulty, st.lists(_VALUES, max_size=2)),
+        st.builds(lambda a, f: (*a, f), st.lists(_VALUES, max_size=2), faulty),
+        st.builds(lambda d, k, f: {**d, k: f},
+                  st.dictionaries(_TEXT_KEYS, _VALUES, max_size=3),
+                  _TEXT_KEYS, faulty),
+        st.builds(lambda d, k, v: {**d, k: v},
+                  st.dictionaries(_TEXT_KEYS, st.one_of(_VALUES, faulty),
+                                  max_size=3),
+                  _SURROGATE, _VALUES),
+    )
+
+
+_FAULTY = st.recursive(_FAULTS, _holding, max_leaves=6)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_VALUES)
+def test_encode_writes_the_bytes_of_the_reference(value):
+    assert encode(value) == reference(value)
+
+
+def _refusal(encoder, value) -> BaseException:
+    with pytest.raises(Exception) as err:
+        encoder(value)
+    return err.value
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_FAULTY)
+def test_encode_refuses_what_the_reference_refuses(value):
+    want, got = _refusal(reference, value), _refusal(encode, value)
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda v: [v], lambda v: (v,), lambda v: {"k": v}, lambda v: [b"", v]],
+    ids=["list", "tuple", "dict", "list-with-bytes"])
+def test_encode_refuses_deep_nesting_as_the_reference_does(wrap):
+    value = b"leaf"
+    for _ in range(2_000):
+        value = wrap(value)
+    for encoder in (reference, encode):
+        with pytest.raises(RecursionError):
+            encoder(value)
 
 
 def test_truncated_input_raises_with_offset():

@@ -263,8 +263,9 @@ def test_inject_event_sends_json_payloads_with_bytes():
     {"src": "pg", "dst": "ghost", "type": "crl.fetch", "payload": {}},
     {"src": "pg", "dst": "obe0", "type": "bsm", "payload": {"bsm": 1.5}},
     {"src": "pg", "dst": "obe0", "type": "bsm", "payload": {"bsm": 2**4000}},
+    {"src": "pg", "dst": "obe0", "type": "b\ud800sm", "payload": {}},
 ], ids=["no-type", "int-type", "unknown-src", "unknown-dst", "float",
-        "huge-int"])
+        "huge-int", "lone-surrogate-type"])
 def test_malformed_inject_event_raises(event):
     with pytest.raises(ScmsError) as err:
         run_scenario(_small_config(events=[

@@ -460,6 +460,20 @@ def test_no_handler_catches_lookup_or_type_errors():
     assert found == ["harness.py:_check_inject:TypeError"], found
 
 
+def test_one_writer_of_the_trace_digest():
+    # Trace.record hashes every trace line, so no second writer can drift
+    # from the lines write_ndjson gives, and perfbench's bus.Trace.record
+    # span counts every line
+    found = [
+        f"{file}:{'.'.join(scope)}" for file, scope, node in _scoped_nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "update"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "_hash"
+    ]
+    assert found and set(found) == {"bus.py:Trace.record"}, found
+
+
 def test_vector_oracle_is_standalone():
     # the tests compare the package against scripts/make_vectors.py, so the
     # script must not reach the package by any import
