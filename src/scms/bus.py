@@ -157,18 +157,15 @@ class Trace:
 
     def record(self, kind: str, **fields) -> None:
         """Hash the event's line: the one writer of the digest. A delivery
-        as the bus records it, with str ids, type and hash and an int
-        period, is written from ``_DELIVERY`` without building its event."""
+        as the bus records it (str ids, type and hash, an int period) is
+        written from ``_DELIVERY`` without building its event."""
         n = self.count
-        line = None
-        if kind == "deliver" and fields.keys() == _DELIVERY_FIELDS:
-            dst, h, p, src, t = (fields["dst"], fields["h"], fields["p"],
-                                 fields["src"], fields["t"])
-            if (type(p) is int
-                    and type(dst) is type(h) is type(src) is type(t) is str):
-                line = _DELIVERY % (_quote(dst), _quote(h), n, p,
-                                    _quote(src), _quote(t))
-        if line is None:
+        if (kind == "deliver" and fields.keys() == _DELIVERY_FIELDS
+                and type(fields["p"]) is int):  # a bool period writes true
+            line = _DELIVERY % (_quote(fields["dst"]), _quote(fields["h"]), n,
+                                fields["p"], _quote(fields["src"]),
+                                _quote(fields["t"]))
+        else:
             line = _JSON.encode({"n": n, "kind": kind, **fields}) + "\n"
         self._hash.update(line.encode())
         if self.keep_events:

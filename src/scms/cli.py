@@ -155,14 +155,19 @@ def cmd_run(args) -> int:
     trace = nullcontext()
     if args.trace:
         config.keep_trace_events = True
-        try:  # opened before the run, so that a bad path costs no run
-            trace = open(args.trace, "w")
+        # opened before the run, so that a bad path costs no run, but
+        # emptied only after it, so that a failed run leaves a file whole
+        try:
+            trace = open(args.trace, "a")
         except OSError as exc:
             print(f"error: cannot write trace: {exc}", file=sys.stderr)
             raise SystemExit(2) from None
     with trace as out:
         result = run_scenario(config)
         if out is not None:
+            if out.seekable():
+                out.seek(0)
+                out.truncate()
             result.world.trace.write_ndjson(out)
     print(json.dumps({
         "scenario": config.name,

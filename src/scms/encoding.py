@@ -7,11 +7,11 @@ their UTF-8 key bytes. The decoder accepts only these canonical bytes (an
 int of another width, or a repeated or out-of-order key, is a
 ``ParseError``), so ``encode(decode(b)) == b`` whenever ``decode(b)``
 succeeds. Used for message payloads and for bus envelopes, whose
-encodings the trace hashes. The encoder checks exact types first, writes
-a bytes value inside a container in place, and sends every other value
-(None, bool, an int subclass, tuple, bytearray, a dict with a non-str
-key) to an ``isinstance`` chain, so both paths give the bytes of one
-value model; ``text_head`` lets the bus splice a str's encoding inline.
+encodings the trace hashes. The encoder checks exact types first and
+writes a bytes value inside a container in place; a subclass, a tuple or
+a bytearray is written as the exact-type value it stands for, so each
+wire kind has one writer. ``text_head`` lets the bus splice a str's
+encoding inline.
 Certificate and CRL wire formats have their own fixed layouts in
 certmodel, read through ``Reader``. A decoded payload is read through
 ``fields``, which checks each field's presence and exact type, and a
@@ -48,18 +48,17 @@ def encode(value) -> bytes:
 
 
 def _encode_into(value, out: bytearray) -> None:
-    """Write ``value``, checking exact types first: a dict with str keys,
-    bytes, str, int, list. A bytes value inside a container is written in
-    place. Every other value goes to ``_encode_other``, which writes the
-    bytes the value model gives it or raises (tests/test_encoding.py holds
-    the isinstance-only oracle that both paths match)."""
+    """Write ``value``, checking exact types first: dict, bytes, str, int,
+    list, with a bytes value inside a container written in place; then
+    None, True and False. Any other value the model holds (an int, bytes,
+    str, list or dict subclass, a bytearray, a tuple) is written as the
+    exact-type value it stands for."""
     kind = type(value)
     if kind is dict:
         items = []
         for key, item in value.items():
-            if type(key) is not str:
-                _encode_other(value, out)
-                return
+            if type(key) is not str and not isinstance(key, str):
+                raise TypeError(f"dict keys must be str, got {type(key).__name__}")
             items.append((key.encode(), item))
         items.sort()  # by key bytes, which differ, so no item is compared
         out += _HEAD(_DICT, len(items))
@@ -91,53 +90,29 @@ def _encode_into(value, out: bytearray) -> None:
                 out += item
             else:
                 _encode_into(item, out)
-    else:
-        _encode_other(value, out)
-
-
-def _encode_other(value, out: bytearray) -> None:
-    """The value model by ``isinstance``: None, bool, an int, bytes or
-    bytearray, str, list or tuple, dict (whose keys must be str)."""
-    if value is None:
+    elif value is None:
         out.append(_NONE)
     elif value is True:
         out.append(_TRUE)
     elif value is False:
         out.append(_FALSE)
-    elif isinstance(value, int):
-        width = (value.bit_length() + 8) // 8
-        out.append(_INT)
-        out.append(width)
-        out += value.to_bytes(width, "big", signed=True)
-    elif isinstance(value, (bytes, bytearray)):
-        out.append(_BYTES)
-        out += len(value).to_bytes(4, "big")
-        out += value
-    elif isinstance(value, str):
-        raw = value.encode()
-        out.append(_STR)
-        out += len(raw).to_bytes(4, "big")
-        out += raw
-    elif isinstance(value, (list, tuple)):
-        out.append(_LIST)
-        out += len(value).to_bytes(4, "big")
-        for item in value:
-            _encode_into(item, out)
-    elif isinstance(value, dict):
-        items = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"dict keys must be str, got {type(key).__name__}")
-            items.append((key.encode(), item))
-        items.sort(key=lambda kv: kv[0])
-        out.append(_DICT)
-        out += len(items).to_bytes(4, "big")
-        for raw_key, item in items:
-            out += len(raw_key).to_bytes(4, "big")
-            out += raw_key
-            _encode_into(item, out)
     else:
-        raise TypeError(f"cannot canonically encode {type(value).__name__}")
+        _encode_into(_exact(value), out)
+
+
+def _exact(value):
+    """The exact-type value that ``value`` stands for in the value model."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value)
+    if isinstance(value, str):
+        return str.__str__(value)  # its text, whatever its __str__ says
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    raise TypeError(f"cannot canonically encode {type(value).__name__}")
 
 
 def dict_layout(*keys: str) -> tuple[bytes, ...]:

@@ -8,6 +8,7 @@ import pytest
 
 from scms import cli, harness
 from scms.cli import main
+from scms.errors import ScmsError
 
 REPO = Path(__file__).resolve().parent.parent
 # a small run with one inject event, whose keys go after the %
@@ -89,6 +90,28 @@ def test_run_refuses_an_unwritable_trace_path_before_the_run(
               "--trace", str(tmp_path / "no-such-dir" / "trace.ndjson")])
     assert refused.value.code == 2
     assert capsys.readouterr().err.startswith("error: cannot write trace")
+
+
+def test_a_failed_run_leaves_an_earlier_trace_file_whole(tmp_path, monkeypatch):
+    def fail(config):
+        raise ScmsError("the run fails")
+
+    trace_file = tmp_path / "trace.ndjson"
+    trace_file.write_text("an earlier trace\n")
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    with pytest.raises(ScmsError):
+        main(["run", str(REPO / "scenarios/smoke.json"),
+              "--trace", str(trace_file)])
+    assert trace_file.read_text() == "an earlier trace\n"
+
+
+def test_a_run_replaces_a_longer_trace_file(tmp_path, capsys):
+    trace_file = tmp_path / "trace.ndjson"
+    trace_file.write_text("x" * 1_000_000)
+    assert main(["run", str(REPO / "scenarios/garbage_drill.json"),
+                 "--trace", str(trace_file)]) == 0
+    digest = json.loads(capsys.readouterr().out)["trace_digest"]
+    assert hashlib.sha256(trace_file.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("text, reason", [

@@ -82,8 +82,9 @@ def test_random_values_roundtrip():
 
 def reference(value) -> bytes:
     """The value model by ``isinstance`` alone, with keys sorted by their
-    UTF-8 bytes: the oracle that ``encode``'s exact-type checks and inline
-    bytes must match byte for byte and error for error."""
+    UTF-8 bytes: the oracle that ``encode``'s exact-type checks, inline
+    bytes and subclass conversions must match byte for byte and error for
+    error."""
     out = bytearray()
     _reference_into(value, out)
     return bytes(out)
@@ -137,19 +138,40 @@ class Kind(IntEnum):
     WIDE = -300
 
 
+class Text(str):
+    def __str__(self):
+        return "not its text"
+
+
+class Blob(bytes):
+    pass
+
+
+class Listing(list):
+    pass
+
+
+class Mapping(dict):
+    pass
+
+
 # non-ASCII and astral keys, whose UTF-8 order is their str order
 _TEXT_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(
     ["", "a", "ab", "b", "\u00e9", "\uffff", "\U00010000", "\U0001f600"]))
 _LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-(2**80), 2**80),
     st.sampled_from(Kind), st.binary(max_size=8), st.binary().map(bytearray),
-    st.text(max_size=6))
+    st.binary(max_size=8).map(Blob), st.text(max_size=6),
+    st.text(max_size=6).map(Text))
 
 
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(_TEXT_KEYS, children, max_size=4))
+        st.lists(children, max_size=4).map(Listing),
+        st.dictionaries(_TEXT_KEYS, children, max_size=4),
+        st.dictionaries(_TEXT_KEYS.map(Text), children, max_size=4),
+        st.dictionaries(_TEXT_KEYS, children, max_size=4).map(Mapping))
 
 
 _VALUES = st.recursive(_LEAVES, _containers, max_leaves=16)
